@@ -12,9 +12,9 @@ the last line of standard output is one JSON object with the metrics. With
 reported; with ``--trace 1`` rounds alternate untraced and traced, and the
 per-layer metrics come from the traced ones. ``--workload all`` (the
 default) runs each workload in a fresh process of its own, so one workload's
-peak memory cannot leak into another's. Set-up times, and round times of
-CPU-bound workloads, are scaled to a reference machine speed measured by
-``workloads.SpeedKernel`` in the same run; ``METRICS.md`` says why.
+peak memory cannot leak into another's. Every timed piece of work is scaled
+to a reference machine speed by a ``workloads.Gauge``, which times a fixed
+reference task after each piece; ``METRICS.md`` says why.
 
 The package is imported from ``src/`` next to this directory and nowhere
 else: without it the run fails.
@@ -34,7 +34,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -47,19 +46,40 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".covbench"
 WORKLOAD_NAMES = ("design_n6", "horizon_sweep", "mc_playback")
-#: Set-up (instance build and first-call warm-up) is repeated this many
-#: times and its median reported; one-time preparation (the design solve on
-#: mc_playback) and imports are added once.
-SETUP_REPS = 3
-#: Share of the run spent on the speed kernel between rounds.
-KERNEL_DUTY = 0.05
+#: Set-up is imports, one-time preparation (the design solve on
+#: mc_playback) and the instance build with first-call warm-up. Imports are
+#: timed in this many fresh interpreters and the build is repeated this many
+#: times; each reports its median.
+IMPORT_REPS = 5
+SETUP_REPS = 5
+#: Share of the traced work that layer spans should cover (ROADMAP item 1).
+COVERAGE_FLOOR = 0.95
+#: Import time is timed in a fresh interpreter from the point where this
+#: process's own clock starts. BENCH_MODULES is what run.py imports before
+#: the first timed call; REFERENCE_MODULES is the import gauge's task, a
+#: fixed set of standard-library modules whose import takes about
+#: IMPORT_REFERENCE_S on the VM the benchmark was built on. Import time is
+#: file-system and unmarshalling work that follows that gauge, not the
+#: speed kernel.
+IMPORT_PROBE = (
+    "import time; t = time.perf_counter(); import sys; sys.path[:0] = {paths!r}; "
+    "import {modules}; print(time.perf_counter() - t)"
+)
+BENCH_MODULES = "layers, tracer, workloads"
+REFERENCE_MODULES = (
+    "asyncio, calendar, concurrent.futures, csv, ctypes, decimal, difflib, "
+    "email.mime.multipart, fractions, glob, http.server, logging, multiprocessing, "
+    "pickle, pydoc, shutil, sqlite3, ssl, statistics, tarfile, tempfile, tomllib, "
+    "unittest, urllib.request, xml.etree.ElementTree, zipfile"
+)
+IMPORT_REFERENCE_S = 0.1
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", default="all", choices=WORKLOAD_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=38.0)
+    p.add_argument("--seconds", type=float, default=32.0)
     p.add_argument("--trace", type=int, default=0, choices=(0, 1))
     return p.parse_args(argv)
 
@@ -113,6 +133,14 @@ def environment(args) -> dict:
     }
 
 
+def import_seconds(modules: str) -> float:
+    """Time to import ``modules`` in a fresh interpreter."""
+    code = IMPORT_PROBE.format(paths=[str(SRC), str(HERE)], modules=modules)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=ROOT)
+    return float(proc.stdout.split()[-1])
+
+
 def run_all(args) -> int:
     """Each workload in a fresh process; non-zero if any of them failed."""
     status = 0
@@ -144,38 +172,30 @@ def run_one(args) -> int:
     clock = workloads.clock
     wl = workloads.WORKLOADS[args.workload]
     tracer = Tracer() if args.trace else None
-    plain, traced = [], []  # (RoundResult, wall seconds)
+    plain, traced = [], []  # RoundResult of untraced and traced rounds
     first_digest = None
     try:
-        t_import = clock() - T0
-        t = clock()
-        prepared = wl.prepare(args.seed)
-        t_prepare = clock() - t
-        setup_times = []
-        for _ in range(SETUP_REPS):
-            t = clock()
-            state = wl.setup(args.seed, prepared)
-            setup_times.append(clock() - t)
-        setup_s = t_import + t_prepare + statistics.median(setup_times)
+        # every set-up step is scaled by a gauge read right after it: the
+        # imports by a fixed import of standard-library modules, the rest by
+        # the speed kernel. Repeated steps report their median.
+        import_gauge = workloads.Gauge(lambda: import_seconds(REFERENCE_MODULES),
+                                       IMPORT_REFERENCE_S)
+        imports = [import_gauge.timed(import_seconds, BENCH_MODULES) for _ in range(IMPORT_REPS)]
+        import_s = statistics.median(import_gauge.scale(s, *span[1:]) for s, span in imports)
+        gauge = workloads.speed_gauge()
+        prepared, prepare = gauge.timed(wl.prepare, args.seed)
+        builds = [gauge.timed(wl.setup, args.seed, prepared) for _ in range(SETUP_REPS)]
+        state = builds[-1][0]
 
-        kernel = workloads.SpeedKernel()
-        kernel_times = [kernel()]
         start = clock()
         while True:
-            # about KERNEL_DUTY of the run and at least twice per round, so
-            # the kernel's median is as steady as the rounds'
-            walls = [w for _, w in plain + traced] or [0.0]
-            reps = max(2, math.ceil(KERNEL_DUTY * max(walls) / statistics.median(kernel_times)))
-            kernel_times += [kernel() for _ in range(reps)]
-            use_tracer = tracer is not None and len(plain) > len(traced)
-            t = clock()
-            if use_tracer:
+            if tracer is not None and len(plain) > len(traced):
                 with tracer.installed(layers.TARGETS):
-                    result = wl.round(state, tracer)
-                traced.append((result, clock() - t))
+                    result = wl.round(state, tracer, gauge)
+                traced.append(result)
             else:
-                result = wl.round(state, NullTracer())
-                plain.append((result, clock() - t))
+                result = wl.round(state, NullTracer(), gauge)
+                plain.append(result)
             wl.check(result)
             if result.failed:
                 raise workloads.CheckFailed(f"{result.failed} of {result.attempted} operations failed")
@@ -186,51 +206,64 @@ def run_one(args) -> int:
                 raise workloads.CheckFailed("outputs differ between rounds of the same run")
             # stop before a round that would end more than a quarter of a
             # round past the deadline, so runs last about --seconds
-            walls = [w for _, w in plain + traced]
+            elapsed = clock() - start
             if (tracer is None or traced) and (
-                clock() - start + 0.75 * statistics.median(walls) > args.seconds
+                elapsed * (1.0 + 0.75 / len(plain + traced)) > args.seconds
             ):
                 break
     except workloads.CheckFailed as exc:
         print(f"covbench: {args.workload}: output check failed: {exc}", file=sys.stderr)
         return 1
 
+    setup_s = (import_s + gauge.scale(*prepare)
+               + statistics.median(gauge.scale(*sample) for _, sample in builds))
+    raw_setup_s = (statistics.median(s for s, _ in imports) + prepare[0]
+                   + statistics.median(sample[0] for _, sample in builds))
     rounds = plain + traced
-    attempted = sum(r.attempted for r, _ in rounds)
-    failed = sum(r.failed for r, _ in rounds)
-    cases = workloads.median_cases([r for r, _ in plain])
+    attempted = sum(r.attempted for r in rounds)
+    failed = sum(r.failed for r in rounds)
+    cases = workloads.median_cases(plain)
+    raw_cases = workloads.median_cases(plain, scaled=False)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    raw_round_s = sum(cases.values())
-    kernel_s = statistics.median(kernel_times)
-    speed = workloads.SpeedKernel.REFERENCE_S / kernel_s
     end_to_end = {
-        "setup_s": (setup_s * speed, "s"),
-        "round_s": (raw_round_s * (speed if wl.compute_bound else 1.0), "s"),
+        "setup_s": (setup_s, "s"),
+        "round_s": (wl.round_seconds(cases), "s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
 
     print(f"env {json.dumps(environment(args), sort_keys=True)}")
     print(f"digest {first_digest}")
     print(f"workload {args.workload}: {len(plain)} untraced + {len(traced)} traced rounds, "
-          f"{attempted} operations, {len(setup_times)} set-ups, {len(kernel_times)} speed-kernel runs")
-    named = {name: (value, unit) for name, value, unit in wl.named_metrics(cases)}
-    named["raw_setup_s"] = (setup_s, "s")
-    named["raw_round_s"] = (raw_round_s, "s")
-    named["kernel_s"] = (kernel_s, "s")
+          f"{attempted} operations, {IMPORT_REPS} import probes, {SETUP_REPS} set-ups, "
+          f"{len(gauge.readings)} speed-kernel runs")
+    named = {name: (value, unit) for name, value, unit in wl.named_metrics(raw_cases)}
+    named["raw_setup_s"] = (raw_setup_s, "s")
+    named["raw_round_s"] = (wl.round_seconds(raw_cases), "s")
+    named["import_s"] = (import_s, "s")
+    named["kernel_s"] = (statistics.median(gauge.times()), "s")
+    named["import_reference_s"] = (statistics.median(import_gauge.times()), "s")
     named["failed_frac"] = (failed / attempted, "ratio")
     for name, (value, unit) in {**end_to_end, **named}.items():
         print(f"  {name:34s} {value:14.6g} {unit}")
     for case, seconds in cases.items():
-        print(f"  case {case:29s} {seconds:14.6g} s (median, raw)")
+        print(f"  {'case.' + case:34s} {seconds:14.6g} s")
+        print(f"  {'raw_case.' + case:34s} {raw_cases[case]:14.6g} s")
 
     if tracer is None:
         metrics = {k: {"value": v, "unit": u} for k, (v, u) in end_to_end.items()}
     else:
-        traced_wall = sum(w for _, w in traced)
+        # the timed work of the traced rounds, and its cost against the
+        # untraced rounds at the same reference speed
+        traced_wall = sum(s[0] for r in traced for samples in r.samples.values() for s in samples)
         overhead = (
-            statistics.median(w for _, w in traced) / statistics.median(w for _, w in plain) - 1.0
+            wl.round_seconds(workloads.median_cases(traced)) / end_to_end["round_s"][0] - 1.0
         )
         metrics = layers.per_layer_metrics(tracer, len(traced), traced_wall, overhead)
+        if metrics.get("trace.coverage", {"value": 1.0})["value"] < COVERAGE_FLOOR:
+            # reported, not enforced: a renamed outer target must leave its
+            # metrics absent, not fail the run
+            print(f"covbench: trace coverage {metrics['trace.coverage']['value']:.3f} "
+                  f"is below {COVERAGE_FLOOR}", file=sys.stderr)
         for name, m in metrics.items():
             print(f"  {name:34s} {m['value']:14.6g} {m['unit']}")
         OUT_DIR.mkdir(exist_ok=True)

@@ -2,11 +2,11 @@
 
 Usage (from the repository root):
 
-    python3 covbench/steadiness.py [--workloads a,b] [--runs 10] [--first-seed 1]
-                                   [--trace 0|1] [--out FILE]
+    python3 covbench/steadiness.py [--workloads a,b] [--runs 10] [--trace 0|1]
+                                   [--out FILE]
 
 Each run is ``covbench/run.py --workload W --seed S`` in a fresh process,
-with a different seed per run and ``run_seconds`` from BENCHMARK.json. For
+with seeds 1 to ``--runs`` and ``run_seconds`` from BENCHMARK.json. For
 every metric it prints the median and the spread: the distance between the
 first and third quartile (``statistics.quantiles(values, n=4)``) as a share
 of the median, next to the metric's bound. Runs are sequential so that no
@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     p.add_argument("--runs", type=int, default=10, help="at least 2")
-    p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--trace", type=int, default=0, choices=(0, 1))
     p.add_argument("--out", default=None,
                    help="write the values, spreads and every run's printed figures here as JSON")
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         values: dict[str, list[float]] = {}
         figures: list[dict[str, float]] = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(1, args.runs + 1):
             cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
                    "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)

@@ -104,9 +104,9 @@ def test_untraced_run_installs_no_wrapper(monkeypatch):
     seen = []
     real_round = workloads.DesignN6.round
 
-    def spy_round(self, state, tr):
+    def spy_round(self, state, tr, gauge):
         seen.append(all(_current(t) is originals[(t.module, t.attr)] for t in layers.TARGETS))
-        return real_round(self, state, tr)
+        return real_round(self, state, tr, gauge)
 
     monkeypatch.setattr(workloads.DesignN6, "round", spy_round)
     out = io.StringIO()
@@ -117,6 +117,30 @@ def test_untraced_run_installs_no_wrapper(monkeypatch):
     result = json.loads(out.getvalue().strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
     assert set(result["metrics"]) == {"setup_s", "round_s", "peak_rss_mb"}
+
+
+def test_gauge_scales_by_the_median_reading_near_the_work(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(workloads, "clock", clock)
+    readings = iter([0.1, 0.3, 0.2, 0.4])
+
+    def task():
+        clock.now += 1.0
+        return next(readings)
+
+    gauge = workloads.Gauge(task, reference_s=0.1)  # reading 0.1 over [0, 1]
+    clock.now = 10.0
+    result, sample = gauge.timed(lambda x: x + 1, 1)  # reading 0.3 over [10, 11]
+    assert result == 2 and sample == (0.0, 10.0, 10.0)
+    clock.now = 20.0
+    gauge.read()  # 0.2 over [20, 21]
+    clock.now = 30.0
+    gauge.read()  # 0.4 over [30, 31]
+    assert gauge.times() == [0.1, 0.3, 0.2, 0.4]
+    # readings within GAUGE_WINDOW_S = 5 s of [12, 14] start or end in [7, 19]
+    assert gauge.scale(2.0, 12.0, 14.0) == pytest.approx(2.0 * 0.1 / 0.3)
+    # [6, 16] widens to [1, 21]: readings 0.1, 0.3 and 0.2
+    assert gauge.scale(2.0, 6.0, 16.0) == pytest.approx(2.0 * 0.1 / 0.2)
 
 
 def test_failed_frac_counts_forced_failure():
