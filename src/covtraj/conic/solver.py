@@ -3,10 +3,20 @@
 Handles programs whose cones are zero (equalities), nonneg, and second-order
 cones; rotated and power cones are reduced exactly beforehand (see
 ``lowering``). The algorithm is the standard Nesterov-Todd scaled
-predictor-corrector: at each iteration a single positive-definite normal
-matrix M = A_in' W^-2 A_in is factored, equality rows are pinned through a
-small Schur complement, and the embedding's tau/kappa pair classifies the
-outcome (optimal / primal infeasible / dual infeasible).
+predictor-corrector with one linear-solve path per iteration:
+
+1. one Cholesky factorization of the regularized normal matrix
+   M = A_in' W^-2 A_in + reg I;
+2. a direct solve of the equality rows through the Schur complement
+   E = A_eq M^-1 A_eq' (a program without equality rows is the empty case);
+3. residual-correction (polish) passes over the full Newton system, the only
+   correction loop, which remove the regularization bias and the
+   factorization error of steps 1-2.
+
+The embedding's tau/kappa pair classifies the outcome (optimal / primal
+infeasible / dual infeasible); variables that appear in no inequality row need
+no special treatment, since the regularization keeps M definite and the
+certificates report an unbounded direction as dual infeasible.
 
 Per-cone Gram matrices restricted to each cone's column support are
 precomputed once per solve; each iteration then assembles M from scalar cone
@@ -26,7 +36,7 @@ import scipy.sparse as sp
 
 from ..errors import NumericalError
 from .lowering import lower_program
-from .program import Cone, ConicProgram
+from .program import ConicProgram
 
 logger = logging.getLogger(__name__)
 
@@ -36,10 +46,6 @@ STEP_FRACTION = 0.99
 STATIC_REG = 1e-12
 #: Gram matrices larger than this (entries) are recomputed per iteration.
 GRAM_ENTRY_LIMIT = 40_000_000
-#: Radius of the guard cone placed over columns with no inequality support.
-FREE_COLUMN_BOUND = 1e9
-#: Internal: log per-pass polish residuals (diagnostics only).
-_POLISH_DEBUG = False
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ class _Workspace:
             self.socs.append(slice(at, at + len(g)))
             at += len(g)
 
-        self.A_eq = A[self.eq_rows].toarray() if self.n_eq else np.zeros((0, self.n))
+        self.A_eq = A[self.eq_rows].toarray()
         self.b_eq = prog.b[self.eq_rows]
         self.A_in = A[self.in_rows].tocsr()
         self.b_in = prog.b[self.in_rows]
@@ -277,66 +283,30 @@ def _equilibrate(prog: ConicProgram, passes: int = 3):
     return work.tocsr(), b, c, e, d
 
 
-def _cover_free_columns(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
-    """Bound columns without inequality-cone support inside one guard soc.
-
-    The normal matrix A_in' W^-2 A_in is singular whenever some variable
-    appears only in zero-cone rows (or in no row at all). Such columns are
-    gathered into a single artificial cone ||x_free|| <= FREE_COLUMN_BOUND,
-    far looser than any sanely scaled solution; the caller re-checks that the
-    bound stayed inactive before trusting the result.
-    """
-    lo = 0
-    ineq_row = np.zeros(prog.n_rows, dtype=bool)
-    for cone in prog.cones:
-        if cone.kind != "zero":
-            ineq_row[lo : lo + cone.dim] = True
-        lo += cone.dim
-    csc = prog.A.tocsc()
-    nz_col = np.repeat(np.arange(prog.n_vars), np.diff(csc.indptr))
-    covered = np.zeros(prog.n_vars, dtype=bool)
-    mask = ineq_row[csc.indices] & (csc.data != 0.0)
-    covered[nz_col[mask]] = True
-    free = np.nonzero(~covered)[0]
-    if not free.size:
-        return prog, free
-    k = free.size
-    guard = sp.csr_matrix(
-        (np.full(k, -1.0), (np.arange(1, k + 1), free)),
-        shape=(k + 1, prog.n_vars),
-    )
-    out = ConicProgram(
-        c=prog.c,
-        A=sp.vstack([prog.A, guard], format="csr"),
-        b=np.concatenate([prog.b, [FREE_COLUMN_BOUND], np.zeros(k)]),
-        cones=prog.cones + (Cone(kind="soc", dim=k + 1),),
-        var_blocks=prog.var_blocks,
-        name=prog.name,
-    )
-    return out, free
-
-
 def solve(
     prog: ConicProgram,
     tol: float = 1e-8,
     max_iters: int = 100,
-    verbose: bool = False,
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
+
+    The program is lowered to zero/nonneg/soc cones and equilibrated; each
+    interior-point iteration then factors the normal matrix once, solves the
+    equality rows through their Schur complement, and polishes the combined
+    direction against the full Newton system. One line per iteration is
+    logged at DEBUG level.
 
     Args:
         prog: program with zero/nonneg/soc/rsoc/pow3 cones.
         tol: relative primal/dual/gap tolerance for the ``optimal`` status.
         max_iters: interior-point iteration cap.
-        verbose: log one line per iteration at INFO level.
 
     Returns:
         SolveResult; ``x`` is in the original (pre-lowering) variables.
     """
     lowered = lower_program(prog)
-    n_lowered_rows = lowered.program.n_rows
     n_orig = lowered.n_orig
-    lp, guard_cols = _cover_free_columns(lowered.program)
+    lp = lowered.program
 
     A_s, b_s, c_s, e_row, d_col = _equilibrate(lp)
     scaled = ConicProgram(c=c_s, A=A_s, b=b_s, cones=lp.cones, name=lp.name)
@@ -414,13 +384,12 @@ def solve(
         # the complementarity gap closes and a regularization tracking the
         # growing diagonal would bias the dual residual by reg * |dx|
         if reg_scale[0] == 0.0:
-            reg_scale[0] = 1.0 + (float(np.abs(np.diag(M)).max()) if n else 0.0)
-        reg = STATIC_REG * reg_scale[0]
-        M[np.diag_indices_from(M)] += reg
-        return M, reg
+            reg_scale[0] = 1.0 + float(np.abs(np.diag(M)).max(initial=0.0))
+        M[np.diag_indices_from(M)] += STATIC_REG * reg_scale[0]
+        return M
 
     def factor(M):
-        scale_now = 1.0 + (float(np.abs(np.diag(M)).max()) if n else 0.0)
+        scale_now = 1.0 + float(np.abs(np.diag(M)).max(initial=0.0))
         for bump in (0.0, 1e4, 1e8):
             try:
                 return sla.cho_factor(
@@ -437,12 +406,12 @@ def solve(
     for it in range(1, max_iters + 1):
         # residuals of the embedding
         Axi = ws.A_in @ x
-        Axe = ws.A_eq @ x if n_eq else np.zeros(0)
-        Atz = ws.A_in.T @ z + (ws.A_eq.T @ y if n_eq else 0.0)
+        Axe = ws.A_eq @ x
+        Atz = ws.A_in.T @ z + ws.A_eq.T @ y
         rd = Atz + ws.c * tau
         rp_in = s + Axi - ws.b_in * tau
         rp_eq = Axe - ws.b_eq * tau
-        rg = kappa + ws.c @ x + ws.b_in @ z + (ws.b_eq @ y if n_eq else 0.0)
+        rg = kappa + ws.c @ x + ws.b_in @ z + ws.b_eq @ y
 
         sz_gap = s @ z + tau * kappa
         mu = sz_gap / (ws.degree + 1)
@@ -452,18 +421,17 @@ def solve(
         pres = float(
             np.sqrt(
                 np.sum((ws.A_in @ xs + s / tau - ws.b_in) ** 2)
-                + (np.sum((ws.A_eq @ xs - ws.b_eq) ** 2) if n_eq else 0.0)
+                + np.sum((ws.A_eq @ xs - ws.b_eq) ** 2)
             )
         ) / norm_b
-        dres = float(np.linalg.norm(ws.A_in.T @ (z / tau) + (ws.A_eq.T @ (y / tau) if n_eq else 0.0) + ws.c)) / norm_c
+        dres = float(np.linalg.norm(ws.A_in.T @ (z / tau) + ws.A_eq.T @ (y / tau) + ws.c)) / norm_c
         pobj = float(ws.c @ xs)
-        dobj = -float(ws.b_in @ z + (ws.b_eq @ y if n_eq else 0.0)) / tau
+        dobj = -float(ws.b_in @ z + ws.b_eq @ y) / tau
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        if verbose:
-            logger.info(
-                "iter %3d  pres %.2e  dres %.2e  gap %.2e  tau %.2e  kappa %.2e",
-                it, pres, dres, gap_rel, tau, kappa,
-            )
+        logger.debug(
+            "iter %3d  pres %.2e  dres %.2e  gap %.2e  tau %.2e  kappa %.2e",
+            it, pres, dres, gap_rel, tau, kappa,
+        )
         merit = max(pres, dres, gap_rel)
         if merit < best_merit:
             best_merit = merit
@@ -482,7 +450,7 @@ def solve(
             break
 
         # infeasibility certificates
-        by = -(ws.b_in @ z + (ws.b_eq @ y if n_eq else 0.0))
+        by = -(ws.b_in @ z + ws.b_eq @ y)
         if by > 0.0:
             cert = float(np.linalg.norm(Atz)) / by / norm_c
             if cert <= inf_tol:
@@ -490,74 +458,38 @@ def solve(
                 break
         cx = -float(ws.c @ x)
         if cx > 0.0:
-            cert = float(
-                np.sqrt(np.sum((Axi + s) ** 2) + (np.sum(Axe**2) if n_eq else 0.0))
-            ) / cx / norm_b
+            cert = float(np.sqrt(np.sum((Axi + s) ** 2) + np.sum(Axe**2))) / cx / norm_b
             if cert <= inf_tol:
                 status = "dual_infeasible"
                 break
 
         try:
             scs, w_nn, lam_nn = cone_scalings()
-            M, m_reg = assemble_normal(scs, w_nn)
+            M = assemble_normal(scs, w_nn)
             MF = factor(M)
         except NumericalError:
             status = "numerical_error"
             break
 
-        if n_eq:
-            ME = sla.cho_solve(MF, ws.A_eq.T)
-            E = ws.A_eq @ ME
-            # scaled with the current diagonal: E inherits the cone-weight
-            # growth and an undersized shift lets factorization noise through;
-            # the bias this injects is removed by the direction polish passes
-            E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max())
-            EF = sla.cho_factor(E, lower=True)
+        ME = sla.cho_solve(MF, ws.A_eq.T)
+        E = ws.A_eq @ ME
+        # scaled with the current diagonal: E inherits the cone-weight
+        # growth and an undersized shift lets factorization noise through;
+        # the bias this injects is removed by the direction polish passes
+        E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max(initial=0.0))
+        EF = sla.cho_factor(E, lower=True)
 
-        def apply_K(p):
-            # exact regularized normal operator, free of assembly error
-            return ws.A_in.T @ mul_winv2(ws.A_in @ p, scs, w_nn) + m_reg * p
-
-        def saddle(f, g, refine=8):
-            # Iteratively refined solve; the pass count adapts because near the
-            # boundary the factorized operator can differ from apply_K enough
-            # that a fixed shallow refinement leaves a large directional error.
-            tiny = 1e-14 * (1.0 + float(np.linalg.norm(f)) + float(np.linalg.norm(g)))
-            if not n_eq:
-                p = sla.cho_solve(MF, f)
-                best_p, best_norm = p, np.inf
-                for _ in range(refine):
-                    rf = f - apply_K(p)
-                    res_norm = float(np.linalg.norm(rf))
-                    if res_norm < best_norm:
-                        best_p, best_norm = p, res_norm
-                    if res_norm <= tiny or res_norm > best_norm:
-                        break
-                    p = p + sla.cho_solve(MF, rf)
-                return best_p, np.zeros(0)
+        def saddle(f, g):
+            """Solve [[M, A_eq'], [A_eq, 0]] (p, q) = (f, g) by the Schur complement."""
             Mf = sla.cho_solve(MF, f)
             q = sla.cho_solve(EF, ws.A_eq @ Mf - g)
-            p = Mf - ME @ q
-            best_pq, best_norm = (p, q), np.inf
-            for _ in range(refine):
-                rf = f - apply_K(p) - ws.A_eq.T @ q
-                rgg = g - ws.A_eq @ p
-                res_norm = float(np.linalg.norm(rf)) + float(np.linalg.norm(rgg))
-                if res_norm < best_norm:
-                    best_pq, best_norm = (p, q), res_norm
-                if res_norm <= tiny or res_norm > best_norm:
-                    break
-                Mf2 = sla.cho_solve(MF, rf)
-                dq = sla.cho_solve(EF, ws.A_eq @ Mf2 - rgg)
-                p = p + Mf2 - ME @ dq
-                q = q + dq
-            return best_pq
+            return Mf - ME @ q, q
 
         # system 1: dtau coefficient
         f1 = ws.A_in.T @ mul_winv2(ws.b_in, scs, w_nn) - ws.c
         dx1, dy1 = saddle(f1, ws.b_eq)
         dz1 = mul_winv2(ws.A_in @ dx1 - ws.b_in, scs, w_nn)
-        den = float(ws.c @ dx1 + ws.b_in @ dz1 + (ws.b_eq @ dy1 if n_eq else 0.0)) - kappa / tau
+        den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
 
         def newton(R_d, R_pin, R_peq, R_g, R_comp, R_tk):
             """Direction for general right-hand sides of the scaled KKT system."""
@@ -574,7 +506,7 @@ def solve(
             num = (
                 R_g
                 - R_tk / tau
-                - float(ws.c @ dx2 + ws.b_in @ dz2 + (ws.b_eq @ dy2 if n_eq else 0.0))
+                - float(ws.c @ dx2 + ws.b_in @ dz2 + ws.b_eq @ dy2)
             )
             dtau = num / den
             dx = dx2 + dtau * dx1
@@ -593,17 +525,10 @@ def solve(
             return out
 
         def newton_residuals(R, dx, dy, dz, ds, dtau, dkappa):
-            r1 = R[0] - (
-                ws.A_in.T @ dz
-                + (ws.A_eq.T @ dy if n_eq else 0.0)
-                + ws.c * dtau
-            )
+            r1 = R[0] - (ws.A_in.T @ dz + ws.A_eq.T @ dy + ws.c * dtau)
             r2 = R[1] - (ds + ws.A_in @ dx - ws.b_in * dtau)
-            r3 = R[2] - ((ws.A_eq @ dx if n_eq else np.zeros(0)) - ws.b_eq * dtau)
-            r4 = R[3] - (
-                float(ws.c @ dx + ws.b_in @ dz + (ws.b_eq @ dy if n_eq else 0.0))
-                + dkappa
-            )
+            r3 = R[2] - (ws.A_eq @ dx - ws.b_eq * dtau)
+            r4 = R[3] - (float(ws.c @ dx + ws.b_in @ dz + ws.b_eq @ dy) + dkappa)
             r5 = R[4] - comp_apply(dz, ds)
             r6 = R[5] - (tau * dkappa + kappa * dtau)
             return r1, r2, r3, r4, r5, r6
@@ -630,9 +555,9 @@ def solve(
             d = newton(*R)
             scale = 1.0 + max(np.linalg.norm(Rj) for Rj in R[:3]) + abs(R[3])
             res_norm = np.inf
-            # residual-correction passes over the full Newton system; the
-            # saddle solves carry regularization bias and late-stage
-            # factorization noise that a direct solve cannot see
+            # residual-correction passes over the full Newton system, the only
+            # correction of the direction: the saddle solves carry
+            # regularization bias and late-stage factorization noise
             for _ in range(polish):
                 rs = newton_residuals(R, *d)
                 norms = (
@@ -640,8 +565,6 @@ def solve(
                     np.linalg.norm(rs[2]), abs(rs[3]),
                     np.linalg.norm(rs[4]), abs(rs[5]),
                 )
-                if _POLISH_DEBUG:
-                    logger.info("    polish residuals %s", [f"{v:.2e}" for v in norms])
                 new_norm = max(norms)
                 if new_norm <= 1e-13 * scale or new_norm >= res_norm:
                     break
@@ -693,8 +616,7 @@ def solve(
             status = "numerical_error"
             break
         x += alpha * dx
-        if n_eq:
-            y += alpha * dy
+        y += alpha * dy
         z += alpha * dz
         s += alpha * ds
         tau += alpha * dtau
@@ -722,24 +644,11 @@ def solve(
     if status in ("optimal", "optimal_inaccurate"):
         # undo equilibration and the homogenizing tau
         x_full = d_col * (x / tau)
-        if guard_cols.size:
-            g_norm = float(np.linalg.norm(x_full[guard_cols]))
-            if g_norm >= 0.1 * FREE_COLUMN_BOUND:
-                logger.warning(
-                    "free-column guard became active (norm %.3e); "
-                    "the problem is likely unbounded in those variables",
-                    g_norm,
-                )
-                return SolveResult(
-                    status="numerical_error", x=None, obj=None,
-                    iterations=it, pres=pres, dres=dres, gap=gap_rel,
-                )
         s_full = np.zeros(lp.n_rows)
         z_full = np.zeros(lp.n_rows)
         s_full[ws.in_rows] = s / tau
         z_full[ws.in_rows] = z / tau
-        if n_eq:
-            z_full[ws.eq_rows] = y / tau
+        z_full[ws.eq_rows] = y / tau
         s_unscaled = s_full / np.where(e_row != 0.0, e_row, 1.0)
         z_unscaled = z_full * e_row
         x_orig = x_full[:n_orig]
@@ -751,8 +660,8 @@ def solve(
             pres=pres,
             dres=dres,
             gap=gap_rel,
-            s=s_unscaled[:n_lowered_rows],
-            z=z_unscaled[:n_lowered_rows],
+            s=s_unscaled,
+            z=z_unscaled,
         )
     return SolveResult(
         status=status, x=None, obj=None, iterations=it,

@@ -17,6 +17,7 @@ without materializing the block matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -149,6 +150,28 @@ class BlockSystem:
         return out
 
 
+def mean_chain(
+    segments: Sequence[LinearSegment],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node-state affine maps x_k = Phi[k] x_0 + sum_i Bblk[k, i] u_i + Cvec[k].
+
+    Returns (Phi (N+1, 6, 6), Bblk (N+1, N, 6, 3), Cvec (N+1, 6)) for the N
+    segments; Bblk[k, i] is zero for i >= k.
+    """
+    n = len(segments)
+    Phi = np.zeros((n + 1, N_X, N_X))
+    Bblk = np.zeros((n + 1, n, N_X, N_U))
+    Cvec = np.zeros((n + 1, N_X))
+    Phi[0] = np.eye(N_X)
+    for k, seg in enumerate(segments):
+        Phi[k + 1] = seg.A @ Phi[k]
+        if k > 0:
+            Bblk[k + 1, :k] = seg.A @ Bblk[k, :k]
+        Bblk[k + 1, k] = seg.B
+        Cvec[k + 1] = seg.A @ Cvec[k] + seg.c
+    return Phi, Bblk, Cvec
+
+
 def build_block_system(
     segments: list[LinearSegment],
     schedule: KalmanSchedule,
@@ -168,16 +191,7 @@ def build_block_system(
     if schedule.n_nodes != n + 1:
         raise ValueError("schedule does not match segment count")
 
-    Phi = np.zeros((n + 1, N_X, N_X))
-    Bblk = np.zeros((n + 1, max(n, 1), N_X, N_U))
-    Cvec = np.zeros((n + 1, N_X))
-    Phi[0] = np.eye(N_X)
-    for k, seg in enumerate(segments):
-        Phi[k + 1] = seg.A @ Phi[k]
-        if k > 0:
-            Bblk[k + 1, :k] = seg.A @ Bblk[k, :k]
-        Bblk[k + 1, k] = seg.B
-        Cvec[k + 1] = seg.A @ Cvec[k] + seg.c
+    Phi, Bblk, Cvec = mean_chain(segments)
 
     meas_col: dict[int, tuple[int, int]] = {}
     width = N_X

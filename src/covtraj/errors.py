@@ -12,13 +12,4 @@ class NumericalError(CovtrajError):
 
 
 class ConfigError(CovtrajError):
-    """A scenario configuration is malformed or physically inconsistent.
-
-    Carries the dotted path of the offending field when known.
-    """
-
-    def __init__(self, message: str, path: str | None = None):
-        self.path = path
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+    """A scenario configuration is malformed or physically inconsistent."""

@@ -25,24 +25,30 @@ E_VEL = np.hstack([np.zeros((3, 3)), np.eye(3)])
 
 
 @dataclass(frozen=True)
-class GravityAssist:
-    """One flyby event: grid segment, body physics, and its safety data.
+class GaEvent:
+    """Static data of one gravity assist tied to a zero-length grid segment.
 
-    mu_p and r_p_min are in normalized units; epsilon is the impact
-    chance-constraint risk level.
+    mu_p and r_p_min are in normalized units; eps is the impact
+    chance-constraint risk level and [theta_min, theta_max] the allowed
+    turn-angle window.
     """
 
     segment: int
-    body: str
     mu_p: float
     r_p_min: float
-    epsilon: float = 1e-3
+    v_planet: np.ndarray
+    eps: float
+    theta_min: float = THETA_MIN
+    theta_max: float = THETA_MAX
 
     def __post_init__(self):
+        object.__setattr__(self, "v_planet", np.asarray(self.v_planet, dtype=float))
+        if self.v_planet.shape != (3,):
+            raise ValueError("planet velocity must be a length-3 vector")
         if self.mu_p <= 0.0 or self.r_p_min <= 0.0:
-            raise ValueError("mu_p and r_p_min must be positive")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must be in (0, 1)")
+            raise ValueError("flyby body needs positive mu and periapsis floor")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("flyby risk tolerance must lie in (0, 1)")
 
 
 def skew(v: np.ndarray) -> np.ndarray:

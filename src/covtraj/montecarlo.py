@@ -30,7 +30,7 @@ incoming dispersion moves the realized periapsis.
 
 Every sample draws from its own counter-based random stream keyed by
 ``(master_seed, sample index)``, so campaigns reproduce bit-for-bit for a
-fixed configuration regardless of worker count or scheduling order.
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,7 +82,6 @@ class McConfig:
     bootstrap_conf: float = 0.99
     max_failure_rate: float = 0.01
     keep_samples: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -100,8 +98,6 @@ class McConfig:
             raise ValueError("bootstrap confidence must lie in (0, 1)")
         if not 0.0 <= self.max_failure_rate <= 1.0:
             raise ValueError("max_failure_rate must lie in [0, 1]")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -476,8 +472,7 @@ def run_campaign(
 ) -> McReport:
     """Run the full campaign and reduce it to an McReport.
 
-    Samples are independent and always reduced in index order, so reports
-    are identical for any ``threads`` setting. Samples that fail
+    Samples are independent and reduced in index order. Samples that fail
     numerically are excluded from every statistic and warned about; the
     campaign raises once more than ``max_failure_rate`` of them fail.
     """
@@ -493,11 +488,7 @@ def run_campaign(
             warnings.warn(f"Monte Carlo sample {i} failed and is excluded: {exc}")
             return i
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, range(cfg.n_samples)))
-    else:
-        results = [one(i) for i in range(cfg.n_samples)]
+    results = [one(i) for i in range(cfg.n_samples)]
 
     samples = [r for r in results if isinstance(r, McSample)]
     failed = tuple(r for r in results if not isinstance(r, McSample))

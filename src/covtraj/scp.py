@@ -41,13 +41,11 @@ from .covsteer import (
 from .dynamics import LinearSegment, TimeGrid, linearize_segment, psd_sqrt
 from .gravity_assist import (
     E_VEL,
-    THETA_MAX,
-    THETA_MIN,
+    GaEvent,
     ga_linearize,
     max_v_inf_for_safe_flyby,
 )
 from .subproblem import (
-    AssistInstance,
     LaunchSpec,
     PenaltyWeights,
     StochasticSpec,
@@ -147,30 +145,14 @@ class ScpParams:
 
 
 @dataclass(frozen=True)
-class GaEvent:
-    """Static data of one gravity assist tied to a zero-length grid segment."""
-
-    segment: int
-    mu_p: float
-    r_p_min: float
-    v_planet: np.ndarray
-    eps: float
-    theta_min: float = THETA_MIN
-    theta_max: float = THETA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_planet", np.asarray(self.v_planet, dtype=float))
-        if self.v_planet.shape != (3,):
-            raise ValueError("planet velocity must be a length-3 vector")
-        if self.mu_p <= 0.0 or self.r_p_min <= 0.0:
-            raise ValueError("flyby body needs positive mu and periapsis floor")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("flyby risk tolerance must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class UncertaintyModel:
-    """Noise, navigation, and dispersion data for the stochastic problem."""
+    """Noise, navigation, and dispersion data for the stochastic problem.
+
+    p_hat0 is the covariance of the a-priori state estimate about the design
+    mean and p_tilde0 that of the a-priori estimate error; their sum is the
+    total initial state covariance. p_f bounds the terminal covariance. All
+    three must be symmetric; they are stored as given.
+    """
 
     obs: ObservationModel
     p_hat0: np.ndarray
@@ -186,6 +168,8 @@ class UncertaintyModel:
             mat = np.asarray(getattr(self, name), dtype=float)
             if mat.shape != (N_X, N_X):
                 raise ValueError(f"{name} must be a 6x6 covariance")
+            if not np.allclose(mat, mat.T, atol=1e-12):
+                raise ValueError(f"{name} must be symmetric")
             object.__setattr__(self, name, mat)
         if self.proc_noise_sqrt is not None:
             g = np.asarray(self.proc_noise_sqrt, dtype=float)
@@ -562,22 +546,6 @@ def _write_log(path: str | Path, records: Sequence[IterationRecord]) -> None:
             )
 
 
-def _assists_for(problem: ScpProblem, thetas: Sequence[float]) -> tuple[AssistInstance, ...]:
-    return tuple(
-        AssistInstance(
-            segment=e.segment,
-            mu_p=e.mu_p,
-            r_p_min=e.r_p_min,
-            v_planet=e.v_planet,
-            theta_ref=float(t),
-            eps=e.eps,
-            theta_min=e.theta_min,
-            theta_max=e.theta_max,
-        )
-        for e, t in zip(problem.ga_events, thetas)
-    )
-
-
 def run(
     problem: ScpProblem,
     guess: TrajectoryGuess | ReferencePoint,
@@ -649,7 +617,8 @@ def run(
             tr_radius,
             launch=problem.launch,
             x0_fixed=problem.x0_fixed,
-            assists=_assists_for(problem, ref.thetas),
+            assists=problem.ga_events,
+            theta_refs=ref.thetas,
             stochastic=(
                 None
                 if problem.uncertainty is None

@@ -26,20 +26,18 @@ import scipy.sparse as sp
 from scipy.special import gammaincc, gammaln, ndtri
 
 from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
-from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X
+from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, mean_chain
 from .dynamics import LinearSegment, TimeGrid, psd_sqrt
 from .errors import ConfigError
 from .gravity_assist import (
     E_VEL,
-    THETA_MAX,
-    THETA_MIN,
+    GaEvent,
     max_v_inf_derivative,
     max_v_inf_for_safe_flyby,
     turn_angle_constraint_lin,
 )
 
 __all__ = [
-    "AssistInstance",
     "LaunchSpec",
     "PenaltyWeights",
     "StochasticSpec",
@@ -175,32 +173,6 @@ class TerminalSpec:
 
 
 @dataclass(frozen=True)
-class AssistInstance:
-    """One gravity assist: static data plus the current reference turn."""
-
-    segment: int
-    mu_p: float
-    r_p_min: float
-    v_planet: np.ndarray
-    theta_ref: float
-    eps: float
-    theta_min: float = THETA_MIN
-    theta_max: float = THETA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_planet", np.asarray(self.v_planet, dtype=float))
-        if self.v_planet.shape != (3,):
-            raise ValueError("planet velocity must be a length-3 vector")
-        if not self.theta_min <= self.theta_ref <= self.theta_max:
-            raise ValueError(
-                f"reference turn angle {self.theta_ref} outside "
-                f"[{self.theta_min}, {self.theta_max}]"
-            )
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("assist eps must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class StochasticSpec:
     """Dispersion data enabling feedback gains and chance constraints."""
 
@@ -249,7 +221,7 @@ class SubproblemLayout:
     thrust_segments: tuple[int, ...]
     ga_segments: tuple[int, ...]
     fb_nodes: dict[int, tuple[int, ...]]
-    assists: tuple[AssistInstance, ...]
+    assists: tuple[GaEvent, ...]
     weights: PenaltyWeights
     m_u: float | None
     m_assists: tuple[float, ...]
@@ -277,22 +249,6 @@ class SubproblemSolution:
     @property
     def ok(self) -> bool:
         return self.result.ok
-
-
-def _mean_chain(segments: Sequence[LinearSegment]):
-    """Node-state affine maps: x_k = Phi_k x_0 + sum_j B_kj u_j + C_k."""
-    n_seg = len(segments)
-    Phi = np.zeros((n_seg + 1, N_X, N_X))
-    Bb = np.zeros((n_seg + 1, n_seg, N_X, N_U))
-    Cv = np.zeros((n_seg + 1, N_X))
-    Phi[0] = np.eye(N_X)
-    for k, seg in enumerate(segments):
-        Phi[k + 1] = seg.A @ Phi[k]
-        if k:
-            Bb[k + 1, :k] = seg.A @ Bb[k, :k]
-        Bb[k + 1, k] = seg.B
-        Cv[k + 1] = seg.A @ Cv[k] + seg.c
-    return Phi, Bb, Cv
 
 
 def _vec_product_triplets(
@@ -353,7 +309,8 @@ def build_subproblem(
     *,
     launch: LaunchSpec | None = None,
     x0_fixed: np.ndarray | None = None,
-    assists: Sequence[AssistInstance] = (),
+    assists: Sequence[GaEvent] = (),
+    theta_refs: Sequence[float] = (),
     stochastic: StochasticSpec | None = None,
     name: str = "trajectory-subproblem",
 ) -> SubproblemLayout:
@@ -371,7 +328,9 @@ def build_subproblem(
         trust_radius: 2-norm bound on the change of (x0, controls, turns).
         launch: optional launch-body constraints on the initial mean.
         x0_fixed: optional hard value for the initial mean state.
-        assists: per-flyby reference data (turn rows + safety constraint).
+        assists: flyby events (turn rows + safety constraint), one per ga
+            segment.
+        theta_refs: reference turn angle of each assist, inside its window.
         stochastic: dispersion data; None builds the mean-only problem.
         name: program name (appears in dumps).
 
@@ -401,10 +360,18 @@ def build_subproblem(
     ga_segs = tuple(k for k in range(n_seg) if kinds[k] == "ga")
     if tuple(sorted(a.segment for a in assists)) != ga_segs:
         raise ValueError("assists must map one-to-one onto ga segments")
+    if len(theta_refs) != len(assists):
+        raise ValueError("one reference turn angle per assist is required")
+    theta_refs = tuple(float(t) for t in theta_refs)
+    for a, theta_ref in zip(assists, theta_refs):
+        if not a.theta_min <= theta_ref <= a.theta_max:
+            raise ValueError(
+                f"reference turn angle {theta_ref} outside [{a.theta_min}, {a.theta_max}]"
+            )
     var_segments = tuple(sorted(thrust + ga_segs))
     dts = grid.dts
 
-    Phi, Bb, Cv = _mean_chain(segments)
+    Phi, Bb, Cv = mean_chain(segments)
 
     m_u = None
     fb: dict[int, tuple[int, ...]] = {}
@@ -565,13 +532,13 @@ def build_subproblem(
         cone.emit(pb, "soc")
 
     # gravity assists
-    for a_i, a in enumerate(assists):
+    for a_i, (a, theta_ref) in enumerate(zip(assists, theta_refs)):
         pre, post = a.segment, a.segment + 1
         th = theta_idx[a_i]
 
         # turn-angle consistency (linearized, exact at the reference)
         g_ref, dg_pre, dg_post, dg_th = turn_angle_constraint_lin(
-            ref_states[pre], ref_states[post], a.theta_ref, a.v_planet
+            ref_states[pre], ref_states[post], theta_ref, a.v_planet
         )
         cone = _ConeRows(1)
         c_pre = mean_entries(cone, 0, dg_pre[None, :], pre)[0]
@@ -581,7 +548,7 @@ def build_subproblem(
             g_ref
             - dg_pre @ ref_states[pre]
             - dg_post @ ref_states[post]
-            - dg_th * a.theta_ref
+            - dg_th * theta_ref
             + c_pre
             + c_post
         )
@@ -621,10 +588,10 @@ def build_subproblem(
             cone.emit(pb, "soc")
 
         # safety margin (relaxed): v_max(theta) + zeta - c1 - m c2 >= 0
-        vmax_ref = max_v_inf_for_safe_flyby(a.theta_ref, a.mu_p, a.r_p_min)
-        dvmax = max_v_inf_derivative(a.theta_ref, a.mu_p, a.r_p_min)
+        vmax_ref = max_v_inf_for_safe_flyby(theta_ref, a.mu_p, a.r_p_min)
+        dvmax = max_v_inf_derivative(theta_ref, a.mu_p, a.r_p_min)
         cone = _ConeRows(1)
-        cone.b[0] = vmax_ref - dvmax * a.theta_ref
+        cone.b[0] = vmax_ref - dvmax * theta_ref
         cone.entry(0, th, -dvmax)
         cone.entry(0, zeta_idx[a_i], -1.0)
         cone.entry(0, c1_idx[a_i], 1.0)
@@ -660,9 +627,9 @@ def build_subproblem(
     for k in var_segments:
         tr_vars.extend(u_idx[k])
         tr_refs.extend(ref_controls[k])
-    for a_i, a in enumerate(assists):
+    for a_i, theta_ref in enumerate(theta_refs):
         tr_vars.append(theta_idx[a_i])
-        tr_refs.append(a.theta_ref)
+        tr_refs.append(theta_ref)
     cone = _ConeRows(1 + len(tr_vars))
     cone.b[0] = trust_radius
     cone.b[1:] = tr_refs

@@ -51,46 +51,6 @@ class GatesParams:
         )
 
 
-@dataclass(frozen=True)
-class DispersionSpec:
-    """Initial/terminal dispersion data and the process-noise model.
-
-    P_hat0: covariance of the a-priori state *estimate* about the design mean
-        (estimate dispersion). P_tilde0: covariance of the a-priori estimate
-        *error*. Their sum is the total initial state covariance. P_f is the
-        target terminal covariance bound. sigma_acc is the 1-sigma white
-        acceleration density parameter and dt_wn its update interval, so the
-        continuous-equivalent noise intensity is sigma_acc * sqrt(dt_wn).
-    """
-
-    P_hat0: np.ndarray
-    P_tilde0: np.ndarray
-    P_f: np.ndarray
-    sigma_acc: float = 0.0
-    dt_wn: float = 1.0
-
-    def __post_init__(self):
-        for name in ("P_hat0", "P_tilde0", "P_f"):
-            M = np.asarray(getattr(self, name), dtype=float)
-            if M.shape != (6, 6):
-                raise ValueError(f"{name} must be 6x6")
-            if not np.allclose(M, M.T, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
-            object.__setattr__(self, name, 0.5 * (M + M.T))
-        if self.sigma_acc < 0.0:
-            raise ValueError("sigma_acc must be nonnegative")
-        if self.dt_wn <= 0.0:
-            raise ValueError("dt_wn must be positive")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.sigma_acc == 0.0
-            and not np.any(self.P_hat0)
-            and not np.any(self.P_tilde0)
-        )
-
-
 def thrust_frame(u: np.ndarray) -> np.ndarray:
     """Orthonormal maneuver frame [S E Z] with Z along the thrust.
 

@@ -284,8 +284,8 @@ def test_program_validation():
 
 def test_variable_with_only_equality_rows_still_solves():
     # min x0 s.t. x0 + x1 = 3, x0 >= 1: x1 never appears in an inequality
-    # cone, which would leave the normal matrix singular without the
-    # free-column guard. Optimum pins x0 = 1, so x1 = 2.
+    # cone, so the normal matrix holds only its regularization there and the
+    # equality Schur complement pins it. Optimum pins x0 = 1, so x1 = 2.
     pb = ProgramBuilder("eq-only-column")
     x = pb.var_block("x", 2)
     pb.cost(x[0], 1.0)
@@ -297,12 +297,25 @@ def test_variable_with_only_equality_rows_still_solves():
 
 
 def test_unbounded_free_column_is_not_reported_optimal():
-    # min x1 with x1 in no constraint row at all: unbounded below. The guard
-    # cone must not let this masquerade as a finite optimum.
+    # min x1 with x1 in no constraint row at all: unbounded below. The
+    # embedding's dual-infeasibility certificate must classify it.
     pb = ProgramBuilder("free-ray")
     x = pb.var_block("x", 2)
     pb.cost(x[1], 1.0)
     _var_cone(pb, "nonneg", [(0, x[0], -1.0)], [-1.0])
     res = solve(pb.build())
-    assert res.status in ("dual_infeasible", "numerical_error")
+    assert res.status == "dual_infeasible"
     assert res.x is None
+
+
+def test_zero_cost_column_in_no_row_solves():
+    # x1 has zero cost and appears in no row: any value is optimal, and the
+    # regularized normal matrix keeps it at zero instead of failing.
+    pb = ProgramBuilder("free-zero-cost")
+    x = pb.var_block("x", 2)
+    pb.cost(x[0], 1.0)
+    _var_cone(pb, "nonneg", [(0, x[0], -1.0)], [-1.0])
+    res = solve(pb.build())
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-7)
+    assert res.obj == pytest.approx(1.0, abs=1e-7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covtraj.gravity_assist import (
-    GravityAssist,
+    GaEvent,
     cayley_from_turn,
     cayley_rotation,
     ga_linearize,
@@ -190,8 +190,11 @@ def test_constraint_zero_when_consistent():
 
 
 def test_gravity_assist_validation():
-    GravityAssist(segment=3, body="mars", mu_p=1e-5, r_p_min=1e-4)
+    vp = np.zeros(3)
+    GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=vp, eps=1e-3)
     with pytest.raises(ValueError):
-        GravityAssist(segment=3, body="mars", mu_p=-1.0, r_p_min=1e-4)
+        GaEvent(segment=3, mu_p=-1.0, r_p_min=1e-4, v_planet=vp, eps=1e-3)
     with pytest.raises(ValueError):
-        GravityAssist(segment=3, body="mars", mu_p=1e-5, r_p_min=1e-4, epsilon=2.0)
+        GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=vp, eps=2.0)
+    with pytest.raises(ValueError):
+        GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=np.zeros(2), eps=1e-3)

@@ -81,8 +81,6 @@ def test_config_validation():
         McConfig(n_samples=10, bootstrap_conf=0.0)
     with pytest.raises(ValueError):
         McConfig(n_samples=10, max_failure_rate=1.5)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, threads=0)
 
 
 def test_quantile_order_statistic():
@@ -192,10 +190,9 @@ def test_ekf_mode_campaign(solved):
 
 def test_reports_reproducible_and_seed_sensitive(solved):
     prob, point = solved
-    r1 = run_campaign(prob, point, McConfig(n_samples=400, master_seed=11, mode="linear"))
-    r2 = run_campaign(
-        prob, point, McConfig(n_samples=400, master_seed=11, mode="linear", threads=4)
-    )
+    cfg = McConfig(n_samples=400, master_seed=11, mode="linear")
+    r1 = run_campaign(prob, point, cfg)
+    r2 = run_campaign(prob, point, cfg)
     assert np.array_equal(r1.dv_values, r2.dv_values)
     assert r1.as_dict() == r2.as_dict()
     r3 = run_campaign(prob, point, McConfig(n_samples=400, master_seed=12, mode="linear"))

@@ -8,13 +8,13 @@ import pytest
 from covtraj.covsteer import build_block_system, kalman_precompute
 from covtraj.dynamics import TimeGrid, linearize_segment, psd_sqrt
 from covtraj.gravity_assist import (
+    GaEvent,
     cayley_from_turn,
     ga_linearize,
     ga_map,
     max_v_inf_for_safe_flyby,
 )
 from covtraj.subproblem import (
-    AssistInstance,
     LaunchSpec,
     PenaltyWeights,
     StochasticSpec,
@@ -459,18 +459,18 @@ def test_assist_chain_holds_reference_turn():
     mu_p, r_p_min = 1.0, 1.0
     assert max_v_inf_for_safe_flyby(theta_ref, mu_p, r_p_min) > speed
 
-    assist = AssistInstance(
-        segment=1, mu_p=mu_p, r_p_min=r_p_min, v_planet=vp,
-        theta_ref=theta_ref, eps=1e-3,
-    )
+    assist = GaEvent(segment=1, mu_p=mu_p, r_p_min=r_p_min, v_planet=vp, eps=1e-3)
     weights = PenaltyWeights(
         weight=1e3, lam_terminal=np.zeros(6), lam_assists=(0.0,)
     )
-    layout = build_subproblem(
+    args = (
         grid, [seg0, seg1, seg2], ref_states, ref_controls, 0.5,
         TerminalSpec(x_target=x3), weights, 10.0,
-        x0_fixed=x0, assists=[assist],
     )
+    with pytest.raises(ValueError):
+        # theta = pi lies outside the default turn-angle window
+        build_subproblem(*args, x0_fixed=x0, assists=[assist], theta_refs=[np.pi])
+    layout = build_subproblem(*args, x0_fixed=x0, assists=[assist], theta_refs=[theta_ref])
     audit = layout_audit(layout)
     assert audit["total"] == layout.program.n_vars
     assert audit["assist_controls"] == 3
@@ -568,11 +568,9 @@ def test_build_validation_errors():
         build_subproblem(
             grid, segs, ref_states, np.zeros((n, 3)), **ok,
             assists=[
-                AssistInstance(
-                    segment=1, mu_p=1.0, r_p_min=1.0,
-                    v_planet=np.zeros(3), theta_ref=1.0, eps=1e-3,
-                )
+                GaEvent(segment=1, mu_p=1.0, r_p_min=1.0, v_planet=np.zeros(3), eps=1e-3)
             ],
+            theta_refs=[1.0],
         )
     with pytest.raises(ValueError):
         # multiplier count must match the assist count
@@ -595,11 +593,6 @@ def test_spec_validation_errors():
         LaunchSpec(r_body=np.zeros(2), v_body=np.zeros(3), v_inf_max=1.0)
     with pytest.raises(ValueError):
         LaunchSpec(r_body=np.zeros(3), v_body=np.zeros(3), v_inf_max=0.0)
-    with pytest.raises(ValueError):
-        AssistInstance(
-            segment=0, mu_p=1.0, r_p_min=1.0, v_planet=np.zeros(3),
-            theta_ref=np.pi, eps=1e-3,
-        )
     with pytest.raises(ValueError):
         PenaltyWeights(weight=0.0, lam_terminal=np.zeros(6))
     with pytest.raises(ValueError):

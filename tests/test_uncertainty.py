@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from covtraj.dynamics import TimeGrid
+from covtraj.scp import UncertaintyModel
 from covtraj.uncertainty import (
-    DispersionSpec,
     GatesParams,
     ObservationModel,
     PhaseSpec,
@@ -86,12 +86,21 @@ def test_process_noise_sqrt_value():
 
 
 def test_dispersion_spec_symmetry_enforced():
+    obs = ObservationModel(has_measurement=(False,), sqrt_noise=(None,))
+
+    def model(p_hat0=np.eye(6), p_tilde0=np.zeros((6, 6)), p_f=np.eye(6)):
+        return UncertaintyModel(obs=obs, p_hat0=p_hat0, p_tilde0=p_tilde0, eps_u=0.01, p_f=p_f)
+
     M = np.eye(6)
-    M[0, 1] = 1e-15  # tiny asymmetry gets symmetrized
-    d = DispersionSpec(P_hat0=M, P_tilde0=np.zeros((6, 6)), P_f=np.eye(6))
-    np.testing.assert_allclose(d.P_hat0, d.P_hat0.T)
+    M[0, 1] = 1e-15  # rounding-level asymmetry is accepted and kept as given
+    assert np.array_equal(model(p_hat0=M).p_hat0, M)
+    skew = np.eye(6)
+    skew[0, 1] = 1e-3
+    for name in ("p_hat0", "p_tilde0", "p_f"):
+        with pytest.raises(ValueError):
+            model(**{name: skew})
     with pytest.raises(ValueError):
-        DispersionSpec(P_hat0=np.eye(5), P_tilde0=np.zeros((6, 6)), P_f=np.eye(6))
+        model(p_hat0=np.eye(5))
 
 
 def test_observation_schedule_partition():
