@@ -18,9 +18,16 @@ infeasible / dual infeasible); variables that appear in no inequality row need
 no special treatment, since the regularization keeps M definite and the
 certificates report an unbounded direction as dual infeasible.
 
-Per-cone Gram matrices restricted to each cone's column support are
-precomputed once per solve; each iteration then assembles M from scalar cone
-weights plus rank-two updates, so the per-iteration cost is dominated by one
+All second-order cones share one flat row region: the workspace records each
+cone's head offset, a per-row cone id and the J = diag(1, -1, ..., -1) sign
+that marks head and tail rows. The NT scaling (eta, wbar, lam) of every cone
+is computed together once per iteration, and W, W^-1, W^-2, the Jordan
+product, the arrow solve and the step length act on all cones at once:
+per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
+broadcast back through the cone id. Only the normal-matrix assembly visits
+cones one at a time: each cone's Gram matrix on its column support is
+precomputed once per solve, and each iteration adds it with a rank-two update
+scaled by the cone's weight, so the per-iteration cost is dominated by one
 dense Cholesky factorization. Everything is deterministic: no randomness, no
 iteration-order ambiguity.
 """
@@ -74,102 +81,107 @@ class SolveResult:
         return self.status in ("optimal", "optimal_inaccurate")
 
 
-class _SocScaling:
-    """NT scaling data for one second-order cone."""
+class _NtScaling:
+    """Nesterov-Todd scaling W of every inequality cone at one iterate.
 
-    __slots__ = ("eta", "wbar", "lam")
+    Nonneg rows scale by w = sqrt(s / z). Second-order cone k scales by
+    W_k = eta_k [[a, b'], [b, I + b b' / (1 + a)]] with (a, b) its rows of
+    ``wbar``. ``eta`` holds one entry per cone, ``wbar`` is flat over the SOC
+    region and the scaled point ``lam = W z = W^-1 s`` over all inequality
+    rows. Every method acts on all cones at once.
+    """
 
-    def __init__(self, s: np.ndarray, z: np.ndarray):
-        rho_s2 = s[0] ** 2 - s[1:] @ s[1:]
-        rho_z2 = z[0] ** 2 - z[1:] @ z[1:]
-        if rho_s2 <= 0.0 or rho_z2 <= 0.0 or s[0] <= 0.0 or z[0] <= 0.0:
+    def __init__(self, ws: _Workspace, s: np.ndarray, z: np.ndarray):
+        self.ws = ws
+        h, cid = ws.heads, ws.cone_id
+        ss, zs = s[ws.soc], z[ws.soc]
+        s0, z0 = ss[h], zs[h]
+        rho_s2 = s0**2 - ws.tail_dot(ss, ss)
+        rho_z2 = z0**2 - ws.tail_dot(zs, zs)
+        if (
+            np.any(rho_s2 <= 0.0) or np.any(rho_z2 <= 0.0)
+            or np.any(s0 <= 0.0) or np.any(z0 <= 0.0)
+        ):
             raise NumericalError("iterate left the interior of a second-order cone")
         rho_s = np.sqrt(rho_s2)
         rho_z = np.sqrt(rho_z2)
-        sbar = s / rho_s
-        zbar = z / rho_z
-        gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-        wbar = np.empty_like(sbar)
-        wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
-        wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
-        self.eta = float(np.sqrt(rho_s / rho_z))
-        self.wbar = wbar
-        self.lam = self.mul_w(z)
+        sbar = ss / rho_s[cid]
+        zbar = zs / rho_z[cid]
+        gamma = np.sqrt((1.0 + ws.cone_dot(sbar, zbar)) / 2.0)
+        self.wbar = (sbar + ws.jsign * zbar) / (2.0 * gamma)[cid]
+        self.eta = np.sqrt(rho_s / rho_z)
+        self._a = self.wbar[h]
+        self._a1 = 1.0 + self._a
+        self._eta_rows = self.eta[cid]
+        self._eta2_rows = (self.eta**2)[cid]
+
+        self.w_nn = np.sqrt(s[ws.nn] / z[ws.nn])
+        self._w2_nn = self.w_nn**2
+        self.lam = np.empty_like(s)
+        self.lam[ws.nn] = np.sqrt(s[ws.nn] * z[ws.nn])
+        lam = self._soc_w(zs)
+        self.lam[ws.soc] = lam
+        self._lam0 = lam[h]
+        self._lam_det = self._lam0**2 - ws.tail_dot(lam, lam)
+        if np.any(self._lam_det <= 0.0) or np.any(self._lam0 <= 0.0):
+            raise NumericalError("scaling point left the cone interior")
+
+    def _soc_w(self, u: np.ndarray) -> np.ndarray:
+        h = self.ws.heads
+        u0 = u[h]
+        bu = self.ws.tail_dot(self.wbar, u)
+        out = u + (u0 + bu / self._a1)[self.ws.cone_id] * self.wbar
+        out[h] = self._a * u0 + bu
+        return self._eta_rows * out
 
     def mul_w(self, u: np.ndarray) -> np.ndarray:
-        """W u with W = eta * [[a, b'], [b, I + b b'/(1+a)]], (a, b) = wbar."""
-        a, bvec = self.wbar[0], self.wbar[1:]
-        bu = bvec @ u[1:]
+        """W u."""
+        ws = self.ws
         out = np.empty_like(u)
-        out[0] = a * u[0] + bu
-        out[1:] = u[1:] + (u[0] + bu / (1.0 + a)) * bvec
-        return self.eta * out
+        out[ws.nn] = u[ws.nn] * self.w_nn
+        out[ws.soc] = self._soc_w(u[ws.soc])
+        return out
 
     def mul_winv(self, u: np.ndarray) -> np.ndarray:
-        """W^-1 u = J (W/eta) J u / eta."""
-        a, bvec = self.wbar[0], self.wbar[1:]
-        bu = bvec @ u[1:]
+        """W^-1 u; on a second-order cone W^-1 = J (W / eta) J / eta."""
+        ws = self.ws
+        h = ws.heads
         out = np.empty_like(u)
-        out[0] = a * u[0] - bu
-        out[1:] = u[1:] + (-u[0] + bu / (1.0 + a)) * bvec
-        return out / self.eta
+        out[ws.nn] = u[ws.nn] / self.w_nn
+        us = u[ws.soc]
+        u0 = us[h]
+        bu = ws.tail_dot(self.wbar, us)
+        o = us + (-u0 + bu / self._a1)[ws.cone_id] * self.wbar
+        o[h] = self._a * u0 - bu
+        out[ws.soc] = o / self._eta_rows
+        return out
 
     def mul_winv2(self, u: np.ndarray) -> np.ndarray:
-        """W^-2 u = eta^-2 (2 wtil wtil' - J) u with wtil = J wbar."""
-        a, bvec = self.wbar[0], self.wbar[1:]
-        wtu = a * u[0] - bvec @ u[1:]
+        """W^-2 u; on a second-order cone W^-2 = eta^-2 (2 wtil wtil' - J), wtil = J wbar."""
+        ws = self.ws
+        h = ws.heads
         out = np.empty_like(u)
-        out[0] = 2.0 * a * wtu - u[0]
-        out[1:] = -2.0 * wtu * bvec + u[1:]
-        return out / self.eta**2
+        out[ws.nn] = u[ws.nn] / self._w2_nn
+        us = u[ws.soc]
+        u0 = us[h]
+        wtu = self._a * u0 - ws.tail_dot(self.wbar, us)
+        o = (-2.0 * wtu)[ws.cone_id] * self.wbar + us
+        o[h] = 2.0 * self._a * wtu - u0
+        out[ws.soc] = o / self._eta2_rows
+        return out
 
-
-def _jmul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Jordan product on a second-order cone: (u'v, u0 v1 + v0 u1)."""
-    out = np.empty_like(u)
-    out[0] = u @ v
-    out[1:] = u[0] * v[1:] + v[0] * u[1:]
-    return out
-
-
-def _jsolve(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve lam o u = v for u (arrow-matrix inverse)."""
-    det = lam[0] ** 2 - lam[1:] @ lam[1:]
-    if det <= 0.0 or lam[0] <= 0.0:
-        raise NumericalError("scaling point left the cone interior")
-    u0 = (lam[0] * v[0] - lam[1:] @ v[1:]) / det
-    out = np.empty_like(v)
-    out[0] = u0
-    out[1:] = (v[1:] - u0 * lam[1:]) / lam[0]
-    return out
-
-
-def _soc_max_step(u: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with u + alpha d remaining in the second-order cone."""
-    c = u[0] ** 2 - u[1:] @ u[1:]
-    a = d[0] ** 2 - d[1:] @ d[1:]
-    b = 2.0 * (u[0] * d[0] - u[1:] @ d[1:])
-    best = np.inf
-    if c <= 0.0:
-        return 0.0
-    disc = b * b - 4.0 * a * c
-    if a == 0.0:
-        if b < 0.0:
-            best = -c / b
-    elif disc >= 0.0:
-        sq = np.sqrt(disc)
-        roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-        pos = [r for r in roots if r > 0.0]
-        if a < 0.0:
-            # f opens downward: the larger root is the exit point
-            best = max(pos) if len(pos) == 2 else (pos[0] if pos else 0.0)
-        elif pos and min(pos) < np.inf:
-            # f opens upward: feasible until the smaller positive root,
-            # unless f stays positive before it (then until that root anyway)
-            best = min(pos)
-    if d[0] < 0.0:
-        best = min(best, -u[0] / d[0])
-    return float(best)
+    def arrow_solve(self, v: np.ndarray) -> np.ndarray:
+        """Solve lam o u = v for u (the arrow-matrix inverse on each cone)."""
+        ws = self.ws
+        h = ws.heads
+        out = np.empty_like(v)
+        out[ws.nn] = v[ws.nn] / self.lam[ws.nn]
+        lam, vs = self.lam[ws.soc], v[ws.soc]
+        u0 = (self._lam0 * vs[h] - ws.tail_dot(lam, vs)) / self._lam_det
+        o = (vs - u0[ws.cone_id] * lam) / self._lam0[ws.cone_id]
+        o[h] = u0
+        out[ws.soc] = o
+        return out
 
 
 def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
@@ -180,7 +192,17 @@ def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Row split, per-cone indexing, and Gram precomputation for one solve."""
+    """Row split, flat cone indexing, and Gram precomputation for one solve.
+
+    The inequality rows hold the nonneg rows (slice ``nn``) followed by one
+    flat region of every second-order cone's rows (slice ``soc``). Inside
+    that region cone k starts at row ``heads[k]``; ``cone_id`` gives each
+    row's cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1)
+    (+1 on a head, -1 on a tail row). Per-cone dot products are
+    ``np.add.reduceat`` sums over ``heads`` and per-cone scalars are broadcast
+    back to rows through ``cone_id``, so every cone operation is a handful of
+    array operations whatever the number of cones.
+    """
 
     def __init__(self, prog: ConicProgram):
         A = prog.A.tocsr()
@@ -206,11 +228,16 @@ class _Workspace:
         self.n_eq = len(eq_rows)
         self.n_nn = len(nn_rows)
         self.nn = slice(0, self.n_nn)
-        self.socs: list[slice] = []
-        at = self.n_nn
-        for g in soc_groups:
-            self.socs.append(slice(at, at + len(g)))
-            at += len(g)
+        self.soc = slice(self.n_nn, self.m_in)
+        sizes = np.array([len(g) for g in soc_groups], dtype=int)
+        self.heads = np.cumsum(sizes) - sizes
+        self.cone_id = np.repeat(np.arange(sizes.size), sizes)
+        self.jsign = -np.ones(self.m_in - self.n_nn)
+        self.jsign[self.heads] = 1.0
+        #: identity element of the cone product: 1 on nonneg rows and heads
+        self.e = np.zeros(self.m_in)
+        self.e[self.nn] = 1.0
+        self.e[self.n_nn + self.heads] = 1.0
 
         self.A_eq = A[self.eq_rows].toarray()
         self.b_eq = prog.b[self.eq_rows]
@@ -220,10 +247,11 @@ class _Workspace:
 
         self.A_nn = self.A_in[self.nn]
         self.soc_data: list[dict] = []
-        for slc in self.socs:
-            Ac = self.A_in[slc]
+        for head, size in zip(self.heads, sizes):
+            rows = slice(head, head + size)
+            Ac = self.A_in[self.n_nn + head: self.n_nn + head + size]
             sup = np.unique(Ac.indices) if Ac.nnz else np.zeros(0, dtype=int)
-            dense = Ac[:, sup].toarray() if sup.size else np.zeros((slc.stop - slc.start, 0))
+            dense = Ac[:, sup].toarray() if sup.size else np.zeros((size, 0))
             if sup.size**2 <= GRAM_ENTRY_LIMIT:
                 gram = dense.T @ dense
             else:
@@ -231,11 +259,75 @@ class _Workspace:
                 logger.warning(
                     "cone with %d rows on %d columns exceeds the Gram cache "
                     "limit; per-iteration recompute will be slow",
-                    slc.stop - slc.start, sup.size,
+                    size, sup.size,
                 )
-            self.soc_data.append({"sup": sup, "dense": dense, "gram": gram})
+            self.soc_data.append({"rows": rows, "sup": sup, "dense": dense, "gram": gram})
 
-        self.degree = self.n_nn + len(self.socs)
+        self.degree = self.n_nn + sizes.size
+
+    def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u[1:] . v[1:] of every cone, for u, v over the SOC region."""
+        p = u * v
+        p[self.heads] = 0.0
+        return np.add.reduceat(p, self.heads)
+
+    def cone_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u . v of every cone, for u, v over the SOC region."""
+        return np.add.reduceat(u * v, self.heads)
+
+    def jmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Jordan product u o v over the inequality rows.
+
+        Elementwise on nonneg rows and (u'v, u0 v1 + v0 u1) on each
+        second-order cone.
+        """
+        h, cid = self.heads, self.cone_id
+        out = np.empty_like(u)
+        out[self.nn] = u[self.nn] * v[self.nn]
+        us, vs = u[self.soc], v[self.soc]
+        o = us[h][cid] * vs + vs[h][cid] * us
+        o[h] = self.cone_dot(us, vs)
+        out[self.soc] = o
+        return out
+
+    def soc_steps(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Largest alpha per cone with u + alpha d in that second-order cone.
+
+        u and d are over the SOC region. With f(alpha) = c + b alpha + a alpha^2
+        the cone's Lorentz form of u + alpha d, a cone whose u is not interior
+        (c <= 0) gets 0; otherwise the step runs to the root of f where it
+        leaves the cone, capped where the head turns negative.
+        """
+        h = self.heads
+        u0, d0 = u[h], d[h]
+        c = u0**2 - self.tail_dot(u, u)
+        a = d0**2 - self.tail_dot(d, d)
+        b = 2.0 * (u0 * d0 - self.tail_dot(u, d))
+        best = np.full(h.size, np.inf)
+        live = c > 0.0
+        lin = live & (a == 0.0) & (b < 0.0)
+        best[lin] = -c[lin] / b[lin]
+        disc = b * b - 4.0 * a * c
+        quad = live & (a != 0.0) & (disc >= 0.0)
+        aq, bq = a[quad], b[quad]
+        sq = np.sqrt(disc[quad])
+        r1 = (-bq - sq) / (2.0 * aq)
+        r2 = (-bq + sq) / (2.0 * aq)
+        p1, p2 = r1 > 0.0, r2 > 0.0
+        # f opens downward: the larger positive root is the exit point (0
+        # without one); f opens upward: feasible until the smaller positive root
+        exit_down = np.maximum(np.where(p1, r1, 0.0), np.where(p2, r2, 0.0))
+        exit_up = np.minimum(np.where(p1, r1, np.inf), np.where(p2, r2, np.inf))
+        best[quad] = np.where(aq < 0.0, exit_down, exit_up)
+        cap = live & (d0 < 0.0)
+        best[cap] = np.minimum(best[cap], -u0[cap] / d0[cap])
+        best[~live] = 0.0
+        return best
+
+    def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
+        """Largest alpha with u + alpha d in every inequality cone."""
+        alpha = _nonneg_max_step(u[self.nn], d[self.nn])
+        return float(min(alpha, self.soc_steps(u[self.soc], d[self.soc]).min(initial=np.inf)))
 
 
 def _equilibrate(prog: ConicProgram, passes: int = 3):
@@ -312,16 +404,11 @@ def solve(
     scaled = ConicProgram(c=c_s, A=A_s, b=b_s, cones=lp.cones, name=lp.name)
     ws = _Workspace(scaled)
 
-    n, m_in, n_eq = ws.n, ws.m_in, ws.n_eq
+    n, n_eq = ws.n, ws.n_eq
     x = np.zeros(n)
     y = np.zeros(n_eq)
-    s = np.zeros(m_in)
-    z = np.zeros(m_in)
-    s[ws.nn] = 1.0
-    z[ws.nn] = 1.0
-    for slc in ws.socs:
-        s[slc.start] = 1.0
-        z[slc.start] = 1.0
+    s = ws.e.copy()
+    z = ws.e.copy()
     tau, kappa = 1.0, 1.0
 
     norm_b = 1.0 + np.sqrt(ws.b_in @ ws.b_in + ws.b_eq @ ws.b_eq)
@@ -333,53 +420,36 @@ def solve(
     best_snap: dict | None = None
     reg_scale = [0.0]
 
-    def cone_scalings():
-        scs = [_SocScaling(s[slc], z[slc]) for slc in ws.socs]
-        w_nn = np.sqrt(s[ws.nn] / z[ws.nn])
-        lam_nn = np.sqrt(s[ws.nn] * z[ws.nn])
-        return scs, w_nn, lam_nn
-
-    def mul_winv2(u, scs, w_nn):
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] / w_nn**2
-        for sc, slc in zip(scs, ws.socs):
-            out[slc] = sc.mul_winv2(u[slc])
-        return out
-
-    def mul_w(u, scs, w_nn):
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] * w_nn
-        for sc, slc in zip(scs, ws.socs):
-            out[slc] = sc.mul_w(u[slc])
-        return out
-
-    def mul_winv(u, scs, w_nn):
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] / w_nn
-        for sc, slc in zip(scs, ws.socs):
-            out[slc] = sc.mul_winv(u[slc])
-        return out
-
-    def assemble_normal(scs, w_nn):
+    def assemble_normal(sc):
         M = np.zeros((n, n))
         if ws.n_nn:
-            Wnn = ws.A_nn.multiply((1.0 / w_nn**2)[:, None]).tocsr()
+            Wnn = ws.A_nn.multiply((1.0 / sc.w_nn**2)[:, None]).tocsr()
             G = (ws.A_nn.T @ Wnn).tocoo()
             M[G.row, G.col] += G.data
-        for sc, data, slc in zip(scs, ws.soc_data, ws.socs):
+        wtil = ws.jsign * sc.wbar
+        for k, data in enumerate(ws.soc_data):
             sup = data["sup"]
             if not sup.size:
                 continue
             dense = data["dense"]
-            wtil = sc.wbar.copy()
-            wtil[1:] = -wtil[1:]
-            g = dense.T @ wtil
+            g = dense.T @ wtil[data["rows"]]
             a0 = dense[0]
             gram = data["gram"]
             if gram is None:
                 gram = dense.T @ dense
-            blk = gram + 2.0 * (np.outer(g, g) - np.outer(a0, a0))
-            M[np.ix_(sup, sup)] += blk / sc.eta**2
+            # one sup x sup buffer, evaluated in the order of
+            # (gram + 2 (g g' - a0 a0')) / eta^2 so M keeps its last bits (the
+            # iteration the IPM stops at can hinge on them); a block on every
+            # column is added without an np.ix_ gather and scatter
+            blk = np.multiply.outer(g, g)
+            blk -= np.multiply.outer(a0, a0)
+            blk *= 2.0
+            blk += gram
+            blk /= sc.eta[k] ** 2
+            if sup.size == n:
+                M += blk
+            else:
+                M[np.ix_(sup, sup)] += blk
         # the scale is frozen at the first iteration: cone weights diverge as
         # the complementarity gap closes and a regularization tracking the
         # growing diagonal would bias the dual residual by reg * |dx|
@@ -391,10 +461,12 @@ def solve(
     def factor(M):
         scale_now = 1.0 + float(np.abs(np.diag(M)).max(initial=0.0))
         for bump in (0.0, 1e4, 1e8):
+            Mb = M
+            if bump > 0.0:
+                Mb = M.copy()
+                Mb[np.diag_indices_from(Mb)] += bump * STATIC_REG * scale_now
             try:
-                return sla.cho_factor(
-                    M + bump * STATIC_REG * scale_now * np.eye(n), lower=True
-                )
+                return sla.cho_factor(Mb, lower=True)
             except np.linalg.LinAlgError:
                 continue
         raise NumericalError("normal matrix factorization failed")
@@ -464,8 +536,8 @@ def solve(
                 break
 
         try:
-            scs, w_nn, lam_nn = cone_scalings()
-            M = assemble_normal(scs, w_nn)
+            sc = _NtScaling(ws, s, z)
+            M = assemble_normal(sc)
             MF = factor(M)
         except NumericalError:
             status = "numerical_error"
@@ -486,22 +558,18 @@ def solve(
             return Mf - ME @ q, q
 
         # system 1: dtau coefficient
-        f1 = ws.A_in.T @ mul_winv2(ws.b_in, scs, w_nn) - ws.c
+        f1 = ws.A_in.T @ sc.mul_winv2(ws.b_in) - ws.c
         dx1, dy1 = saddle(f1, ws.b_eq)
-        dz1 = mul_winv2(ws.A_in @ dx1 - ws.b_in, scs, w_nn)
+        dz1 = sc.mul_winv2(ws.A_in @ dx1 - ws.b_in)
         den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
 
         def newton(R_d, R_pin, R_peq, R_g, R_comp, R_tk):
             """Direction for general right-hand sides of the scaled KKT system."""
-            beta = np.empty(m_in)
-            beta[ws.nn] = R_comp[ws.nn] / lam_nn
-            for sc, slc in zip(scs, ws.socs):
-                beta[slc] = _jsolve(sc.lam, R_comp[slc])
-            wbeta = mul_w(beta, scs, w_nn)
+            wbeta = sc.mul_w(sc.arrow_solve(R_comp))
 
-            f2 = R_d + ws.A_in.T @ mul_winv2(R_pin - wbeta, scs, w_nn)
+            f2 = R_d + ws.A_in.T @ sc.mul_winv2(R_pin - wbeta)
             dx2, dy2 = saddle(f2, R_peq)
-            dz2 = mul_winv2(ws.A_in @ dx2 + wbeta - R_pin, scs, w_nn)
+            dz2 = sc.mul_winv2(ws.A_in @ dx2 + wbeta - R_pin)
 
             num = (
                 R_g
@@ -518,11 +586,7 @@ def solve(
 
         def comp_apply(dz, ds):
             """lam o (W dz + W^-1 ds), the linearized complementarity map."""
-            out = np.empty(m_in)
-            out[ws.nn] = lam_nn * (w_nn * dz[ws.nn] + ds[ws.nn] / w_nn)
-            for sc, slc in zip(scs, ws.socs):
-                out[slc] = _jmul(sc.lam, sc.mul_w(dz[slc]) + sc.mul_winv(ds[slc]))
-            return out
+            return ws.jmul(sc.lam, sc.mul_w(dz) + sc.mul_winv(ds))
 
         def newton_residuals(R, dx, dy, dz, ds, dtau, dkappa):
             r1 = R[0] - (ws.A_in.T @ dz + ws.A_eq.T @ dy + ws.c * dtau)
@@ -534,13 +598,7 @@ def solve(
             return r1, r2, r3, r4, r5, r6
 
         def direction(sigma, corr_cone, corr_tk, polish=0):
-            rhs = np.empty(m_in)
-            rhs[ws.nn] = sigma * mu - lam_nn**2
-            for sc, slc in zip(scs, ws.socs):
-                lam = sc.lam
-                r = -_jmul(lam, lam)
-                r[0] += sigma * mu
-                rhs[slc] = r
+            rhs = sigma * mu * ws.e - ws.jmul(sc.lam, sc.lam)
             if corr_cone is not None:
                 rhs -= corr_cone
             one_m_sig = 1.0 - sigma
@@ -574,13 +632,7 @@ def solve(
             return d
 
         def max_step(dz, ds, dtau, dkappa):
-            alpha = np.inf
-            if ws.n_nn:
-                alpha = min(alpha, _nonneg_max_step(s[ws.nn], ds[ws.nn]))
-                alpha = min(alpha, _nonneg_max_step(z[ws.nn], dz[ws.nn]))
-            for slc in ws.socs:
-                alpha = min(alpha, _soc_max_step(s[slc], ds[slc]))
-                alpha = min(alpha, _soc_max_step(z[slc], dz[slc]))
+            alpha = min(ws.max_step(s, ds), ws.max_step(z, dz))
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:
@@ -598,12 +650,7 @@ def solve(
         )
         sigma = float(np.clip((max(gap_aff, 0.0) / sz_gap) ** 3, 1e-8, 1.0 - 1e-8))
 
-        corr = np.empty(m_in)
-        wds = mul_winv(dsa, scs, w_nn)
-        wdz = mul_w(dza, scs, w_nn)
-        corr[ws.nn] = wds[ws.nn] * wdz[ws.nn]
-        for slc in ws.socs:
-            corr[slc] = _jmul(wds[slc], wdz[slc])
+        corr = ws.jmul(sc.mul_winv(dsa), sc.mul_w(dza))
         try:
             dx, dy, dz, ds, dtau, dkappa = direction(sigma, corr, dta * dka, polish=10)
         except NumericalError:

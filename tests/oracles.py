@@ -258,3 +258,26 @@ def simulate_closed_loop_paths(
     Xi, Ui = run(policy_innov, use_estimate=False)
     Xh, Uh = run(policy_hat, use_estimate=True)
     return Xi, Ui, Xh, Uh
+
+
+def nt_scaling_matrix(eta: float, wbar: np.ndarray) -> np.ndarray:
+    """Dense Nesterov-Todd scaling of one second-order cone.
+
+    W = eta [[a, b'], [b, I + b b' / (1 + a)]] with (a, b) = wbar, written
+    out as an explicit matrix instead of the solver's matrix-free products.
+    """
+    a, b = wbar[0], wbar[1:]
+    W = np.empty((wbar.size, wbar.size))
+    W[0, 0] = a
+    W[0, 1:] = b
+    W[1:, 0] = b
+    W[1:, 1:] = np.eye(b.size) + np.outer(b, b) / (1.0 + a)
+    return eta * W
+
+
+def arrow_matrix(lam: np.ndarray) -> np.ndarray:
+    """Arrow matrix [[l0, l1'], [l1, l0 I]] of one cone: lam o u = Arw(lam) u."""
+    L = lam[0] * np.eye(lam.size)
+    L[0, 1:] = lam[1:]
+    L[1:, 0] = lam[1:]
+    return L

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import arrow_matrix, nt_scaling_matrix
 
-from covtraj.conic import ConicProgram, ProgramBuilder, lower_program, solve
+from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve
+from covtraj.conic.solver import _NtScaling, _Workspace
+from covtraj.errors import NumericalError
 
 
 def _var_cone(pb, kind, entries, b, alpha=None):
@@ -319,3 +325,127 @@ def test_zero_cost_column_in_no_row_solves():
     assert res.status == "optimal"
     np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-7)
     assert res.obj == pytest.approx(1.0, abs=1e-7)
+
+
+# ------------------------------------------------ flat cone operations
+SOC_SIZES = (2, 3, 4, 25, 181)
+
+
+def _cone_workspace(sizes, n_nonneg=0):
+    """Workspace of a program whose rows are n_nonneg nonneg rows, then one soc per size."""
+    m = n_nonneg + sum(sizes)
+    cones = ((Cone("nonneg", n_nonneg),) if n_nonneg else ()) + tuple(
+        Cone("soc", k) for k in sizes
+    )
+    prog = ConicProgram(c=np.zeros(1), A=sp.csr_matrix((m, 1)), b=np.zeros(m), cones=cones)
+    return _Workspace(prog)
+
+
+def _interior(rng, ws, sizes):
+    """A random point strictly inside every inequality cone."""
+    u = np.empty(ws.m_in)
+    u[ws.nn] = rng.uniform(0.1, 3.0, ws.n_nn)
+    at = ws.n_nn
+    for k in sizes:
+        tail = rng.standard_normal(k - 1)
+        u[at + 1: at + k] = tail
+        u[at] = np.linalg.norm(tail) * rng.uniform(1.05, 3.0) + rng.uniform(0.05, 1.0)
+        at += k
+    return u
+
+
+def _per_cone(sizes, v):
+    """Split a vector over the SOC region into one array per cone."""
+    return np.split(v, np.cumsum(sizes)[:-1])
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from(SOC_SIZES), min_size=1, max_size=6),
+    n_nonneg=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
+    rng = np.random.default_rng(seed)
+    ws = _cone_workspace(sizes, n_nonneg)
+    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    sc = _NtScaling(ws, s, z)
+    u = rng.standard_normal(ws.m_in)
+    tol = 1e-10
+
+    # W z = W^-1 s = lam, W W^-1 u = u, W^-2 u = W^-1 W^-1 u
+    assert _rel(sc.mul_w(z), sc.lam) <= tol
+    assert _rel(sc.mul_winv(s), sc.lam) <= tol
+    assert _rel(sc.mul_w(sc.mul_winv(u)), u) <= tol
+    assert _rel(sc.mul_winv2(u), sc.mul_winv(sc.mul_winv(u))) <= tol
+    # the arrow solve inverts the Jordan product
+    assert _rel(ws.jmul(sc.lam, sc.arrow_solve(u)), u) <= tol
+    assert _rel(sc.arrow_solve(ws.jmul(sc.lam, u)), u) <= tol
+
+    # each cone against its explicit W and arrow matrices
+    blocks = [
+        _per_cone(sizes, v[ws.soc])
+        for v in (s, z, u, sc.lam, sc.mul_w(u), sc.mul_winv2(u), ws.jmul(sc.lam, u))
+    ]
+    for k, (wbar, sk, zk, uk, lk, wu, w2u, ju) in enumerate(
+        zip(_per_cone(sizes, sc.wbar), *blocks)
+    ):
+        W = nt_scaling_matrix(sc.eta[k], wbar)
+        assert _rel(W @ zk, lk) <= tol
+        assert _rel(np.linalg.solve(W, sk), lk) <= tol
+        assert _rel(W @ uk, wu) <= tol
+        assert _rel(np.linalg.solve(W @ W, uk), w2u) <= tol
+        assert _rel(arrow_matrix(lk) @ uk, ju) <= tol
+
+    # max step: on the boundary of each cone, or inf when d lies in the cone
+    d = rng.standard_normal(ws.m_in)
+    inside = np.repeat(rng.random(len(sizes)) < 0.3, sizes)
+    d[ws.soc] = np.where(inside, _interior(rng, ws, sizes)[ws.soc], d[ws.soc])
+    steps = ws.soc_steps(s[ws.soc], d[ws.soc])
+    for k, (sk, dk) in enumerate(zip(_per_cone(sizes, s[ws.soc]), _per_cone(sizes, d[ws.soc]))):
+        in_cone = dk[0] >= np.linalg.norm(dk[1:])
+        if in_cone:
+            assert steps[k] == np.inf
+            continue
+        assert 0.0 < steps[k] < np.inf
+        p = sk + steps[k] * dk
+        scale = np.linalg.norm(sk) + steps[k] * np.linalg.norm(dk)
+        assert abs(p[0] - np.linalg.norm(p[1:])) <= tol * scale
+    neg = d[ws.nn] < 0.0
+    nn_steps = -s[ws.nn][neg] / d[ws.nn][neg]
+    assert ws.max_step(s, d) == min(steps.min(initial=np.inf), nn_steps.min(initial=np.inf))
+
+
+def test_scaling_rejects_a_point_outside_one_cone():
+    sizes = [3, 4, 2]
+    ws = _cone_workspace(sizes, n_nonneg=2)
+    rng = np.random.default_rng(5)
+    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    _NtScaling(ws, s, z)
+    rows = slice(ws.n_nn + ws.heads[1], ws.n_nn + ws.heads[1] + 4)
+    outside = s.copy()
+    outside[rows.start] = 0.5 * np.linalg.norm(s[rows][1:])  # head below the tail norm
+    mirrored = s.copy()
+    mirrored[rows] = -s[rows]  # inside -K: the Lorentz form alone is positive
+    for bad in (outside, mirrored):
+        with pytest.raises(NumericalError):
+            _NtScaling(ws, bad, z)
+        with pytest.raises(NumericalError):
+            _NtScaling(ws, z, bad)
+
+
+def test_max_step_is_zero_from_the_cone_boundary():
+    sizes = [3, 2, 4]
+    ws = _cone_workspace(sizes)
+    rng = np.random.default_rng(6)
+    u = _interior(rng, ws, sizes)
+    u[3:5] = [2.0, -2.0]  # the 2-row cone: u0 = |u1|, c = 0
+    d = rng.standard_normal(ws.m_in)
+    steps = ws.soc_steps(u, d)
+    assert steps[1] == 0.0
+    assert steps[0] > 0.0 and steps[2] > 0.0
+    assert ws.max_step(u, d) == 0.0
