@@ -1,14 +1,30 @@
-"""Exact reduction of rsoc/pow3 cones to second-order cones.
+"""Lowering of a conic program to the interior-point solver's canonical form.
 
-A rotated cone 2 s0 s1 >= ||s2:||^2 maps onto a plain second-order cone by
-the linear row transform (s0+s1, s0-s1, sqrt(2) s2:). A three-row power cone
-s0^alpha s1^(1-alpha) >= |s2| with rational alpha = p/q becomes a balanced
-binary tree of geometric-mean cells: pad the q-fold geometric mean
-(p copies of s0, q-p copies of s1) with copies of the epigraph variable t up
-to the next power of two, then certify t <= sqrt(a b) pairwise with one
-rotated cell per internal tree node, and close with t >= |s2|. The reduction
-is exact whenever alpha is rational; irrational alpha is snapped to the
-closest fraction with denominator <= MAX_DENOM (logged).
+The solver takes the form ECOS and CVXOPT take: equality (zero) rows first,
+then the nonneg orthant, then each second-order cone in turn.
+:func:`lower_program` is the one place that produces it. It builds one sparse
+row map ``L`` from original rows to lowered rows and one block ``V`` of
+auxiliary columns; the lowered program is ``A' = [L A | -V]``, ``b' = L b``,
+so its slack is ``L s + V t`` for the original slack ``s = b - A x`` and the
+auxiliaries ``t``.
+
+- zero, nonneg and soc cones pass through as identity rows of ``L``;
+- a rotated cone 2 s0 s1 >= ||s2:||^2 maps onto the second-order cone
+  (s0+s1, s0-s1, sqrt(2) s2:);
+- a three-row power cone s0^alpha s1^(1-alpha) >= |s2| with rational
+  alpha = p/q becomes a balanced binary tree of geometric-mean cells: pad the
+  q-fold geometric mean (p copies of s0, q-p copies of s1) with copies of the
+  epigraph variable t up to the next power of two, certify w <= sqrt(a b)
+  pairwise with one soc cell (a+b, a-b, 2w) per internal tree node, and close
+  with t >= |s2|. Each symbol a, b, w, t of the tree is a small coefficient
+  map over the cone's rows and its auxiliary columns. The reduction is exact
+  whenever alpha is rational; irrational alpha is snapped to the closest
+  fraction with denominator <= MAX_DENOM (logged).
+
+Cones are emitted zero, then nonneg, then soc, keeping the original order
+within each class; a lowered rsoc or pow3 cone takes its original place
+among the soc cones. A program already in canonical form is returned as it
+is.
 """
 
 from __future__ import annotations
@@ -16,6 +32,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,12 +47,16 @@ MAX_DENOM = 64
 #: Relative mismatch above which the snap is reported.
 SNAP_WARN = 1e-12
 
+#: Cone kinds the solver takes, in the order their rows must come.
+CANONICAL_ORDER = ("zero", "nonneg", "soc")
+
+_RANK = {kind: i for i, kind in enumerate(CANONICAL_ORDER)}
 _SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
 class LoweredProgram:
-    """A pow3/rsoc-free equivalent program plus the original variable count.
+    """A canonical-form equivalent program plus the original variable count.
 
     The first ``n_orig`` columns of the lowered program are the original
     variables; the rest are tower auxiliaries with zero cost.
@@ -45,28 +66,10 @@ class LoweredProgram:
     n_orig: int
 
 
-class _RowBank:
-    """Accumulates triplet rows for the lowered program."""
-
-    def __init__(self):
-        self.ri: list[np.ndarray] = []
-        self.rj: list[np.ndarray] = []
-        self.rv: list[np.ndarray] = []
-        self.b: list[float] = []
-        self.cones: list[Cone] = []
-        self.m = 0
-
-    def add_cone(self, kind: str, rows: list[tuple[np.ndarray, np.ndarray, float]]):
-        """rows: list of (cols, vals, b_entry) per local row."""
-        dim = len(rows)
-        for loc, (cols, vals, brow) in enumerate(rows):
-            if cols.size:
-                self.ri.append(np.full(cols.size, self.m + loc, dtype=int))
-                self.rj.append(cols)
-                self.rv.append(vals)
-            self.b.append(brow)
-        self.cones.append(Cone(kind=kind, dim=dim, alpha=None))
-        self.m += dim
+def is_canonical(cones: Iterable[Cone]) -> bool:
+    """True when every cone is zero, nonneg or soc, in that class order."""
+    ranks = [_RANK.get(cone.kind) for cone in cones]
+    return None not in ranks and all(a <= b for a, b in zip(ranks, ranks[1:]))
 
 
 def _snap_alpha(alpha: float) -> Fraction:
@@ -81,124 +84,105 @@ def _snap_alpha(alpha: float) -> Fraction:
     return frac
 
 
-def lower_program(prog: ConicProgram) -> LoweredProgram:
-    """Rewrite rsoc and pow3 cones as second-order cones.
+def _cell(a: dict, b: dict, w: dict) -> list[dict]:
+    """Rows (a+b, a-b, 2w) of the soc cell certifying w <= sqrt(a b)."""
+    return [
+        {**a, **b},
+        {**a, **{k: -v for k, v in b.items()}},
+        {k: 2.0 * v for k, v in w.items()},
+    ]
 
-    Returns an equivalent program containing only zero/nonneg/soc cones. The
-    objective restricted to the original columns is unchanged; auxiliary
-    columns carry zero cost.
+
+def _pow3_tower(r0: int, alpha: float, new_aux) -> list[list[dict]]:
+    """Soc cones certifying s0^alpha s1^(1-alpha) >= |s2| on rows r0..r0+2.
+
+    A symbol maps source indices (original rows, or ``new_aux()`` columns) to
+    coefficients; a cone is its list of row symbols.
     """
-    if all(c.kind in ("zero", "nonneg", "soc") for c in prog.cones):
+    frac = _snap_alpha(alpha)
+    p, q = frac.numerator, frac.denominator
+    s0, s1, s2 = {r0: 1.0}, {r0 + 1: 1.0}, {r0 + 2: 1.0}
+    t = new_aux()
+    cones = [[t, s2]]  # |s2| <= t
+    qhat = 1 << (q - 1).bit_length()  # the next power of two >= q
+    # identical symbols pair into trivial cells
+    level = [s0] * p + [s1] * (q - p) + [t] * (qhat - q)
+    while len(level) > 2:
+        nxt = []
+        for a, b in zip(level[::2], level[1::2]):
+            if a == b:
+                nxt.append(a)
+                continue
+            w = new_aux()
+            cones.append(_cell(a, b, w))
+            nxt.append(w)
+        level = nxt
+    cones.append(_cell(*level, t))
+    return cones
+
+
+def lower_program(prog: ConicProgram) -> LoweredProgram:
+    """Rewrite a program in the solver's canonical form (see module docstring).
+
+    Returns an equivalent program containing only zero/nonneg/soc cones in
+    that order. The objective restricted to the original columns is
+    unchanged; auxiliary columns carry zero cost.
+    """
+    if is_canonical(prog.cones):
         return LoweredProgram(program=prog, n_orig=prog.n_vars)
 
-    A = prog.A.tocsr()
-    n = prog.n_vars
-    bank = _RowBank()
+    m, n = prog.n_rows, prog.n_vars
     n_aux = 0
 
-    def orig_row(r: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
-        lo, hi = A.indptr[r], A.indptr[r + 1]
-        return A.indices[lo:hi].copy(), scale * A.data[lo:hi], scale * float(prog.b[r])
+    def new_aux() -> dict:
+        nonlocal n_aux
+        n_aux += 1
+        return {m + n_aux - 1: 1.0}
 
-    def combine(ra, rb, sa, sb):
-        ca, va, ba = ra
-        cb, vb, bb = rb
-        return (
-            np.concatenate([ca, cb]),
-            np.concatenate([sa * va, sb * vb]),
-            sa * ba + sb * bb,
-        )
-
-    def aux_row(j: int) -> tuple[np.ndarray, np.ndarray, float]:
-        # slack equals the auxiliary variable: s = 0 - (-1) * x_j
-        return np.array([j], dtype=int), np.array([-1.0]), 0.0
-
+    # per class: lowered cones as (cone, local rows, sources, coefficients);
+    # a source below m is an original row, source m + j auxiliary column j
+    classes: dict[str, list] = {kind: [] for kind in CANONICAL_ORDER}
     for cone, sl in prog.cone_slices():
-        r0 = sl.start
-        if cone.kind in ("zero", "nonneg", "soc"):
-            bank.cones.append(cone)
-            for r in range(r0, sl.stop):
-                cols, vals, brow = orig_row(r)
-                if cols.size:
-                    bank.ri.append(np.full(cols.size, bank.m, dtype=int))
-                    bank.rj.append(cols)
-                    bank.rv.append(vals)
-                bank.b.append(brow)
-                bank.m += 1
+        if cone.kind in _RANK:
+            local = np.arange(cone.dim)
+            classes[cone.kind].append((cone, local, sl.start + local, np.ones(cone.dim)))
         elif cone.kind == "rsoc":
-            rows = [
-                combine(orig_row(r0), orig_row(r0 + 1), 1.0, 1.0),
-                combine(orig_row(r0), orig_row(r0 + 1), 1.0, -1.0),
-            ]
-            rows += [orig_row(r, _SQRT2) for r in range(r0 + 2, sl.stop)]
-            bank.add_cone("soc", rows)
-        elif cone.kind == "pow3":
-            frac = _snap_alpha(cone.alpha)
-            p, q = frac.numerator, frac.denominator
-            t_col = n + n_aux
-            n_aux += 1
-            t_sym = aux_row(t_col)
-            # |s2| <= t
-            bank.add_cone("soc", [t_sym, orig_row(r0 + 2)])
-            # geometric-mean tower: t <= s0^(p/q) s1^((q-p)/q)
-            qhat = 1
-            while qhat < q:
-                qhat *= 2
-            # symbols are (row, tag); identical tags pair into trivial cells
-            level = (
-                [(orig_row(r0), "s0")] * p
-                + [(orig_row(r0 + 1), "s1")] * (q - p)
-                + [(t_sym, "t")] * (qhat - q)
-            )
-            while len(level) > 2:
-                nxt = []
-                for a in range(0, len(level), 2):
-                    (rowa, taga), (rowb, tagb) = level[a], level[a + 1]
-                    if taga == tagb:
-                        nxt.append((rowa, taga))
-                        continue
-                    w_col = n + n_aux
-                    n_aux += 1
-                    w_sym = aux_row(w_col)
-                    cw, vw, bw = w_sym
-                    # cell w <= sqrt(a b): soc rows (a+b, a-b, 2w)
-                    rows = [
-                        combine(rowa, rowb, 1.0, 1.0),
-                        combine(rowa, rowb, 1.0, -1.0),
-                        (cw, 2.0 * vw, 2.0 * bw),
-                    ]
-                    bank.add_cone("soc", rows)
-                    nxt.append((w_sym, f"w{w_col}"))
-                level = nxt
-            (rowa, _), (rowb, _) = level
-            ct, vt, bt = t_sym
-            rows = [
-                combine(rowa, rowb, 1.0, 1.0),
-                combine(rowa, rowb, 1.0, -1.0),
-                (ct, 2.0 * vt, 2.0 * bt),
-            ]
-            bank.add_cone("soc", rows)
-        else:  # pragma: no cover
-            raise ValueError(f"unexpected cone kind {cone.kind!r}")
+            rest = np.arange(2, cone.dim)
+            classes["soc"].append((
+                Cone("soc", cone.dim),
+                np.concatenate([[0, 0, 1, 1], rest]),
+                sl.start + np.concatenate([[0, 1, 0, 1], rest]),
+                np.concatenate([[1.0, 1.0, 1.0, -1.0], np.full(rest.size, _SQRT2)]),
+            ))
+        else:  # pow3, the last kind Cone admits
+            for rows in _pow3_tower(sl.start, cone.alpha, new_aux):
+                classes["soc"].append((
+                    Cone("soc", len(rows)),
+                    np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+                    np.array([k for r in rows for k in r]),
+                    np.array([v for r in rows for v in r.values()]),
+                ))
 
-    n_new = n + n_aux
-    c_new = np.zeros(n_new)
+    cones, local_rows, sources, coefs = zip(
+        *(item for kind in CANONICAL_ORDER for item in classes[kind])
+    )
+    dims = np.array([cone.dim for cone in cones], dtype=int)
+    rows = np.concatenate([r + off for r, off in zip(local_rows, np.cumsum(dims) - dims)])
+    T = sp.csr_matrix(
+        (np.concatenate(coefs), (rows, np.concatenate(sources))),
+        shape=(int(dims.sum()), m + n_aux),
+    )
+    L, V = T[:, :m], T[:, m:]
+    A_new = sp.hstack([L @ prog.A.tocsr(), -V], format="csr")
+    A_new.sort_indices()
+    c_new = np.zeros(n + n_aux)
     c_new[:n] = prog.c
-    if bank.ri:
-        ri = np.concatenate(bank.ri)
-        rj = np.concatenate(bank.rj)
-        rv = np.concatenate(bank.rv)
-    else:
-        ri = rj = np.zeros(0, dtype=int)
-        rv = np.zeros(0)
-    A_new = sp.csr_matrix((rv, (ri, rj)), shape=(bank.m, n_new))
-    A_new.sum_duplicates()
-    lowered = ConicProgram(
+    program = ConicProgram(
         c=c_new,
         A=A_new,
-        b=np.asarray(bank.b, dtype=float),
-        cones=tuple(bank.cones),
+        b=L @ prog.b,
+        cones=cones,
         var_blocks=dict(prog.var_blocks),
         name=prog.name,
     )
-    return LoweredProgram(program=lowered, n_orig=n)
+    return LoweredProgram(program=program, n_orig=n)

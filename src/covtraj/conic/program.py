@@ -171,7 +171,8 @@ class ProgramBuilder:
 
     Rows are given per cone as triplets (local row, column, value) plus the
     cone's constant vector, meaning the slack s = b_cone - A_cone x lies in
-    the cone.
+    the cone. ``build`` sums duplicate entries and drops every zero, so the
+    program's A stores only its nonzeros.
     """
 
     def __init__(self, name: str = ""):
@@ -269,6 +270,7 @@ class ProgramBuilder:
             raise ValueError("column index out of range")
         A = sp.csr_matrix((rv, (ri, rj)), shape=(self._m, self._n))
         A.sum_duplicates()
+        A.eliminate_zeros()
         b = np.concatenate(self._bs) if self._bs else np.zeros(0)
         return ConicProgram(
             c=c, A=A, b=b, cones=tuple(self._cones),

@@ -1,9 +1,12 @@
 """Primal-dual interior-point solver on the homogeneous self-dual embedding.
 
 Handles programs whose cones are zero (equalities), nonneg, and second-order
-cones; rotated and power cones are reduced exactly beforehand (see
-``lowering``). The algorithm is the standard Nesterov-Todd scaled
-predictor-corrector with one linear-solve path per iteration:
+cones. ``lowering`` reduces rotated and power cones exactly and puts every
+program in canonical order beforehand: the equality rows, the nonneg rows
+and the second-order cones' rows are three contiguous slices, so the solver
+slices them and keeps no row lists. The algorithm is the standard
+Nesterov-Todd scaled predictor-corrector with one linear-solve path per
+iteration:
 
 1. one Cholesky factorization of the regularized normal matrix
    M = A_in' W^-2 A_in + reg I;
@@ -35,14 +38,14 @@ iteration-order ambiguity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ..errors import NumericalError
-from .lowering import lower_program
+from .lowering import is_canonical, lower_program
 from .program import ConicProgram
 
 logger = logging.getLogger(__name__)
@@ -62,8 +65,7 @@ class SolveResult:
     status is one of ``optimal``, ``optimal_inaccurate``,
     ``primal_infeasible``, ``dual_infeasible``, ``max_iterations``,
     ``numerical_error``. x holds the original-variable primal solution (None
-    unless solved or inaccurate); s and z are the lowered-program slack and
-    dual in the lowered row order.
+    unless solved or inaccurate).
     """
 
     status: str
@@ -73,8 +75,6 @@ class SolveResult:
     pres: float
     dres: float
     gap: float
-    s: np.ndarray | None = field(default=None, repr=False)
-    z: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -194,42 +194,33 @@ def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
 class _Workspace:
     """Row split, flat cone indexing, and Gram precomputation for one solve.
 
-    The inequality rows hold the nonneg rows (slice ``nn``) followed by one
-    flat region of every second-order cone's rows (slice ``soc``). Inside
-    that region cone k starts at row ``heads[k]``; ``cone_id`` gives each
-    row's cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1)
-    (+1 on a head, -1 on a tail row). Per-cone dot products are
-    ``np.add.reduceat`` sums over ``heads`` and per-cone scalars are broadcast
-    back to rows through ``cone_id``, so every cone operation is a handful of
-    array operations whatever the number of cones.
+    The program must be in canonical order (``lowering.is_canonical``): its
+    first ``n_eq`` rows are the equality rows and the rest are the inequality
+    rows, which hold the nonneg rows (slice ``nn``) followed by one flat
+    region of every second-order cone's rows (slice ``soc``). Inside that
+    region cone k starts at row ``heads[k]``; ``cone_id`` gives each row's
+    cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1) (+1 on a
+    head, -1 on a tail row). Per-cone dot products are ``np.add.reduceat``
+    sums over ``heads`` and per-cone scalars are broadcast back to rows
+    through ``cone_id``, so every cone operation is a handful of array
+    operations whatever the number of cones.
     """
 
     def __init__(self, prog: ConicProgram):
+        if not is_canonical(prog.cones):
+            raise ValueError(
+                "the solver takes zero, then nonneg, then soc cones; "
+                "lower the program first"
+            )
         A = prog.A.tocsr()
-        eq_rows: list[int] = []
-        nn_rows: list[int] = []
-        soc_groups: list[np.ndarray] = []
-        for cone, sl in prog.cone_slices():
-            rows = np.arange(sl.start, sl.stop)
-            if cone.kind == "zero":
-                eq_rows.extend(rows)
-            elif cone.kind == "nonneg":
-                nn_rows.extend(rows)
-            elif cone.kind == "soc":
-                soc_groups.append(rows)
-            else:  # pragma: no cover - lowering guarantees absence
-                raise ValueError(f"solver got unlowered cone {cone.kind!r}")
+        sizes = np.array([c.dim for c in prog.cones if c.kind == "soc"], dtype=int)
 
         self.n = prog.n_vars
-        self.eq_rows = np.asarray(eq_rows, dtype=int)
-        in_rows = nn_rows + [r for g in soc_groups for r in g]
-        self.in_rows = np.asarray(in_rows, dtype=int)
-        self.m_in = len(in_rows)
-        self.n_eq = len(eq_rows)
-        self.n_nn = len(nn_rows)
+        self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
+        self.n_nn = sum(c.dim for c in prog.cones if c.kind == "nonneg")
+        self.m_in = prog.n_rows - self.n_eq
         self.nn = slice(0, self.n_nn)
         self.soc = slice(self.n_nn, self.m_in)
-        sizes = np.array([len(g) for g in soc_groups], dtype=int)
         self.heads = np.cumsum(sizes) - sizes
         self.cone_id = np.repeat(np.arange(sizes.size), sizes)
         self.jsign = -np.ones(self.m_in - self.n_nn)
@@ -239,10 +230,12 @@ class _Workspace:
         self.e[self.nn] = 1.0
         self.e[self.n_nn + self.heads] = 1.0
 
-        self.A_eq = A[self.eq_rows].toarray()
-        self.b_eq = prog.b[self.eq_rows]
-        self.A_in = A[self.in_rows].tocsr()
-        self.b_in = prog.b[self.in_rows]
+        self.A_eq = A[: self.n_eq].toarray()
+        self.b_eq = prog.b[: self.n_eq]
+        self.A_in = A[self.n_eq:]
+        #: A_in' built once: its products sum in the same order as A_in.T's
+        self.A_in_t = self.A_in.T.tocsr()
+        self.b_in = prog.b[self.n_eq:]
         self.c = prog.c.copy()
 
         self.A_nn = self.A_in[self.nn]
@@ -261,7 +254,11 @@ class _Workspace:
                     "limit; per-iteration recompute will be slow",
                     size, sup.size,
                 )
-            self.soc_data.append({"rows": rows, "sup": sup, "dense": dense, "gram": gram})
+            # the block of M the cone's Gram update lands in; None on every column
+            ix = np.ix_(sup, sup) if sup.size < self.n else None
+            self.soc_data.append(
+                {"rows": rows, "sup": sup, "ix": ix, "dense": dense, "gram": gram}
+            )
 
         self.degree = self.n_nn + sizes.size
 
@@ -330,24 +327,27 @@ class _Workspace:
         return float(min(alpha, self.soc_steps(u[self.soc], d[self.soc]).min(initial=np.inf)))
 
 
-def _equilibrate(prog: ConicProgram, passes: int = 3):
+def _equilibrate(prog: ConicProgram, passes: int = 3) -> tuple[ConicProgram, np.ndarray]:
     """Ruiz-style scaling with cone-uniform row factors.
 
-    Returns (A csr, b, c, row_scale e, col_scale d) with A' = E A D,
-    b' = E b, c' = D c. Rows belonging to one soc cone share a scale factor
-    so the cone geometry is preserved.
+    Returns the scaled program (A' = E A D, b' = E b, c' = D c) and the
+    column scale d = diag(D). Zero and nonneg rows scale one by one; the rows
+    of one soc cone form a group that shares a factor, taken from the
+    group's largest entry (``np.maximum.reduceat`` over the group starts), so
+    the cone geometry is preserved.
     """
     A = prog.A.tocsr().astype(float)
     m, n = A.shape
     e = np.ones(m)
     d = np.ones(n)
-    groups: list[np.ndarray] = []
-    for cone, sl in prog.cone_slices():
-        rows = np.arange(sl.start, sl.stop)
-        if cone.kind in ("zero", "nonneg"):
-            groups.extend(rows[:, None])
-        else:
-            groups.append(rows)
+    dims = np.array([cone.dim for cone in prog.cones], dtype=int)
+    elementwise = np.repeat(
+        np.array([cone.kind in ("zero", "nonneg") for cone in prog.cones], dtype=bool), dims
+    )
+    first = np.zeros(m, dtype=bool)
+    first[np.cumsum(dims) - dims] = True
+    starts = np.flatnonzero(first | elementwise)
+    sizes = np.diff(starts, append=m)
 
     work = A.copy()
     for _ in range(passes):
@@ -363,16 +363,17 @@ def _equilibrate(prog: ConicProgram, passes: int = 3):
         rmax = np.zeros(m)
         coo = work.tocoo()
         np.maximum.at(rmax, coo.row, np.abs(coo.data))
-        rs = np.ones(m)
-        for g in groups:
-            top = float(np.max(rmax[g])) if g.size else 0.0
-            if top > 0.0:
-                rs[g] = 1.0 / np.sqrt(top)
+        top = np.maximum.reduceat(rmax, starts)
+        gs = np.ones(starts.size)
+        live = top > 0.0
+        gs[live] = 1.0 / np.sqrt(top[live])
+        rs = np.repeat(gs, sizes)
         e *= rs
         work = sp.diags(rs) @ work
-    b = e * prog.b
-    c = d * prog.c
-    return work.tocsr(), b, c, e, d
+    scaled = ConicProgram(
+        c=d * prog.c, A=work.tocsr(), b=e * prog.b, cones=prog.cones, name=prog.name
+    )
+    return scaled, d
 
 
 def solve(
@@ -382,7 +383,7 @@ def solve(
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
 
-    The program is lowered to zero/nonneg/soc cones and equilibrated; each
+    The program is lowered to canonical form and equilibrated; each
     interior-point iteration then factors the normal matrix once, solves the
     equality rows through their Schur complement, and polishes the combined
     direction against the full Newton system. One line per iteration is
@@ -400,8 +401,7 @@ def solve(
     n_orig = lowered.n_orig
     lp = lowered.program
 
-    A_s, b_s, c_s, e_row, d_col = _equilibrate(lp)
-    scaled = ConicProgram(c=c_s, A=A_s, b=b_s, cones=lp.cones, name=lp.name)
+    scaled, d_col = _equilibrate(lp)
     ws = _Workspace(scaled)
 
     n, n_eq = ws.n, ws.n_eq
@@ -446,10 +446,10 @@ def solve(
             blk *= 2.0
             blk += gram
             blk /= sc.eta[k] ** 2
-            if sup.size == n:
+            if data["ix"] is None:
                 M += blk
             else:
-                M[np.ix_(sup, sup)] += blk
+                M[data["ix"]] += blk
         # the scale is frozen at the first iteration: cone weights diverge as
         # the complementarity gap closes and a regularization tracking the
         # growing diagonal would bias the dual residual by reg * |dx|
@@ -479,7 +479,7 @@ def solve(
         # residuals of the embedding
         Axi = ws.A_in @ x
         Axe = ws.A_eq @ x
-        Atz = ws.A_in.T @ z + ws.A_eq.T @ y
+        Atz = ws.A_in_t @ z + ws.A_eq.T @ y
         rd = Atz + ws.c * tau
         rp_in = s + Axi - ws.b_in * tau
         rp_eq = Axe - ws.b_eq * tau
@@ -496,7 +496,7 @@ def solve(
                 + np.sum((ws.A_eq @ xs - ws.b_eq) ** 2)
             )
         ) / norm_b
-        dres = float(np.linalg.norm(ws.A_in.T @ (z / tau) + ws.A_eq.T @ (y / tau) + ws.c)) / norm_c
+        dres = float(np.linalg.norm(ws.A_in_t @ (z / tau) + ws.A_eq.T @ (y / tau) + ws.c)) / norm_c
         pobj = float(ws.c @ xs)
         dobj = -float(ws.b_in @ z + ws.b_eq @ y) / tau
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -558,7 +558,7 @@ def solve(
             return Mf - ME @ q, q
 
         # system 1: dtau coefficient
-        f1 = ws.A_in.T @ sc.mul_winv2(ws.b_in) - ws.c
+        f1 = ws.A_in_t @ sc.mul_winv2(ws.b_in) - ws.c
         dx1, dy1 = saddle(f1, ws.b_eq)
         dz1 = sc.mul_winv2(ws.A_in @ dx1 - ws.b_in)
         den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
@@ -567,7 +567,7 @@ def solve(
             """Direction for general right-hand sides of the scaled KKT system."""
             wbeta = sc.mul_w(sc.arrow_solve(R_comp))
 
-            f2 = R_d + ws.A_in.T @ sc.mul_winv2(R_pin - wbeta)
+            f2 = R_d + ws.A_in_t @ sc.mul_winv2(R_pin - wbeta)
             dx2, dy2 = saddle(f2, R_peq)
             dz2 = sc.mul_winv2(ws.A_in @ dx2 + wbeta - R_pin)
 
@@ -589,7 +589,7 @@ def solve(
             return ws.jmul(sc.lam, sc.mul_w(dz) + sc.mul_winv(ds))
 
         def newton_residuals(R, dx, dy, dz, ds, dtau, dkappa):
-            r1 = R[0] - (ws.A_in.T @ dz + ws.A_eq.T @ dy + ws.c * dtau)
+            r1 = R[0] - (ws.A_in_t @ dz + ws.A_eq.T @ dy + ws.c * dtau)
             r2 = R[1] - (ds + ws.A_in @ dx - ws.b_in * dtau)
             r3 = R[2] - (ws.A_eq @ dx - ws.b_eq * dtau)
             r4 = R[3] - (float(ws.c @ dx + ws.b_in @ dz + ws.b_eq @ dy) + dkappa)
@@ -691,24 +691,14 @@ def solve(
     if status in ("optimal", "optimal_inaccurate"):
         # undo equilibration and the homogenizing tau
         x_full = d_col * (x / tau)
-        s_full = np.zeros(lp.n_rows)
-        z_full = np.zeros(lp.n_rows)
-        s_full[ws.in_rows] = s / tau
-        z_full[ws.in_rows] = z / tau
-        z_full[ws.eq_rows] = y / tau
-        s_unscaled = s_full / np.where(e_row != 0.0, e_row, 1.0)
-        z_unscaled = z_full * e_row
-        x_orig = x_full[:n_orig]
         return SolveResult(
             status=status,
-            x=x_orig,
+            x=x_full[:n_orig],
             obj=float(lp.c @ x_full),
             iterations=it,
             pres=pres,
             dres=dres,
             gap=gap_rel,
-            s=s_unscaled,
-            z=z_unscaled,
         )
     return SolveResult(
         status=status, x=None, obj=None, iterations=it,

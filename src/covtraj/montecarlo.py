@@ -105,12 +105,12 @@ class McSample:
     """One realized trajectory with its navigator playback and metrics.
 
     ``truth``/``estimates`` hold the node states of the simulated vehicle
-    and of the navigator's posterior, ``od_error`` their difference, and
-    ``od_contained[k]`` whether every component of that error sits inside
-    the filter's three-sigma band at node k. ``commanded`` is the gain-
-    corrected control, ``executed`` what the actuator realized (identical
-    except for execution error on thrust segments in ``"ekf"`` mode), and
-    ``dv`` integrates ``executed`` over the grid:
+    and of the navigator's posterior, and ``od_contained[k]`` whether every
+    component of their difference sits inside the filter's three-sigma band
+    at node k. ``commanded`` is the gain-corrected control, ``executed``
+    what the actuator realized (identical except for execution error on
+    thrust segments in ``"ekf"`` mode), and ``dv`` integrates ``executed``
+    over the grid:
     dv = sum_k ||u_k^executed|| dt_k >= 0.
     """
 
@@ -119,12 +119,10 @@ class McSample:
     estimates: np.ndarray
     commanded: np.ndarray
     executed: np.ndarray
-    od_error: np.ndarray
     od_contained: np.ndarray
     violations: np.ndarray
     periapses: tuple[float, ...]
     dv: float
-    terminal_defect: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,6 @@ def _simulate(
 
     truth = np.zeros((n_seg + 1, N_X))
     estimates = np.zeros((n_seg + 1, N_X))
-    od_error = np.zeros((n_seg + 1, N_X))
     od_contained = np.zeros(n_seg + 1, dtype=bool)
     commanded = np.zeros((n_seg, N_U))
     executed = np.zeros((n_seg, N_U))
@@ -329,13 +326,13 @@ def _simulate(
 
         truth[k] = x
         estimates[k] = xhat
-        od_error[k] = x - xhat
+        od_error = x - xhat
         if linear:
             sigma = lin_sigma[k]
         else:
             sigma = np.sqrt(np.clip(np.diag(p_minus), 0.0, None))
         od_contained[k] = bool(
-            np.all(np.abs(od_error[k]) <= 3.0 * sigma + OD_TOLERANCE)
+            np.all(np.abs(od_error) <= 3.0 * sigma + OD_TOLERANCE)
         )
         devs[k] = xhat - x_bar[k]
         if k == n_seg:
@@ -428,12 +425,10 @@ def _simulate(
         estimates=estimates,
         commanded=commanded,
         executed=executed,
-        od_error=od_error,
         od_contained=od_contained,
         violations=violations,
         periapses=tuple(periapses),
         dv=dv,
-        terminal_defect=truth[-1] - problem.x_target,
     )
 
 

@@ -117,7 +117,6 @@ class ScpParams:
     tr_init: float = 0.1
     tr_min: float = 1e-8
     tr_max: float = 1.0
-    tau: float = 1.1
     max_iters: int = 200
 
     def __post_init__(self):
@@ -138,8 +137,6 @@ class ScpParams:
             raise ValueError("need 0 < w_init <= w_max")
         if not 0.0 < self.tr_min <= self.tr_init <= self.tr_max:
             raise ValueError("need 0 < tr_min <= tr_init <= tr_max")
-        if not 1.0 < self.tau < 2.0:
-            raise ValueError("penalty exponent tau must lie in (1, 2)")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
 
@@ -463,17 +460,15 @@ def updated_multipliers(
     w = weights.weight
     lam = np.array(
         [
-            l + penalty_grad(g, w, weights.tau)
+            l + penalty_grad(g, w)
             for l, g in zip(weights.lam_terminal, point.g_eq)
         ]
     )
     mus = tuple(
-        max(0.0, m + penalty_grad(g, w, weights.tau))
+        max(0.0, m + penalty_grad(g, w))
         for m, g in zip(weights.lam_assists, point.g_ineq)
     )
-    return PenaltyWeights(
-        weight=w, lam_terminal=lam, lam_assists=mus, tau=weights.tau
-    )
+    return replace(weights, lam_terminal=lam, lam_assists=mus)
 
 
 @dataclass(frozen=True)
@@ -588,7 +583,6 @@ def run(
         weight=params.w_init,
         lam_terminal=np.zeros(N_X),
         lam_assists=(0.0,) * n_ga,
-        tau=params.tau,
     )
     tr_radius = params.tr_init
     viol_marker = ref.max_violation
@@ -636,12 +630,7 @@ def run(
         if not sol.ok:
             # safeguard: large weights breed ill-conditioning; back the
             # weight off and retry from the same reference
-            weights = PenaltyWeights(
-                weight=weights.weight / params.beta,
-                lam_terminal=weights.lam_terminal,
-                lam_assists=weights.lam_assists,
-                tau=weights.tau,
-            )
+            weights = replace(weights, weight=weights.weight / params.beta)
             logger.warning(
                 "iteration %d: subproblem %s; weight reduced to %.3e",
                 it,
@@ -686,11 +675,8 @@ def run(
             )
             weights = updated_multipliers(weights, cand, params)
             if cand.max_violation > params.gamma * viol_marker:
-                weights = PenaltyWeights(
-                    weight=min(params.beta * weights.weight, params.w_max),
-                    lam_terminal=weights.lam_terminal,
-                    lam_assists=weights.lam_assists,
-                    tau=weights.tau,
+                weights = replace(
+                    weights, weight=min(params.beta * weights.weight, params.w_max)
                 )
             viol_marker = cand.max_violation
             key = rank_key(cand)

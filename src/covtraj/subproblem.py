@@ -38,6 +38,7 @@ from .gravity_assist import (
 )
 
 __all__ = [
+    "PENALTY_TAU",
     "LaunchSpec",
     "PenaltyWeights",
     "StochasticSpec",
@@ -112,16 +113,21 @@ def chi2_quantile_sqrt(eps: float, dim: int) -> float:
     return float(np.sqrt(q))
 
 
-def penalty_value(z: float, weight: float, tau: float = 1.1) -> float:
+#: Exponent tau of the exact penalty phi(y) = |y|^tau / tau + y^2 / 2; the
+#: subproblem models the |y|^tau term with a pow3 cone of exponent 1 / tau.
+PENALTY_TAU = 1.1
+
+
+def penalty_value(z: float, weight: float) -> float:
     """Weighted exact penalty (1/w) phi(w z), phi(y) = |y|^tau / tau + y^2 / 2."""
     y = weight * z
-    return (abs(y) ** tau / tau + 0.5 * y * y) / weight
+    return (abs(y) ** PENALTY_TAU / PENALTY_TAU + 0.5 * y * y) / weight
 
 
-def penalty_grad(z: float, weight: float, tau: float = 1.1) -> float:
+def penalty_grad(z: float, weight: float) -> float:
     """d/dz of (1/w) phi(w z): sign(y)|y|^(tau-1) + y at y = w z."""
     y = weight * z
-    return float(np.sign(y) * abs(y) ** (tau - 1.0) + y)
+    return float(np.sign(y) * abs(y) ** (PENALTY_TAU - 1.0) + y)
 
 
 def feedback_nodes(
@@ -197,7 +203,6 @@ class PenaltyWeights:
     weight: float
     lam_terminal: np.ndarray
     lam_assists: tuple[float, ...] = ()
-    tau: float = 1.1
 
     def __post_init__(self):
         object.__setattr__(
@@ -208,8 +213,6 @@ class PenaltyWeights:
             raise ValueError("terminal multiplier must have length 6")
         if self.weight <= 0.0:
             raise ValueError("penalty weight must be positive")
-        if not 1.0 < self.tau < 2.0:
-            raise ValueError("penalty exponent tau must lie in (1, 2)")
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,6 @@ class SubproblemLayout:
     ga_segments: tuple[int, ...]
     fb_nodes: dict[int, tuple[int, ...]]
     assists: tuple[GaEvent, ...]
-    weights: PenaltyWeights
     m_u: float | None
     m_assists: tuple[float, ...]
     stochastic: StochasticSpec | None
@@ -436,7 +438,6 @@ def build_subproblem(
     # ------------------------------------------------------------------
     # objective
     w = weights.weight
-    tau = weights.tau
     for k in thrust:
         pb.cost(a_idx[k], dts[k])
         if k in b_idx:
@@ -445,7 +446,7 @@ def build_subproblem(
     for a_i, lam in enumerate(weights.lam_assists):
         pb.cost(zeta_idx[a_i], lam)
     for key in relaxed:
-        pb.cost(pa_idx[key], 1.0 / (w * tau))
+        pb.cost(pa_idx[key], 1.0 / (w * PENALTY_TAU))
         pb.cost(pq_idx[key], 0.5 * w)
 
     # ------------------------------------------------------------------
@@ -611,7 +612,7 @@ def build_subproblem(
         cone.entry(0, pa_idx[key], -1.0)
         cone.b[1] = 1.0
         cone.entry(2, var, -w)
-        cone.emit(pb, "pow3", alpha=1.0 / tau)
+        cone.emit(pb, "pow3", alpha=1.0 / PENALTY_TAU)
         cone = _ConeRows(3)
         cone.entry(0, pq_idx[key], -1.0)
         cone.b[1] = 0.5
@@ -644,7 +645,6 @@ def build_subproblem(
         ga_segments=ga_segs,
         fb_nodes=dict(fb),
         assists=tuple(assists),
-        weights=weights,
         m_u=m_u,
         m_assists=m_assists,
         stochastic=stochastic,
@@ -728,9 +728,9 @@ def augmented_cost(
     """
     total = float(dv_cost)
     for lam, v in zip(weights.lam_terminal, np.asarray(xi, dtype=float)):
-        total += lam * v + penalty_value(v, weights.weight, weights.tau)
+        total += lam * v + penalty_value(v, weights.weight)
     for lam, v in zip(weights.lam_assists, zetas):
-        total += lam * v + penalty_value(v, weights.weight, weights.tau)
+        total += lam * v + penalty_value(v, weights.weight)
     return total
 
 

@@ -8,6 +8,8 @@ scipy.stats quantiles instead of the package's own root finder.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from covtraj.covsteer import FeedbackPolicy
@@ -281,3 +283,36 @@ def arrow_matrix(lam: np.ndarray) -> np.ndarray:
     L[0, 1:] = lam[1:]
     L[1:, 0] = lam[1:]
     return L
+
+
+def lowered_cone_slack(kind: str, s: np.ndarray, aux: np.ndarray, alpha=None) -> np.ndarray:
+    """Lowered soc slacks of one rsoc or pow3 cone, from its original slack.
+
+    rsoc: (s0+s1, s0-s1, sqrt(2) s2:). pow3 with alpha = p/q: the cone
+    (t, s2), then one cell (a+b, a-b, 2w) for each pair of differing leaves
+    of the geometric-mean tree, level by level and left to right, closing
+    with (a+b, a-b, 2t). The leaves are p copies of s0, q-p of s1 and t up
+    to the next power of two; t = aux[0] and the cells' w take aux[1:] in
+    order. This acts on slack values, where the lowering builds a row map.
+    """
+    if kind == "rsoc":
+        return np.concatenate([[s[0] + s[1], s[0] - s[1]], np.sqrt(2.0) * s[2:]])
+    frac = Fraction(alpha).limit_denominator(64)
+    p, q = frac.numerator, frac.denominator
+    width = 1 << (q - 1).bit_length()
+    t, ws = aux[0], iter(aux[1:])
+    out = [t, s[2]]
+    leaves = [("s0", s[0])] * p + [("s1", s[1])] * (q - p) + [("t", t)] * (width - q)
+    while len(leaves) > 2:
+        nxt = []
+        for (la, a), (lb, b) in zip(leaves[0::2], leaves[1::2]):
+            if la == lb:
+                nxt.append((la, a))
+            else:
+                w = next(ws)
+                out += [a + b, a - b, 2.0 * w]
+                nxt.append((f"w{len(out)}", w))
+        leaves = nxt
+    (_, a), (_, b) = leaves
+    out += [a + b, a - b, 2.0 * t]
+    return np.array(out)

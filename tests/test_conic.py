@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import arrow_matrix, nt_scaling_matrix
+from oracles import arrow_matrix, lowered_cone_slack, nt_scaling_matrix
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve
-from covtraj.conic.solver import _NtScaling, _Workspace
+from covtraj.conic.solver import _equilibrate, _NtScaling, _Workspace
 from covtraj.errors import NumericalError
 
 
@@ -194,6 +194,126 @@ def test_lowering_rsoc_row_transform():
     np.testing.assert_allclose(A[0], [-1.0, -1.0, 0.0])
     np.testing.assert_allclose(A[1], [-1.0, 1.0, 0.0])
     np.testing.assert_allclose(A[2], [0.0, 0.0, -np.sqrt(2.0)])
+
+
+@pytest.mark.parametrize("alpha", [10.0 / 11.0, 0.3, 0.5])
+def test_lowered_rows_match_dense_slack_oracle(alpha):
+    # b' - A' [x; aux] of the lowered program is the documented transform of
+    # the original slack b - A x, cone by cone, for any x and aux
+    rng = np.random.default_rng(7)
+    n = 4
+    pb = ProgramBuilder()
+    pb.var_block("x", n)
+    for kind, dim, a in (("rsoc", 5, None), ("pow3", 3, alpha)):
+        local, cols = np.divmod(np.arange(dim * n), n)
+        pb.cone(kind, rng.standard_normal(dim), local, cols, rng.standard_normal(dim * n), alpha=a)
+    prog = pb.build()
+    lp = lower_program(prog).program
+    x = rng.standard_normal(n)
+    aux = rng.standard_normal(lp.n_vars - n)
+    got = lp.b - lp.A.toarray() @ np.concatenate([x, aux])
+    s = prog.b - prog.A.toarray() @ x
+    want = np.concatenate([
+        lowered_cone_slack("rsoc", s[:5], aux),
+        lowered_cone_slack("pow3", s[5:], aux, alpha),
+    ])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _interleaved_program(order):
+    """min t + u + v + 0.1 x0 over the cones named in ``order``.
+
+    soc: ||x - p|| <= t; zero0: x0 + x1 + x2 = 1; nonneg: x2 <= 0.2;
+    rsoc: u >= x0^2; pow3: v >= |x1|^1.1; zero1: x3 = 0.5.
+    """
+    pb = ProgramBuilder("interleaved")
+    x = pb.var_block("x", 4)
+    t, u, v = pb.var_block("tuv", 3)
+    pb.cost([t, u, v, x[0]], [1.0, 1.0, 1.0, 0.1])
+    cones = {
+        "soc": ("soc", [0.0, 0.3, -0.2, 0.1, 0.4],
+                [(0, t, -1.0)] + [(1 + j, x[j], -1.0) for j in range(4)], None),
+        "zero0": ("zero", [1.0], [(0, x[j], 1.0) for j in range(3)], None),
+        "nonneg": ("nonneg", [0.2], [(0, x[2], 1.0)], None),
+        "rsoc": ("rsoc", [0.0, 0.5, 0.0], [(0, u, -1.0), (2, x[0], -1.0)], None),
+        "pow3": ("pow3", [0.0, 1.0, 0.0], [(0, v, -1.0), (2, x[1], -1.0)], 10.0 / 11.0),
+        "zero1": ("zero", [0.5], [(0, x[3], 1.0)], None),
+    }
+    for name in order:
+        kind, b, entries, alpha = cones[name]
+        _var_cone(pb, kind, entries, b, alpha=alpha)
+    return pb.build()
+
+
+def test_cone_order_does_not_change_the_solve():
+    mixed = _interleaved_program(["soc", "zero0", "nonneg", "rsoc", "pow3", "zero1"])
+    canonical = _interleaved_program(["zero0", "zero1", "nonneg", "soc", "rsoc", "pow3"])
+    kinds = [c.kind for c in lower_program(mixed).program.cones]
+    n_soc = len(kinds) - 3
+    assert n_soc > 3  # the pow3 tower adds cones
+    assert kinds == ["zero", "zero", "nonneg"] + ["soc"] * n_soc
+    r1, r2 = solve(mixed), solve(canonical)
+    assert r1.status == r2.status == "optimal"
+    assert r1.x.tobytes() == r2.x.tobytes()
+    assert r1.obj == r2.obj
+    assert r1.iterations == r2.iterations
+
+
+def test_workspace_rejects_a_non_canonical_program():
+    def program(*cones):
+        m = sum(c.dim for c in cones)
+        return ConicProgram(c=np.zeros(1), A=sp.csr_matrix((m, 1)), b=np.zeros(m), cones=cones)
+
+    _Workspace(program(Cone("zero", 1), Cone("nonneg", 2), Cone("soc", 3)))
+    for cones in (
+        (Cone("soc", 3), Cone("nonneg", 2)),
+        (Cone("nonneg", 1), Cone("zero", 1)),
+        (Cone("rsoc", 3),),
+    ):
+        with pytest.raises(ValueError):
+            _Workspace(program(*cones))
+
+
+def test_builder_stores_no_explicit_zeros():
+    pb = ProgramBuilder()
+    x = pb.var_block("x", 3)
+    # an explicit 0.0, and two entries that sum to zero
+    _var_cone(pb, "nonneg", [(0, x[0], 1.0), (0, x[1], 0.0), (1, x[2], 2.0), (1, x[2], -2.0)],
+              [1.0, 1.0])
+    A = pb.build().A.tocoo()
+    assert A.nnz == 1
+    assert (A.row.tolist(), A.col.tolist(), A.data.tolist()) == ([0], [x[0]], [1.0])
+
+
+def test_equilibration_matches_per_group_loop():
+    # the reduceat row scales equal the per-cone loop they replaced, bit for bit
+    rng = np.random.default_rng(11)
+    cones = (Cone("zero", 2), Cone("nonneg", 3), Cone("soc", 4), Cone("soc", 2))
+    m, n = 11, 5
+    dense = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 3, (m, n))
+    dense[rng.random((m, n)) < 0.4] = 0.0
+    dense[4] = 0.0  # an all-zero row keeps the scale 1
+    A = sp.csr_matrix(dense)
+    prog = ConicProgram(c=rng.standard_normal(n), A=A, b=rng.standard_normal(m), cones=cones)
+    scaled, d = _equilibrate(prog)
+
+    groups = [np.array([r]) for r in range(5)] + [np.arange(5, 9), np.arange(9, 11)]
+    work, e, d_ref = A.copy(), np.ones(m), np.ones(n)
+    for _ in range(3):
+        cmax = np.abs(work).max(axis=0).toarray().ravel()
+        cs = np.where(cmax > 0.0, 1.0 / np.sqrt(np.maximum(cmax, 1e-12)), 1.0)
+        d_ref *= cs
+        work = work @ sp.diags(cs)
+        rmax = np.abs(work).max(axis=1).toarray().ravel()
+        rs = np.ones(m)
+        for g in groups:
+            if rmax[g].max() > 0.0:
+                rs[g] = 1.0 / np.sqrt(rmax[g].max())
+        e *= rs
+        work = sp.diags(rs) @ work
+    assert d.tobytes() == d_ref.tobytes()
+    assert scaled.b.tobytes() == (e * prog.b).tobytes()
+    assert scaled.A.toarray().tobytes() == work.toarray().tobytes()
 
 
 def test_dump_load_round_trip():

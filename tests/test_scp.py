@@ -77,8 +77,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ScpParams(w_init=1e11)  # above w_max
     with pytest.raises(ValueError):
-        ScpParams(tau=1.0)
-    with pytest.raises(ValueError):
         ScpParams(max_iters=0)
 
 
@@ -163,7 +161,6 @@ def test_updated_multipliers_signed_and_clipped():
         weight=w,
         lam_terminal=np.array([1.0, -2.0, 0.0, 0.5, 0.0, 0.0]),
         lam_assists=(0.3, 0.0),
-        tau=p.tau,
     )
     point = SimpleNamespace(
         g_eq=np.array([0.2, -0.1, 0.0, 1e-3, -1e-3, 0.0]),
@@ -172,11 +169,11 @@ def test_updated_multipliers_signed_and_clipped():
     out = updated_multipliers(weights, point, p)
     # equality multipliers move by the penalty gradient of the signed defect
     for l0, g, l1 in zip(weights.lam_terminal, point.g_eq, out.lam_terminal):
-        assert l1 == pytest.approx(l0 + penalty_grad(g, w, p.tau), rel=1e-12)
+        assert l1 == pytest.approx(l0 + penalty_grad(g, w), rel=1e-12)
     # a comfortably feasible margin bleeds its multiplier off to zero
     assert out.lam_assists[0] == 0.0
     # a violated margin grows from zero
-    assert out.lam_assists[1] == pytest.approx(penalty_grad(0.02, w, p.tau))
+    assert out.lam_assists[1] == pytest.approx(penalty_grad(0.02, w))
     assert out.lam_assists[1] > 0.0
     assert out.weight == w
 
@@ -196,7 +193,7 @@ def test_nl_augmented_cost_matches_hand_formula():
 
     w, tau = 10.0, 1.1
     lam = np.full(6, 0.25)
-    weights = PenaltyWeights(weight=w, lam_terminal=lam, tau=tau)
+    weights = PenaltyWeights(weight=w, lam_terminal=lam)
 
     def phi(z):
         return abs(z) ** tau / tau + 0.5 * z * z

@@ -15,6 +15,7 @@ from covtraj.gravity_assist import (
     max_v_inf_for_safe_flyby,
 )
 from covtraj.subproblem import (
+    PENALTY_TAU,
     LaunchSpec,
     PenaltyWeights,
     StochasticSpec,
@@ -191,7 +192,7 @@ def test_deterministic_instance_matches_cvxpy():
     cons = [x - target == xi]
     cons += [cp.norm(u[k]) <= u_max for k in range(n)]
     cons.append(cp.norm(cp.vec(u, order="C")) <= radius)
-    tau = weights.tau
+    tau = PENALTY_TAU
     obj = cp.sum(cp.hstack([cp.norm(u[k]) for k in range(n)]))
     obj = obj + lam @ xi
     obj = obj + (w ** (tau - 1.0) / tau) * cp.sum(cp.power(cp.abs(xi), tau))
@@ -392,7 +393,7 @@ def test_stochastic_instance_matches_cvxpy():
     # trust region (inactive at this radius, included for exactness)
     cons.append(cp.norm(cp.vec(u, order="C")) <= 50.0)
 
-    w, tau = weights.weight, weights.tau
+    w, tau = weights.weight, PENALTY_TAU
     obj = cp.sum(
         cp.hstack(
             [
@@ -595,5 +596,3 @@ def test_spec_validation_errors():
         LaunchSpec(r_body=np.zeros(3), v_body=np.zeros(3), v_inf_max=0.0)
     with pytest.raises(ValueError):
         PenaltyWeights(weight=0.0, lam_terminal=np.zeros(6))
-    with pytest.raises(ValueError):
-        PenaltyWeights(weight=1.0, lam_terminal=np.zeros(6), tau=2.5)
