@@ -260,19 +260,18 @@ def _vec_product_triplets(
     idx: np.ndarray,
     sign: float = -1.0,
 ):
-    """Triplets for rows vec(left @ G @ s_block) of a gain block G.
+    """Nonzero triplets for rows vec(left @ G @ s_block) of a gain block G.
 
     ``idx`` holds the (3, 6) variable indices of G; the value placed at
     row (r, c) for variable G[n, m] is sign * left[r, n] * s_block[m, c].
+    Zero products are left out: most products are zero (the gain blocks are
+    sparse), and materialising them cost several times the built program's
+    memory.
     """
-    p = left.shape[0]
     q = s_block.shape[1]
-    rr = row_base + np.arange(p)[:, None] * q + np.arange(q)[None, :]
-    shape = (p, q, N_U, N_X)
-    rows = np.broadcast_to(rr[:, :, None, None], shape).ravel()
-    cols = np.broadcast_to(idx[None, None, :, :], shape).ravel()
-    vals = (sign * left[:, None, :, None] * s_block.T[None, :, None, :]).ravel()
-    return rows, cols, vals
+    prod = sign * left[:, None, :, None] * s_block.T[None, :, None, :]
+    r, c, n, m = np.nonzero(prod)
+    return row_base + r * q + c, idx[n, m], prod[r, c, n, m]
 
 
 class _ConeRows:

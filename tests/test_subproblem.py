@@ -20,6 +20,7 @@ from covtraj.subproblem import (
     PenaltyWeights,
     StochasticSpec,
     TerminalSpec,
+    _vec_product_triplets,
     augmented_cost,
     build_subproblem,
     chi2_quantile_sqrt,
@@ -502,6 +503,27 @@ def test_assist_chain_holds_reference_turn():
     assert (
         np.linalg.norm(vi_pre_s)
         <= max_v_inf_for_safe_flyby(sol.thetas[0], mu_p, r_p_min) + 1e-6
+    )
+
+
+def test_gain_block_triplets_hold_every_nonzero_and_no_zero():
+    """Rows vec(left @ G @ s_block) from the triplets, with zero rows and columns."""
+    rng = np.random.default_rng(3)
+    left = rng.standard_normal((4, 3))
+    left[1] = 0.0
+    s_blk = rng.standard_normal((6, 5))
+    s_blk[4] = 0.0
+    s_blk[:, 2] = 0.0
+    idx = np.arange(18).reshape(3, 6)
+    rows, cols, vals = _vec_product_triplets(1, left, s_blk, idx)
+    assert np.all(vals != 0.0)
+    assert vals.size == np.count_nonzero(left[:, None, :, None] * s_blk.T[None, :, None, :])
+    A = np.zeros((1 + 4 * 5, 18))
+    np.add.at(A, (rows, cols), vals)
+    G = rng.standard_normal((3, 6))
+    assert not A[0].any()
+    np.testing.assert_allclose(
+        A[1:] @ G.ravel(), -(left @ G @ s_blk).ravel(), rtol=1e-12, atol=1e-14
     )
 
 
