@@ -27,12 +27,12 @@ that marks head and tail rows. The NT scaling (eta, wbar, lam) of every cone
 is computed together once per iteration, and W, W^-1, W^-2, the Jordan
 product, the arrow solve and the step length act on all cones at once:
 per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
-broadcast back through the cone id. Only the normal-matrix assembly visits
-cones one at a time: each cone's Gram matrix on its column support is
-precomputed once per solve, and each iteration adds it with a rank-two update
-scaled by the cone's weight, so the per-iteration cost is dominated by one
-dense Cholesky factorization. Everything is deterministic: no randomness, no
-iteration-order ambiguity.
+broadcast back through the cone id. So does the normal matrix: with
+W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, M is one product of a Gram
+stack fixed for the solve with per-group weights, plus 2 F F' with one column
+A_k' J wbar_k / eta_k of F per cone. The per-iteration cost is dominated by
+one dense Cholesky factorization. Everything is deterministic: no
+randomness, no iteration-order ambiguity.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ logger = logging.getLogger(__name__)
 STEP_FRACTION = 0.99
 #: Static diagonal regularization relative to the normal-matrix scale.
 STATIC_REG = 1e-12
-#: Gram matrices larger than this (entries) are recomputed per iteration.
-GRAM_ENTRY_LIMIT = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -184,6 +182,28 @@ class _NtScaling:
         return out
 
 
+def _gram_stack(A: sp.csr_matrix, group: np.ndarray, sign: np.ndarray, n_groups: int):
+    """Sparse (n*n) x n_groups matrix whose column g is vec(A_g' S_g A_g).
+
+    Row r of A is in group ``group[r]`` and S = diag(``sign``). Shifting each
+    row into its group's block of n columns, one sparse product stacks every
+    Gram block (row g*n + i, column j), already in the stack's vec order.
+    """
+    m, n = A.shape
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
+    lifted = sp.csr_matrix(
+        (sign[row] * A.data, A.indices + n * group[row], A.indptr),
+        shape=(m, n_groups * n),
+    )
+    blocks = (lifted.T @ A).tocsr()
+    i = np.repeat(np.arange(n_groups * n) % n, np.diff(blocks.indptr))
+    stacked = sp.csr_matrix(
+        (blocks.data, i * n + blocks.indices, blocks.indptr[::n]),
+        shape=(n_groups, n * n),
+    )
+    return stacked.T
+
+
 def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
     neg = d < 0.0
     if not np.any(neg):
@@ -192,7 +212,7 @@ def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Row split, flat cone indexing, and Gram precomputation for one solve.
+    """Row split, flat cone indexing, and the Gram stack for one solve.
 
     The program must be in canonical order (``lowering.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
@@ -203,7 +223,9 @@ class _Workspace:
     head, -1 on a tail row). Per-cone dot products are ``np.add.reduceat``
     sums over ``heads`` and per-cone scalars are broadcast back to rows
     through ``cone_id``, so every cone operation is a handful of array
-    operations whatever the number of cones.
+    operations whatever the number of cones. ``gram_stack`` holds one
+    column vec(A_g' S_g A_g) per inequality group: each nonneg row alone
+    with S = 1, then each cone with S = -J.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -238,29 +260,33 @@ class _Workspace:
         self.b_in = prog.b[self.n_eq:]
         self.c = prog.c.copy()
 
-        self.A_nn = self.A_in[self.nn]
-        self.soc_data: list[dict] = []
-        for head, size in zip(self.heads, sizes):
-            rows = slice(head, head + size)
-            Ac = self.A_in[self.n_nn + head: self.n_nn + head + size]
-            sup = np.unique(Ac.indices) if Ac.nnz else np.zeros(0, dtype=int)
-            dense = Ac[:, sup].toarray() if sup.size else np.zeros((size, 0))
-            if sup.size**2 <= GRAM_ENTRY_LIMIT:
-                gram = dense.T @ dense
-            else:
-                gram = None
-                logger.warning(
-                    "cone with %d rows on %d columns exceeds the Gram cache "
-                    "limit; per-iteration recompute will be slow",
-                    size, sup.size,
-                )
-            # the block of M the cone's Gram update lands in; None on every column
-            ix = np.ix_(sup, sup) if sup.size < self.n else None
-            self.soc_data.append(
-                {"rows": rows, "sup": sup, "ix": ix, "dense": dense, "gram": gram}
-            )
+        self.A_soc_t = self.A_in[self.soc].T.tocsr()
+        n_groups = self.n_nn + sizes.size
+        self.gram_stack = _gram_stack(
+            self.A_in,
+            np.concatenate([np.arange(self.n_nn), self.n_nn + self.cone_id]),
+            np.concatenate([np.ones(self.n_nn), -self.jsign]),
+            n_groups,
+        )
+        self.degree = n_groups
 
-        self.degree = self.n_nn + sizes.size
+    def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
+        """The dense normal matrix A_in' W^-2 A_in at the scaling sc.
+
+        Every group's Gram block is weighted by 1/w^2 (nonneg) or 1/eta^2
+        (cone) in one product with ``gram_stack``; the rank-one part of each
+        cone's W^-2 is 2 F F', where column k of F is A_k' J wbar_k / eta_k.
+        """
+        v = self.jsign * sc.wbar / sc.eta[self.cone_id]
+        cone_map = sp.csr_matrix(
+            (v, self.cone_id, np.arange(v.size + 1)), shape=(v.size, sc.eta.size)
+        )
+        F = (self.A_soc_t @ cone_map).toarray()
+        M = F @ F.T
+        M *= 2.0
+        weights = np.concatenate([1.0 / sc.w_nn**2, 1.0 / sc.eta**2])
+        M += (self.gram_stack @ weights).reshape(self.n, self.n)
+        return M
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """u[1:] . v[1:] of every cone, for u, v over the SOC region."""
@@ -418,55 +444,17 @@ def solve(
     # best feasibility-merit iterate seen, restored if later steps degrade
     best_merit = np.inf
     best_snap: dict | None = None
-    reg_scale = [0.0]
-
-    def assemble_normal(sc):
-        M = np.zeros((n, n))
-        if ws.n_nn:
-            Wnn = ws.A_nn.multiply((1.0 / sc.w_nn**2)[:, None]).tocsr()
-            G = (ws.A_nn.T @ Wnn).tocoo()
-            M[G.row, G.col] += G.data
-        wtil = ws.jsign * sc.wbar
-        for k, data in enumerate(ws.soc_data):
-            sup = data["sup"]
-            if not sup.size:
-                continue
-            dense = data["dense"]
-            g = dense.T @ wtil[data["rows"]]
-            a0 = dense[0]
-            gram = data["gram"]
-            if gram is None:
-                gram = dense.T @ dense
-            # one sup x sup buffer, evaluated in the order of
-            # (gram + 2 (g g' - a0 a0')) / eta^2 so M keeps its last bits (the
-            # iteration the IPM stops at can hinge on them); a block on every
-            # column is added without an np.ix_ gather and scatter
-            blk = np.multiply.outer(g, g)
-            blk -= np.multiply.outer(a0, a0)
-            blk *= 2.0
-            blk += gram
-            blk /= sc.eta[k] ** 2
-            if data["ix"] is None:
-                M += blk
-            else:
-                M[data["ix"]] += blk
-        # the scale is frozen at the first iteration: cone weights diverge as
-        # the complementarity gap closes and a regularization tracking the
-        # growing diagonal would bias the dual residual by reg * |dx|
-        if reg_scale[0] == 0.0:
-            reg_scale[0] = 1.0 + float(np.abs(np.diag(M)).max(initial=0.0))
-        M[np.diag_indices_from(M)] += STATIC_REG * reg_scale[0]
-        return M
 
     def factor(M):
-        scale_now = 1.0 + float(np.abs(np.diag(M)).max(initial=0.0))
+        # a retry scales the diagonal, so the bump stays relative to each
+        # pivot; M itself is left intact for the next retry
         for bump in (0.0, 1e4, 1e8):
             Mb = M
             if bump > 0.0:
                 Mb = M.copy()
-                Mb[np.diag_indices_from(Mb)] += bump * STATIC_REG * scale_now
+                Mb[np.diag_indices_from(Mb)] *= 1.0 + bump * STATIC_REG
             try:
-                return sla.cho_factor(Mb, lower=True)
+                return sla.cho_factor(Mb, lower=True, overwrite_a=bump > 0.0)
             except np.linalg.LinAlgError:
                 continue
         raise NumericalError("normal matrix factorization failed")
@@ -537,8 +525,18 @@ def solve(
 
         try:
             sc = _NtScaling(ws, s, z)
-            M = assemble_normal(sc)
+            # one normal matrix and one factor live at a time
+            MF = None
+            M = ws.assemble_normal(sc)
+            # the regularization scale is frozen at the first iteration: cone
+            # weights diverge as the complementarity gap closes and a
+            # regularization tracking the growing diagonal would bias the
+            # dual residual by reg * |dx|
+            if it == 1:
+                reg = STATIC_REG * (1.0 + float(np.abs(np.diag(M)).max(initial=0.0)))
+            M[np.diag_indices_from(M)] += reg
             MF = factor(M)
+            del M
         except NumericalError:
             status = "numerical_error"
             break

@@ -447,9 +447,7 @@ def accept_and_update(
     return accepted, tr_new
 
 
-def updated_multipliers(
-    weights: PenaltyWeights, point: ReferencePoint, params: ScpParams
-) -> PenaltyWeights:
+def updated_multipliers(weights: PenaltyWeights, point: ReferencePoint) -> PenaltyWeights:
     """First-order multiplier update at an accepted iterate.
 
     Equality multipliers move by the penalty gradient of the signed defect;
@@ -673,7 +671,7 @@ def run(
                 abs(d_j) <= params.eps_opt * max(1.0, abs(j_cand_nl))
                 and cand.max_violation <= params.eps_feas
             )
-            weights = updated_multipliers(weights, cand, params)
+            weights = updated_multipliers(weights, cand)
             if cand.max_violation > params.gamma * viol_marker:
                 weights = replace(
                     weights, weight=min(params.beta * weights.weight, params.w_max)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import arrow_matrix, lowered_cone_slack, nt_scaling_matrix
 
-from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve
+from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
 from covtraj.conic.solver import _equilibrate, _NtScaling, _Workspace
 from covtraj.errors import NumericalError
 
@@ -337,7 +337,8 @@ def test_dump_load_round_trip():
     np.testing.assert_array_equal(r1.x, r2.x)
 
 
-def test_solver_deterministic():
+def _small_socp():
+    """A 5-variable SOCP with three equality rows and one 5-row cone."""
     pb = ProgramBuilder()
     rng = np.random.default_rng(12)
     x = pb.var_block("x", 4)
@@ -353,12 +354,37 @@ def test_solver_deterministic():
         [(0, t, -1.0)] + [(1 + j, x[j], -1.0) for j in range(4)],
         np.zeros(5),
     )
-    prog = pb.build()
+    return pb.build()
+
+
+def test_solver_deterministic():
+    prog = _small_socp()
     r1 = solve(prog)
     r2 = solve(prog)
     assert r1.status == r2.status == "optimal"
     assert r1.x.tobytes() == r2.x.tobytes()
     assert r1.obj == r2.obj
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_survives_last_bit_changes_of_the_factored_matrices(monkeypatch, seed):
+    # a symmetric one-ulp perturbation of every factored matrix (random signs
+    # times eps |M|) stands for any re-associated sum in their assembly; the
+    # stopping iteration must not hinge on such last bits
+    prog = _small_socp()
+    plain = solve(prog)
+    rng = np.random.default_rng(seed)
+    cho_factor = solver.sla.cho_factor
+
+    def perturbed(a, *args, **kwargs):
+        signs = np.triu(rng.choice([-1.0, 1.0], size=a.shape))
+        signs += np.triu(signs, 1).T
+        return cho_factor(a + signs * np.finfo(float).eps * np.abs(a), *args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "cho_factor", perturbed)
+    res = solve(prog)
+    assert plain.status == res.status == "optimal"
+    assert res.iterations == plain.iterations
 
 
 def test_random_socp_against_cvxpy():
@@ -538,6 +564,45 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
     neg = d[ws.nn] < 0.0
     nn_steps = -s[ws.nn][neg] / d[ws.nn][neg]
     assert ws.max_step(s, d) == min(steps.min(initial=np.inf), nn_steps.min(initial=np.inf))
+
+
+@pytest.mark.parametrize(
+    "sizes, n_nonneg, empty, full",
+    [
+        ((2, 3, 5, 25, 4), 3, (), ()),  # mixed cone sizes plus nonneg rows
+        ((3, 6, 2), 2, (), (1,)),  # one cone on every column
+        ((4, 3, 5), 1, (1,), ()),  # one cone on no column
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
+    rng = np.random.default_rng(seed)
+    n, n_eq = 9, 2
+    m = n_eq + n_nonneg + sum(sizes)
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
+    starts = n_eq + n_nonneg + np.cumsum(sizes) - sizes
+    for k in empty:
+        A[starts[k]: starts[k] + sizes[k]] = 0.0
+    for k in full:
+        A[starts[k], :] = rng.standard_normal(n)
+    cones = (Cone("zero", n_eq), Cone("nonneg", n_nonneg)) + tuple(Cone("soc", k) for k in sizes)
+    ws = _Workspace(ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=np.zeros(m), cones=cones))
+    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    sc = _NtScaling(ws, s, z)
+
+    winv2 = np.zeros((ws.m_in, ws.m_in))
+    winv2[ws.nn, ws.nn] = np.diag(z[ws.nn] / s[ws.nn])
+    at = ws.n_nn
+    for eta, wbar in zip(sc.eta, _per_cone(sizes, sc.wbar)):
+        winv = np.linalg.inv(nt_scaling_matrix(eta, wbar))
+        winv2[at: at + wbar.size, at: at + wbar.size] = winv @ winv
+        at += wbar.size
+    A_in = A[n_eq:]
+    oracle = A_in.T @ winv2 @ A_in
+    M = ws.assemble_normal(sc)
+    assert _rel(M, oracle) <= 1e-12
+    for k in empty:
+        assert not np.any(ws.gram_stack[:, ws.n_nn + k].toarray())
 
 
 def test_scaling_rejects_a_point_outside_one_cone():

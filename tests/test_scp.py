@@ -155,7 +155,6 @@ def test_accept_and_update_bands():
 
 
 def test_updated_multipliers_signed_and_clipped():
-    p = ScpParams()
     w = 50.0
     weights = PenaltyWeights(
         weight=w,
@@ -166,7 +165,7 @@ def test_updated_multipliers_signed_and_clipped():
         g_eq=np.array([0.2, -0.1, 0.0, 1e-3, -1e-3, 0.0]),
         g_ineq=(-0.5, 0.02),
     )
-    out = updated_multipliers(weights, point, p)
+    out = updated_multipliers(weights, point)
     # equality multipliers move by the penalty gradient of the signed defect
     for l0, g, l1 in zip(weights.lam_terminal, point.g_eq, out.lam_terminal):
         assert l1 == pytest.approx(l0 + penalty_grad(g, w), rel=1e-12)
