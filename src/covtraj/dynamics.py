@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 from .errors import NumericalError
@@ -181,46 +181,6 @@ class LinearSegment:
         return self.t1 - self.t0
 
 
-def eval_dynamics(x: np.ndarray, u: np.ndarray, mu: float = 1.0) -> np.ndarray:
-    """Right-hand side of the controlled two-body equations of motion.
-
-    Args:
-        x: state [r; v], shape (6,), normalized units.
-        u: thrust acceleration, shape (3,).
-        mu: central body gravitational parameter (0 switches gravity off,
-            which is how free double-integrator dynamics are expressed).
-
-    Returns:
-        xdot, shape (6,).
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r = x[:3]
-    out = np.empty(6)
-    out[:3] = x[3:]
-    if mu != 0.0:
-        rn = float(np.linalg.norm(r))
-        if rn < SINGULARITY_RADIUS:
-            raise NumericalError(f"state inside singularity radius: |r| = {rn:.3e}")
-        out[3:] = -mu / rn**3 * r + u
-    else:
-        out[3:] = u
-    return out
-
-
-def dynamics_jacobian(x: np.ndarray, mu: float = 1.0) -> np.ndarray:
-    """State Jacobian d(xdot)/dx of :func:`eval_dynamics` (control-free part)."""
-    J = np.zeros((6, 6))
-    J[:3, 3:] = np.eye(3)
-    if mu != 0.0:
-        r = np.asarray(x, dtype=float)[:3]
-        rn = float(np.linalg.norm(r))
-        if rn < SINGULARITY_RADIUS:
-            raise NumericalError(f"state inside singularity radius: |r| = {rn:.3e}")
-        J[3:, :3] = mu * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
-    return J
-
-
 def _solve_kepler(M: float, e: float) -> float:
     """Solve E - e sin E = M for elliptic orbits by Newton iteration."""
     M = float(np.mod(M + np.pi, 2.0 * np.pi) - np.pi)
@@ -384,43 +344,300 @@ def lambert(
     return v1, v2
 
 
+#: Relative and absolute tolerances of every trajectory integration.
+RTOL = 1e-12
+ATOL = 1e-12
+
+# DOP853 tableau and solve_ivp's step-size control (Hairer, Norsett & Wanner,
+# Solving Ordinary Differential Equations I, sec. II.4 and II.10).
+_N_STAGES = dop853_coefficients.N_STAGES
+_A_ROWS = [dop853_coefficients.A[s, :s] for s in range(_N_STAGES)]
+_B = dop853_coefficients.B
+_E3 = dop853_coefficients.E3
+_E5 = dop853_coefficients.E5
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    """Root-mean-square of each row of v (n_rows, n)."""
+    return np.sqrt(np.einsum("rn,rn->r", v, v)) / np.sqrt(v.shape[1])
+
+
+def _stage_sum(coef: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_s coef[s] K[s], accumulated stage by stage for every entry."""
+    return np.einsum("s,srn->rn", coef, K[: coef.size])
+
+
+def _initial_step(fun, rows, y0, f0, span, direction) -> np.ndarray:
+    """solve_ivp's empirical first step of every row."""
+    scale = ATOL + np.abs(y0) * RTOL
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, span)
+    f1 = fun(rows, y0 + (h0 * direction)[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (-_ERROR_EXPONENT),
+    )
+    return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+
+def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
+    """Integrate y' = fun(rows, y) for a stack of rows, each with its own step.
+
+    Every row runs DOP853 at tolerances RTOL and ATOL with solve_ivp's rules:
+    its first-step choice, its error norm, and its accept, reject and
+    step-factor logic, all applied to each row separately. Rows step in
+    lockstep but never share a step size. Stage sums and norms reduce over
+    one row's own entries only, so a row's result is the same bits whatever
+    other rows share the batch.
+
+    Args:
+        fun: right-hand side, called as fun(rows, y) with ``rows`` an index
+            array (or a full slice) selecting the batch rows it is given and
+            y their states. A row whose derivative is undefined (inside the
+            singularity radius, say) comes back non-finite.
+        y0: initial states, shape (n_rows, n).
+        t0, t1: span of each row, scalars or (n_rows,). t1 < t0 runs
+            backward; t1 == t0 returns the row unchanged.
+
+    Returns:
+        (y1, failures): the final states (n_rows, n), NaN on failed rows,
+        and a message for every row index that failed.
+    """
+    y = np.array(y0, dtype=float)
+    n_rows, n = y.shape
+    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (n_rows,))
+    t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n_rows,))
+    failures: dict[int, str] = {}
+    rows = np.flatnonzero(t1 != t0)
+    if rows.size == 0:
+        return y, failures
+    # while every row is live, fun reads its row parameters through a view
+    pick = slice(None) if rows.size == n_rows else rows
+
+    t, t_end = t0[rows], t1[rows]
+    direction = np.sign(t_end - t)
+    toward = direction * np.inf
+    yr = y[rows]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = fun(pick, yr)
+        h_abs = _initial_step(fun, pick, yr, f, np.abs(t_end - t), direction)
+        rejected = np.zeros(rows.size, dtype=bool)
+        while rows.size:
+            min_step = 10.0 * np.abs(np.nextafter(t, toward) - t)
+            stuck = rejected & (h_abs < min_step)
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            t_new = t + h_abs * direction
+            t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
+            h = (t_new - t)[:, None]
+            h_abs = np.abs(h[:, 0])
+
+            K = np.empty((_N_STAGES + 1,) + yr.shape)
+            K[0] = f
+            for s in range(1, _N_STAGES):
+                K[s] = fun(pick, yr + _stage_sum(_A_ROWS[s], K) * h)
+            y_new = yr + h * _stage_sum(_B, K)
+            f_new = K[-1] = fun(pick, y_new)
+
+            scale = ATOL + np.maximum(np.abs(yr), np.abs(y_new)) * RTOL
+            err5 = _stage_sum(_E5, K) / scale
+            err3 = _stage_sum(_E3, K) / scale
+            e5 = np.einsum("rn,rn->r", err5, err5)
+            denom = e5 + 0.01 * np.einsum("rn,rn->r", err3, err3)
+            error_norm = np.where(denom == 0.0, 0.0, h_abs * e5 / np.sqrt(denom * n))
+            accepted = error_norm < 1.0
+            factor = _SAFETY * error_norm**_ERROR_EXPONENT
+            grow = np.minimum(np.where(rejected, 1.0, _MAX_FACTOR), factor)
+            h_abs = h_abs * np.where(accepted, grow, np.maximum(_MIN_FACTOR, factor))
+
+            broken = ~np.isfinite(error_norm + np.add.reduce(y_new, axis=1))
+            failed = stuck | broken
+            accepted &= ~failed
+            done = accepted & (direction * (t_new - t_end) >= 0)
+            if accepted.all():
+                t, yr, f = t_new, y_new, f_new
+            else:
+                t = np.where(accepted, t_new, t)
+                yr = np.where(accepted[:, None], y_new, yr)
+                f = np.where(accepted[:, None], f_new, f)
+            rejected = ~accepted
+
+            leaving = done | failed
+            if leaving.any():
+                y[rows[done]] = y_new[done]
+                y[rows[failed]] = np.nan
+                for i in rows[stuck]:
+                    failures[int(i)] = "step size fell below the spacing of floating-point numbers"
+                for i in rows[broken & ~stuck]:
+                    failures[int(i)] = (
+                        "state or derivative became non-finite (singular radius or overflow)"
+                    )
+                keep = ~leaving
+                rows, t, t_end, direction = rows[keep], t[keep], t_end[keep], direction[keep]
+                toward, yr, f = toward[keep], yr[keep], f[keep]
+                h_abs, rejected = h_abs[keep], rejected[keep]
+                pick = rows
+    return y, failures
+
+
+def _gravity(r: np.ndarray, mu: np.ndarray, free, gradient: bool = False):
+    """Point-mass factors k3 = mu/|r|^3 and k5 = 3 mu/|r|^5 of each row.
+
+    The acceleration is -k3 r and its gradient k5 r r' - k3 I; k5 is None
+    unless ``gradient``. Rows flagged in ``free`` (mu = 0; None when no row
+    is) get zeros, other rows inside the singularity radius NaN. Called
+    inside :func:`dop853`, which silences the floating-point warnings.
+    """
+    rn2 = np.einsum("ri,ri->r", r, r)
+    k3 = mu / (rn2 * np.sqrt(rn2))
+    k3[rn2 < SINGULARITY_RADIUS**2] = np.nan
+    k5 = 3.0 * k3 / rn2 if gradient else None
+    if free is not None:
+        k3[free] = 0.0
+        if gradient:
+            k5[free] = 0.0
+    return k3, k5
+
+
+def _row_params(n_rows: int, u, mu):
+    """Each row's control and gravitational parameter, and the mu = 0 rows.
+
+    Returns (u, mu, free, field): ``free`` masks the gravity-free rows and
+    is None when there are none; ``field`` is False when every row is free.
+    """
+    u = np.broadcast_to(np.asarray(u, dtype=float), (n_rows, 3))
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_rows,))
+    free = mu == 0.0
+    return u, mu, (free if free.any() else None), not free.all()
+
+
+def propagate_rows(
+    x0: np.ndarray, u, t0, t1, mu=1.0
+) -> tuple[np.ndarray, dict[int, str]]:
+    """Propagate a stack of states through the controlled two-body flow.
+
+    Args:
+        x0: initial states, shape (n_rows, 6).
+        u: zero-order-hold control of each row, (n_rows, 3) or (3,).
+        t0, t1: span of each row, scalars or (n_rows,); backward allowed.
+        mu: gravitational parameter, scalar or (n_rows,).
+
+    Returns:
+        (x1, failures) as from :func:`dop853`.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    u, mu, free, field = _row_params(x0.shape[0], u, mu)
+
+    def rhs(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        out[:, :3] = x[:, 3:]
+        if field:
+            k3, _ = _gravity(x[:, :3], mu[rows], None if free is None else free[rows])
+            out[:, 3:] = u[rows] - k3[:, None] * x[:, :3]
+        else:
+            out[:, 3:] = u[rows]
+        return out
+
+    return dop853(rhs, x0, t0, t1)
+
+
 def propagate(
-    x0: np.ndarray,
-    u: np.ndarray,
-    t0: float,
-    t1: float,
-    mu: float = 1.0,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
+    x0: np.ndarray, u: np.ndarray, t0: float, t1: float, mu: float = 1.0
 ) -> np.ndarray:
     """Propagate the controlled two-body flow with zero-order-hold control.
 
-    Integrates with an adaptive Dormand-Prince scheme (DOP853). Backward
-    propagation (t1 < t0) is allowed.
+    One row of :func:`propagate_rows`. Backward propagation (t1 < t0) is
+    allowed.
 
     Returns:
         State at t1, shape (6,).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if t1 == t0:
-        return x0.copy()
-    u = np.asarray(u, dtype=float)
-    sol = solve_ivp(
-        lambda t, x: eval_dynamics(x, u, mu),
-        (t0, t1),
-        x0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise NumericalError(f"propagation failed over [{t0}, {t1}]: {sol.message}")
-    return sol.y[:, -1].copy()
+    x1, failures = propagate_rows(np.asarray(x0, dtype=float)[None], u, t0, t1, mu)
+    if failures:
+        raise NumericalError(f"propagation failed over [{t0}, {t1}]: {failures[0]}")
+    return x1[0]
 
 
 #: Control influence matrix lifting an acceleration into the state rate.
 F_THRUST = np.vstack([np.zeros((3, 3)), np.eye(3)])
+
+
+def linearize_rows(
+    x_ref: np.ndarray,
+    u_ref,
+    t0,
+    t1,
+    mu=1.0,
+    proc_noise_sqrt: np.ndarray | None = None,
+):
+    """Variational flow of a stack of reference rows.
+
+    Integrates each reference state together with its state transition
+    matrix A = Phi(t1, t0), its control convolution B = int Phi(t1, s) F ds
+    and, when process noise is present, the Lyapunov companion
+    Q = int Phi(t1, s) G G' Phi(t1, s)' ds. With J = [[0, I], [Gg, 0]] and
+    Gg the gravity gradient, the system is Phi' = J Phi, B' = J B + F and
+    Q' = J Q + (J Q)' + G G', which keeps Q exactly symmetric.
+
+    Args:
+        x_ref: reference states, shape (n_rows, 6).
+        u_ref: reference control of each row, (n_rows, 3) or (3,).
+        t0, t1: span of each row, scalars or (n_rows,).
+        mu: gravitational parameter, scalar or (n_rows,).
+        proc_noise_sqrt: continuous process-noise square root (6, n_w)
+            shared by every row, or None.
+
+    Returns:
+        (x1, A, B, Q, failures): end states (n_rows, 6), A (n_rows, 6, 6),
+        B (n_rows, 6, 3), Q (n_rows, 6, 6) or None, and the failure
+        messages of :func:`dop853`.
+    """
+    x_ref = np.asarray(x_ref, dtype=float)
+    n_rows = x_ref.shape[0]
+    u, mu, free, field = _row_params(n_rows, u_ref, mu)
+    GGt = None
+    width = 9
+    if proc_noise_sqrt is not None:
+        Gc = np.asarray(proc_noise_sqrt, dtype=float)
+        GGt = Gc @ Gc.T
+        width = 15
+    eye3 = np.eye(3)
+
+    def rhs(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+        m = y.shape[0]
+        r = y[:, :3]
+        M = y[:, 6:].reshape(m, 6, width)
+        out = np.empty_like(y)
+        out[:, :3] = y[:, 3:6]
+        dM = out[:, 6:].reshape(m, 6, width)
+        dM[:, :3] = M[:, 3:]
+        if field:
+            k3, k5 = _gravity(r, mu[rows], None if free is None else free[rows], gradient=True)
+            out[:, 3:6] = u[rows] - k3[:, None] * r
+            rM = np.einsum("ri,rij->rj", r, M[:, :3])
+            dM[:, 3:] = (k5[:, None] * r)[:, :, None] * rM[:, None, :] - k3[:, None, None] * M[:, :3]
+        else:
+            out[:, 3:6] = u[rows]
+            dM[:, 3:] = 0.0
+        dM[:, 3:, 6:9] += eye3
+        if GGt is not None:
+            JQ = dM[:, :, 9:]
+            dM[:, :, 9:] = JQ + JQ.transpose(0, 2, 1) + GGt
+        return out
+
+    M0 = np.zeros((n_rows, 6, width))
+    M0[:, :, :6] = np.eye(6)
+    y1, failures = dop853(rhs, np.concatenate([x_ref, M0.reshape(n_rows, -1)], axis=1), t0, t1)
+    M1 = y1[:, 6:].reshape(n_rows, 6, width)
+    Q = M1[:, :, 9:].copy() if GGt is not None else None
+    return y1[:, :6].copy(), M1[:, :, :6].copy(), M1[:, :, 6:9].copy(), Q, failures
 
 
 def linearize_segment(
@@ -432,16 +649,11 @@ def linearize_segment(
     mu: float = 1.0,
     exe_error_sqrt: np.ndarray | None = None,
     proc_noise_sqrt: np.ndarray | None = None,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
 ) -> LinearSegment:
     """Linearize one thrust/coast segment about a reference point.
 
-    Integrates the variational equations alongside the reference flow:
-    the state transition matrix A = Phi(t1, t0), the control convolution
-    B = int Phi(t1, s) F ds, and (when process noise is present) the
-    Lyapunov companion Q = int Phi(t1, s) G G' Phi(t1, s)' ds whose symmetric
-    factor becomes the discrete noise map.
+    One row of :func:`linearize_rows`; the symmetric factor of Q becomes the
+    discrete process-noise map.
 
     Args:
         index: segment index within the grid (bookkeeping only).
@@ -463,47 +675,22 @@ def linearize_segment(
         raise ValueError(f"segment {index}: need t1 > t0, got [{t0}, {t1}]")
     x_ref = np.asarray(x_ref, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
-    with_q = proc_noise_sqrt is not None
-    GGt = None
-    if with_q:
-        Gc = np.asarray(proc_noise_sqrt, dtype=float)
-        GGt = Gc @ Gc.T
-
-    n_q = 36 if with_q else 0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:6]
-        Phi = y[6:42].reshape(6, 6)
-        Psi = y[42:60].reshape(6, 3)
-        J = dynamics_jacobian(x, mu)
-        out = np.empty(y.shape)
-        out[:6] = eval_dynamics(x, u_ref, mu)
-        out[6:42] = (J @ Phi).ravel()
-        out[42:60] = (J @ Psi + F_THRUST).ravel()
-        if with_q:
-            Q = y[60:96].reshape(6, 6)
-            out[60:96] = (J @ Q + Q @ J.T + GGt).ravel()
-        return out
-
-    y0 = np.zeros(60 + n_q)
-    y0[:6] = x_ref
-    y0[6:42] = np.eye(6).ravel()
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalError(f"variational integration failed on segment {index}: {sol.message}")
-    yf = sol.y[:, -1]
-    x1 = yf[:6]
-    A = yf[6:42].reshape(6, 6).copy()
-    B = yf[42:60].reshape(6, 3).copy()
-    c = x1 - A @ x_ref - B @ u_ref
+    x1, A, B, Q, failures = linearize_rows(
+        x_ref[None], u_ref, t0, t1, mu, proc_noise_sqrt
+    )
+    if failures:
+        raise NumericalError(
+            f"variational integration failed on segment {index}: {failures[0]}"
+        )
+    A, B = A[0], B[0]
+    c = x1[0] - A @ x_ref - B @ u_ref
 
     if exe_error_sqrt is not None:
         G_exe = B @ np.asarray(exe_error_sqrt, dtype=float)
     else:
         G_exe = np.zeros((6, 3))
-    if with_q:
-        Q = yf[60:96].reshape(6, 6)
-        G_proc = psd_sqrt(0.5 * (Q + Q.T))
+    if Q is not None:
+        G_proc = psd_sqrt(0.5 * (Q[0] + Q[0].T))
     else:
         G_proc = np.zeros((6, 0))
 
@@ -534,3 +721,34 @@ def psd_sqrt(M: np.ndarray, rel_reg: float = 1e-14) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise NumericalError("matrix is not positive semidefinite within regularization budget")
+
+
+def psd_sqrt_rows(
+    M: np.ndarray, rel_reg: float = 1e-14
+) -> tuple[np.ndarray, dict[int, str]]:
+    """:func:`psd_sqrt` of each matrix of a stack (n_rows, n, n).
+
+    Every row gets the bits psd_sqrt gives it alone: one stacked factoring
+    at the first regularization when it succeeds for all rows, psd_sqrt row
+    by row otherwise.
+
+    Returns:
+        (L, failures): the factors, zero on failed rows, and a message for
+        every row index whose matrix is not positive semidefinite.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    tr = np.einsum("rii->r", M)
+    if np.all(tr > 0.0):
+        try:
+            return np.linalg.cholesky(M + (rel_reg * tr / n)[:, None, None] * np.eye(n)), {}
+        except np.linalg.LinAlgError:
+            pass
+    L = np.zeros_like(M)
+    failures: dict[int, str] = {}
+    for i, Mi in enumerate(M):
+        try:
+            L[i] = psd_sqrt(Mi, rel_reg)
+        except NumericalError as exc:
+            failures[i] = str(exc)
+    return L, failures

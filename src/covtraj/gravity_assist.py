@@ -52,15 +52,16 @@ class GaEvent:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ a == cross(v, a)."""
+    """Cross-product matrix: skew(v) @ a == cross(v, a).
+
+    Accepts a stack of vectors (..., 3) and returns (..., 3, 3).
+    """
     v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -v[..., 2], v[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = v[..., 2], -v[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -v[..., 1], v[..., 0]
+    return S
 
 
 def cayley_rotation(u: np.ndarray) -> np.ndarray:
@@ -68,7 +69,7 @@ def cayley_rotation(u: np.ndarray) -> np.ndarray:
 
     Proper orthogonal for every u; the turn angle about u/|u| satisfies
     tan(theta/2) = |u|, so the parameterization covers (0, pi) without
-    trigonometric wraparound.
+    trigonometric wraparound. Accepts a stack (..., 3).
     """
     V = skew(u)
     return np.linalg.solve(np.eye(3) + V, np.eye(3) - V)
@@ -78,17 +79,18 @@ def ga_map(x: np.ndarray, u: np.ndarray, v_planet: np.ndarray) -> np.ndarray:
     """Instantaneous flyby map: rotate the v-infinity vector by R(u).
 
     Args:
-        x: pre-flyby state [r; v], shape (6,).
-        u: Cayley turn parameter, shape (3,).
+        x: pre-flyby state [r; v], shape (6,) or a stack (..., 6).
+        u: Cayley turn parameter, shape (3,) or a stack (..., 3).
         v_planet: flyby-body velocity at the encounter epoch, shape (3,).
 
     Returns:
-        Post-flyby state, shape (6,): same position, turned velocity.
+        Post-flyby state, shaped like x: same position, turned velocity.
     """
     x = np.asarray(x, dtype=float)
     v_planet = np.asarray(v_planet, dtype=float)
-    v_out = v_planet + cayley_rotation(u) @ (x[3:] - v_planet)
-    return np.concatenate([x[:3], v_out])
+    v_inf = x[..., 3:] - v_planet
+    v_out = v_planet + np.einsum("...ij,...j->...i", cayley_rotation(u), v_inf)
+    return np.concatenate([x[..., :3], v_out], axis=-1)
 
 
 def ga_linearize(
@@ -157,8 +159,9 @@ def periapsis_radius(v_inf_mag: float, theta: float, mu_p: float) -> float:
 
     r_p = mu_p / |v_inf|^2 * (1 / sin(theta/2) - 1). Larger turns at a given
     speed mean deeper flybys; theta = pi grazes the center (r_p = 0).
+    ``v_inf_mag`` may be an array of speeds.
     """
-    if v_inf_mag <= 0.0:
+    if np.any(np.asarray(v_inf_mag) <= 0.0):
         raise ValueError("v_inf_mag must be positive")
     if not (0.0 < theta <= np.pi):
         raise ValueError(f"turn angle must be in (0, pi], got {theta}")

@@ -28,9 +28,17 @@ with ``Khat`` the estimate-deviation form of the optimized policy
 corrections, so flybys replay the optimized turn exactly and only the
 incoming dispersion moves the realized periapsis.
 
-Every sample draws from its own counter-based random stream keyed by
-``(master_seed, sample index)``, so campaigns reproduce bit-for-bit for a
-fixed configuration.
+Every sample owns a counter-based Philox stream keyed by
+``(master_seed, sample index)`` and takes all of its noise from it in one
+``standard_normal`` call, sliced in a fixed documented order (see
+``_noise_slots``). The campaign then plays every sample back at once as
+one stacked ``(n_samples, ...)`` state: linear recursions are stacked
+products, and EKF mode integrates truth windows and the navigator's
+variational system as rows of one batched DOP853 with a step size per row
+(:func:`covtraj.dynamics.dop853`). Every product acts on one sample's row
+alone, so a sample's result is the same bits whatever other samples share
+the campaign, and campaigns reproduce bit-for-bit for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -45,9 +53,10 @@ from pathlib import Path
 import numpy as np
 
 from .covsteer import FeedbackPolicy, convert_gain, dispersion_sqrt
-from .dynamics import linearize_segment, propagate, psd_sqrt
-from .errors import ConfigError, CovtrajError, NumericalError
-from .gravity_assist import ga_linearize, ga_map, periapsis_radius
+from .dynamics import linearize_rows, propagate_rows, psd_sqrt, psd_sqrt_rows
+from .dynamics import linearize_segment, propagate  # noqa: F401  (see _simulate)
+from .errors import ConfigError, NumericalError
+from .gravity_assist import cayley_rotation, ga_map, periapsis_radius
 from .scp import ReferencePoint, ScpProblem
 from .uncertainty import gates_matrix
 
@@ -65,12 +74,17 @@ OD_TOLERANCE = 1e-12
 class McConfig:
     """Campaign controls: sample count, seeding, truth model, and statistics.
 
-    ``dt_wn`` is the redraw interval of the white-acceleration process in
-    ``"ekf"`` mode; segments are split into uniform windows no longer than
-    this, and ``None`` holds one draw across each whole segment. The
-    bootstrap settings size the confidence interval attached to the delta-v
-    quantile; ``max_failure_rate`` is the tolerated fraction of samples that
-    may fail numerically before the campaign itself errors out.
+    Sample i draws all of its noise in one call on the Philox stream keyed
+    by ``(master_seed, i)``; the draw length depends only on the grid, the
+    mode, ``dt_wn`` and the uncertainty model, so the first m samples of a
+    campaign are the same whatever ``n_samples`` is. ``dt_wn`` is the
+    redraw interval of the white-acceleration process in ``"ekf"`` mode;
+    segments are split into uniform windows no longer than this, and
+    ``None`` holds one draw across each whole segment. The bootstrap
+    settings size the confidence interval attached to the delta-v quantile;
+    ``max_failure_rate`` is the tolerated fraction of samples that may fail
+    numerically before the campaign itself errors out (a campaign in which
+    every sample fails always errors out).
     """
 
     n_samples: int
@@ -261,7 +275,124 @@ def _playback_gains(point: ReferencePoint) -> np.ndarray:
     return convert_gain(point.blocks, policy).blocks
 
 
-def _simulate(
+def _n_windows(cfg: McConfig, t0: float, t1: float) -> int:
+    """White-acceleration windows of one EKF-mode segment."""
+    if cfg.dt_wn is None:
+        return 1
+    return max(1, math.ceil((t1 - t0) / cfg.dt_wn))
+
+
+def _noise_slots(
+    problem: ScpProblem, point: ReferencePoint, cfg: McConfig
+) -> tuple[int, dict]:
+    """Where each noise vector sits in a sample's one standard-normal draw.
+
+    The order is fixed: initial estimate deviation (6), initial estimation
+    error (6); then per node a measurement noise vector where one is taken;
+    then per segment the execution-error vector (thrust only) followed by
+    the process noise: one vector per segment in linear mode, one per
+    sub-window in EKF mode. Gravity-assist segments draw nothing. The sizes
+    depend only on the grid, the mode, ``dt_wn`` and the uncertainty model.
+
+    Returns:
+        (size, slots): the draw length, and a slice for "hat0", "til0" and
+        each ("meas", k), ("exe", k) and ("proc", k) present.
+    """
+    grid = problem.grid
+    unc = problem.uncertainty
+    slots: dict = {}
+    size = 0
+
+    def take(key, n: int) -> None:
+        nonlocal size
+        slots[key] = slice(size, size + n)
+        size += n
+
+    take("hat0", N_X)
+    take("til0", N_X)
+    for k in range(grid.n_segments + 1):
+        if unc.obs.has_measurement[k]:
+            take(("meas", k), unc.obs.sqrt_noise[k].shape[0])
+        if k == grid.n_segments:
+            break
+        if grid.is_ga(k):
+            continue
+        thrusting = grid.kinds[k] == "thrust"
+        if cfg.mode == "linear":
+            if thrusting:
+                take(("exe", k), N_U)
+            n_w = point.segments[k].G_proc.shape[1]
+            if n_w:
+                take(("proc", k), n_w)
+        else:
+            if thrusting and unc.gates is not None:
+                take(("exe", k), N_U)
+            noise = unc.proc_noise_sqrt
+            if noise is not None:
+                n_win = _n_windows(cfg, grid.epochs[k], grid.epochs[k + 1])
+                take(("proc", k), n_win * noise.shape[1])
+    return size, slots
+
+
+def _sample_noise(master_seed: int, index: int, size: int) -> np.ndarray:
+    """Every standard-normal draw of one sample, from its own Philox stream."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([master_seed, index]))
+    )
+    return rng.standard_normal(size)
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product of every row: shared M (r, c) or stacked (n, r, c)."""
+    return np.einsum("...ij,...j->...i", M, v)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of v (n, d)."""
+    return np.sqrt(np.einsum("ni,ni->n", v, v))
+
+
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return M.transpose(0, 2, 1)
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Stacked np.linalg.solve that fails rows, not the batch."""
+    try:
+        return np.linalg.solve(a, b), {}
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        found = {}
+        for i in range(a.shape[0]):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError as exc:
+                found[i] = f"innovation covariance: {exc}"
+        return out, found
+
+
+@dataclass(frozen=True)
+class _Playback:
+    """Every sample of a campaign, stacked along the first axis.
+
+    Field meanings follow :class:`McSample`; ``periapses`` has one column
+    per gravity-assist event and ``failures`` maps a sample index to the
+    reason it failed.
+    """
+
+    truth: np.ndarray
+    estimates: np.ndarray
+    commanded: np.ndarray
+    executed: np.ndarray
+    od_contained: np.ndarray
+    violations: np.ndarray
+    periapses: np.ndarray
+    dv: np.ndarray
+    failures: dict[int, str]
+
+
+def _play_back(
     problem: ScpProblem,
     point: ReferencePoint,
     cfg: McConfig,
@@ -269,167 +400,175 @@ def _simulate(
     sq_hat0: np.ndarray,
     sq_til0: np.ndarray,
     lin_sigma: np.ndarray | None,
-    index: int,
-) -> McSample:
-    """Run one sample on its dedicated random stream.
+    z: np.ndarray,
+    slots: dict,
+) -> _Playback:
+    """Fly every sample at once, each on its own row of draws z (n, size).
 
-    Draw order is fixed: initial estimate deviation (6), initial estimation
-    error (6); then per node a measurement noise vector where one is taken;
-    then per segment the execution-error vector (thrust only) followed by
-    the process-noise vector(s) — one per segment in linear mode, one per
-    sub-window in EKF mode. Gravity-assist segments draw nothing.
+    Every product acts on one sample's row alone (einsum, elementwise or
+    stacked matmul), so a sample's result does not depend on which samples
+    share the batch. A sample that fails is recorded with its reason and
+    its truth state turned to NaN; it flies on harmlessly and is dropped
+    from the report.
     """
     grid = problem.grid
     unc = problem.uncertainty
     obs = unc.obs
     n_seg = grid.n_segments
+    n = z.shape[0]
     linear = cfg.mode == "linear"
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([cfg.master_seed, index]))
-    )
-
     x_bar = point.states
     u_bar = point.controls
-    schedule = point.schedule
-    event_at = {e.segment: e for e in problem.ga_events}
-    theta_at = {e.segment: t for e, t in zip(problem.ga_events, point.thetas)}
+    event_at = {e.segment: (j, e) for j, e in enumerate(problem.ga_events)}
+    failures: dict[int, str] = {}
 
-    truth = np.zeros((n_seg + 1, N_X))
-    estimates = np.zeros((n_seg + 1, N_X))
-    od_contained = np.zeros(n_seg + 1, dtype=bool)
-    commanded = np.zeros((n_seg, N_U))
-    executed = np.zeros((n_seg, N_U))
-    violations = np.zeros(n_seg, dtype=bool)
-    devs = np.zeros((n_seg + 1, N_X))
-    periapses: list[float] = []
+    truth = np.zeros((n, n_seg + 1, N_X))
+    estimates = np.zeros((n, n_seg + 1, N_X))
+    od_contained = np.zeros((n, n_seg + 1), dtype=bool)
+    commanded = np.zeros((n, n_seg, N_U))
+    executed = np.zeros((n, n_seg, N_U))
+    violations = np.zeros((n, n_seg), dtype=bool)
+    devs = np.zeros((n, n_seg + 1, N_X))
+    periapses = np.zeros((n, len(problem.ga_events)))
 
-    xhat_minus = x_bar[0] + sq_hat0 @ rng.standard_normal(N_X)
-    x = xhat_minus + sq_til0 @ rng.standard_normal(N_X)
-    p_minus = None if linear else np.array(unc.p_tilde0, dtype=float)
+    def fail(found: dict[int, str], x: np.ndarray) -> None:
+        for i, reason in found.items():
+            failures.setdefault(i, reason)
+        x[list(found)] = np.nan
+
+    xhat_minus = x_bar[0] + _mv(sq_hat0, z[:, slots["hat0"]])
+    x = xhat_minus + _mv(sq_til0, z[:, slots["til0"]])
+    p_minus = None if linear else np.tile(np.asarray(unc.p_tilde0, dtype=float), (n, 1, 1))
 
     for k in range(n_seg + 1):
         if obs.has_measurement[k]:
             C = obs.obs_matrix[k]
             D = obs.sqrt_noise[k]
-            y = C @ x + D @ rng.standard_normal(D.shape[0])
+            y = _mv(C, x) + _mv(D, z[:, slots[("meas", k)]])
             if linear:
-                gain = schedule.gains[k]
+                gain = point.schedule.gains[k]
             else:
                 innov_cov = C @ p_minus @ C.T + D @ D.T
-                gain = np.linalg.solve(innov_cov, C @ p_minus).T
+                gain_t, found = _solve_rows(innov_cov, C @ p_minus)
+                fail(found, x)
+                gain = _t(gain_t)
                 closed = np.eye(N_X) - gain @ C
                 gain_noise = gain @ D
-                p_minus = closed @ p_minus @ closed.T + gain_noise @ gain_noise.T
-            xhat = xhat_minus + gain @ (y - C @ xhat_minus)
+                p_minus = closed @ p_minus @ _t(closed) + gain_noise @ _t(gain_noise)
+            xhat = xhat_minus + _mv(gain, y - _mv(C, xhat_minus))
         else:
             xhat = xhat_minus
 
-        truth[k] = x
-        estimates[k] = xhat
-        od_error = x - xhat
+        truth[:, k] = x
+        estimates[:, k] = xhat
         if linear:
             sigma = lin_sigma[k]
         else:
-            sigma = np.sqrt(np.clip(np.diag(p_minus), 0.0, None))
-        od_contained[k] = bool(
-            np.all(np.abs(od_error) <= 3.0 * sigma + OD_TOLERANCE)
-        )
-        devs[k] = xhat - x_bar[k]
+            sigma = np.sqrt(np.clip(np.diagonal(p_minus, axis1=1, axis2=2), 0.0, None))
+        od_contained[:, k] = np.all(np.abs(x - xhat) <= 3.0 * sigma + OD_TOLERANCE, axis=1)
+        devs[:, k] = xhat - x_bar[k]
         if k == n_seg:
             break
 
-        u = u_bar[k] + np.tensordot(
-            khat[k, : k + 1], devs[: k + 1], axes=([0, 2], [0, 1])
-        )
-        commanded[k] = u
-        thrusting = grid.kinds[k] == "thrust"
-        if thrusting:
-            violations[k] = bool(np.linalg.norm(u) > problem.u_max)
-
+        u = u_bar[k] + np.einsum("kij,nkj->ni", khat[k, : k + 1], devs[:, : k + 1])
+        commanded[:, k] = u
+        if grid.kinds[k] == "thrust":
+            violations[:, k] = _norms(u) > problem.u_max
         if grid.is_ga(k):
-            event = event_at[k]
-            v_inf = float(np.linalg.norm(x[3:] - event.v_planet))
-            periapses.append(periapsis_radius(v_inf, theta_at[k], event.mu_p))
-            executed[k] = u
-            if linear:
-                seg = point.segments[k]
-                x = seg.A @ x + seg.B @ u + seg.c
-                xhat_minus = seg.A @ xhat + seg.B @ u + seg.c
-            else:
-                x = ga_map(x, u, event.v_planet)
-                A_ga = ga_linearize(k, xhat, u, event.v_planet, grid.epochs[k]).A
-                xhat_minus = ga_map(xhat, u, event.v_planet)
-                p_minus = A_ga @ p_minus @ A_ga.T
-            continue
+            j, event = event_at[k]
+            periapses[:, j] = periapsis_radius(
+                _norms(x[:, 3:] - event.v_planet), point.thetas[j], event.mu_p
+            )
+        exe = slots.get(("exe", k))
+        proc = slots.get(("proc", k))
 
         if linear:
             seg = point.segments[k]
-            x_next = seg.A @ x + seg.B @ u + seg.c
-            if thrusting:
-                x_next = x_next + seg.G_exe @ rng.standard_normal(N_U)
-            if seg.G_proc.shape[1]:
-                x_next = x_next + seg.G_proc @ rng.standard_normal(seg.G_proc.shape[1])
+            x_next = _mv(seg.A, x) + _mv(seg.B, u) + seg.c
+            if exe is not None:
+                x_next = x_next + _mv(seg.G_exe, z[:, exe])
+            if proc is not None:
+                x_next = x_next + _mv(seg.G_proc, z[:, proc])
             x = x_next
-            xhat_minus = seg.A @ xhat + seg.B @ u + seg.c
-            executed[k] = u
+            xhat_minus = _mv(seg.A, xhat) + _mv(seg.B, u) + seg.c
+            executed[:, k] = u
+            continue
+
+        if grid.is_ga(k):
+            executed[:, k] = u
+            x = ga_map(x, u, event.v_planet)
+            xhat_minus = ga_map(xhat, u, event.v_planet)
+            A_ga = np.tile(np.eye(N_X), (n, 1, 1))
+            A_ga[:, 3:, 3:] = cayley_rotation(u)
+            p_minus = A_ga @ p_minus @ _t(A_ga)
             continue
 
         exe_sqrt = None
         u_exec = u
-        if thrusting and unc.gates is not None:
+        if exe is not None:
             exe_sqrt = gates_matrix(u, unc.gates)
-            u_exec = u + exe_sqrt @ rng.standard_normal(N_U)
-        executed[k] = u_exec
+            u_exec = u + _mv(exe_sqrt, z[:, exe])
+        executed[:, k] = u_exec
 
         t0, t1 = grid.epochs[k], grid.epochs[k + 1]
         noise = unc.proc_noise_sqrt
-        if noise is None:
-            x = propagate(x, u_exec, t0, t1, problem.mu)
+        if proc is None:
+            x, found = propagate_rows(x, u_exec, t0, t1, problem.mu)
+            fail(found, x)
         else:
             # White acceleration held piecewise-constant: each uniform
             # window of length h gets an acceleration of covariance
             # (noise_v noise_v') / h, which reproduces the continuous noise
             # intensity exactly while the drift is integrated by the full
             # nonlinear flow.
-            if cfg.dt_wn is None:
-                n_win = 1
-            else:
-                n_win = max(1, math.ceil((t1 - t0) / cfg.dt_wn))
+            n_win = _n_windows(cfg, t0, t1)
             h = (t1 - t0) / n_win
             scale = 1.0 / math.sqrt(h)
+            w = z[:, proc].reshape(n, n_win, noise.shape[1])
             for j in range(n_win):
-                a_wn = scale * (noise[3:, :] @ rng.standard_normal(noise.shape[1]))
-                x = propagate(x, u_exec + a_wn, t0 + j * h, t0 + (j + 1) * h, problem.mu)
+                a_wn = scale * _mv(noise[3:, :], w[:, j])
+                x, found = propagate_rows(
+                    x, u_exec + a_wn, t0 + j * h, t0 + (j + 1) * h, problem.mu
+                )
+                fail(found, x)
 
-        seg_hat = linearize_segment(
-            k,
-            xhat,
-            u,
-            t0,
-            t1,
-            problem.mu,
-            exe_error_sqrt=exe_sqrt,
-            proc_noise_sqrt=noise,
-        )
-        xhat_minus = seg_hat.A @ xhat + seg_hat.B @ u + seg_hat.c
-        p_minus = (
-            seg_hat.A @ p_minus @ seg_hat.A.T
-            + seg_hat.G_exe @ seg_hat.G_exe.T
-            + seg_hat.G_proc @ seg_hat.G_proc.T
-        )
+        # the navigator's prediction is the flow of its own estimate, and
+        # its covariance maps through that flow's variational system
+        xhat_minus, A, B, Q, found = linearize_rows(xhat, u, t0, t1, problem.mu, noise)
+        fail(found, x)
+        p_minus = A @ p_minus @ _t(A)
+        if exe_sqrt is not None:
+            G_exe = B @ exe_sqrt
+            p_minus = p_minus + G_exe @ _t(G_exe)
+        if Q is not None:
+            G_proc, found = psd_sqrt_rows(0.5 * (Q + _t(Q)))
+            fail(found, x)
+            p_minus = p_minus + G_proc @ _t(G_proc)
 
-    dv = float(np.sum(np.linalg.norm(executed, axis=1) * grid.dts))
-    return McSample(
-        index=index,
+    dv = np.sum(np.linalg.norm(executed, axis=2) * grid.dts, axis=1)
+    return _Playback(
         truth=truth,
         estimates=estimates,
         commanded=commanded,
         executed=executed,
         od_contained=od_contained,
         violations=violations,
-        periapses=tuple(periapses),
+        periapses=periapses,
         dv=dv,
+        failures=failures,
     )
+
+
+def _simulate(*_args, **_kwargs):
+    """Retired one-sample playback: campaigns fly as one batch in _play_back.
+
+    The name stays, like the single-row ``propagate`` and
+    ``linearize_segment`` imported above, only because covbench's trace
+    targets still name ``covtraj.montecarlo._simulate``, ``.propagate`` and
+    ``.linearize_segment`` and its own tests resolve every target. Playback
+    calls none of the three, so traced runs count no calls there.
+    """
+    raise NotImplementedError("Monte Carlo samples fly as one batch; call run_campaign")
 
 
 def _prepare(problem: ScpProblem, point: ReferencePoint, cfg: McConfig):
@@ -454,46 +593,47 @@ def _prepare(problem: ScpProblem, point: ReferencePoint, cfg: McConfig):
     return khat, sq_hat0, sq_til0, lin_sigma
 
 
-def run_sample(
-    problem: ScpProblem, point: ReferencePoint, cfg: McConfig, index: int
-) -> McSample:
-    """Simulate a single sample on the stream keyed by (master_seed, index)."""
-    khat, sq_hat0, sq_til0, lin_sigma = _prepare(problem, point, cfg)
-    return _simulate(problem, point, cfg, khat, sq_hat0, sq_til0, lin_sigma, index)
-
-
 def run_campaign(
     problem: ScpProblem, point: ReferencePoint, cfg: McConfig
 ) -> McReport:
     """Run the full campaign and reduce it to an McReport.
 
-    Samples are independent and reduced in index order. Samples that fail
-    numerically are excluded from every statistic and warned about; the
-    campaign raises once more than ``max_failure_rate`` of them fail.
+    Every sample is drawn on its own stream, then all of them fly as one
+    stacked batch. Samples that fail numerically (a singular radius, a
+    non-finite state, an integration step that is too small, a covariance
+    factor that is not PSD, a singular innovation covariance) are excluded
+    from every statistic and warned about in index order; the campaign
+    raises once more than ``max_failure_rate`` of them fail, or when none
+    succeeds.
     """
     khat, sq_hat0, sq_til0, lin_sigma = _prepare(problem, point, cfg)
     grid = problem.grid
+    size, slots = _noise_slots(problem, point, cfg)
+    z = np.empty((cfg.n_samples, size))
+    for i in range(cfg.n_samples):
+        z[i] = _sample_noise(cfg.master_seed, i, size)
+    fly = _play_back(problem, point, cfg, khat, sq_hat0, sq_til0, lin_sigma, z, slots)
 
-    def one(i: int) -> McSample | int:
-        try:
-            return _simulate(
-                problem, point, cfg, khat, sq_hat0, sq_til0, lin_sigma, i
-            )
-        except (CovtrajError, np.linalg.LinAlgError) as exc:
-            warnings.warn(f"Monte Carlo sample {i} failed and is excluded: {exc}")
-            return i
-
-    results = [one(i) for i in range(cfg.n_samples)]
-
-    samples = [r for r in results if isinstance(r, McSample)]
-    failed = tuple(r for r in results if not isinstance(r, McSample))
+    failures = dict(fly.failures)
+    finite = np.isfinite(fly.truth).all(axis=(1, 2))
+    finite &= np.isfinite(fly.estimates).all(axis=(1, 2))
+    finite &= np.isfinite(fly.executed).all(axis=(1, 2))
+    finite &= np.isfinite(fly.periapses).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        failures.setdefault(int(i), "non-finite state")
+    failed = tuple(sorted(failures))
+    for i in failed:
+        warnings.warn(f"Monte Carlo sample {i} failed and is excluded: {failures[i]}")
     if len(failed) > cfg.max_failure_rate * cfg.n_samples:
         raise NumericalError(
             f"{len(failed)} of {cfg.n_samples} Monte Carlo samples failed "
             f"(tolerated fraction {cfg.max_failure_rate:.2%})"
         )
+    if len(failed) == cfg.n_samples:
+        raise NumericalError(f"all {cfg.n_samples} Monte Carlo samples failed")
+    ok = np.setdiff1d(np.arange(cfg.n_samples), failed)
 
-    dv_values = np.array([s.dv for s in samples])
+    dv_values = fly.dv[ok]
     dv_q = estimate_quantile(dv_values, cfg.quantile)
     ci_half = _quantile_ci_half(
         np.sort(dv_values),
@@ -503,19 +643,19 @@ def run_campaign(
         np.random.SeedSequence([cfg.master_seed, cfg.n_samples]),
     )
 
-    violation_counts = np.sum([s.violations for s in samples], axis=0).astype(int)
+    violation_counts = np.sum(fly.violations[ok], axis=0).astype(int)
     n_thrust = len(problem.thrust_segments)
     violation_rate = (
-        float(violation_counts.sum()) / (len(samples) * n_thrust) if n_thrust else 0.0
+        float(violation_counts.sum()) / (ok.size * n_thrust) if n_thrust else 0.0
     )
 
-    contained = np.array([s.od_contained for s in samples])
+    contained = fly.od_contained[ok]
     od_per_node = contained.mean(axis=0)
     od_fraction = float(contained.mean())
 
-    dispersion = np.array([s.truth[-1] for s in samples]) - point.states[-1]
+    dispersion = fly.truth[ok, -1] - point.states[-1]
     terminal_mean = dispersion.mean(axis=0)
-    if len(samples) >= 2:
+    if ok.size >= 2:
         terminal_cov = np.cov(dispersion, rowvar=False, ddof=1)
     else:
         terminal_cov = np.zeros((N_X, N_X))
@@ -525,16 +665,30 @@ def run_campaign(
     d_sqrt = dispersion_sqrt(point.blocks, policy)[-1]
     terminal_cov_analytic = d_sqrt @ d_sqrt.T + point.schedule.P_post[-1]
 
-    periapses = tuple(
-        np.array([s.periapses[j] for s in samples])
-        for j in range(len(problem.ga_events))
-    )
+    periapses = tuple(fly.periapses[ok, j] for j in range(len(problem.ga_events)))
     periapsis_nominal = []
     for event, theta in zip(problem.ga_events, point.thetas):
         v_inf_ref = float(
             np.linalg.norm(point.states[event.segment, 3:] - event.v_planet)
         )
         periapsis_nominal.append(periapsis_radius(v_inf_ref, theta, event.mu_p))
+
+    samples = ()
+    if cfg.keep_samples:
+        samples = tuple(
+            McSample(
+                index=int(i),
+                truth=fly.truth[i],
+                estimates=fly.estimates[i],
+                commanded=fly.commanded[i],
+                executed=fly.executed[i],
+                od_contained=fly.od_contained[i],
+                violations=fly.violations[i],
+                periapses=tuple(float(p) for p in fly.periapses[i]),
+                dv=float(fly.dv[i]),
+            )
+            for i in ok
+        )
 
     return McReport(
         mode=cfg.mode,
@@ -560,7 +714,7 @@ def run_campaign(
         periapses=periapses,
         periapsis_nominal=tuple(periapsis_nominal),
         periapsis_min=tuple(float(p.min()) for p in periapses),
-        samples=tuple(samples) if cfg.keep_samples else (),
+        samples=samples,
     )
 
 

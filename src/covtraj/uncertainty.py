@@ -57,23 +57,30 @@ def thrust_frame(u: np.ndarray) -> np.ndarray:
     E is the unit cross product of the inertial z axis with Z and S completes
     the right-handed triad. Degenerate inputs (near-zero thrust, or thrust
     nearly parallel to the z axis so the cross product loses rank) fall back
-    to the identity frame.
+    to the identity frame. Accepts a stack of thrusts (..., 3).
 
     Returns:
-        (3, 3) rotation matrix with columns [S, E, Z].
+        (..., 3, 3) rotation matrices with columns [S, E, Z].
     """
     u = np.asarray(u, dtype=float)
-    un = float(np.linalg.norm(u))
-    if un < DEGENERATE_THRUST:
-        return np.eye(3)
-    zhat = u / un
-    cross = np.cross(np.array([0.0, 0.0, 1.0]), zhat)
-    cn = float(np.linalg.norm(cross))
-    if cn < DEGENERATE_AXIS:
-        return np.eye(3)
-    ehat = cross / cn
-    shat = np.cross(ehat, zhat)
-    return np.column_stack([shat, ehat, zhat])
+    un = np.sqrt(np.einsum("...i,...i->...", u, u))
+    idle = un < DEGENERATE_THRUST
+    z = u / np.where(idle, 1.0, un)[..., None]
+    # E is the unit vector along (0, 0, 1) x Z = (-z_y, z_x, 0)
+    cn = np.sqrt(z[..., 1] * z[..., 1] + z[..., 0] * z[..., 0])
+    axial = cn < DEGENERATE_AXIS
+    ex = -z[..., 1] / np.where(axial, 1.0, cn)
+    ey = z[..., 0] / np.where(axial, 1.0, cn)
+    zero = np.zeros_like(ex)
+    frame = np.stack(
+        [
+            np.stack([ey * z[..., 2], -ex * z[..., 2], ex * z[..., 1] - ey * z[..., 0]], axis=-1),
+            np.stack([ex, ey, zero], axis=-1),
+            z,
+        ],
+        axis=-1,
+    )
+    return np.where((idle | axial)[..., None, None], np.eye(3), frame)
 
 
 def gates_matrix(u: np.ndarray, gates: GatesParams) -> np.ndarray:
@@ -84,15 +91,16 @@ def gates_matrix(u: np.ndarray, gates: GatesParams) -> np.ndarray:
     column of size sigma_m along the thrust direction, where
     sigma_p^2 = sigma_fixed_point^2 + (sigma_prop_point |u|)^2 and
     sigma_m^2 = sigma_fixed_mag^2 + (sigma_prop_mag |u|)^2.
+    Accepts a stack of thrusts (..., 3).
 
     Returns:
-        (3, 3) matrix in acceleration units.
+        (..., 3, 3) matrices in acceleration units.
     """
     u = np.asarray(u, dtype=float)
-    un = float(np.linalg.norm(u))
-    sigma_p = float(np.hypot(gates.sigma_fixed_point, gates.sigma_prop_point * un))
-    sigma_m = float(np.hypot(gates.sigma_fixed_mag, gates.sigma_prop_mag * un))
-    return thrust_frame(u) * np.array([sigma_p, sigma_p, sigma_m])
+    un = np.sqrt(np.einsum("...i,...i->...", u, u))
+    sigma_p = np.hypot(gates.sigma_fixed_point, gates.sigma_prop_point * un)
+    sigma_m = np.hypot(gates.sigma_fixed_mag, gates.sigma_prop_mag * un)
+    return thrust_frame(u) * np.stack([sigma_p, sigma_p, sigma_m], axis=-1)[..., None, :]
 
 
 def process_noise_sqrt(sigma_acc: float, dt_wn: float) -> np.ndarray:

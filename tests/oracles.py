@@ -11,13 +11,112 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from covtraj.covsteer import FeedbackPolicy
-from covtraj.dynamics import LinearSegment
+from covtraj.dynamics import ATOL, F_THRUST, RTOL, SINGULARITY_RADIUS, LinearSegment
+from covtraj.errors import NumericalError
 from covtraj.uncertainty import ObservationModel
 
 N_X = 6
 N_U = 3
+
+
+def eval_dynamics(x: np.ndarray, u: np.ndarray, mu: float = 1.0) -> np.ndarray:
+    """Right-hand side of the controlled two-body equations, one state at a time.
+
+    The textbook form against which the batched right-hand sides of
+    :mod:`covtraj.dynamics` are checked.
+
+    Args:
+        x: state [r; v], shape (6,), normalized units.
+        u: thrust acceleration, shape (3,).
+        mu: central body gravitational parameter (0 switches gravity off,
+            which is how free double-integrator dynamics are expressed).
+
+    Returns:
+        xdot, shape (6,).
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    r = x[:3]
+    out = np.empty(6)
+    out[:3] = x[3:]
+    if mu != 0.0:
+        rn = float(np.linalg.norm(r))
+        if rn < SINGULARITY_RADIUS:
+            raise NumericalError(f"state inside singularity radius: |r| = {rn:.3e}")
+        out[3:] = -mu / rn**3 * r + u
+    else:
+        out[3:] = u
+    return out
+
+
+def dynamics_jacobian(x: np.ndarray, mu: float = 1.0) -> np.ndarray:
+    """State Jacobian d(xdot)/dx of :func:`eval_dynamics` (control-free part)."""
+    J = np.zeros((6, 6))
+    J[:3, 3:] = np.eye(3)
+    if mu != 0.0:
+        r = np.asarray(x, dtype=float)[:3]
+        rn = float(np.linalg.norm(r))
+        if rn < SINGULARITY_RADIUS:
+            raise NumericalError(f"state inside singularity radius: |r| = {rn:.3e}")
+        J[3:, :3] = mu * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
+    return J
+
+
+def solve_ivp_propagate(
+    x0: np.ndarray, u: np.ndarray, t0: float, t1: float, mu: float = 1.0
+) -> tuple[np.ndarray, int, int]:
+    """Two-body flow by scipy's solve_ivp(DOP853), one state at a time.
+
+    Returns the state at t1, the number of right-hand-side evaluations and
+    the number of accepted steps.
+    """
+    sol = solve_ivp(
+        lambda t, x: eval_dynamics(x, u, mu), (t0, t1), np.asarray(x0, dtype=float),
+        method="DOP853", rtol=RTOL, atol=ATOL,
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1].copy(), sol.nfev, sol.t.size - 1
+
+
+def solve_ivp_variational(
+    x_ref: np.ndarray,
+    u_ref: np.ndarray,
+    t0: float,
+    t1: float,
+    mu: float = 1.0,
+    proc_noise_sqrt: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(x1, A, B, Q) of one segment by solve_ivp(DOP853) on the textbook system.
+
+    Phi' = J Phi, Psi' = J Psi + F and Q' = J Q + Q J' + G G' with the full
+    Jacobian J of :func:`dynamics_jacobian`.
+    """
+    with_q = proc_noise_sqrt is not None
+    GGt = proc_noise_sqrt @ proc_noise_sqrt.T if with_q else None
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        x = y[:6]
+        J = dynamics_jacobian(x, mu)
+        out = np.empty(y.shape)
+        out[:6] = eval_dynamics(x, u_ref, mu)
+        out[6:42] = (J @ y[6:42].reshape(6, 6)).ravel()
+        out[42:60] = (J @ y[42:60].reshape(6, 3) + F_THRUST).ravel()
+        if with_q:
+            Q = y[60:96].reshape(6, 6)
+            out[60:96] = (J @ Q + Q @ J.T + GGt).ravel()
+        return out
+
+    y0 = np.zeros(96 if with_q else 60)
+    y0[:6] = x_ref
+    y0[6:42] = np.eye(6).ravel()
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=RTOL, atol=ATOL)
+    assert sol.success, sol.message
+    yf = sol.y[:, -1]
+    Q = yf[60:96].reshape(6, 6) if with_q else None
+    return yf[:6], yf[6:42].reshape(6, 6), yf[42:60].reshape(6, 3), Q
 
 
 def random_segments(

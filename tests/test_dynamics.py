@@ -3,21 +3,28 @@
 import numpy as np
 import pytest
 
+import covtraj.dynamics as dynamics
 from covtraj.dynamics import (
     AU_KM,
     MU_SUN_KM3S2,
     BodyEphemeris,
     ScaleSet,
     TimeGrid,
-    dynamics_jacobian,
-    eval_dynamics,
     lambert,
+    linearize_rows,
     linearize_segment,
     planet_state,
     propagate,
+    propagate_rows,
     psd_sqrt,
 )
 from covtraj.errors import NumericalError
+from oracles import (
+    dynamics_jacobian,
+    eval_dynamics,
+    solve_ivp_propagate,
+    solve_ivp_variational,
+)
 
 
 def test_scaleset_heliocentric_mu_is_one():
@@ -223,6 +230,108 @@ def test_linearize_segment_noise_maps_closed_form():
     seg2 = linearize_segment(0, np.zeros(6), np.zeros(3), 0.0, dt, mu=0.0,
                              exe_error_sqrt=E)
     np.testing.assert_allclose(seg2.G_exe, seg2.B @ E, atol=1e-15)
+
+
+def _mixed_rows():
+    """Rows that exercise the batched integrator's per-row step control.
+
+    Near-circular and e = 0.6 Keplerian arcs, two gravity-free rows, a
+    backward Keplerian span, and an e = 0.7 arc falling from apoapsis whose
+    step control rejects trial steps. (Deeper periapsis passes are too
+    ill-conditioned for a 1e-12 gate: at e = 0.9 one ulp of start state
+    moves solve_ivp's own Q by 3e-11.)
+    """
+    x0 = np.array([
+        [1.0, 0.0, 0.0, 0.0, 1.0, 0.01],
+        [1.0, 0.0, 0.0, 0.0, np.sqrt(1.6), 0.0],
+        [0.1, -0.2, 0.3, 0.05, 0.0, -0.1],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.9, -0.3, 0.1, 0.15, 0.95, -0.03],
+        [1.0, 0.0, 0.0, 0.0, np.sqrt(0.3), 0.0],
+    ])
+    u = np.array([
+        [0.01, -0.02, 0.003],
+        [0.0, 0.0, 0.0],
+        [0.01, 0.02, -0.03],
+        [-0.2, 0.1, 0.05],
+        [0.02, 0.0, -0.01],
+        [0.0, 0.001, 0.0],
+    ])
+    t0 = np.array([0.0, 0.0, 0.0, 0.3, 2.0, 0.0])
+    t1 = np.array([2.0, 3.0, 1.5, 1.0, 0.5, 1.0])
+    mu = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    return x0, u, t0, t1, mu
+
+
+def _rel(a, b, scale=None):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b if scale is None else scale))
+
+
+def test_batched_propagation_matches_solve_ivp_step_for_step(monkeypatch):
+    x0, u, t0, t1, mu = _mixed_rows()
+    counts = np.zeros(len(x0), dtype=int)
+    real = dynamics.dop853
+
+    def counting(fun, y0, s0, s1):
+        def counted(rows, y):
+            np.add.at(counts, np.arange(len(y0))[rows], 1)
+            return fun(rows, y)
+
+        return real(counted, y0, s0, s1)
+
+    monkeypatch.setattr(dynamics, "dop853", counting)
+    x1, failures = propagate_rows(x0, u, t0, t1, mu)
+    assert failures == {}
+    rejected = []
+    for i in range(len(x0)):
+        ref, nfev, steps = solve_ivp_propagate(x0[i], u[i], t0[i], t1[i], mu[i])
+        assert _rel(x1[i], ref) <= 1e-12
+        # the same trial steps as solve_ivp: 2 start-up evaluations, 12 per trial
+        assert counts[i] == nfev
+        rejected.append((nfev - 2) // 12 - steps)
+    assert rejected[5] > 0
+
+    # each row alone gives the same bits as inside the batch
+    monkeypatch.setattr(dynamics, "dop853", real)
+    for i in range(len(x0)):
+        alone, _ = propagate_rows(x0[i : i + 1], u[i], t0[i], t1[i], mu[i])
+        assert np.array_equal(alone[0], x1[i])
+
+
+def test_batched_variational_flow_matches_solve_ivp():
+    x0, u, t0, t1, mu = _mixed_rows()
+    G = np.vstack([np.zeros((3, 3)), 0.05 * np.eye(3)])
+    x1, A, B, Q, failures = linearize_rows(x0, u, t0, t1, mu, proc_noise_sqrt=G)
+    assert failures == {}
+    for i in range(len(x0)):
+        rx, rA, rB, rQ = solve_ivp_variational(x0[i], u[i], t0[i], t1[i], mu[i], G)
+        assert _rel(x1[i], rx) <= 1e-12
+        assert _rel(A[i], rA) <= 1e-12
+        assert _rel(B[i], rB) <= 1e-12
+        assert _rel(Q[i], rQ) <= 1e-12
+        c = x1[i] - A[i] @ x0[i] - B[i] @ u[i]
+        assert _rel(c, rx - rA @ x0[i] - rB @ u[i], scale=rx) <= 1e-12
+        assert np.array_equal(Q[i], Q[i].T)
+    # the single-row form is one row of the batch
+    seg = linearize_segment(2, x0[2], u[2], t0[2], t1[2], mu=0.0, proc_noise_sqrt=G)
+    assert np.array_equal(seg.A, A[2])
+    assert np.array_equal(seg.B, B[2])
+
+
+def test_failed_row_leaves_the_rest_of_the_batch_alone():
+    x0, u, t0, t1, mu = _mixed_rows()
+    bad = x0.copy()
+    bad[1, :3] = [1e-7, 0.0, 0.0]
+    bad[3, 4] = np.nan
+    x1, failures = propagate_rows(bad, u, t0, t1, mu)
+    assert sorted(failures) == [1, 3]
+    assert "singular" in failures[1]
+    assert np.all(np.isnan(x1[[1, 3]]))
+    clean, _ = propagate_rows(x0, u, t0, t1, mu)
+    keep = [0, 2, 4, 5]
+    assert np.array_equal(x1[keep], clean[keep])
+    with pytest.raises(NumericalError, match="propagation failed"):
+        propagate(bad[1], u[1], t0[1], t1[1], mu[1])
 
 
 def test_psd_sqrt_reconstructs():

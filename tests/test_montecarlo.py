@@ -15,7 +15,6 @@ from covtraj.montecarlo import (
     compare_bound,
     estimate_quantile,
     run_campaign,
-    run_sample,
     write_report,
 )
 from covtraj.scp import (
@@ -199,41 +198,94 @@ def test_reports_reproducible_and_seed_sensitive(solved):
     assert not np.array_equal(r1.dv_values, r3.dv_values)
 
 
-def test_run_sample_matches_campaign_stream(solved):
+def _case(solved, case):
+    """Problem, point and config of the linear, EKF or flyby EKF campaign."""
+    if case == "flyby":
+        prob, point, _, _ = _flyby_mc_problem()
+        return prob, point, McConfig(
+            n_samples=20, master_seed=21, mode="ekf", bootstrap=50, keep_samples=True
+        )
     prob, point = solved
-    cfg = McConfig(n_samples=8, master_seed=21, mode="linear", keep_samples=True)
-    rep = run_campaign(prob, point, cfg)
-    for i in (0, 3, 7):
-        single = run_sample(prob, point, cfg, i)
-        batch = rep.samples[i]
-        assert single.dv == batch.dv
-        assert np.array_equal(single.truth, batch.truth)
-        assert np.array_equal(single.commanded, batch.commanded)
+    return prob, point, McConfig(
+        n_samples=20, master_seed=21, mode=case, dt_wn=0.2 if case == "ekf" else None,
+        bootstrap=50, keep_samples=True,
+    )
+
+
+def _same_sample(a, b):
+    assert a.index == b.index
+    for name in ("truth", "estimates", "commanded", "executed", "od_contained", "violations"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.periapses == b.periapses
+    assert a.dv == b.dv
+
+
+def test_campaign_prefix_is_batch_invariant(solved):
+    for case in ("linear", "ekf", "flyby"):
+        prob, point, cfg = _case(solved, case)
+        full = run_campaign(prob, point, cfg).samples
+        for m in (1, 7):
+            part = run_campaign(prob, point, dataclasses.replace(cfg, n_samples=m)).samples
+            assert len(part) == m
+            for a, b in zip(part, full[:m]):
+                _same_sample(a, b)
+
+        # sample i's first draws come from the stream keyed (master_seed, i)
+        unc = prob.uncertainty
+        for s in full[:3]:
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence([cfg.master_seed, s.index]))
+            )
+            w = rng.standard_normal(12)
+            xhat0 = point.states[0] + np.linalg.cholesky(
+                unc.p_hat0 + 1e-14 * np.trace(unc.p_hat0) / 6 * np.eye(6)
+            ) @ w[:6]
+            x0 = xhat0 + np.linalg.cholesky(
+                unc.p_tilde0 + 1e-14 * np.trace(unc.p_tilde0) / 6 * np.eye(6)
+            ) @ w[6:]
+            np.testing.assert_allclose(s.truth[0], x0, rtol=0.0, atol=1e-14)
 
 
 def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
-    prob, point = solved
-    real = mc_mod._simulate
+    real = mc_mod._sample_noise
 
-    def flaky(problem, point_, cfg, khat, sq_hat0, sq_til0, lin_sigma, index):
+    def poisoned(master_seed, index, size):
+        z = real(master_seed, index, size)
         if index == 2:
-            raise NumericalError("synthetic blow-up")
-        return real(problem, point_, cfg, khat, sq_hat0, sq_til0, lin_sigma, index)
+            z[3] = np.nan
+        return z
 
-    monkeypatch.setattr(mc_mod, "_simulate", flaky)
-    cfg = McConfig(
-        n_samples=20, master_seed=5, mode="linear", bootstrap=50, max_failure_rate=0.1
+    for case in ("linear", "ekf"):
+        prob, point, cfg = _case(solved, case)
+        monkeypatch.setattr(mc_mod, "_sample_noise", real)
+        clean = run_campaign(prob, point, cfg)
+        monkeypatch.setattr(mc_mod, "_sample_noise", poisoned)
+        cfg = dataclasses.replace(cfg, max_failure_rate=0.1)
+        with pytest.warns(UserWarning, match="sample 2 failed"):
+            rep = run_campaign(prob, point, cfg)
+        assert rep.n_failed == 1
+        assert rep.failed == (2,)
+        assert rep.dv_values.size == 19
+        kept = [s for s in clean.samples if s.index != 2]
+        assert len(rep.samples) == len(kept)
+        for a, b in zip(rep.samples, kept):
+            _same_sample(a, b)
+
+        strict = dataclasses.replace(cfg, max_failure_rate=0.01)
+        with pytest.warns(UserWarning, match="sample 2 failed"):
+            with pytest.raises(NumericalError, match="1 of 20"):
+                run_campaign(prob, point, strict)
+
+
+def test_campaign_with_no_surviving_sample_raises(solved, monkeypatch):
+    prob, point = solved
+    monkeypatch.setattr(
+        mc_mod, "_sample_noise", lambda master_seed, index, size: np.full(size, np.nan)
     )
-    with pytest.warns(UserWarning, match="sample 2 failed"):
-        rep = run_campaign(prob, point, cfg)
-    assert rep.n_failed == 1
-    assert rep.failed == (2,)
-    assert rep.dv_values.size == 19
-
-    strict = dataclasses.replace(cfg, max_failure_rate=0.01)
-    with pytest.warns(UserWarning, match="sample 2 failed"):
-        with pytest.raises(NumericalError, match="1 of 20"):
-            run_campaign(prob, point, strict)
+    cfg = McConfig(n_samples=4, mode="linear", bootstrap=10, max_failure_rate=1.0)
+    with pytest.warns(UserWarning, match="failed"):
+        with pytest.raises(NumericalError, match="all 4 Monte Carlo samples failed"):
+            run_campaign(prob, point, cfg)
 
 
 def test_bound_check_detects_exceedance(solved):
