@@ -86,9 +86,6 @@ class ConicProgram:
         """Slack vector s = b - A x."""
         return self.b - self.A @ np.asarray(x, dtype=float)
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.c @ np.asarray(x, dtype=float))
-
     def dump(self) -> str:
         """Serialize to the versioned text format (hex floats, byte-exact)."""
         lines = [_FORMAT_TAG]
@@ -187,14 +184,6 @@ class ProgramBuilder:
         self._rj: list[np.ndarray] = []
         self._rv: list[np.ndarray] = []
 
-    @property
-    def n_vars(self) -> int:
-        return self._n
-
-    @property
-    def n_rows(self) -> int:
-        return self._m
-
     def var_block(self, name: str, size: int) -> np.ndarray:
         """Reserve ``size`` new columns under ``name``; returns their indices."""
         if name in self._blocks:
@@ -205,9 +194,6 @@ class ProgramBuilder:
         self._blocks[name] = sl
         self._n += size
         return np.arange(sl.start, sl.stop)
-
-    def block(self, name: str) -> slice:
-        return self._blocks[name]
 
     def cost(self, idx, val) -> None:
         """Accumulate linear objective terms c[idx] += val."""

@@ -54,6 +54,8 @@ logger = logging.getLogger(__name__)
 STEP_FRACTION = 0.99
 #: Static diagonal regularization relative to the normal-matrix scale.
 STATIC_REG = 1e-12
+#: Column-then-row scaling passes of the Ruiz equilibration.
+EQUILIBRATION_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -353,7 +355,7 @@ class _Workspace:
         return float(min(alpha, self.soc_steps(u[self.soc], d[self.soc]).min(initial=np.inf)))
 
 
-def _equilibrate(prog: ConicProgram, passes: int = 3) -> tuple[ConicProgram, np.ndarray]:
+def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
     """Ruiz-style scaling with cone-uniform row factors.
 
     Returns the scaled program (A' = E A D, b' = E b, c' = D c) and the
@@ -376,7 +378,7 @@ def _equilibrate(prog: ConicProgram, passes: int = 3) -> tuple[ConicProgram, np.
     sizes = np.diff(starts, append=m)
 
     work = A.copy()
-    for _ in range(passes):
+    for _ in range(EQUILIBRATION_PASSES):
         # column pass
         cmax = np.zeros(n)
         coo = work.tocoo()
@@ -421,7 +423,10 @@ def solve(
         max_iters: interior-point iteration cap.
 
     Returns:
-        SolveResult; ``x`` is in the original (pre-lowering) variables.
+        SolveResult; ``x`` is in the original (pre-lowering) variables. A
+        solve that ends neither optimal nor with an infeasibility
+        certificate reports its best measured iterate and that iterate's
+        residuals.
     """
     lowered = lower_program(prog)
     n_orig = lowered.n_orig
@@ -670,11 +675,9 @@ def solve(
     else:
         it = max_iters
 
-    if (
-        status not in ("optimal", "primal_infeasible", "dual_infeasible")
-        and best_snap is not None
-        and max(pres, dres, gap_rel) > best_merit
-    ):
+    # every iteration steps after it is measured, so only the best measured
+    # iterate carries the residuals that are reported with it
+    if status not in ("optimal", "primal_infeasible", "dual_infeasible") and best_snap is not None:
         x, y = best_snap["x"], best_snap["y"]
         s, z = best_snap["s"], best_snap["z"]
         tau, kappa = best_snap["tau"], best_snap["kappa"]

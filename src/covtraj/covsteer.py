@@ -8,6 +8,12 @@ estimate-dispersion square roots, control-covariance square roots — is affine
 in (x0bar, U, K). This module precomputes the filter schedule and the block
 structures and evaluates those affine maps.
 
+The filter itself is two steps on a stack of covariances,
+:func:`measurement_update` and :func:`time_update`. The design schedule
+runs them on one row; the Monte Carlo navigators run the same steps on one
+covariance shared by every sample (linear playback) or on one per sample
+(EKF playback).
+
 The wide square root S_sqrt of the innovation-state covariance is built by a
 forward recursion (row_{k+1} = A_k row_k, then the node's own gain column is
 inserted), which reproduces the stacked [BA Phat0^1/2, BL P_Y^1/2] exactly
@@ -22,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import LinearSegment, psd_sqrt
+from .errors import NumericalError
 from .uncertainty import ObservationModel
 
 N_X = 6
@@ -48,6 +55,63 @@ class KalmanSchedule:
         return self.P_prior.shape[0]
 
 
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return M.swapaxes(-1, -2)
+
+
+def measurement_update(
+    P: np.ndarray, C: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+    """Kalman measurement update of every covariance of a stack.
+
+    Forms the innovation covariance S = C P C' + D D' (symmetrized), solves
+    S L' = C P for the gain L and returns the symmetrized Joseph posterior
+    (I - L C) P (I - L C)' + L D D' L', which stays PSD even with strong
+    fixes. A row whose S is singular gets a NaN gain and posterior and a
+    failure message; the other rows are computed as if alone.
+
+    Args:
+        P: prior covariances, (r, 6, 6).
+        C: observation matrix shared by every row, (m, 6).
+        D: measurement-noise square root shared by every row, (m, m_D).
+
+    Returns:
+        (P_post, L, S, failures): posteriors (r, 6, 6), gains (r, 6, m),
+        innovation covariances (r, m, m) and a message per failed row.
+    """
+    DDt = D @ D.T
+    CP = C @ P
+    S = CP @ C.T + DDt
+    S = 0.5 * (S + _t(S))
+    failures: dict[int, str] = {}
+    try:
+        L = _t(np.linalg.solve(S, CP))
+    except np.linalg.LinAlgError:
+        L = np.full(_t(CP).shape, np.nan)
+        for i in range(S.shape[0]):
+            try:
+                L[i] = np.linalg.solve(S[i], CP[i]).T
+            except np.linalg.LinAlgError as exc:
+                failures[i] = f"innovation covariance: {exc}"
+    closed = np.eye(N_X) - L @ C
+    P_post = closed @ P @ _t(closed) + L @ DDt @ _t(L)
+    return 0.5 * (P_post + _t(P_post)), L, S, failures
+
+
+def time_update(P: np.ndarray, A: np.ndarray, *injected: np.ndarray) -> np.ndarray:
+    """Kalman time update A P A' + each injected covariance, symmetrized.
+
+    A and every injected covariance are either shared by all rows of the
+    stack P (r, 6, 6) or stacked one per row; a shared P broadcasts against
+    stacked maps.
+    """
+    P = A @ P @ _t(A)
+    for cov in injected:
+        P = P + cov
+    return 0.5 * (P + _t(P))
+
+
 def kalman_precompute(
     segments: list[LinearSegment],
     obs: ObservationModel,
@@ -55,10 +119,10 @@ def kalman_precompute(
 ) -> KalmanSchedule:
     """Run the discrete filter Riccati recursion along a linearized reference.
 
-    Time updates push the posterior through each segment's A and inject both
-    the execution-error and process-noise covariances (the filter knows
-    neither realization). Measurement updates use the Joseph form so the
-    posterior stays symmetric PSD even with strong fixes.
+    The recursion is :func:`measurement_update` at every measured node and
+    :func:`time_update` across every segment, on a one-row stack. Time
+    updates inject both the execution-error and process-noise covariances
+    (the filter knows neither realization).
 
     Args:
         segments: N linearized segments (GA segments carry zero noise).
@@ -67,6 +131,9 @@ def kalman_precompute(
 
     Returns:
         KalmanSchedule over all N+1 nodes.
+
+    Raises:
+        NumericalError: an innovation covariance is singular.
     """
     n_seg = len(segments)
     if obs.n_nodes != n_seg + 1:
@@ -76,30 +143,26 @@ def kalman_precompute(
     gains: list[np.ndarray | None] = []
     innov_sqrt: list[np.ndarray | None] = []
 
-    P_minus = 0.5 * (np.asarray(P_tilde0_prior, dtype=float) + np.asarray(P_tilde0_prior).T)
+    P0 = np.asarray(P_tilde0_prior, dtype=float)
+    P = 0.5 * (P0 + P0.T)[None]
     for k in range(n_seg + 1):
-        P_prior[k] = P_minus
+        P_prior[k] = P[0]
         if obs.has_measurement[k]:
             C = np.asarray(obs.obs_matrix[k], dtype=float)
             D = np.asarray(obs.sqrt_noise[k], dtype=float)
-            S = C @ P_minus @ C.T + D @ D.T
-            S = 0.5 * (S + S.T)
-            L = np.linalg.solve(S, C @ P_minus).T
-            ImLC = np.eye(N_X) - L @ C
-            P_plus = ImLC @ P_minus @ ImLC.T + L @ (D @ D.T) @ L.T
-            gains.append(L)
-            innov_sqrt.append(psd_sqrt(S))
+            P, L, S, failures = measurement_update(P, C, D)
+            if failures:
+                raise NumericalError(f"Kalman update at node {k}: {failures[0]}")
+            gains.append(L[0])
+            innov_sqrt.append(psd_sqrt(S[0]))
         else:
-            P_plus = P_minus
             gains.append(None)
             innov_sqrt.append(None)
-        P_plus = 0.5 * (P_plus + P_plus.T)
-        P_post[k] = P_plus
+        P_post[k] = P[0]
 
         if k < n_seg:
             seg = segments[k]
-            P_minus = seg.A @ P_plus @ seg.A.T + seg.G_exe @ seg.G_exe.T + seg.G_proc @ seg.G_proc.T
-            P_minus = 0.5 * (P_minus + P_minus.T)
+            P = time_update(P, seg.A, seg.G_exe @ seg.G_exe.T, seg.G_proc @ seg.G_proc.T)
 
     return KalmanSchedule(
         P_prior=P_prior, P_post=P_post, gains=tuple(gains), innov_sqrt=tuple(innov_sqrt)
@@ -257,25 +320,6 @@ class FeedbackPolicy:
             for i in range(k + 1):
                 out[N_U * k : N_U * (k + 1), N_X * i : N_X * (i + 1)] = self.blocks[k, i]
         return out
-
-
-def state_mean(blocks: BlockSystem, x0_bar: np.ndarray, U_bar: np.ndarray) -> np.ndarray:
-    """Mean state at every node under the nominal control sequence.
-
-    Args:
-        blocks: block system from :func:`build_block_system`.
-        x0_bar: initial mean state, (6,).
-        U_bar: nominal controls, (N, 3).
-
-    Returns:
-        (N+1, 6) node means. On the linearization reference itself this
-        reproduces the nonlinear flow exactly (the affine drift absorbs it).
-    """
-    x0_bar = np.asarray(x0_bar, dtype=float)
-    U_bar = np.asarray(U_bar, dtype=float).reshape(blocks.n_segments, N_U)
-    mean = blocks.Phi @ x0_bar + blocks.Cvec
-    mean += np.einsum("kinm,im->kn", blocks.Bblk[:, : blocks.n_segments], U_bar)
-    return mean
 
 
 def control_cov_sqrt(blocks: BlockSystem, policy: FeedbackPolicy) -> np.ndarray:

@@ -700,10 +700,15 @@ def linearize_segment(
     )
 
 
-def psd_sqrt(M: np.ndarray, rel_reg: float = 1e-14) -> np.ndarray:
+#: Relative regularization of :func:`psd_sqrt`, a fraction of the mean
+#: eigenvalue added to the diagonal before factoring.
+PSD_REL_REG = 1e-14
+
+
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor with trace-scaled regularization.
 
-    Adds ``rel_reg * trace(M) / n * I`` before factoring so that nearly
+    Adds ``PSD_REL_REG * trace(M) / n * I`` before factoring so that nearly
     singular positive-semidefinite matrices (zero-noise or perfectly observed
     directions) still factor; a zero matrix returns zero.
     """
@@ -714,41 +719,10 @@ def psd_sqrt(M: np.ndarray, rel_reg: float = 1e-14) -> np.ndarray:
         if np.allclose(M, 0.0):
             return np.zeros_like(M)
         raise NumericalError("matrix with non-positive trace is not PSD")
-    shift = rel_reg * tr / n
+    shift = PSD_REL_REG * tr / n
     for bump in (1.0, 1e2, 1e4):
         try:
             return np.linalg.cholesky(M + bump * shift * np.eye(n))
         except np.linalg.LinAlgError:
             continue
     raise NumericalError("matrix is not positive semidefinite within regularization budget")
-
-
-def psd_sqrt_rows(
-    M: np.ndarray, rel_reg: float = 1e-14
-) -> tuple[np.ndarray, dict[int, str]]:
-    """:func:`psd_sqrt` of each matrix of a stack (n_rows, n, n).
-
-    Every row gets the bits psd_sqrt gives it alone: one stacked factoring
-    at the first regularization when it succeeds for all rows, psd_sqrt row
-    by row otherwise.
-
-    Returns:
-        (L, failures): the factors, zero on failed rows, and a message for
-        every row index whose matrix is not positive semidefinite.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    tr = np.einsum("rii->r", M)
-    if np.all(tr > 0.0):
-        try:
-            return np.linalg.cholesky(M + (rel_reg * tr / n)[:, None, None] * np.eye(n)), {}
-        except np.linalg.LinAlgError:
-            pass
-    L = np.zeros_like(M)
-    failures: dict[int, str] = {}
-    for i, Mi in enumerate(M):
-        try:
-            L[i] = psd_sqrt(Mi, rel_reg)
-        except NumericalError as exc:
-            failures[i] = str(exc)
-    return L, failures

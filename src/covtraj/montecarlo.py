@@ -9,14 +9,19 @@ orbit-determination consistency, and terminal dispersion statistics.
 Two truth models are available:
 
 * ``"linear"`` — truth and navigator both use the discrete affine segment
-  maps and the precomputed Kalman gains attached to the reference point.
-  Sample statistics then converge to the closed-form covariances of
-  :mod:`covtraj.covsteer`, which makes this mode the cross-check oracle
-  for the analytic steering machinery.
+  maps of the reference point, and the navigator runs the design's Kalman
+  filter on them: one covariance shared by every sample, which reproduces
+  the point's schedule bit for bit. Sample statistics then converge to the
+  closed-form covariances of :mod:`covtraj.covsteer`, which makes this mode
+  the cross-check oracle for the analytic steering machinery.
 * ``"ekf"`` — truth follows the exact nonlinear flow with the white
   acceleration redrawn every sub-window and execution errors applied to
-  the realized thrust, while the navigator runs an extended Kalman filter
-  that re-linearizes the dynamics about its own estimate each segment.
+  the realized thrust, while the navigator runs the same filter as an
+  extended Kalman filter: one covariance per sample, re-linearizing the
+  dynamics about its own estimate each segment.
+
+Both modes use :func:`covtraj.covsteer.measurement_update` and
+:func:`covtraj.covsteer.time_update`, the steps of the design schedule.
 
 The flown control is the reference plus gain corrections driven by the
 navigator's posterior state deviations,
@@ -52,8 +57,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .covsteer import FeedbackPolicy, convert_gain, dispersion_sqrt
-from .dynamics import linearize_rows, propagate_rows, psd_sqrt, psd_sqrt_rows
+from .covsteer import (
+    FeedbackPolicy,
+    convert_gain,
+    dispersion_sqrt,
+    measurement_update,
+    time_update,
+)
+from .dynamics import linearize_rows, propagate_rows, psd_sqrt
 from .dynamics import linearize_segment, propagate  # noqa: F401  (see _simulate)
 from .errors import ConfigError, NumericalError
 from .gravity_assist import cayley_rotation, ga_map, periapsis_radius
@@ -352,26 +363,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ni,ni->n", v, v))
 
 
-def _t(M: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix of a stack."""
-    return M.transpose(0, 2, 1)
-
-
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Stacked np.linalg.solve that fails rows, not the batch."""
-    try:
-        return np.linalg.solve(a, b), {}
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        found = {}
-        for i in range(a.shape[0]):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError as exc:
-                found[i] = f"innovation covariance: {exc}"
-        return out, found
-
-
 @dataclass(frozen=True)
 class _Playback:
     """Every sample of a campaign, stacked along the first axis.
@@ -399,7 +390,6 @@ def _play_back(
     khat: np.ndarray,
     sq_hat0: np.ndarray,
     sq_til0: np.ndarray,
-    lin_sigma: np.ndarray | None,
     z: np.ndarray,
     slots: dict,
 ) -> _Playback:
@@ -407,9 +397,11 @@ def _play_back(
 
     Every product acts on one sample's row alone (einsum, elementwise or
     stacked matmul), so a sample's result does not depend on which samples
-    share the batch. A sample that fails is recorded with its reason and
-    its truth state turned to NaN; it flies on harmlessly and is dropped
-    from the report.
+    share the batch. The navigator's covariance starts as one row shared by
+    every sample; linear mode keeps it shared, while EKF mode's per-sample
+    linearizations split it into one row per sample. A sample that fails is
+    recorded with its reason and its truth state turned to NaN; it flies on
+    harmlessly and is dropped from the report.
     """
     grid = problem.grid
     unc = problem.uncertainty
@@ -438,33 +430,22 @@ def _play_back(
 
     xhat_minus = x_bar[0] + _mv(sq_hat0, z[:, slots["hat0"]])
     x = xhat_minus + _mv(sq_til0, z[:, slots["til0"]])
-    p_minus = None if linear else np.tile(np.asarray(unc.p_tilde0, dtype=float), (n, 1, 1))
+    p = 0.5 * (unc.p_tilde0 + unc.p_tilde0.T)[None]
 
     for k in range(n_seg + 1):
         if obs.has_measurement[k]:
             C = obs.obs_matrix[k]
             D = obs.sqrt_noise[k]
             y = _mv(C, x) + _mv(D, z[:, slots[("meas", k)]])
-            if linear:
-                gain = point.schedule.gains[k]
-            else:
-                innov_cov = C @ p_minus @ C.T + D @ D.T
-                gain_t, found = _solve_rows(innov_cov, C @ p_minus)
-                fail(found, x)
-                gain = _t(gain_t)
-                closed = np.eye(N_X) - gain @ C
-                gain_noise = gain @ D
-                p_minus = closed @ p_minus @ _t(closed) + gain_noise @ _t(gain_noise)
+            p, gain, _, found = measurement_update(p, C, D)
+            fail(found, x)
             xhat = xhat_minus + _mv(gain, y - _mv(C, xhat_minus))
         else:
             xhat = xhat_minus
 
         truth[:, k] = x
         estimates[:, k] = xhat
-        if linear:
-            sigma = lin_sigma[k]
-        else:
-            sigma = np.sqrt(np.clip(np.diagonal(p_minus, axis1=1, axis2=2), 0.0, None))
+        sigma = np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2), 0.0, None))
         od_contained[:, k] = np.all(np.abs(x - xhat) <= 3.0 * sigma + OD_TOLERANCE, axis=1)
         devs[:, k] = xhat - x_bar[k]
         if k == n_seg:
@@ -491,6 +472,7 @@ def _play_back(
                 x_next = x_next + _mv(seg.G_proc, z[:, proc])
             x = x_next
             xhat_minus = _mv(seg.A, xhat) + _mv(seg.B, u) + seg.c
+            p = time_update(p, seg.A, seg.G_exe @ seg.G_exe.T, seg.G_proc @ seg.G_proc.T)
             executed[:, k] = u
             continue
 
@@ -500,10 +482,9 @@ def _play_back(
             xhat_minus = ga_map(xhat, u, event.v_planet)
             A_ga = np.tile(np.eye(N_X), (n, 1, 1))
             A_ga[:, 3:, 3:] = cayley_rotation(u)
-            p_minus = A_ga @ p_minus @ _t(A_ga)
+            p = time_update(p, A_ga)
             continue
 
-        exe_sqrt = None
         u_exec = u
         if exe is not None:
             exe_sqrt = gates_matrix(u, unc.gates)
@@ -536,14 +517,13 @@ def _play_back(
         # its covariance maps through that flow's variational system
         xhat_minus, A, B, Q, found = linearize_rows(xhat, u, t0, t1, problem.mu, noise)
         fail(found, x)
-        p_minus = A @ p_minus @ _t(A)
-        if exe_sqrt is not None:
+        injected = []
+        if exe is not None:
             G_exe = B @ exe_sqrt
-            p_minus = p_minus + G_exe @ _t(G_exe)
+            injected.append(G_exe @ G_exe.transpose(0, 2, 1))
         if Q is not None:
-            G_proc, found = psd_sqrt_rows(0.5 * (Q + _t(Q)))
-            fail(found, x)
-            p_minus = p_minus + G_proc @ _t(G_proc)
+            injected.append(Q)
+        p = time_update(p, A, *injected)
 
     dv = np.sum(np.linalg.norm(executed, axis=2) * grid.dts, axis=1)
     return _Playback(
@@ -586,11 +566,7 @@ def _prepare(problem: ScpProblem, point: ReferencePoint, cfg: McConfig):
     khat = _playback_gains(point)
     sq_hat0 = psd_sqrt(np.asarray(unc.p_hat0, dtype=float))
     sq_til0 = psd_sqrt(np.asarray(unc.p_tilde0, dtype=float))
-    lin_sigma = None
-    if cfg.mode == "linear":
-        post_var = np.diagonal(point.schedule.P_post, axis1=1, axis2=2)
-        lin_sigma = np.sqrt(np.clip(post_var, 0.0, None))
-    return khat, sq_hat0, sq_til0, lin_sigma
+    return khat, sq_hat0, sq_til0
 
 
 def run_campaign(
@@ -600,19 +576,18 @@ def run_campaign(
 
     Every sample is drawn on its own stream, then all of them fly as one
     stacked batch. Samples that fail numerically (a singular radius, a
-    non-finite state, an integration step that is too small, a covariance
-    factor that is not PSD, a singular innovation covariance) are excluded
-    from every statistic and warned about in index order; the campaign
-    raises once more than ``max_failure_rate`` of them fail, or when none
-    succeeds.
+    non-finite state, an integration step that is too small, a singular
+    innovation covariance) are excluded from every statistic and warned
+    about in index order; the campaign raises once more than
+    ``max_failure_rate`` of them fail, or when none succeeds.
     """
-    khat, sq_hat0, sq_til0, lin_sigma = _prepare(problem, point, cfg)
+    khat, sq_hat0, sq_til0 = _prepare(problem, point, cfg)
     grid = problem.grid
     size, slots = _noise_slots(problem, point, cfg)
     z = np.empty((cfg.n_samples, size))
     for i in range(cfg.n_samples):
         z[i] = _sample_noise(cfg.master_seed, i, size)
-    fly = _play_back(problem, point, cfg, khat, sq_hat0, sq_til0, lin_sigma, z, slots)
+    fly = _play_back(problem, point, cfg, khat, sq_hat0, sq_til0, z, slots)
 
     failures = dict(fly.failures)
     finite = np.isfinite(fly.truth).all(axis=(1, 2))

@@ -69,7 +69,6 @@ __all__ = [
     "TrajectoryGuess",
     "UncertaintyModel",
     "accept_and_update",
-    "deterministic_initial_guess",
     "deterministic_problem",
     "evaluate_point",
     "nl_augmented_cost",
@@ -223,7 +222,11 @@ class ScpProblem:
 
 
 def deterministic_problem(problem: ScpProblem) -> ScpProblem:
-    """The same instance with every noise source removed (mean-only design)."""
+    """The same instance with every noise source removed (mean-only design).
+
+    Its chance constraints reduce to their deterministic counterparts, and
+    ``run`` on it gives the iterate that seeds ``run`` on the full problem.
+    """
     return replace(problem, uncertainty=None)
 
 
@@ -724,19 +727,3 @@ def run(
     if log_path is not None:
         _write_log(log_path, records)
     return result
-
-
-def deterministic_initial_guess(
-    problem: ScpProblem,
-    guess: TrajectoryGuess,
-    params: ScpParams | None = None,
-    **run_kwargs,
-) -> ScpResult:
-    """Solve the mean-only reduction of the instance to seed a stochastic run.
-
-    All noise sources are dropped and gains are pinned to zero, which turns
-    the chance constraints into their deterministic counterparts (the
-    dispersion margins vanish). The returned iterate's controls, turn
-    angles, and initial state seed :func:`run` on the full problem.
-    """
-    return run(deterministic_problem(problem), guess, params, **run_kwargs)

@@ -50,7 +50,6 @@ __all__ = [
     "chi2_quantile_sqrt",
     "extract_solution",
     "feedback_nodes",
-    "layout_audit",
     "penalty_grad",
     "penalty_value",
     "solve_subproblem",
@@ -226,9 +225,7 @@ class SubproblemLayout:
     fb_nodes: dict[int, tuple[int, ...]]
     assists: tuple[GaEvent, ...]
     m_u: float | None
-    m_assists: tuple[float, ...]
     stochastic: StochasticSpec | None
-    ref_controls: np.ndarray
     x0_fixed: np.ndarray | None
 
 
@@ -645,9 +642,7 @@ def build_subproblem(
         fb_nodes=dict(fb),
         assists=tuple(assists),
         m_u=m_u,
-        m_assists=m_assists,
         stochastic=stochastic,
-        ref_controls=ref_controls.copy(),
         x0_fixed=None if x0_fixed is None else np.asarray(x0_fixed, dtype=float),
     )
 
@@ -731,34 +726,3 @@ def augmented_cost(
     for lam, v in zip(weights.lam_assists, zetas):
         total += lam * v + penalty_value(v, weights.weight)
     return total
-
-
-def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
-    """Documented variable-count breakdown; totals match the program.
-
-    The count includes the free initial mean state (6 variables) alongside
-    controls, turn angles, gain blocks, epigraphs, relaxation slacks, and
-    penalty auxiliaries.
-    """
-    n_thrust = len(layout.thrust_segments)
-    n_ga = len(layout.ga_segments)
-    n_assist = len(layout.assists)
-    n_gain_blocks = sum(len(v) for v in layout.fb_nodes.values())
-    n_b = sum(
-        1 for k in layout.thrust_segments if f"b{k}" in layout.program.var_blocks
-    )
-    n_relaxed = N_X + n_assist
-    counts = {
-        "x0": N_X,
-        "thrust_controls": N_U * n_thrust,
-        "assist_controls": N_U * n_ga,
-        "turn_angles": n_assist,
-        "gain_blocks": N_U * N_X * n_gain_blocks,
-        "dv_epigraphs": n_thrust + n_b,
-        "impact_epigraphs": (2 if layout.stochastic is not None else 1) * n_assist,
-        "relaxation_slacks": n_relaxed,
-        "penalty_epigraphs": 2 * n_relaxed,
-    }
-    counts["total"] = sum(v for k, v in counts.items() if k != "total")
-    assert counts["total"] == layout.program.n_vars
-    return counts

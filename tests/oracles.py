@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from covtraj.covsteer import FeedbackPolicy
+from covtraj.covsteer import BlockSystem, FeedbackPolicy
 from covtraj.dynamics import ATOL, F_THRUST, RTOL, SINGULARITY_RADIUS, LinearSegment
 from covtraj.errors import NumericalError
+from covtraj.subproblem import SubproblemLayout
 from covtraj.uncertainty import ObservationModel
 
 N_X = 6
@@ -415,3 +416,53 @@ def lowered_cone_slack(kind: str, s: np.ndarray, aux: np.ndarray, alpha=None) ->
     (_, a), (_, b) = leaves
     out += [a + b, a - b, 2.0 * t]
     return np.array(out)
+
+
+def state_mean(blocks: BlockSystem, x0_bar: np.ndarray, U_bar: np.ndarray) -> np.ndarray:
+    """Mean state at every node under the nominal control sequence.
+
+    Args:
+        blocks: block system from :func:`covtraj.covsteer.build_block_system`.
+        x0_bar: initial mean state, (6,).
+        U_bar: nominal controls, (N, 3).
+
+    Returns:
+        (N+1, 6) node means. On the linearization reference itself this
+        reproduces the nonlinear flow exactly (the affine drift absorbs it).
+    """
+    x0_bar = np.asarray(x0_bar, dtype=float)
+    U_bar = np.asarray(U_bar, dtype=float).reshape(blocks.n_segments, N_U)
+    mean = blocks.Phi @ x0_bar + blocks.Cvec
+    mean += np.einsum("kinm,im->kn", blocks.Bblk[:, : blocks.n_segments], U_bar)
+    return mean
+
+
+def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
+    """Documented variable-count breakdown; totals match the program.
+
+    The count includes the free initial mean state (6 variables) alongside
+    controls, turn angles, gain blocks, epigraphs, relaxation slacks, and
+    penalty auxiliaries.
+    """
+    n_thrust = len(layout.thrust_segments)
+    n_ga = len(layout.ga_segments)
+    n_assist = len(layout.assists)
+    n_gain_blocks = sum(len(v) for v in layout.fb_nodes.values())
+    n_b = sum(
+        1 for k in layout.thrust_segments if f"b{k}" in layout.program.var_blocks
+    )
+    n_relaxed = N_X + n_assist
+    counts = {
+        "x0": N_X,
+        "thrust_controls": N_U * n_thrust,
+        "assist_controls": N_U * n_ga,
+        "turn_angles": n_assist,
+        "gain_blocks": N_U * N_X * n_gain_blocks,
+        "dv_epigraphs": n_thrust + n_b,
+        "impact_epigraphs": (2 if layout.stochastic is not None else 1) * n_assist,
+        "relaxation_slacks": n_relaxed,
+        "penalty_epigraphs": 2 * n_relaxed,
+    }
+    counts["total"] = sum(v for k, v in counts.items() if k != "total")
+    assert counts["total"] == layout.program.n_vars
+    return counts

@@ -1,5 +1,7 @@
 """Conic layer: analytic-solution problems, lowering, certificates, dumps."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -364,6 +366,22 @@ def test_solver_deterministic():
     assert r1.status == r2.status == "optimal"
     assert r1.x.tobytes() == r2.x.tobytes()
     assert r1.obj == r2.obj
+
+
+def test_capped_solve_reports_the_residuals_of_the_iterate_it_returns():
+    # each IPM iteration measures its iterate and then steps, so a solve
+    # stopped by the cap must return a measured iterate with its own
+    # residuals: two results share x exactly when they share residuals
+    prog = _small_socp()
+    full = solve(prog)
+    assert full.status == "optimal"
+    results = [solve(prog, max_iters=j) for j in range(1, full.iterations)] + [full]
+    returned = [r for r in results if r.x is not None]
+    assert [r.status for r in returned[:-1]] == ["optimal_inaccurate"] * (len(returned) - 1)
+    assert len(returned) >= 3
+    for a, b in itertools.combinations(returned, 2):
+        same_residuals = (a.pres, a.dres, a.gap) == (b.pres, b.dres, b.gap)
+        assert same_residuals == np.array_equal(a.x, b.x)
 
 
 @pytest.mark.parametrize("seed", range(10))

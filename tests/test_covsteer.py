@@ -10,8 +10,10 @@ from covtraj.covsteer import (
     convert_gain,
     dispersion_sqrt,
     kalman_precompute,
-    state_mean,
+    measurement_update,
 )
+from covtraj.errors import NumericalError
+from covtraj.uncertainty import ObservationModel
 from oracles import (
     random_observations,
     random_policy,
@@ -19,6 +21,7 @@ from oracles import (
     recursive_covariances,
     recursive_filter,
     simulate_closed_loop_paths,
+    state_mean,
 )
 
 
@@ -54,6 +57,33 @@ def test_kalman_posterior_never_exceeds_prior():
         assert eigs.min() > -1e-10
         # posterior itself stays PSD
         assert np.linalg.eigvalsh(sched.P_post[k]).min() > -1e-10
+
+
+def test_kalman_singular_innovation_covariance_raises():
+    # an exact prior observed through rank-one noise leaves S = D D' singular
+    rng = np.random.default_rng(5)
+    segs = random_segments(rng, 2)
+    D = np.diag([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    obs = ObservationModel(has_measurement=(True, False, False), sqrt_noise=(D, None, None))
+    with pytest.raises(NumericalError, match="node 0"):
+        kalman_precompute(segs, obs, np.zeros((6, 6)))
+
+
+def test_measurement_update_fails_only_the_singular_row():
+    rng = np.random.default_rng(6)
+    G = rng.standard_normal((6, 6))
+    P = np.stack([G @ G.T, np.zeros((6, 6)), np.eye(6)])
+    C = np.eye(6)
+    D = np.diag([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    P_post, L, S, failures = measurement_update(P, C, D)
+    assert list(failures) == [1]
+    assert np.isnan(P_post[1]).all() and np.isnan(L[1]).all()
+    for i in (0, 2):
+        P_alone, L_alone, S_alone, alone_failures = measurement_update(P[i : i + 1], C, D)
+        assert not alone_failures
+        np.testing.assert_array_equal(P_post[i], P_alone[0])
+        np.testing.assert_array_equal(L[i], L_alone[0])
+        np.testing.assert_array_equal(S[i], S_alone[0])
 
 
 def test_state_mean_matches_recursion():

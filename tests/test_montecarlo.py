@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import covtraj.montecarlo as mc_mod
-from covtraj.dynamics import TimeGrid, propagate
 from covtraj.errors import ConfigError, NumericalError
 from covtraj.gravity_assist import ga_map, periapsis_radius
 from covtraj.montecarlo import (
@@ -18,17 +17,15 @@ from covtraj.montecarlo import (
     write_report,
 )
 from covtraj.scp import (
-    GaEvent,
     ScpParams,
-    ScpProblem,
     TrajectoryGuess,
     UncertaintyModel,
     deterministic_problem,
     evaluate_point,
     run,
 )
-from covtraj.uncertainty import GatesParams, ObservationModel, process_noise_sqrt
-from test_scp import _stochastic_scp_problem
+from covtraj.uncertainty import ObservationModel
+from test_scp import _flyby_problem, _stochastic_scp_problem
 
 
 @pytest.fixture(scope="module")
@@ -304,48 +301,9 @@ def test_bound_check_detects_exceedance(solved):
 
 def _flyby_mc_problem():
     """Small flyby instance flown open loop under dispersion."""
-    grid = TimeGrid(
-        epochs=(0.0, 1.0, 1.0, 2.0), kinds=("thrust", "ga", "thrust", "coast")
-    )
-    v_planet = np.array([0.0, 1.0, 0.0])
-    theta = 0.9
-    event = GaEvent(
-        segment=1, mu_p=0.05, r_p_min=0.01, v_planet=v_planet, eps=1e-3,
-        theta_min=0.1, theta_max=2.0,
-    )
-    x0 = np.array([1.0, 0.0, 0.0, 0.35, 1.0, 0.35])
-    controls = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, np.tan(0.5 * theta), 0.0],
-            [0.05, -0.02, 0.01],
-        ]
-    )
-    x1 = propagate(x0, controls[0], 0.0, 1.0, 0.0)
-    x2 = ga_map(x1, controls[1], v_planet)
-    x_target = propagate(x2, controls[2], 1.0, 2.0, 0.0)
-    obs = ObservationModel(
-        has_measurement=(True, False, True, False),
-        sqrt_noise=(0.03 * np.eye(6), None, 0.03 * np.eye(6), None),
-    )
-    unc = UncertaintyModel(
-        obs=obs,
-        p_hat0=4e-4 * np.eye(6),
-        p_tilde0=4e-4 * np.eye(6),
-        eps_u=1e-2,
-        p_f=np.eye(6),
-        gates=GatesParams(
-            sigma_fixed_mag=1e-3, sigma_prop_mag=2e-3,
-            sigma_fixed_point=1e-3, sigma_prop_point=2e-3,
-        ),
-        proc_noise_sqrt=process_noise_sqrt(1e-3, 1.0),
-    )
-    prob = ScpProblem(
-        grid=grid, u_max=0.6, x_target=x_target, mu=0.0, x0_fixed=x0,
-        ga_events=(event,), uncertainty=unc,
-    )
-    point = evaluate_point(prob, x0, controls, thetas=(theta,))
-    return prob, point, theta, v_planet
+    prob, guess = _flyby_problem()
+    point = evaluate_point(prob, guess.x0, guess.controls, thetas=guess.thetas)
+    return prob, point, guess.thetas[0], prob.ga_events[0].v_planet
 
 
 def test_flyby_campaign_periapsis_statistics():

@@ -22,7 +22,6 @@ from covtraj.scp import (
     TrajectoryGuess,
     UncertaintyModel,
     accept_and_update,
-    deterministic_initial_guess,
     deterministic_problem,
     evaluate_point,
     nl_augmented_cost,
@@ -440,11 +439,78 @@ def test_stochastic_rendezvous_under_dispersion_bound(stochastic_runs):
 
 def test_stochastic_run_seeded_by_deterministic_solution(stochastic_runs):
     prob, params, guess, res, _, _ = stochastic_runs
-    det = deterministic_initial_guess(prob, guess, params)
+    det = run(deterministic_problem(prob), guess, params)
     assert det.converged
     seeded = run(prob, det.point, params)
     assert seeded.converged
     assert seeded.point.j_ub == pytest.approx(res.point.j_ub, rel=1e-4)
+
+
+def _flyby_problem(r_p_min=0.01):
+    """Thrust, flyby, thrust under dispersion, and its open-loop guess.
+
+    The guess turns by 0.9 rad and meets the target exactly. At the default
+    periapsis floor the flyby is far from it; at r_p_min = 0.2 the
+    mean-only design clears the floor but the dispersion margin binds.
+    """
+    grid = TimeGrid(epochs=(0.0, 1.0, 1.0, 2.0), kinds=("thrust", "ga", "thrust", "coast"))
+    v_planet = np.array([0.0, 1.0, 0.0])
+    theta = 0.9
+    event = GaEvent(
+        segment=1, mu_p=0.05, r_p_min=r_p_min, v_planet=v_planet, eps=1e-3,
+        theta_min=0.1, theta_max=2.0,
+    )
+    x0 = np.array([1.0, 0.0, 0.0, 0.35, 1.0, 0.35])
+    controls = np.array(
+        [[0.0, 0.0, 0.0], [0.0, np.tan(0.5 * theta), 0.0], [0.05, -0.02, 0.01]]
+    )
+    x1 = propagate(x0, controls[0], 0.0, 1.0, 0.0)
+    x2 = ga_map(x1, controls[1], v_planet)
+    x_target = propagate(x2, controls[2], 1.0, 2.0, 0.0)
+    obs = ObservationModel(
+        has_measurement=(True, False, True, False),
+        sqrt_noise=(0.03 * np.eye(6), None, 0.03 * np.eye(6), None),
+    )
+    unc = UncertaintyModel(
+        obs=obs,
+        p_hat0=4e-4 * np.eye(6),
+        p_tilde0=4e-4 * np.eye(6),
+        eps_u=1e-2,
+        p_f=np.eye(6),
+        gates=GatesParams(
+            sigma_fixed_mag=1e-3, sigma_prop_mag=2e-3,
+            sigma_fixed_point=1e-3, sigma_prop_point=2e-3,
+        ),
+        proc_noise_sqrt=process_noise_sqrt(1e-3, 1.0),
+    )
+    prob = ScpProblem(
+        grid=grid, u_max=0.6, x_target=x_target, mu=0.0, x0_fixed=x0,
+        ga_events=(event,), uncertainty=unc,
+    )
+    return prob, TrajectoryGuess(x0=x0, controls=controls, thetas=(theta,))
+
+
+def test_flyby_chance_constraint_binds_under_dispersion():
+    prob, guess = _flyby_problem(r_p_min=0.2)
+    params = ScpParams(tr_init=1.0, tr_max=1.0)
+    det = run(deterministic_problem(prob), guess, params)
+    assert det.converged
+    # the mean-only design clears the periapsis floor with room to spare
+    assert det.point.g_ineq[0] < -0.05
+
+    sto = run(prob, det.point, params)
+    assert sto.converged
+    assert sto.point.max_violation <= 1e-6
+    # the dispersion-aware margin is active at the stochastic optimum ...
+    assert abs(sto.point.g_ineq[0]) <= 1e-5
+    # ... so the mean flyby alone keeps a margin from the floor, the
+    # dispersion term, wider than the mean-only design's slack, and the
+    # design pays for it in delta-v
+    mean_margin = evaluate_point(
+        deterministic_problem(prob), sto.point.x0, sto.point.controls, sto.point.thetas
+    ).g_ineq[0]
+    assert mean_margin < det.point.g_ineq[0]
+    assert sto.point.j_ub > 1.2 * det.point.j_ub
 
 
 def test_zero_noise_stochastic_matches_deterministic():

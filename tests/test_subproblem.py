@@ -25,13 +25,12 @@ from covtraj.subproblem import (
     build_subproblem,
     chi2_quantile_sqrt,
     feedback_nodes,
-    layout_audit,
     penalty_grad,
     penalty_value,
     solve_subproblem,
 )
 from covtraj.uncertainty import ObservationModel
-from oracles import recursive_covariances
+from oracles import layout_audit, recursive_covariances
 
 
 # ----------------------------------------------------------------------
