@@ -8,8 +8,8 @@ slices them and keeps no row lists. The algorithm is the standard
 Nesterov-Todd scaled predictor-corrector with one linear-solve path per
 iteration:
 
-1. one Cholesky factorization of the regularized normal matrix
-   M = A_in' W^-2 A_in + reg I;
+1. one in-place Cholesky factorization of the regularized normal matrix
+   M = A_in' W^-2 A_in + reg I, assembled as one triangle in Fortran order;
 2. a direct solve of the equality rows through the Schur complement
    E = A_eq M^-1 A_eq' (a program without equality rows is the empty case);
 3. residual-correction (polish) passes over the full Newton system, the only
@@ -28,11 +28,13 @@ is computed together once per iteration, and W, W^-1, W^-2, the Jordan
 product, the arrow solve and the step length act on all cones at once:
 per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
 broadcast back through the cone id. So does the normal matrix: with
-W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, M is one product of a Gram
-stack fixed for the solve with per-group weights, plus 2 F F' with one column
-A_k' J wbar_k / eta_k of F per cone. The per-iteration cost is dominated by
-one dense Cholesky factorization. Everything is deterministic: no
-randomness, no iteration-order ambiguity.
+W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower triangle of M is
+one product of a Gram stack fixed for the solve with per-group weights, plus
+2 F F' with one column A_k' J wbar_k / eta_k of F per cone, added in place.
+That one n x n buffer and its dense Cholesky factorization dominate each
+iteration. No triangular solve scans for NaNs: the factors' diagonals, the
+equality rows and each right-hand side are checked finite instead.
+Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk
 
 from ..errors import NumericalError
 from .lowering import is_canonical, lower_program
@@ -185,11 +188,13 @@ class _NtScaling:
 
 
 def _gram_stack(A: sp.csr_matrix, group: np.ndarray, sign: np.ndarray, n_groups: int):
-    """Sparse (n*n) x n_groups matrix whose column g is vec(A_g' S_g A_g).
+    """Sparse (n*n) x n_groups matrix whose column g is one triangle of A_g' S_g A_g.
 
     Row r of A is in group ``group[r]`` and S = diag(``sign``). Shifting each
     row into its group's block of n columns, one sparse product stacks every
-    Gram block (row g*n + i, column j), already in the stack's vec order.
+    Gram block (row g*n + i, column j). Only the entries with i <= j are
+    kept, at position i*n + j: read in Fortran order, a weighted sum of the
+    columns is the lower triangle of the weighted sum of the blocks.
     """
     m, n = A.shape
     row = np.repeat(np.arange(m), np.diff(A.indptr))
@@ -198,19 +203,27 @@ def _gram_stack(A: sp.csr_matrix, group: np.ndarray, sign: np.ndarray, n_groups:
         shape=(m, n_groups * n),
     )
     blocks = (lifted.T @ A).tocsr()
-    i = np.repeat(np.arange(n_groups * n) % n, np.diff(blocks.indptr))
+    gi = np.repeat(np.arange(n_groups * n), np.diff(blocks.indptr))
+    keep = gi % n <= blocks.indices
+    gi = gi[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(gi // n, minlength=n_groups))])
     stacked = sp.csr_matrix(
-        (blocks.data, i * n + blocks.indices, blocks.indptr[::n]),
+        (blocks.data[keep], gi % n * n + blocks.indices[keep], indptr),
         shape=(n_groups, n * n),
     )
     return stacked.T
 
 
-def _nonneg_max_step(u: np.ndarray, d: np.ndarray) -> float:
-    neg = d < 0.0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-u[neg] / d[neg]))
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of a, in a's own buffer when a is Fortran-ordered.
+
+    A non-finite entry anywhere in the factored triangle reaches the diagonal
+    of its row, so a finite diagonal stands for a finite factor.
+    """
+    factor = sla.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    if not np.isfinite(np.diagonal(factor[0])).all():
+        raise NumericalError("Cholesky factor is not finite")
+    return factor
 
 
 class _Workspace:
@@ -226,8 +239,9 @@ class _Workspace:
     sums over ``heads`` and per-cone scalars are broadcast back to rows
     through ``cone_id``, so every cone operation is a handful of array
     operations whatever the number of cones. ``gram_stack`` holds one
-    column vec(A_g' S_g A_g) per inequality group: each nonneg row alone
-    with S = 1, then each cone with S = -J.
+    column per inequality group, the entries i <= j of A_g' S_g A_g at
+    position i*n + j: each nonneg row alone with S = 1, then each cone with
+    S = -J.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -255,6 +269,9 @@ class _Workspace:
         self.e[self.n_nn + self.heads] = 1.0
 
         self.A_eq = A[: self.n_eq].toarray()
+        # the right-hand side of every solve with A_eq', checked once here
+        if not np.isfinite(self.A_eq).all():
+            raise NumericalError("equality rows are not finite")
         self.b_eq = prog.b[: self.n_eq]
         self.A_in = A[self.n_eq:]
         #: A_in' built once: its products sum in the same order as A_in.T's
@@ -273,22 +290,22 @@ class _Workspace:
         self.degree = n_groups
 
     def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
-        """The dense normal matrix A_in' W^-2 A_in at the scaling sc.
+        """The lower triangle of A_in' W^-2 A_in at the scaling sc, in Fortran order.
 
         Every group's Gram block is weighted by 1/w^2 (nonneg) or 1/eta^2
-        (cone) in one product with ``gram_stack``; the rank-one part of each
-        cone's W^-2 is 2 F F', where column k of F is A_k' J wbar_k / eta_k.
+        (cone) in one product with ``gram_stack``, which lands in a fresh
+        Fortran-ordered buffer; the rank-one part of each cone's W^-2, 2 F F'
+        with column k of F equal to A_k' J wbar_k / eta_k, is added into that
+        buffer by one ``dsyrk``. The strict upper triangle is left zero.
         """
         v = self.jsign * sc.wbar / sc.eta[self.cone_id]
         cone_map = sp.csr_matrix(
             (v, self.cone_id, np.arange(v.size + 1)), shape=(v.size, sc.eta.size)
         )
-        F = (self.A_soc_t @ cone_map).toarray()
-        M = F @ F.T
-        M *= 2.0
+        F = (self.A_soc_t @ cone_map).toarray(order="F")
         weights = np.concatenate([1.0 / sc.w_nn**2, 1.0 / sc.eta**2])
-        M += (self.gram_stack @ weights).reshape(self.n, self.n)
-        return M
+        M = (self.gram_stack @ weights).reshape(self.n, self.n, order="F")
+        return dsyrk(2.0, F, beta=1.0, c=M, lower=1, overwrite_c=1)
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """u[1:] . v[1:] of every cone, for u, v over the SOC region."""
@@ -351,7 +368,8 @@ class _Workspace:
 
     def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
         """Largest alpha with u + alpha d in every inequality cone."""
-        alpha = _nonneg_max_step(u[self.nn], d[self.nn])
+        un, dn = u[self.nn], d[self.nn]
+        alpha = np.min(-un[dn < 0.0] / dn[dn < 0.0], initial=np.inf)
         return float(min(alpha, self.soc_steps(u[self.soc], d[self.soc]).min(initial=np.inf)))
 
 
@@ -427,6 +445,9 @@ def solve(
         solve that ends neither optimal nor with an infeasibility
         certificate reports its best measured iterate and that iterate's
         residuals.
+
+    Raises:
+        NumericalError: the lowered program's equality rows are not finite.
     """
     lowered = lower_program(prog)
     n_orig = lowered.n_orig
@@ -450,18 +471,27 @@ def solve(
     best_merit = np.inf
     best_snap: dict | None = None
 
-    def factor(M):
-        # a retry scales the diagonal, so the bump stays relative to each
-        # pivot; M itself is left intact for the next retry
+    reg = None
+
+    def factor(sc):
+        # LAPACK factors M where it lies, so each retry assembles it again; a
+        # retry scales the diagonal, so the bump stays relative to each pivot
+        nonlocal reg
         for bump in (0.0, 1e4, 1e8):
-            Mb = M
-            if bump > 0.0:
-                Mb = M.copy()
-                Mb[np.diag_indices_from(Mb)] *= 1.0 + bump * STATIC_REG
+            M = ws.assemble_normal(sc)
+            diag = np.diag_indices_from(M)
+            # the regularization scale is frozen at the first iteration: cone
+            # weights diverge as the complementarity gap closes and a
+            # regularization tracking the growing diagonal would bias the
+            # dual residual by reg * |dx|
+            if reg is None:
+                reg = STATIC_REG * (1.0 + float(np.abs(M[diag]).max(initial=0.0)))
+            M[diag] += reg
+            M[diag] *= 1.0 + bump * STATIC_REG
             try:
-                return sla.cho_factor(Mb, lower=True, overwrite_a=bump > 0.0)
+                return _cholesky(M)
             except np.linalg.LinAlgError:
-                continue
+                del M
         raise NumericalError("normal matrix factorization failed")
 
     status = "max_iterations"
@@ -528,57 +558,23 @@ def solve(
                 status = "dual_infeasible"
                 break
 
-        try:
-            sc = _NtScaling(ws, s, z)
-            # one normal matrix and one factor live at a time
-            MF = None
-            M = ws.assemble_normal(sc)
-            # the regularization scale is frozen at the first iteration: cone
-            # weights diverge as the complementarity gap closes and a
-            # regularization tracking the growing diagonal would bias the
-            # dual residual by reg * |dx|
-            if it == 1:
-                reg = STATIC_REG * (1.0 + float(np.abs(np.diag(M)).max(initial=0.0)))
-            M[np.diag_indices_from(M)] += reg
-            MF = factor(M)
-            del M
-        except NumericalError:
-            status = "numerical_error"
-            break
-
-        ME = sla.cho_solve(MF, ws.A_eq.T)
-        E = ws.A_eq @ ME
-        # scaled with the current diagonal: E inherits the cone-weight
-        # growth and an undersized shift lets factorization noise through;
-        # the bias this injects is removed by the direction polish passes
-        E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max(initial=0.0))
-        EF = sla.cho_factor(E, lower=True)
-
+        # direction solves on this iteration's scaling and factors (set below)
         def saddle(f, g):
             """Solve [[M, A_eq'], [A_eq, 0]] (p, q) = (f, g) by the Schur complement."""
-            Mf = sla.cho_solve(MF, f)
-            q = sla.cho_solve(EF, ws.A_eq @ Mf - g)
+            if not (np.isfinite(f).all() and np.isfinite(g).all()):
+                raise NumericalError("saddle right-hand side is not finite")
+            Mf = sla.cho_solve(MF, f, check_finite=False)
+            q = sla.cho_solve(EF, ws.A_eq @ Mf - g, check_finite=False)
             return Mf - ME @ q, q
-
-        # system 1: dtau coefficient
-        f1 = ws.A_in_t @ sc.mul_winv2(ws.b_in) - ws.c
-        dx1, dy1 = saddle(f1, ws.b_eq)
-        dz1 = sc.mul_winv2(ws.A_in @ dx1 - ws.b_in)
-        den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
 
         def newton(R_d, R_pin, R_peq, R_g, R_comp, R_tk):
             """Direction for general right-hand sides of the scaled KKT system."""
             wbeta = sc.mul_w(sc.arrow_solve(R_comp))
-
             f2 = R_d + ws.A_in_t @ sc.mul_winv2(R_pin - wbeta)
             dx2, dy2 = saddle(f2, R_peq)
             dz2 = sc.mul_winv2(ws.A_in @ dx2 + wbeta - R_pin)
 
-            num = (
-                R_g
-                - R_tk / tau
-                - float(ws.c @ dx2 + ws.b_in @ dz2 + ws.b_eq @ dy2)
-            )
+            num = R_g - R_tk / tau - float(ws.c @ dx2 + ws.b_in @ dz2 + ws.b_eq @ dy2)
             dtau = num / den
             dx = dx2 + dtau * dx1
             dy = dy2 + dtau * dy1
@@ -587,16 +583,13 @@ def solve(
             dkappa = (R_tk - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 
-        def comp_apply(dz, ds):
-            """lam o (W dz + W^-1 ds), the linearized complementarity map."""
-            return ws.jmul(sc.lam, sc.mul_w(dz) + sc.mul_winv(ds))
-
         def newton_residuals(R, dx, dy, dz, ds, dtau, dkappa):
             r1 = R[0] - (ws.A_in_t @ dz + ws.A_eq.T @ dy + ws.c * dtau)
             r2 = R[1] - (ds + ws.A_in @ dx - ws.b_in * dtau)
             r3 = R[2] - (ws.A_eq @ dx - ws.b_eq * dtau)
             r4 = R[3] - (float(ws.c @ dx + ws.b_in @ dz + ws.b_eq @ dy) + dkappa)
-            r5 = R[4] - comp_apply(dz, ds)
+            # lam o (W dz + W^-1 ds), the linearized complementarity map
+            r5 = R[4] - ws.jmul(sc.lam, sc.mul_w(dz) + sc.mul_winv(ds))
             r6 = R[5] - (tau * dkappa + kappa * dtau)
             return r1, r2, r3, r4, r5, r6
 
@@ -621,12 +614,7 @@ def solve(
             # regularization bias and late-stage factorization noise
             for _ in range(polish):
                 rs = newton_residuals(R, *d)
-                norms = (
-                    np.linalg.norm(rs[0]), np.linalg.norm(rs[1]),
-                    np.linalg.norm(rs[2]), abs(rs[3]),
-                    np.linalg.norm(rs[4]), abs(rs[5]),
-                )
-                new_norm = max(norms)
+                new_norm = max(np.linalg.norm(r) if np.ndim(r) else abs(r) for r in rs)
                 if new_norm <= 1e-13 * scale or new_norm >= res_norm:
                     break
                 res_norm = new_norm
@@ -643,25 +631,37 @@ def solve(
             return alpha
 
         try:
+            sc = _NtScaling(ws, s, z)
+            # one normal matrix, factored where it lies, is live at a time
+            MF = None
+            MF = factor(sc)
+            ME = sla.cho_solve(MF, ws.A_eq.T, check_finite=False)
+            E = ws.A_eq @ ME
+            # scaled with the current diagonal: E inherits the cone-weight
+            # growth and an undersized shift lets factorization noise through;
+            # the bias this injects is removed by the direction polish passes
+            E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max(initial=0.0))
+            EF = _cholesky(E)
+
+            # system 1: dtau coefficient
+            f1 = ws.A_in_t @ sc.mul_winv2(ws.b_in) - ws.c
+            dx1, dy1 = saddle(f1, ws.b_eq)
+            dz1 = sc.mul_winv2(ws.A_in @ dx1 - ws.b_in)
+            den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
+
             dxa, dya, dza, dsa, dta, dka = direction(0.0, None, 0.0)
-        except NumericalError:
-            status = "numerical_error"
-            break
-        a_aff = min(1.0, max_step(dza, dsa, dta, dka))
-        gap_aff = (s + a_aff * dsa) @ (z + a_aff * dza) + (tau + a_aff * dta) * (
-            kappa + a_aff * dka
-        )
-        sigma = float(np.clip((max(gap_aff, 0.0) / sz_gap) ** 3, 1e-8, 1.0 - 1e-8))
+            a_aff = min(1.0, max_step(dza, dsa, dta, dka))
+            gap_aff = (s + a_aff * dsa) @ (z + a_aff * dza)
+            gap_aff += (tau + a_aff * dta) * (kappa + a_aff * dka)
+            sigma = float(np.clip((max(gap_aff, 0.0) / sz_gap) ** 3, 1e-8, 1.0 - 1e-8))
 
-        corr = ws.jmul(sc.mul_winv(dsa), sc.mul_w(dza))
-        try:
+            corr = ws.jmul(sc.mul_winv(dsa), sc.mul_w(dza))
             dx, dy, dz, ds, dtau, dkappa = direction(sigma, corr, dta * dka, polish=10)
-        except NumericalError:
+        except (NumericalError, np.linalg.LinAlgError):
             status = "numerical_error"
             break
 
-        alpha = STEP_FRACTION * max_step(dz, ds, dtau, dkappa)
-        alpha = min(1.0, alpha)
+        alpha = min(1.0, STEP_FRACTION * max_step(dz, ds, dtau, dkappa))
         if alpha <= 1e-10:
             status = "numerical_error"
             break

@@ -405,6 +405,118 @@ def test_solve_survives_last_bit_changes_of_the_factored_matrices(monkeypatch, s
     assert res.iterations == plain.iterations
 
 
+def _spy_cho_factor(monkeypatch, order, fail=()):
+    """Wrap the solver's cho_factor to record the diagonal of each order x order input.
+
+    The k-th such call (counting from 1) raises LinAlgError instead of
+    factoring when k is in ``fail``.
+    """
+    cho_factor = solver.sla.cho_factor
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        if a.shape[0] == order:
+            seen.append(a.diagonal().copy())
+            if len(seen) in fail:
+                raise np.linalg.LinAlgError("injected")
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "cho_factor", spy)
+    return seen
+
+
+def test_factor_retry_scales_the_diagonal(monkeypatch):
+    # the first attempt of the third iteration fails; the retry factors the
+    # same matrix with its diagonal scaled by 1 + 1e4 * STATIC_REG
+    prog = _small_socp()
+    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(3,))
+    res = solve(prog)
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(seen[3], seen[2] * (1.0 + 1e4 * solver.STATIC_REG))
+
+
+def test_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
+    prog = _small_socp()
+    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(3, 4, 5))
+    res = solve(prog)
+    assert res.status == "numerical_error"
+    assert len(seen) == 5
+
+
+def test_failing_equality_factor_ends_numerical_error(monkeypatch):
+    prog = _small_socp()
+    n_eq = sum(c.dim for c in lower_program(prog).program.cones if c.kind == "zero")
+    _spy_cho_factor(monkeypatch, n_eq, fail=(2,))
+    res = solve(prog)
+    assert res.status == "numerical_error"
+    assert res.iterations == 2
+
+
+def test_nan_in_the_factored_triangle_ends_numerical_error(monkeypatch):
+    # from the third iteration on, one entry of the lower triangle is NaN
+    assemble = _Workspace.assemble_normal
+    calls = []
+
+    def poisoned(self, sc):
+        M = assemble(self, sc)
+        calls.append(1)
+        if len(calls) >= 3:
+            M[2, 1] = np.nan
+        return M
+
+    monkeypatch.setattr(_Workspace, "assemble_normal", poisoned)
+    res = solve(_small_socp())
+    assert res.status == "numerical_error"
+    assert res.iterations == 3
+
+
+def test_non_finite_saddle_right_hand_side_ends_numerical_error(monkeypatch):
+    # system 1 of the second iteration gets a NaN right-hand side
+    mul_winv2 = _NtScaling.mul_winv2
+    calls = []
+
+    def poisoned(self, u):
+        out = mul_winv2(self, u)
+        if u is self.ws.b_in:
+            calls.append(1)
+            if len(calls) == 2:
+                out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(_NtScaling, "mul_winv2", poisoned)
+    res = solve(_small_socp())
+    assert res.status == "numerical_error"
+    assert res.iterations == 2
+
+
+def test_normal_matrix_is_factored_where_it_lies(monkeypatch):
+    # LAPACK reads the lower triangle in Fortran order: no transposing copy
+    # of the normal matrix, and no finiteness scan of the factor in a solve
+    prog = _small_socp()
+    n = lower_program(prog).program.n_vars
+    cho_factor, cho_solve = solver.sla.cho_factor, solver.sla.cho_solve
+    layouts, solve_checks = [], []
+
+    def factor_spy(a, *args, **kwargs):
+        out = cho_factor(a, *args, **kwargs)
+        if a.shape[0] == n:
+            layouts.append(
+                (a.flags.f_contiguous, kwargs.get("overwrite_a"), np.shares_memory(out[0], a))
+            )
+        return out
+
+    def solve_spy(*args, **kwargs):
+        solve_checks.append(kwargs.get("check_finite"))
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "cho_factor", factor_spy)
+    monkeypatch.setattr(solver.sla, "cho_solve", solve_spy)
+    res = solve(prog)
+    assert res.status == "optimal"
+    assert layouts and set(layouts) == {(True, True, True)}
+    assert solve_checks and set(solve_checks) == {False}
+
+
 def test_random_socp_against_cvxpy():
     cp = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(3)
@@ -617,8 +729,15 @@ def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
         at += wbar.size
     A_in = A[n_eq:]
     oracle = A_in.T @ winv2 @ A_in
+    # the solver assembles and factors one triangle; the upper one stays zero
     M = ws.assemble_normal(sc)
-    assert _rel(M, oracle) <= 1e-12
+    assert _rel(np.tril(M), np.tril(oracle)) <= 1e-12
+    assert not np.any(np.triu(M, 1))
+    # the stack keeps the entries i <= j of each group's Gram block
+    groups = [A_in[[r]] for r in range(ws.n_nn)] + list(
+        np.split(A_in[ws.n_nn:], np.cumsum(sizes)[:-1])
+    )
+    assert ws.gram_stack.nnz == sum(np.triu((Ag != 0).T @ (Ag != 0)).sum() for Ag in groups)
     for k in empty:
         assert not np.any(ws.gram_stack[:, ws.n_nn + k].toarray())
 
