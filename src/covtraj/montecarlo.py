@@ -33,17 +33,17 @@ with ``Khat`` the estimate-deviation form of the optimized policy
 corrections, so flybys replay the optimized turn exactly and only the
 incoming dispersion moves the realized periapsis.
 
-Every sample owns a counter-based Philox stream keyed by
-``(master_seed, sample index)`` and takes all of its noise from it in one
-``standard_normal`` call, sliced in a fixed documented order (see
-``_noise_slots``). The campaign then plays every sample back at once as
-one stacked ``(n_samples, ...)`` state: linear recursions are stacked
-products, and EKF mode integrates truth windows and the navigator's
-variational system as rows of one batched DOP853 with a step size per row
-(:func:`covtraj.dynamics.dop853`). Every product acts on one sample's row
-alone, so a sample's result is the same bits whatever other samples share
-the campaign, and campaigns reproduce bit-for-bit for a fixed
-configuration.
+Every sample owns a counter-based Philox stream with the key of
+``SeedSequence([master_seed, sample index])``, derived for all samples at
+once, and takes all of its noise from it in one ``standard_normal`` call,
+sliced in a fixed documented order (see ``_noise_slots``). The campaign
+then plays every sample back at once as one stacked ``(n_samples, ...)``
+state: linear recursions are stacked products, and EKF mode integrates
+truth windows and the navigator's variational system as rows of one batched
+DOP853 with a step size per row (:func:`covtraj.dynamics.dop853`). Every
+product acts on one sample's row alone, so a sample's result is the same
+bits whatever other samples share the campaign, and campaigns reproduce
+bit-for-bit for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,17 +86,18 @@ OD_TOLERANCE = 1e-12
 class McConfig:
     """Campaign controls: sample count, seeding, truth model, and statistics.
 
-    Sample i draws all of its noise in one call on the Philox stream keyed
-    by ``(master_seed, i)``; the draw length depends only on the grid, the
-    mode, ``dt_wn`` and the uncertainty model, so the first m samples of a
-    campaign are the same whatever ``n_samples`` is. ``dt_wn`` is the
-    redraw interval of the white-acceleration process in ``"ekf"`` mode;
-    segments are split into uniform windows no longer than this, and
-    ``None`` holds one draw across each whole segment. The bootstrap
-    settings size the confidence interval attached to the delta-v quantile;
-    ``max_failure_rate`` is the tolerated fraction of samples that may fail
-    numerically before the campaign itself errors out (a campaign in which
-    every sample fails always errors out).
+    Sample i draws all of its noise in one call on the Philox stream with
+    the key of ``SeedSequence([master_seed, i])``, derived for all samples
+    at once from a non-negative integer ``master_seed``. The draw length
+    depends only on the grid, the mode, ``dt_wn`` and the uncertainty model,
+    so the first m samples of a campaign are the same whatever ``n_samples``
+    is. ``dt_wn`` is the redraw interval of the white-acceleration process
+    in ``"ekf"`` mode; segments are split into uniform windows no longer
+    than this, and ``None`` holds one draw across each whole segment. The
+    bootstrap settings size the confidence interval attached to the delta-v
+    quantile; ``max_failure_rate`` is the tolerated fraction of samples that
+    may fail numerically before the campaign itself errors out (a campaign
+    in which every sample fails always errors out).
     """
 
     n_samples: int
@@ -109,6 +111,8 @@ class McConfig:
     keep_samples: bool = False
 
     def __post_init__(self):
+        if operator.index(self.master_seed) < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.mode not in ("ekf", "linear"):
@@ -259,7 +263,13 @@ def _quantile_ci_half(
     conf: float,
     seed: np.random.SeedSequence,
 ) -> float:
-    """Half-width of the central bootstrap confidence interval of the quantile."""
+    """Half-width of the central bootstrap confidence interval of the quantile.
+
+    A resample's order statistic is the sorted values at the order statistic
+    of its indices, so only the indices are partitioned; numpy draws the
+    same int32 indices as int64 ones for any n below 2**31.
+    """
+    values = np.sort(values)
     rng = np.random.Generator(np.random.Philox(seed))
     n = values.size
     order = math.ceil(p * n) - 1
@@ -269,8 +279,9 @@ def _quantile_ci_half(
     done = 0
     while done < n_resamples:
         m = min(chunk, n_resamples - done)
-        idx = rng.integers(0, n, size=(m, n))
-        quantiles[done : done + m] = np.partition(values[idx], order, axis=1)[:, order]
+        idx = rng.integers(0, n, size=(m, n), dtype=np.int32)
+        idx.partition(order, axis=1)
+        quantiles[done : done + m] = values[idx[:, order]]
         done += m
     lo, hi = np.quantile(quantiles, [0.5 * (1.0 - conf), 0.5 * (1.0 + conf)])
     return float(0.5 * (hi - lo))
@@ -345,12 +356,62 @@ def _noise_slots(
     return size, slots
 
 
-def _sample_noise(master_seed: int, index: int, size: int) -> np.ndarray:
-    """Every standard-normal draw of one sample, from its own Philox stream."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([master_seed, index]))
-    )
-    return rng.standard_normal(size)
+def _stream_keys(master_seed: int, n: int) -> np.ndarray:
+    """Philox keys of samples 0..n-1 (n < 2**32), (n, 2) uint64.
+
+    numpy's ``SeedSequence([master_seed, i]).generate_state(2, np.uint64)``
+    in uint32 arithmetic over every index i at once: the entropy is the
+    seed's little-endian 32-bit words and then i, hashed into a pool of 4
+    words, mixed, and hashed out again as 4 words read as 2 uint64.
+    """
+
+    def hasher(h: int, mult: int):
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal h
+            value = value ^ np.uint32(h)
+            h = h * mult & 0xFFFFFFFF
+            value = value * np.uint32(h)
+            return value ^ value >> 16
+
+        return hashmix
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ r >> 16
+
+    seed = operator.index(master_seed)
+    entropy = [np.full(n, seed & 0xFFFFFFFF, dtype=np.uint32)]
+    while seed := seed >> 32:
+        entropy.append(np.full(n, seed & 0xFFFFFFFF, dtype=np.uint32))
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [np.zeros(n, dtype=np.uint32)] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([hashout(word) for word in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _draw_noise(master_seed: int, n: int, size: int) -> np.ndarray:
+    """Every standard-normal draw of samples 0..n-1, one Philox stream each."""
+    keys = _stream_keys(master_seed, n)
+    numpy_key = np.random.SeedSequence([master_seed, 0]).generate_state(2, np.uint64)
+    if not np.array_equal(keys[0], numpy_key):
+        raise RuntimeError("sample stream keys no longer match numpy's SeedSequence")
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # counter 0 and an empty buffer, as a new Philox starts
+    z = np.empty((n, size))
+    for i, key in enumerate(keys.tolist()):
+        bits.state = {**fresh, "state": {"counter": fresh["state"]["counter"], "key": key}}
+        gen.standard_normal(out=z[i])
+    return z
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -584,9 +645,7 @@ def run_campaign(
     khat, sq_hat0, sq_til0 = _prepare(problem, point, cfg)
     grid = problem.grid
     size, slots = _noise_slots(problem, point, cfg)
-    z = np.empty((cfg.n_samples, size))
-    for i in range(cfg.n_samples):
-        z[i] = _sample_noise(cfg.master_seed, i, size)
+    z = _draw_noise(cfg.master_seed, cfg.n_samples, size)
     fly = _play_back(problem, point, cfg, khat, sq_hat0, sq_til0, z, slots)
 
     failures = dict(fly.failures)
@@ -611,7 +670,7 @@ def run_campaign(
     dv_values = fly.dv[ok]
     dv_q = estimate_quantile(dv_values, cfg.quantile)
     ci_half = _quantile_ci_half(
-        np.sort(dv_values),
+        dv_values,
         cfg.quantile,
         cfg.bootstrap,
         cfg.bootstrap_conf,

@@ -466,3 +466,28 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
     counts["total"] = sum(v for k, v in counts.items() if k != "total")
     assert counts["total"] == layout.program.n_vars
     return counts
+
+
+def bootstrap_ci_half_gather(
+    values: np.ndarray,
+    p: float,
+    n_resamples: int,
+    conf: float,
+    seed: np.random.SeedSequence,
+) -> float:
+    """Bootstrap half-width of the order-statistic quantile, value by value.
+
+    Draws one resample of int64 indices at a time from the same Philox
+    stream, gathers the sorted values it picks and partitions them for the
+    order statistic ceil(p n) (1-based).
+    """
+    values = np.sort(np.asarray(values, dtype=float))
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = values.size
+    order = int(np.ceil(p * n)) - 1
+    quantiles = np.empty(n_resamples)
+    for r in range(n_resamples):
+        picked = values[rng.integers(0, n, size=n)]
+        quantiles[r] = np.partition(picked, order)[order]
+    lo, hi = np.quantile(quantiles, [0.5 * (1.0 - conf), 0.5 * (1.0 + conf)])
+    return float(0.5 * (hi - lo))

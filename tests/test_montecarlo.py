@@ -25,6 +25,7 @@ from covtraj.scp import (
     run,
 )
 from covtraj.uncertainty import ObservationModel
+from oracles import bootstrap_ci_half_gather
 from test_scp import _flyby_problem, _stochastic_scp_problem
 
 
@@ -77,6 +78,38 @@ def test_config_validation():
         McConfig(n_samples=10, bootstrap_conf=0.0)
     with pytest.raises(ValueError):
         McConfig(n_samples=10, max_failure_rate=1.5)
+    with pytest.raises(ValueError):
+        McConfig(n_samples=10, master_seed=-1)
+    with pytest.raises(TypeError):
+        McConfig(n_samples=10, master_seed=2.5)
+    assert McConfig(n_samples=10, master_seed=np.int64(7)).master_seed == 7
+
+
+def test_stream_keys_match_numpy_seed_sequence():
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 12345, np.int64(7)):
+        keys = mc_mod._stream_keys(seed, 300)
+        expected = [
+            np.random.SeedSequence([seed, i]).generate_state(2, np.uint64) for i in range(300)
+        ]
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, expected)
+        z = mc_mod._draw_noise(seed, 300, 17)
+        for i in range(300):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i])))
+            assert np.array_equal(z[i], rng.standard_normal(17))
+
+
+def test_bootstrap_matches_gather_oracle():
+    # ties, unsorted input, and 1000 resamples of 25,000 in two chunks
+    values = np.round(np.random.Generator(np.random.Philox(4)).normal(size=25_000), 2)
+    seed = np.random.SeedSequence([5, values.size])
+    half = mc_mod._quantile_ci_half(values, 0.99, 1000, 0.99, seed)
+    assert half > 0.0
+    assert half == bootstrap_ci_half_gather(values, 0.99, 1000, 0.99, seed)
+    # one value: every resample repeats it
+    seed = np.random.SeedSequence([5, 1])
+    assert mc_mod._quantile_ci_half(values[:1], 0.99, 50, 0.99, seed) == 0.0
+    assert bootstrap_ci_half_gather(values[:1], 0.99, 50, 0.99, seed) == 0.0
 
 
 def test_quantile_order_statistic():
@@ -244,19 +277,18 @@ def test_campaign_prefix_is_batch_invariant(solved):
 
 
 def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
-    real = mc_mod._sample_noise
+    real = mc_mod._draw_noise
 
-    def poisoned(master_seed, index, size):
-        z = real(master_seed, index, size)
-        if index == 2:
-            z[3] = np.nan
+    def poisoned(master_seed, n, size):
+        z = real(master_seed, n, size)
+        z[2, 3] = np.nan
         return z
 
     for case in ("linear", "ekf"):
         prob, point, cfg = _case(solved, case)
-        monkeypatch.setattr(mc_mod, "_sample_noise", real)
+        monkeypatch.setattr(mc_mod, "_draw_noise", real)
         clean = run_campaign(prob, point, cfg)
-        monkeypatch.setattr(mc_mod, "_sample_noise", poisoned)
+        monkeypatch.setattr(mc_mod, "_draw_noise", poisoned)
         cfg = dataclasses.replace(cfg, max_failure_rate=0.1)
         with pytest.warns(UserWarning, match="sample 2 failed"):
             rep = run_campaign(prob, point, cfg)
@@ -277,7 +309,7 @@ def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
 def test_campaign_with_no_surviving_sample_raises(solved, monkeypatch):
     prob, point = solved
     monkeypatch.setattr(
-        mc_mod, "_sample_noise", lambda master_seed, index, size: np.full(size, np.nan)
+        mc_mod, "_draw_noise", lambda master_seed, n, size: np.full((n, size), np.nan)
     )
     cfg = McConfig(n_samples=4, mode="linear", bootstrap=10, max_failure_rate=1.0)
     with pytest.warns(UserWarning, match="failed"):
