@@ -165,20 +165,11 @@ class LinearSegment:
     A @ x_ref + B @ u_ref + c == flow(x_ref, u_ref).
     """
 
-    index: int
-    t0: float
-    t1: float
-    x_ref: np.ndarray
-    u_ref: np.ndarray
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
     G_exe: np.ndarray
     G_proc: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return self.t1 - self.t0
 
 
 def _solve_kepler(M: float, e: float) -> float:
@@ -656,7 +647,7 @@ def linearize_segment(
     discrete process-noise map.
 
     Args:
-        index: segment index within the grid (bookkeeping only).
+        index: segment index within the grid, named in errors.
         x_ref: reference state at t0, shape (6,).
         u_ref: reference control over the segment, shape (3,).
         t0, t1: segment bounds, t1 > t0.
@@ -694,10 +685,7 @@ def linearize_segment(
     else:
         G_proc = np.zeros((6, 0))
 
-    return LinearSegment(
-        index=index, t0=t0, t1=t1, x_ref=x_ref.copy(), u_ref=u_ref.copy(),
-        A=A, B=B, c=c, G_exe=G_exe, G_proc=G_proc,
-    )
+    return LinearSegment(A=A, B=B, c=c, G_exe=G_exe, G_proc=G_proc)
 
 
 #: Relative regularization of :func:`psd_sqrt`, a fraction of the mean

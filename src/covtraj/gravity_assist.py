@@ -94,11 +94,9 @@ def ga_map(x: np.ndarray, u: np.ndarray, v_planet: np.ndarray) -> np.ndarray:
 
 
 def ga_linearize(
-    index: int,
     x_ref: np.ndarray,
     u_ref: np.ndarray,
     v_planet: np.ndarray,
-    epoch: float,
 ) -> LinearSegment:
     """Linearize the flyby map about a reference state and turn parameter.
 
@@ -108,7 +106,7 @@ def ga_linearize(
     No noise enters across the zero-length segment.
 
     Returns:
-        LinearSegment with t0 == t1 == epoch and zero noise maps.
+        LinearSegment with zero noise maps.
     """
     x_ref = np.asarray(x_ref, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
@@ -126,10 +124,7 @@ def ga_linearize(
     B[3:, :] = np.linalg.solve(np.eye(3) + skew(u_ref), S_sum)
 
     c = x_post - A @ x_ref - B @ u_ref
-    return LinearSegment(
-        index=index, t0=epoch, t1=epoch, x_ref=x_ref.copy(), u_ref=u_ref.copy(),
-        A=A, B=B, c=c, G_exe=np.zeros((6, 3)), G_proc=np.zeros((6, 0)),
-    )
+    return LinearSegment(A=A, B=B, c=c, G_exe=np.zeros((6, 3)), G_proc=np.zeros((6, 0)))
 
 
 def cayley_from_turn(v_inf_pre: np.ndarray, v_inf_post: np.ndarray) -> np.ndarray:

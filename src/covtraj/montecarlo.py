@@ -44,6 +44,11 @@ DOP853 with a step size per row (:func:`covtraj.dynamics.dop853`). Every
 product acts on one sample's row alone, so a sample's result is the same
 bits whatever other samples share the campaign, and campaigns reproduce
 bit-for-bit for a fixed configuration.
+
+The realized samples stay one stacked record, :class:`McSamples`, from the
+playback through the report's statistics to the files of
+:func:`write_report`; a campaign in which a sample failed keeps the rows of
+the survivors.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +113,10 @@ class McConfig:
     bootstrap: int = 1000
     bootstrap_conf: float = 0.99
     max_failure_rate: float = 0.01
-    keep_samples: bool = False
 
     def __post_init__(self):
-        if operator.index(self.master_seed) < 0:
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
@@ -130,28 +135,34 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class McSample:
-    """One realized trajectory with its navigator playback and metrics.
+class McSamples:
+    """Realized samples of a campaign, stacked along the first axis.
 
-    ``truth``/``estimates`` hold the node states of the simulated vehicle
-    and of the navigator's posterior, and ``od_contained[k]`` whether every
-    component of their difference sits inside the filter's three-sigma band
-    at node k. ``commanded`` is the gain-corrected control, ``executed``
-    what the actuator realized (identical except for execution error on
-    thrust segments in ``"ekf"`` mode), and ``dv`` integrates ``executed``
-    over the grid:
-    dv = sum_k ||u_k^executed|| dt_k >= 0.
+    Row r is sample ``index[r]``. ``truth``/``estimates`` (n, N+1, 6) hold
+    the node states of the simulated vehicle and of the navigator's
+    posterior, and ``od_contained[r, k]`` whether every component of their
+    difference sits inside the filter's three-sigma band at node k.
+    ``commanded`` (n, N, 3) is the gain-corrected control, ``executed`` what
+    the actuator realized (identical except for execution error on thrust
+    segments in ``"ekf"`` mode), and ``violations[r, k]`` whether the
+    commanded thrust exceeds ``u_max``. ``periapses`` (n, n_events) holds
+    the realized flyby radii, and ``dv`` integrates ``executed`` over the
+    grid: dv = sum_k ||u_k^executed|| dt_k >= 0.
     """
 
-    index: int
+    index: np.ndarray
     truth: np.ndarray
     estimates: np.ndarray
     commanded: np.ndarray
     executed: np.ndarray
     od_contained: np.ndarray
     violations: np.ndarray
-    periapses: tuple[float, ...]
-    dv: float
+    periapses: np.ndarray
+    dv: np.ndarray
+
+    def take(self, rows: np.ndarray) -> McSamples:
+        """The samples at the given rows, every field copied."""
+        return McSamples(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -165,8 +176,9 @@ class McReport:
     figures count per-node orbit-determination errors inside three-sigma,
     and the terminal statistics describe the dispersion of the realized
     final state about the reference (with the closed-form prediction
-    alongside). ``periapses`` holds one realized-radius array per
-    gravity-assist event, in event order.
+    alongside). ``samples`` holds every surviving sample, and ``dv_values``
+    and ``periapses`` (one realized-radius array per gravity-assist event,
+    in event order) are its ``dv`` and the columns of its ``periapses``.
     """
 
     mode: str
@@ -192,7 +204,7 @@ class McReport:
     periapses: tuple[np.ndarray, ...]
     periapsis_nominal: tuple[float, ...]
     periapsis_min: tuple[float, ...]
-    samples: tuple[McSample, ...] = ()
+    samples: McSamples
 
     def as_dict(self) -> dict:
         """JSON-ready summary (arrays as nested lists, samples omitted)."""
@@ -424,36 +436,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ni,ni->n", v, v))
 
 
-@dataclass(frozen=True)
-class _Playback:
-    """Every sample of a campaign, stacked along the first axis.
-
-    Field meanings follow :class:`McSample`; ``periapses`` has one column
-    per gravity-assist event and ``failures`` maps a sample index to the
-    reason it failed.
-    """
-
-    truth: np.ndarray
-    estimates: np.ndarray
-    commanded: np.ndarray
-    executed: np.ndarray
-    od_contained: np.ndarray
-    violations: np.ndarray
-    periapses: np.ndarray
-    dv: np.ndarray
-    failures: dict[int, str]
-
-
 def _play_back(
     problem: ScpProblem,
     point: ReferencePoint,
     cfg: McConfig,
-    khat: np.ndarray,
-    sq_hat0: np.ndarray,
-    sq_til0: np.ndarray,
     z: np.ndarray,
     slots: dict,
-) -> _Playback:
+) -> tuple[McSamples, dict[int, str]]:
     """Fly every sample at once, each on its own row of draws z (n, size).
 
     Every product acts on one sample's row alone (einsum, elementwise or
@@ -463,9 +452,16 @@ def _play_back(
     linearizations split it into one row per sample. A sample that fails is
     recorded with its reason and its truth state turned to NaN; it flies on
     harmlessly and is dropped from the report.
+
+    Returns:
+        (samples, failures): every sample, and the reason each failed
+        sample index failed.
     """
     grid = problem.grid
     unc = problem.uncertainty
+    khat = _playback_gains(point)
+    sq_hat0 = psd_sqrt(np.asarray(unc.p_hat0, dtype=float))
+    sq_til0 = psd_sqrt(np.asarray(unc.p_tilde0, dtype=float))
     obs = unc.obs
     n_seg = grid.n_segments
     n = z.shape[0]
@@ -587,7 +583,8 @@ def _play_back(
         p = time_update(p, A, *injected)
 
     dv = np.sum(np.linalg.norm(executed, axis=2) * grid.dts, axis=1)
-    return _Playback(
+    return McSamples(
+        index=np.arange(n),
         truth=truth,
         estimates=estimates,
         commanded=commanded,
@@ -596,8 +593,7 @@ def _play_back(
         violations=violations,
         periapses=periapses,
         dv=dv,
-        failures=failures,
-    )
+    ), failures
 
 
 def _simulate(*_args, **_kwargs):
@@ -612,24 +608,6 @@ def _simulate(*_args, **_kwargs):
     raise NotImplementedError("Monte Carlo samples fly as one batch; call run_campaign")
 
 
-def _prepare(problem: ScpProblem, point: ReferencePoint, cfg: McConfig):
-    """Validate the campaign inputs and precompute per-campaign factors."""
-    unc = problem.uncertainty
-    if unc is None:
-        raise ConfigError(
-            "Monte Carlo playback needs a problem with an uncertainty model"
-        )
-    if point.blocks is None or point.schedule is None:
-        raise ConfigError(
-            "reference point carries no covariance structure; re-evaluate it "
-            "on the stochastic problem"
-        )
-    khat = _playback_gains(point)
-    sq_hat0 = psd_sqrt(np.asarray(unc.p_hat0, dtype=float))
-    sq_til0 = psd_sqrt(np.asarray(unc.p_tilde0, dtype=float))
-    return khat, sq_hat0, sq_til0
-
-
 def run_campaign(
     problem: ScpProblem, point: ReferencePoint, cfg: McConfig
 ) -> McReport:
@@ -642,17 +620,24 @@ def run_campaign(
     about in index order; the campaign raises once more than
     ``max_failure_rate`` of them fail, or when none succeeds.
     """
-    khat, sq_hat0, sq_til0 = _prepare(problem, point, cfg)
+    if problem.uncertainty is None:
+        raise ConfigError(
+            "Monte Carlo playback needs a problem with an uncertainty model"
+        )
+    if point.blocks is None or point.schedule is None:
+        raise ConfigError(
+            "reference point carries no covariance structure; re-evaluate it "
+            "on the stochastic problem"
+        )
     grid = problem.grid
     size, slots = _noise_slots(problem, point, cfg)
     z = _draw_noise(cfg.master_seed, cfg.n_samples, size)
-    fly = _play_back(problem, point, cfg, khat, sq_hat0, sq_til0, z, slots)
+    samples, failures = _play_back(problem, point, cfg, z, slots)
 
-    failures = dict(fly.failures)
-    finite = np.isfinite(fly.truth).all(axis=(1, 2))
-    finite &= np.isfinite(fly.estimates).all(axis=(1, 2))
-    finite &= np.isfinite(fly.executed).all(axis=(1, 2))
-    finite &= np.isfinite(fly.periapses).all(axis=1)
+    finite = np.isfinite(samples.truth).all(axis=(1, 2))
+    finite &= np.isfinite(samples.estimates).all(axis=(1, 2))
+    finite &= np.isfinite(samples.executed).all(axis=(1, 2))
+    finite &= np.isfinite(samples.periapses).all(axis=1)
     for i in np.flatnonzero(~finite):
         failures.setdefault(int(i), "non-finite state")
     failed = tuple(sorted(failures))
@@ -665,9 +650,11 @@ def run_campaign(
         )
     if len(failed) == cfg.n_samples:
         raise NumericalError(f"all {cfg.n_samples} Monte Carlo samples failed")
-    ok = np.setdiff1d(np.arange(cfg.n_samples), failed)
+    if failed:
+        samples = samples.take(np.setdiff1d(samples.index, failed))
+    n_ok = samples.index.size
 
-    dv_values = fly.dv[ok]
+    dv_values = samples.dv
     dv_q = estimate_quantile(dv_values, cfg.quantile)
     ci_half = _quantile_ci_half(
         dv_values,
@@ -677,19 +664,18 @@ def run_campaign(
         np.random.SeedSequence([cfg.master_seed, cfg.n_samples]),
     )
 
-    violation_counts = np.sum(fly.violations[ok], axis=0).astype(int)
+    violation_counts = np.sum(samples.violations, axis=0).astype(int)
     n_thrust = len(problem.thrust_segments)
     violation_rate = (
-        float(violation_counts.sum()) / (ok.size * n_thrust) if n_thrust else 0.0
+        float(violation_counts.sum()) / (n_ok * n_thrust) if n_thrust else 0.0
     )
 
-    contained = fly.od_contained[ok]
-    od_per_node = contained.mean(axis=0)
-    od_fraction = float(contained.mean())
+    od_per_node = samples.od_contained.mean(axis=0)
+    od_fraction = float(samples.od_contained.mean())
 
-    dispersion = fly.truth[ok, -1] - point.states[-1]
+    dispersion = samples.truth[:, -1] - point.states[-1]
     terminal_mean = dispersion.mean(axis=0)
-    if ok.size >= 2:
+    if n_ok >= 2:
         terminal_cov = np.cov(dispersion, rowvar=False, ddof=1)
     else:
         terminal_cov = np.zeros((N_X, N_X))
@@ -699,30 +685,13 @@ def run_campaign(
     d_sqrt = dispersion_sqrt(point.blocks, policy)[-1]
     terminal_cov_analytic = d_sqrt @ d_sqrt.T + point.schedule.P_post[-1]
 
-    periapses = tuple(fly.periapses[ok, j] for j in range(len(problem.ga_events)))
+    periapses = tuple(samples.periapses.T)
     periapsis_nominal = []
     for event, theta in zip(problem.ga_events, point.thetas):
         v_inf_ref = float(
             np.linalg.norm(point.states[event.segment, 3:] - event.v_planet)
         )
         periapsis_nominal.append(periapsis_radius(v_inf_ref, theta, event.mu_p))
-
-    samples = ()
-    if cfg.keep_samples:
-        samples = tuple(
-            McSample(
-                index=int(i),
-                truth=fly.truth[i],
-                estimates=fly.estimates[i],
-                commanded=fly.commanded[i],
-                executed=fly.executed[i],
-                od_contained=fly.od_contained[i],
-                violations=fly.violations[i],
-                periapses=tuple(float(p) for p in fly.periapses[i]),
-                dv=float(fly.dv[i]),
-            )
-            for i in ok
-        )
 
     return McReport(
         mode=cfg.mode,
@@ -771,80 +740,73 @@ def compare_bound(report: McReport, j_ub: float | None = None) -> BoundCheck:
     )
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _step_rows(
+    index: np.ndarray, first: np.ndarray, second: np.ndarray, flags: np.ndarray
+):
+    """Rows [sample, step, *first, *second, flag] of every sample and step."""
+    n, steps = flags.shape
+    return (
+        [i, k, *a, *b, f]
+        for i, k, a, b, f in zip(
+            np.repeat(index, steps).tolist(),
+            np.tile(np.arange(steps), n).tolist(),
+            first.reshape(n * steps, -1).tolist(),
+            second.reshape(n * steps, -1).tolist(),
+            flags.ravel().astype(int).tolist(),
+        )
+    )
+
+
 def write_report(report: McReport, out_dir) -> dict[str, Path]:
     """Write the report summary and distribution data files to a directory.
 
     Emits ``report.json`` (summary statistics), ``dv_samples.csv`` (one
     realized delta-v per row), ``periapsis_samples.csv`` (one column per
-    flyby, when any exist), and — only when the report retained samples —
-    ``sample_states.csv`` / ``sample_controls.csv`` with per-node and
-    per-segment trajectories. Output is deterministic for a fixed report.
+    flyby, when any exist), and ``sample_states.csv`` /
+    ``sample_controls.csv`` with the per-node and per-segment trajectories
+    of every surviving sample. Floats are written as their shortest
+    round-trip repr, so output is deterministic for a fixed report.
 
     Returns:
         Mapping from artifact name to written path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-
+    s = report.samples
     path = out / "report.json"
     path.write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    written["report"] = path
-
-    path = out / "dv_samples.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dv"])
-        for value in report.dv_values:
-            writer.writerow([repr(float(value))])
-    written["dv_samples"] = path
-
+    written = {
+        "report": path,
+        "dv_samples": _write_csv(out / "dv_samples.csv", ["dv"], s.dv[:, None].tolist()),
+    }
     if report.periapses:
-        path = out / "periapsis_samples.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"event_{j}" for j in range(len(report.periapses))])
-            for row in zip(*report.periapses):
-                writer.writerow([repr(float(v)) for v in row])
-        written["periapsis_samples"] = path
-
-    if report.samples:
-        path = out / "sample_states.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample", "node"]
-                + [f"truth_{i}" for i in range(N_X)]
-                + [f"estimate_{i}" for i in range(N_X)]
-                + ["od_contained"]
-            )
-            for s in report.samples:
-                for k in range(s.truth.shape[0]):
-                    writer.writerow(
-                        [s.index, k]
-                        + [repr(float(v)) for v in s.truth[k]]
-                        + [repr(float(v)) for v in s.estimates[k]]
-                        + [int(s.od_contained[k])]
-                    )
-        written["sample_states"] = path
-
-        path = out / "sample_controls.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample", "segment"]
-                + [f"commanded_{i}" for i in range(N_U)]
-                + [f"executed_{i}" for i in range(N_U)]
-                + ["violation"]
-            )
-            for s in report.samples:
-                for k in range(s.commanded.shape[0]):
-                    writer.writerow(
-                        [s.index, k]
-                        + [repr(float(v)) for v in s.commanded[k]]
-                        + [repr(float(v)) for v in s.executed[k]]
-                        + [int(s.violations[k])]
-                    )
-        written["sample_controls"] = path
-
+        written["periapsis_samples"] = _write_csv(
+            out / "periapsis_samples.csv",
+            [f"event_{j}" for j in range(len(report.periapses))],
+            s.periapses.tolist(),
+        )
+    written["sample_states"] = _write_csv(
+        out / "sample_states.csv",
+        ["sample", "node"]
+        + [f"truth_{i}" for i in range(N_X)]
+        + [f"estimate_{i}" for i in range(N_X)]
+        + ["od_contained"],
+        _step_rows(s.index, s.truth, s.estimates, s.od_contained),
+    )
+    written["sample_controls"] = _write_csv(
+        out / "sample_controls.csv",
+        ["sample", "segment"]
+        + [f"commanded_{i}" for i in range(N_U)]
+        + [f"executed_{i}" for i in range(N_U)]
+        + ["violation"],
+        _step_rows(s.index, s.commanded, s.executed, s.violations),
+    )
     return written

@@ -338,9 +338,7 @@ def evaluate_point(
     segments: list[LinearSegment] = []
     for k in range(n_seg):
         if grid.is_ga(k):
-            seg = ga_linearize(
-                k, states[k], controls[k], event_at[k].v_planet, grid.epochs[k]
-            )
+            seg = ga_linearize(states[k], controls[k], event_at[k].v_planet)
         else:
             exe = None
             if unc is not None and unc.gates is not None and grid.kinds[k] == "thrust":

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaincc, gammaln, ndtri
+from scipy.special import gammainccinv
 
 from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
 from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, mean_chain
@@ -59,12 +59,11 @@ __all__ = [
 def chi2_quantile_sqrt(eps: float, dim: int) -> float:
     """Square root of the chi-square quantile at probability 1 - eps.
 
-    Computed by safeguarded Newton inversion of the regularized upper
-    incomplete gamma function Q(dim/2, q/2) = eps; working on the tail side
-    avoids the 1 - eps cancellation that costs ~eps-relative accuracy for
-    small tails. This is the tight multiplier for Gaussian norm bounds:
-    P(||v|| <= m sigma) = 1 - eps for v ~ N(0, sigma^2 I_dim) with m the
-    value returned here.
+    Inverts the regularized upper incomplete gamma function,
+    Q(dim/2, q/2) = eps; working on the tail side avoids the 1 - eps
+    cancellation that costs ~eps-relative accuracy for small tails. This is
+    the tight multiplier for Gaussian norm bounds: P(||v|| <= m sigma) =
+    1 - eps for v ~ N(0, sigma^2 I_dim) with m the value returned here.
 
     Args:
         eps: tail probability in (0, 1).
@@ -77,39 +76,7 @@ def chi2_quantile_sqrt(eps: float, dim: int) -> float:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
-    a = 0.5 * dim
-
-    # Wilson-Hilferty starting point
-    zq = ndtri(1.0 - eps)
-    h = 2.0 / (9.0 * dim)
-    q = dim * (1.0 - h + zq * np.sqrt(h)) ** 3
-    q = max(q, 1e-8)
-
-    lo, hi = 0.0, q
-    while gammaincc(a, 0.5 * hi) > eps:
-        lo = hi
-        hi *= 2.0
-
-    for _ in range(100):
-        # f decreasing in q; f > 0 means q is still below the quantile
-        f = gammaincc(a, 0.5 * q) - eps
-        if f > 0.0:
-            lo = q
-        else:
-            hi = q
-        # density of chi2 at q
-        df = 0.5 * np.exp((a - 1.0) * np.log(0.5 * q) - 0.5 * q - gammaln(a))
-        if df > 0.0:
-            q_new = q + f / df
-        else:
-            q_new = 0.5 * (lo + hi)
-        if not lo < q_new < hi:
-            q_new = 0.5 * (lo + hi)
-        if abs(q_new - q) <= 1e-15 * max(1.0, q):
-            q = q_new
-            break
-        q = q_new
-    return float(np.sqrt(q))
+    return float(np.sqrt(2.0 * gammainccinv(0.5 * dim, eps)))
 
 
 #: Exponent tau of the exact penalty phi(y) = |y|^tau / tau + y^2 / 2; the

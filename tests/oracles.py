@@ -128,7 +128,7 @@ def random_segments(
 ) -> list[LinearSegment]:
     """Random discrete-time linear segments for covariance tests."""
     segs = []
-    for k in range(n):
+    for _ in range(n):
         A = np.eye(N_X) + contraction * rng.standard_normal((N_X, N_X))
         B = 0.3 * rng.standard_normal((N_X, N_U))
         c = 0.1 * rng.standard_normal(N_X)
@@ -138,13 +138,7 @@ def random_segments(
         else:
             G_exe = np.zeros((N_X, N_U))
             G_proc = np.zeros((N_X, 0))
-        segs.append(
-            LinearSegment(
-                index=k, t0=float(k), t1=float(k + 1),
-                x_ref=np.zeros(N_X), u_ref=np.zeros(N_U),
-                A=A, B=B, c=c, G_exe=G_exe, G_proc=G_proc,
-            )
-        )
+        segs.append(LinearSegment(A=A, B=B, c=c, G_exe=G_exe, G_proc=G_proc))
     return segs
 
 

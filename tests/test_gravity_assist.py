@@ -74,7 +74,7 @@ def test_ga_linearize_matches_finite_differences():
         x = rng.standard_normal(6)
         u = 0.5 * rng.standard_normal(3)
         vp = rng.standard_normal(3)
-        seg = ga_linearize(0, x, u, vp, epoch=1.0)
+        seg = ga_linearize(x, u, vp)
         # affine exactness at the reference
         np.testing.assert_allclose(
             seg.A @ x + seg.B @ u + seg.c, ga_map(x, u, vp), atol=1e-12
@@ -92,7 +92,6 @@ def test_ga_linearize_matches_finite_differences():
             B_fd[:, j] = (ga_map(x, u + d, vp) - ga_map(x, u - d, vp)) / (2 * h)
         np.testing.assert_allclose(seg.A, A_fd, atol=2e-6)
         np.testing.assert_allclose(seg.B, B_fd, atol=2e-6)
-        assert seg.dt == 0.0
         assert not np.any(seg.G_exe)
 
 

@@ -154,12 +154,11 @@ def test_campaign_requires_stochastic_problem(solved):
 def test_zero_noise_reproduces_reference(zero_noise):
     prob0, point0 = zero_noise
     for mode, tol in (("linear", 0.0), ("ekf", 1e-9)):
-        cfg = McConfig(n_samples=16, master_seed=3, mode=mode, keep_samples=True)
+        cfg = McConfig(n_samples=16, master_seed=3, mode=mode)
         rep = run_campaign(prob0, point0, cfg)
         assert rep.n_failed == 0
-        for s in rep.samples:
-            assert np.max(np.abs(s.truth - point0.states)) <= tol
-            assert np.max(np.abs(s.commanded - point0.controls)) <= tol
+        assert np.max(np.abs(rep.samples.truth - point0.states)) <= tol
+        assert np.max(np.abs(rep.samples.commanded - point0.controls)) <= tol
         # no feedback, no noise: every sample costs exactly the nominal
         # delta-v and the bound is met with equality
         assert abs(rep.dv_q - rep.dv_nominal) <= 1e-12
@@ -232,39 +231,38 @@ def _case(solved, case):
     """Problem, point and config of the linear, EKF or flyby EKF campaign."""
     if case == "flyby":
         prob, point, _, _ = _flyby_mc_problem()
-        return prob, point, McConfig(
-            n_samples=20, master_seed=21, mode="ekf", bootstrap=50, keep_samples=True
-        )
+        return prob, point, McConfig(n_samples=20, master_seed=21, mode="ekf", bootstrap=50)
     prob, point = solved
     return prob, point, McConfig(
         n_samples=20, master_seed=21, mode=case, dt_wn=0.2 if case == "ekf" else None,
-        bootstrap=50, keep_samples=True,
+        bootstrap=50,
     )
 
 
-def _same_sample(a, b):
-    assert a.index == b.index
-    for name in ("truth", "estimates", "commanded", "executed", "od_contained", "violations"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.periapses == b.periapses
-    assert a.dv == b.dv
+def _same_samples(a, b):
+    """Every field of two stacked sample records holds the same bits."""
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def test_campaign_prefix_is_batch_invariant(solved):
     for case in ("linear", "ekf", "flyby"):
         prob, point, cfg = _case(solved, case)
-        full = run_campaign(prob, point, cfg).samples
+        rep = run_campaign(prob, point, cfg)
+        full = rep.samples
+        # with no failure the report reads the playback's arrays, uncopied
+        assert rep.dv_values is full.dv
+        assert all(np.shares_memory(p, full.periapses) for p in rep.periapses)
         for m in (1, 7):
             part = run_campaign(prob, point, dataclasses.replace(cfg, n_samples=m)).samples
-            assert len(part) == m
-            for a, b in zip(part, full[:m]):
-                _same_sample(a, b)
+            assert part.index.size == m
+            _same_samples(part, full.take(np.arange(m)))
 
         # sample i's first draws come from the stream keyed (master_seed, i)
         unc = prob.uncertainty
-        for s in full[:3]:
+        for r in range(3):
             rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([cfg.master_seed, s.index]))
+                np.random.Philox(np.random.SeedSequence([cfg.master_seed, full.index[r]]))
             )
             w = rng.standard_normal(12)
             xhat0 = point.states[0] + np.linalg.cholesky(
@@ -273,7 +271,7 @@ def test_campaign_prefix_is_batch_invariant(solved):
             x0 = xhat0 + np.linalg.cholesky(
                 unc.p_tilde0 + 1e-14 * np.trace(unc.p_tilde0) / 6 * np.eye(6)
             ) @ w[6:]
-            np.testing.assert_allclose(s.truth[0], x0, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(full.truth[r, 0], x0, rtol=0.0, atol=1e-14)
 
 
 def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
@@ -295,10 +293,8 @@ def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
         assert rep.n_failed == 1
         assert rep.failed == (2,)
         assert rep.dv_values.size == 19
-        kept = [s for s in clean.samples if s.index != 2]
-        assert len(rep.samples) == len(kept)
-        for a, b in zip(rep.samples, kept):
-            _same_sample(a, b)
+        assert rep.samples.index.tolist() == [i for i in range(20) if i != 2]
+        _same_samples(rep.samples, clean.samples.take(clean.samples.index != 2))
 
         strict = dataclasses.replace(cfg, max_failure_rate=0.01)
         with pytest.warns(UserWarning, match="sample 2 failed"):
@@ -345,7 +341,7 @@ def test_flyby_campaign_periapsis_statistics():
         float(np.linalg.norm(point.states[1, 3:] - v_planet)), theta, event.mu_p
     )
     for mode in ("linear", "ekf"):
-        cfg = McConfig(n_samples=100, master_seed=13, mode=mode, keep_samples=True)
+        cfg = McConfig(n_samples=100, master_seed=13, mode=mode)
         rep = run_campaign(prob, point, cfg)
         assert rep.n_failed == 0
         assert len(rep.periapses) == 1
@@ -356,32 +352,31 @@ def test_flyby_campaign_periapsis_statistics():
         assert rep.periapses[0].min() < r_p_ref < rep.periapses[0].max()
         assert rep.od_containment >= 0.95
 
-        for s in rep.samples[:10]:
+        s = rep.samples
+        for r in range(10):
             # flybys replay the reference turn: no gain corrections, no
             # execution error on the zero-length segment
-            assert np.allclose(s.commanded[1], point.controls[1], atol=1e-15)
-            assert np.array_equal(s.executed[1], s.commanded[1])
+            assert np.allclose(s.commanded[r, 1], point.controls[1], atol=1e-15)
+            assert np.array_equal(s.executed[r, 1], s.commanded[r, 1])
             # the recorded radius is the exact map of the sampled approach
-            v_inf = float(np.linalg.norm(s.truth[1, 3:] - v_planet))
-            assert s.periapses[0] == pytest.approx(
+            v_inf = float(np.linalg.norm(s.truth[r, 1, 3:] - v_planet))
+            assert s.periapses[r, 0] == pytest.approx(
                 periapsis_radius(v_inf, theta, event.mu_p), abs=1e-12
             )
             # zero-length flyby contributes nothing to the propellant sum
             dv_hand = float(
-                np.linalg.norm(s.executed[0]) * 1.0 + np.linalg.norm(s.executed[2]) * 1.0
+                np.linalg.norm(s.executed[r, 0]) * 1.0 + np.linalg.norm(s.executed[r, 2]) * 1.0
             )
-            assert s.dv == pytest.approx(dv_hand, abs=1e-12)
+            assert s.dv[r] == pytest.approx(dv_hand, abs=1e-12)
             if mode == "ekf":
                 assert np.allclose(
-                    s.truth[2], ga_map(s.truth[1], s.executed[1], v_planet), atol=1e-13
+                    s.truth[r, 2], ga_map(s.truth[r, 1], s.executed[r, 1], v_planet), atol=1e-13
                 )
 
 
 def test_write_report_artifacts(tmp_path, solved):
     prob, point = solved
-    cfg = McConfig(
-        n_samples=12, master_seed=9, mode="linear", bootstrap=50, keep_samples=True
-    )
+    cfg = McConfig(n_samples=12, master_seed=9, mode="linear", bootstrap=50)
     rep = run_campaign(prob, point, cfg)
     paths = write_report(rep, tmp_path / "a")
     assert set(paths) == {"report", "dv_samples", "sample_states", "sample_controls"}
@@ -395,10 +390,27 @@ def test_write_report_artifacts(tmp_path, solved):
     values = np.array([float(v) for v in lines[1:]])
     assert np.array_equal(values, rep.dv_values)
 
+    # the trajectory files hold the stacked arrays exactly, one row per
+    # sample and node or segment
+    states = np.loadtxt(paths["sample_states"], delimiter=",", skiprows=1)
+    n_nodes = rep.samples.truth.shape[1]
+    assert np.array_equal(states[:, 0], np.repeat(rep.samples.index, n_nodes))
+    assert np.array_equal(states[:, 2:8], rep.samples.truth.reshape(-1, 6))
+    assert np.array_equal(states[:, 8:14], rep.samples.estimates.reshape(-1, 6))
+    controls = np.loadtxt(paths["sample_controls"], delimiter=",", skiprows=1)
+    assert np.array_equal(controls[:, 5:8], rep.samples.executed.reshape(-1, 3))
+
     # artifacts are byte-stable for a fixed report
     again = write_report(rep, tmp_path / "b")
     for key in paths:
         assert paths[key].read_bytes() == again[key].read_bytes()
+
+
+def test_numpy_integer_seed_report_writes(tmp_path, solved):
+    prob, point = solved
+    cfg = McConfig(n_samples=5, master_seed=np.int64(7), mode="linear", bootstrap=10)
+    paths = write_report(run_campaign(prob, point, cfg), tmp_path)
+    assert json.loads(paths["report"].read_text())["master_seed"] == 7
 
 
 def test_flyby_report_includes_periapsis_file(tmp_path):

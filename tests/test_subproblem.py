@@ -4,6 +4,7 @@ oracle, and an independent convex-modeling reference (cvxpy)."""
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from covtraj.covsteer import build_block_system, kalman_precompute
 from covtraj.dynamics import TimeGrid, linearize_segment, psd_sqrt
@@ -49,14 +50,13 @@ def test_chi2_sqrt_frozen_table():
 
 
 def test_chi2_sqrt_matches_scipy():
-    # isf(eps) is the tail-accurate quantile; ppf(1 - eps) would lose
-    # ~eps-relative precision to cancellation at small tails
-    stats = pytest.importorskip("scipy.stats")
+    # round trip through scipy's upper incomplete gamma: the tail mass
+    # beyond m**2 is eps itself, so small tails keep their relative
+    # accuracy (no 1 - eps cancellation)
     for eps in (0.2, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9):
         for dim in (1, 2, 3, 4, 6, 10, 25):
-            want = np.sqrt(stats.chi2.isf(eps, dim))
-            got = chi2_quantile_sqrt(eps, dim)
-            assert got == pytest.approx(want, rel=1e-12)
+            m = chi2_quantile_sqrt(eps, dim)
+            assert gammaincc(0.5 * dim, 0.5 * m**2) == pytest.approx(eps, rel=1e-12)
 
 
 def test_chi2_sqrt_below_crude_gaussian_bound():
@@ -446,7 +446,7 @@ def test_assist_chain_holds_reference_turn():
         + (1 - ct) * axis * (axis @ vi_pre)
     )
     u_ga = cayley_from_turn(vi_pre, vi_post)
-    seg1 = ga_linearize(1, x1, u_ga, vp, epoch=1.0)
+    seg1 = ga_linearize(x1, u_ga, vp)
     x2 = ga_map(x1, u_ga, vp)
     seg2 = linearize_segment(2, x2, np.zeros(3), 1.0, 2.0, mu=0.0)
     x3 = seg2.A @ x2 + seg2.c
