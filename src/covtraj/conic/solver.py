@@ -683,10 +683,10 @@ def solve(
         tau, kappa = best_snap["tau"], best_snap["kappa"]
         pres, dres, gap_rel = best_snap["pres"], best_snap["dres"], best_snap["gap"]
 
+    # every measured iterate was tested against tol in its own iteration, so
+    # the best one can at most meet the looser 1e2 * tol
     if status not in ("optimal", "primal_infeasible", "dual_infeasible"):
-        if pres <= tol and dres <= tol and gap_rel <= tol:
-            status = "optimal"
-        elif pres <= 1e2 * tol and dres <= 1e2 * tol and gap_rel <= 1e2 * tol:
+        if pres <= 1e2 * tol and dres <= 1e2 * tol and gap_rel <= 1e2 * tol:
             status = "optimal_inaccurate"
 
     if status in ("optimal", "optimal_inaccurate"):

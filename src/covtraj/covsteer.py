@@ -203,15 +203,6 @@ class BlockSystem:
         """Block row k of S_sqrt, shape (6, width)."""
         return self.S_sqrt[N_X * k : N_X * (k + 1), :]
 
-    def dense_B(self) -> np.ndarray:
-        """Assemble the stacked control map, shape ((N+1)*6, N*3)."""
-        n1, n = self.n_nodes, self.n_segments
-        out = np.zeros((n1 * N_X, n * N_U))
-        for k in range(n1):
-            for i in range(min(k, n)):
-                out[N_X * k : N_X * (k + 1), N_U * i : N_U * (i + 1)] = self.Bblk[k, i]
-        return out
-
 
 def mean_chain(
     segments: Sequence[LinearSegment],
@@ -285,8 +276,12 @@ def build_block_system(
 class FeedbackPolicy:
     """Innovation-state feedback gains K_{k,i} for u_k = ubar_k + sum_i K_{k,i} z_i.
 
-    blocks has shape (N, N+1, 3, 6); block (k, i) must be zero for i > k
-    (controls cannot see future innovations).
+    The one form of the flight-path-control policy: the subproblem designs
+    it and the Monte Carlo playback flies it. z_i is the uncontrolled
+    estimate deviation at node i, the estimate deviation less the part that
+    earlier gain corrections steered through the reference maps. blocks has
+    shape (N, N+1, 3, 6); block (k, i) must be zero for i > k (controls
+    cannot see future innovations).
     """
 
     blocks: np.ndarray
@@ -307,19 +302,6 @@ class FeedbackPolicy:
     @property
     def n_segments(self) -> int:
         return self.blocks.shape[0]
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.blocks)
-
-    def dense(self) -> np.ndarray:
-        """Assemble the stacked gain, shape (N*3, (N+1)*6)."""
-        n = self.n_segments
-        out = np.zeros((n * N_U, (n + 1) * N_X))
-        for k in range(n):
-            for i in range(k + 1):
-                out[N_U * k : N_U * (k + 1), N_X * i : N_X * (i + 1)] = self.blocks[k, i]
-        return out
 
 
 def control_cov_sqrt(blocks: BlockSystem, policy: FeedbackPolicy) -> np.ndarray:
@@ -358,21 +340,3 @@ def dispersion_sqrt(
         out[k] = row
     return out
 
-
-def convert_gain(blocks: BlockSystem, policy: FeedbackPolicy) -> FeedbackPolicy:
-    """Convert innovation-state gains to state-estimate-deviation gains.
-
-    The equivalent policy u_k = ubar_k + sum_{i<=k} Khat_{k,i} (xhat_i -
-    xbar_i) uses Khat = K (I + BB K)^{-1}; since BB K is strictly block lower
-    triangular the inverse exists and Khat keeps the causal block-triangular
-    pattern (enforced exactly on the result).
-    """
-    n = blocks.n_segments
-    K = policy.dense()
-    BK = blocks.dense_B() @ K
-    Khat = np.linalg.solve((np.eye(BK.shape[0]) + BK).T, K.T).T
-    out = np.zeros_like(policy.blocks)
-    for k in range(n):
-        for i in range(k + 1):
-            out[k, i] = Khat[N_U * k : N_U * (k + 1), N_X * i : N_X * (i + 1)]
-    return FeedbackPolicy(out)

@@ -18,7 +18,6 @@ from .errors import NumericalError
 
 AU_KM = 1.495978707e8
 MU_SUN_KM3S2 = 1.32712440018e11
-DAY_S = 86400.0
 
 #: Below this radius (normalized length units) the point-mass field is treated
 #: as singular and evaluation refuses to continue.

@@ -23,15 +23,18 @@ Two truth models are available:
 Both modes use :func:`covtraj.covsteer.measurement_update` and
 :func:`covtraj.covsteer.time_update`, the steps of the design schedule.
 
-The flown control is the reference plus gain corrections driven by the
-navigator's posterior state deviations,
+The flown control is the optimized policy as designed: the gains K of
+:class:`covtraj.covsteer.FeedbackPolicy` act on the uncontrolled estimate
+deviations z,
 
-    u_k = ubar_k + sum_{i<=k} Khat_{k,i} (xhat_i - xbar_i),
+    u_k = ubar_k + du_k,   du_k = sum_{i<=k} K_{k,i} z_i,
+    z_i = (xhat_i - xbar_i) - c_i,   c_0 = 0,   c_{i+1} = A_i c_i + B_i du_i,
 
-with ``Khat`` the estimate-deviation form of the optimized policy
-(:func:`covtraj.covsteer.convert_gain`). Gravity-assist rows carry no gain
-corrections, so flybys replay the optimized turn exactly and only the
-incoming dispersion moves the realized periapsis.
+with c the drift of the corrections through the reference segment maps,
+flybys included. In either truth model this commands what K (I + BB K)^-1
+would on the posterior deviations xhat - xbar. Gravity-assist rows carry
+no gain corrections, so flybys replay the optimized turn exactly and only
+the incoming dispersion moves the realized periapsis.
 
 Every sample owns a counter-based Philox stream with the key of
 ``SeedSequence([master_seed, sample index])``, derived for all samples at
@@ -63,22 +66,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .covsteer import (
-    FeedbackPolicy,
-    convert_gain,
-    dispersion_sqrt,
-    measurement_update,
-    time_update,
-)
+from .covsteer import N_U, N_X, dispersion_sqrt, measurement_update, time_update
 from .dynamics import linearize_rows, propagate_rows, psd_sqrt
 from .dynamics import linearize_segment, propagate  # noqa: F401  (see _simulate)
 from .errors import ConfigError, NumericalError
 from .gravity_assist import cayley_rotation, ga_map, periapsis_radius
 from .scp import ReferencePoint, ScpProblem
 from .uncertainty import gates_matrix
-
-N_X = 6
-N_U = 3
 
 #: Absolute slack added to the three-sigma orbit-determination gate so the
 #: containment check stays meaningful when a filter variance is exactly zero
@@ -299,16 +293,6 @@ def _quantile_ci_half(
     return float(0.5 * (hi - lo))
 
 
-def _playback_gains(point: ReferencePoint) -> np.ndarray:
-    """Estimate-deviation gain blocks Khat, (N, N+1, 3, 6)."""
-    policy = point.policy
-    if policy is None:
-        policy = FeedbackPolicy.zeros(point.controls.shape[0])
-    if policy.is_zero or point.blocks is None:
-        return policy.blocks
-    return convert_gain(point.blocks, policy).blocks
-
-
 def _n_windows(cfg: McConfig, t0: float, t1: float) -> int:
     """White-acceleration windows of one EKF-mode segment."""
     if cfg.dt_wn is None:
@@ -446,12 +430,13 @@ def _play_back(
     """Fly every sample at once, each on its own row of draws z (n, size).
 
     Every product acts on one sample's row alone (einsum, elementwise or
-    stacked matmul), so a sample's result does not depend on which samples
-    share the batch. The navigator's covariance starts as one row shared by
-    every sample; linear mode keeps it shared, while EKF mode's per-sample
-    linearizations split it into one row per sample. A sample that fails is
-    recorded with its reason and its truth state turned to NaN; it flies on
-    harmlessly and is dropped from the report.
+    stacked matmul, never a 2-D matmul, which numpy sends through another
+    BLAS kernel for a one-row batch), so a sample's result does not depend
+    on which samples share the batch. The navigator's covariance starts as
+    one row shared by every sample; linear mode keeps it shared, while EKF
+    mode's per-sample linearizations split it into one row per sample. A
+    sample that fails is recorded with its reason and its truth state
+    turned to NaN; it flies on harmlessly and is dropped from the report.
 
     Returns:
         (samples, failures): every sample, and the reason each failed
@@ -459,11 +444,13 @@ def _play_back(
     """
     grid = problem.grid
     unc = problem.uncertainty
-    khat = _playback_gains(point)
     sq_hat0 = psd_sqrt(np.asarray(unc.p_hat0, dtype=float))
     sq_til0 = psd_sqrt(np.asarray(unc.p_tilde0, dtype=float))
     obs = unc.obs
     n_seg = grid.n_segments
+    gains = point.policy.blocks
+    # the nodes each control feeds back on (the design's initial and measured)
+    fed = [np.flatnonzero(gains[k].any(axis=(1, 2))) for k in range(n_seg)]
     n = z.shape[0]
     linear = cfg.mode == "linear"
     x_bar = point.states
@@ -477,7 +464,10 @@ def _play_back(
     commanded = np.zeros((n, n_seg, N_U))
     executed = np.zeros((n, n_seg, N_U))
     violations = np.zeros((n, n_seg), dtype=bool)
-    devs = np.zeros((n, n_seg + 1, N_X))
+    uncontrolled = np.zeros((n, n_seg + 1, N_X))
+    # [c | du], so that c_{k+1} = [A_k B_k] [c_k; du_k] is one row-wise product
+    drift = np.zeros((n, N_X + N_U))
+    c, du = drift[:, :N_X], drift[:, N_X:]
     periapses = np.zeros((n, len(problem.ga_events)))
 
     def fail(found: dict[int, str], x: np.ndarray) -> None:
@@ -504,11 +494,14 @@ def _play_back(
         estimates[:, k] = xhat
         sigma = np.sqrt(np.clip(np.diagonal(p, axis1=1, axis2=2), 0.0, None))
         od_contained[:, k] = np.all(np.abs(x - xhat) <= 3.0 * sigma + OD_TOLERANCE, axis=1)
-        devs[:, k] = xhat - x_bar[k]
+        uncontrolled[:, k] = (xhat - x_bar[k]) - c
         if k == n_seg:
             break
 
-        u = u_bar[k] + np.einsum("kij,nkj->ni", khat[k, : k + 1], devs[:, : k + 1])
+        seg = point.segments[k]
+        np.einsum("kij,nkj->ni", gains[k, fed[k]], uncontrolled[:, fed[k]], out=du)
+        c[:] = _mv(np.hstack([seg.A, seg.B]), drift)
+        u = u_bar[k] + du
         commanded[:, k] = u
         if grid.kinds[k] == "thrust":
             violations[:, k] = _norms(u) > problem.u_max
@@ -521,7 +514,6 @@ def _play_back(
         proc = slots.get(("proc", k))
 
         if linear:
-            seg = point.segments[k]
             x_next = _mv(seg.A, x) + _mv(seg.B, u) + seg.c
             if exe is not None:
                 x_next = x_next + _mv(seg.G_exe, z[:, exe])
@@ -624,12 +616,11 @@ def run_campaign(
         raise ConfigError(
             "Monte Carlo playback needs a problem with an uncertainty model"
         )
-    if point.blocks is None or point.schedule is None:
+    if point.policy is None or point.blocks is None or point.schedule is None:
         raise ConfigError(
-            "reference point carries no covariance structure; re-evaluate it "
+            "reference point carries no policy or covariance structure; re-evaluate it "
             "on the stochastic problem"
         )
-    grid = problem.grid
     size, slots = _noise_slots(problem, point, cfg)
     z = _draw_noise(cfg.master_seed, cfg.n_samples, size)
     samples, failures = _play_back(problem, point, cfg, z, slots)
@@ -679,10 +670,7 @@ def run_campaign(
         terminal_cov = np.cov(dispersion, rowvar=False, ddof=1)
     else:
         terminal_cov = np.zeros((N_X, N_X))
-    policy = point.policy if point.policy is not None else FeedbackPolicy.zeros(
-        grid.n_segments
-    )
-    d_sqrt = dispersion_sqrt(point.blocks, policy)[-1]
+    d_sqrt = dispersion_sqrt(point.blocks, point.policy)[-1]
     terminal_cov_analytic = d_sqrt @ d_sqrt.T + point.schedule.P_post[-1]
 
     periapses = tuple(samples.periapses.T)

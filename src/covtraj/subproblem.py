@@ -107,7 +107,6 @@ def feedback_nodes(
     ``depth`` keeps only the most recent entries (banded feedback).
     """
     nodes = sorted({0, *(i for i in measured if i <= k)})
-    nodes = [i for i in nodes if i <= k]
     if depth is not None:
         if depth < 1:
             raise ValueError(f"feedback depth must be >= 1, got {depth}")
@@ -183,17 +182,23 @@ class PenaltyWeights:
 
 @dataclass(frozen=True)
 class SubproblemLayout:
-    """Built program plus the variable map needed to read a solution back."""
+    """Built program plus the variable map needed to read a solution back.
+
+    ``gain_pairs`` (n_gain, 2) lists the (segment k, node i) of every
+    designed gain block K_{k,i}, by thrust segment and then feedback node;
+    pair j owns the 18 consecutive columns from 18 j of the variable block
+    ``K``, the (3, 6) block in row-major order. It is empty in mean-only
+    mode, where ``K`` does not exist.
+    """
 
     program: ConicProgram
     grid: TimeGrid
     thrust_segments: tuple[int, ...]
     ga_segments: tuple[int, ...]
-    fb_nodes: dict[int, tuple[int, ...]]
+    gain_pairs: np.ndarray
     assists: tuple[GaEvent, ...]
     m_u: float | None
     stochastic: StochasticSpec | None
-    x0_fixed: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -339,15 +344,16 @@ def build_subproblem(
     Phi, Bb, Cv = mean_chain(segments)
 
     m_u = None
-    fb: dict[int, tuple[int, ...]] = {}
+    gain_pairs = np.zeros((0, 2), dtype=int)
     if stochastic is not None:
         blocks = stochastic.blocks
         if blocks.n_segments != n_seg:
             raise ValueError("block system does not match the grid")
         m_u = chi2_quantile_sqrt(stochastic.eps_u, N_U)
         measured = tuple(sorted(stochastic.blocks.meas_col))
-        for k in thrust:
-            fb[k] = feedback_nodes(k, measured, stochastic.feedback_depth)
+        depth = stochastic.feedback_depth
+        pair_list = [(k, i) for k in thrust for i in feedback_nodes(k, measured, depth)]
+        gain_pairs = np.array(pair_list, dtype=int).reshape(-1, 2)
         # columns of the square-root table active at or before node n
         def cols_at(n: int) -> int:
             ends = [e for i, (s0, e) in blocks.meas_col.items() if i <= n]
@@ -355,7 +361,11 @@ def build_subproblem(
 
         chol_pf = np.linalg.cholesky(stochastic.p_f)
         pf_inv = np.linalg.solve(chol_pf, np.eye(N_X))
-        p_tilde_sqrt = [psd_sqrt(stochastic.schedule.P_post[n]) for n in range(n_seg + 1)]
+        # the estimation error enters the terminal and pre-flyby rows only
+        p_tilde_sqrt = {
+            n: psd_sqrt(stochastic.schedule.P_post[n])
+            for n in (n_seg, *(a.segment for a in assists))
+        }
     m_assists = tuple(
         chi2_quantile_sqrt(a.eps, N_U) if stochastic is not None else 0.0
         for a in assists
@@ -369,19 +379,11 @@ def build_subproblem(
     theta_idx: dict[int, int] = {}
     for a_i, a in enumerate(assists):
         theta_idx[a_i] = pb.var_block(f"theta{a_i}", 1)[0]
-    gain_idx: dict[tuple[int, int], np.ndarray] = {}
     if stochastic is not None:
-        for k in thrust:
-            for i in fb[k]:
-                gain_idx[(k, i)] = pb.var_block(f"K{k}_{i}", N_U * N_X).reshape(
-                    N_U, N_X
-                )
+        gain_idx = pb.var_block("K", len(gain_pairs) * N_U * N_X).reshape(-1, N_U, N_X)
     a_idx = {k: pb.var_block(f"a{k}", 1)[0] for k in thrust}
-    b_idx: dict[int, int] = {}
     if stochastic is not None:
-        for k in thrust:
-            if fb[k]:
-                b_idx[k] = pb.var_block(f"b{k}", 1)[0]
+        b_idx = {k: pb.var_block(f"b{k}", 1)[0] for k in thrust}
     xi = pb.var_block("xi", N_X)
     zeta_idx: dict[int, int] = {}
     c1_idx: dict[int, int] = {}
@@ -403,7 +405,7 @@ def build_subproblem(
     w = weights.weight
     for k in thrust:
         pb.cost(a_idx[k], dts[k])
-        if k in b_idx:
+        if stochastic is not None:
             pb.cost(b_idx[k], dts[k] * m_u)
     pb.cost(xi, weights.lam_terminal)
     for a_i, lam in enumerate(weights.lam_assists):
@@ -428,6 +430,14 @@ def build_subproblem(
                 cone.add(row0 + rr, u_idx[k][cc], -Ck[rr, cc])
         return coeff @ Cv[node]
 
+    # helper: rows vec(lefts[k] @ K_{k,i} @ S_i) of every gain pair whose
+    # segment k has a left factor, S_i the first q columns of block row i
+    def gain_entries(cone: _ConeRows, q: int, lefts: dict[int, np.ndarray]):
+        for j, (k, i) in enumerate(pair_list):
+            if k in lefts:
+                s_blk = blocks.s_row(i)[:, :q]
+                cone.add(*_vec_product_triplets(1, lefts[k], s_blk, gain_idx[j]))
+
     # thrust epigraphs, chance constraint
     for k in thrust:
         cone = _ConeRows(1 + N_U)
@@ -436,19 +446,17 @@ def build_subproblem(
             cone.entry(1 + i, u_idx[k][i], -1.0)
         cone.emit(pb, "soc")
 
-        if k in b_idx:
+        if stochastic is not None:
             q = cols_at(k)
             cone = _ConeRows(1 + N_U * q)
             cone.entry(0, b_idx[k], -1.0)
-            for i in fb[k]:
-                s_blk = blocks.s_row(i)[:, :q]
-                cone.add(*_vec_product_triplets(1, np.eye(N_U), s_blk, gain_idx[(k, i)]))
+            gain_entries(cone, q, {k: np.eye(N_U)})
             cone.emit(pb, "soc")
 
         cone = _ConeRows(1)
         cone.b[0] = u_max
         cone.entry(0, a_idx[k], 1.0)
-        if k in b_idx:
+        if stochastic is not None:
             cone.entry(0, b_idx[k], m_u)
         cone.emit(pb, "nonneg")
 
@@ -466,11 +474,7 @@ def build_subproblem(
         cone = _ConeRows(1 + N_X * qn + N_X * N_X)
         cone.b[0] = 1.0
         cone.b[1 : 1 + N_X * qn] = (pf_inv @ blocks.s_row(n_seg)[:, :qn]).ravel()
-        for k in thrust:
-            left = pf_inv @ blocks.Bblk[n_seg, k]
-            for i in fb[k]:
-                s_blk = blocks.s_row(i)[:, :qn]
-                cone.add(*_vec_product_triplets(1, left, s_blk, gain_idx[(k, i)]))
+        gain_entries(cone, qn, {k: pf_inv @ blocks.Bblk[n_seg, k] for k in thrust})
         cone.b[1 + N_X * qn :] = (pf_inv @ p_tilde_sqrt[n_seg]).ravel()
         cone.emit(pb, "soc")
 
@@ -539,15 +543,9 @@ def build_subproblem(
             cone = _ConeRows(1 + 3 * qp + 3 * N_X)
             cone.entry(0, c2_idx[a_i], -1.0)
             cone.b[1 : 1 + 3 * qp] = (E_VEL @ blocks.s_row(pre)[:, :qp]).ravel()
-            for k in thrust:
-                if k >= pre:
-                    break
-                left = E_VEL @ blocks.Bblk[pre, k]
-                for i in fb[k]:
-                    s_blk = blocks.s_row(i)[:, :qp]
-                    cone.add(
-                        *_vec_product_triplets(1, left, s_blk, gain_idx[(k, i)])
-                    )
+            gain_entries(
+                cone, qp, {k: E_VEL @ blocks.Bblk[pre, k] for k in thrust if k < pre}
+            )
             cone.b[1 + 3 * qp :] = (E_VEL @ p_tilde_sqrt[pre]).ravel()
             cone.emit(pb, "soc")
 
@@ -606,11 +604,10 @@ def build_subproblem(
         grid=grid,
         thrust_segments=thrust,
         ga_segments=ga_segs,
-        fb_nodes=dict(fb),
+        gain_pairs=gain_pairs,
         assists=tuple(assists),
         m_u=m_u,
         stochastic=stochastic,
-        x0_fixed=None if x0_fixed is None else np.asarray(x0_fixed, dtype=float),
     )
 
 
@@ -636,18 +633,18 @@ def extract_solution(layout: SubproblemLayout, result: SolveResult) -> Subproble
     for k in layout.thrust_segments + layout.ga_segments:
         controls[k] = block(f"u{k}")
     thetas = tuple(float(block(f"theta{i}")[0]) for i in range(len(layout.assists)))
+    stochastic = layout.stochastic is not None
     policy = None
-    if layout.stochastic is not None:
+    if stochastic:
         kblocks = np.zeros((n_seg, n_seg + 1, N_U, N_X))
-        for k in layout.thrust_segments:
-            for i in layout.fb_nodes.get(k, ()):
-                kblocks[k, i] = block(f"K{k}_{i}").reshape(N_U, N_X)
+        seg, node = layout.gain_pairs.T
+        kblocks[seg, node] = block("K").reshape(-1, N_U, N_X)
         policy = FeedbackPolicy(blocks=kblocks)
     dv_lin = np.zeros(n_seg)
     dv_fb = np.zeros(n_seg)
     for k in layout.thrust_segments:
         dv_lin[k] = float(block(f"a{k}")[0])
-        if f"b{k}" in prog.var_blocks:
+        if stochastic:
             dv_fb[k] = float(block(f"b{k}")[0])
     zetas = tuple(
         float(block(f"zeta{i}")[0]) for i in range(len(layout.assists))

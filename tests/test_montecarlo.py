@@ -25,7 +25,7 @@ from covtraj.scp import (
     run,
 )
 from covtraj.uncertainty import ObservationModel
-from oracles import bootstrap_ci_half_gather
+from oracles import bootstrap_ci_half_gather, estimate_deviation_gains
 from test_scp import _flyby_problem, _stochastic_scp_problem
 
 
@@ -214,6 +214,21 @@ def test_ekf_mode_campaign(solved):
     ana = rep.terminal_cov_analytic
     fro = np.linalg.norm(rep.terminal_cov - ana) / np.linalg.norm(ana)
     assert fro <= 0.6
+
+
+def test_playback_flies_the_estimate_deviation_policy(solved):
+    # K on the uncontrolled estimate deviations commands what the reference
+    # form Khat = K (I + BB K)^-1 commands on the posterior deviations
+    prob, point = solved
+    khat = estimate_deviation_gains(point.blocks, point.policy).blocks
+    for mode in ("linear", "ekf"):
+        cfg = McConfig(n_samples=50, master_seed=5, mode=mode, dt_wn=0.5, bootstrap=10)
+        s = run_campaign(prob, point, cfg).samples
+        feedback = s.commanded - point.controls
+        expected = np.einsum("kimn,sin->skm", khat, s.estimates - point.states)
+        scale = np.max(np.abs(feedback))
+        assert scale > 0.0
+        np.testing.assert_allclose(feedback, expected, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_reports_reproducible_and_seed_sensitive(solved):

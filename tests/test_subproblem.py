@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from covtraj.conic import SolveResult
 from covtraj.covsteer import build_block_system, kalman_precompute
 from covtraj.dynamics import TimeGrid, linearize_segment, psd_sqrt
 from covtraj.gravity_assist import (
@@ -25,6 +26,7 @@ from covtraj.subproblem import (
     augmented_cost,
     build_subproblem,
     chi2_quantile_sqrt,
+    extract_solution,
     feedback_nodes,
     penalty_grad,
     penalty_value,
@@ -524,6 +526,34 @@ def test_gain_block_triplets_hold_every_nonzero_and_no_zero():
     np.testing.assert_allclose(
         A[1:] @ G.ravel(), -(left @ G @ s_blk).ravel(), rtol=1e-12, atol=1e-14
     )
+
+
+def test_extract_solution_gathers_each_gain_pair_from_its_columns():
+    n = 6
+    segs, ref_states, _, _, blocks, stoch, _, _ = _stochastic_instance(n)
+    layout = build_subproblem(
+        _thrust_grid(n), segs, ref_states, np.zeros((n, 3)), 0.6,
+        TerminalSpec(x_target=np.zeros(6)),
+        PenaltyWeights(weight=1e3, lam_terminal=np.zeros(6)), 100.0, stochastic=stoch,
+    )
+    pairs = layout.gain_pairs
+    assert pairs.tolist() == [
+        [k, i] for k in range(n) for i in feedback_nodes(k, sorted(blocks.meas_col))
+    ]
+    x = np.arange(layout.program.n_vars, dtype=float)
+    result = SolveResult(
+        status="optimal", x=x, obj=0.0, iterations=0, pres=0.0, dres=0.0, gap=0.0
+    )
+    gains = extract_solution(layout, result).policy.blocks
+    # pair j reads the 18 consecutive columns from 18 j on in block K
+    first = layout.program.var_blocks["K"].start
+    k, i = pairs.T
+    np.testing.assert_array_equal(
+        gains[k, i].reshape(-1, 18), first + np.arange(18 * len(pairs)).reshape(-1, 18)
+    )
+    unpaired = np.ones(gains.shape[:2], dtype=bool)
+    unpaired[k, i] = False
+    assert not np.any(gains[unpaired])
 
 
 # ----------------------------------------------------------------------
