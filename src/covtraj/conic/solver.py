@@ -2,11 +2,10 @@
 
 Handles programs whose cones are zero (equalities), nonneg, and second-order
 cones. ``lowering`` reduces rotated and power cones exactly and puts every
-program in canonical order beforehand: the equality rows, the nonneg rows
-and the second-order cones' rows are three contiguous slices, so the solver
-slices them and keeps no row lists. The algorithm is the standard
-Nesterov-Todd scaled predictor-corrector with one linear-solve path per
-iteration:
+program in canonical order beforehand: the equality rows, then the nonneg
+rows, then the second-order cones' rows, so the solver keeps no row lists.
+The algorithm is the standard Nesterov-Todd scaled predictor-corrector with
+one linear-solve path per iteration:
 
 1. one in-place Cholesky factorization of the regularized normal matrix
    M = A_in' W^-2 A_in + reg I, assembled as one triangle in Fortran order;
@@ -21,19 +20,22 @@ infeasible / dual infeasible); variables that appear in no inequality row need
 no special treatment, since the regularization keeps M definite and the
 certificates report an unbounded direction as dual infeasible.
 
-All second-order cones share one flat row region: the workspace records each
-cone's head offset, a per-row cone id and the J = diag(1, -1, ..., -1) sign
-that marks head and tail rows. The NT scaling (eta, wbar, lam) of every cone
-is computed together once per iteration, and W, W^-1, W^-2, the Jordan
+Every inequality row lies in one flat cone region: a nonneg row is a one-row
+second-order cone (s0 >= 0, an empty tail), on which the Nesterov-Todd
+formulas reduce to the nonneg ones (W = sqrt(s / z), lam = sqrt(s z)), so
+each cone operation has one code path. The workspace records each cone's
+head offset, a per-row cone id and the J = diag(1, -1, ..., -1) sign that
+marks head and tail rows. The NT scaling (eta, wbar, lam) of every cone is
+computed together once per iteration, and W, W^-1, W^-2, the Jordan
 product, the arrow solve and the step length act on all cones at once:
 per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
 broadcast back through the cone id. So does the normal matrix: with
 W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower triangle of M is
-one product of a Gram stack fixed for the solve with per-group weights, plus
-2 F F' with one column A_k' J wbar_k / eta_k of F per cone, added in place.
-That one n x n buffer and its dense Cholesky factorization dominate each
-iteration. No triangular solve scans for NaNs: the factors' diagonals, the
-equality rows and each right-hand side are checked finite instead.
+one product of a Gram stack fixed for the solve with the weights 1/eta^2,
+plus 2 F F' with one column A_k' J wbar_k / eta_k of F per cone, added in
+place. That one n x n buffer and its dense Cholesky factorization dominate
+each iteration. No triangular solve scans for NaNs: the factors' diagonals,
+the equality rows and each right-hand side are checked finite instead.
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
 
@@ -87,29 +89,28 @@ class SolveResult:
 class _NtScaling:
     """Nesterov-Todd scaling W of every inequality cone at one iterate.
 
-    Nonneg rows scale by w = sqrt(s / z). Second-order cone k scales by
-    W_k = eta_k [[a, b'], [b, I + b b' / (1 + a)]] with (a, b) its rows of
-    ``wbar``. ``eta`` holds one entry per cone, ``wbar`` is flat over the SOC
-    region and the scaled point ``lam = W z = W^-1 s`` over all inequality
-    rows. Every method acts on all cones at once.
+    Cone k scales by W_k = eta_k [[a, b'], [b, I + b b' / (1 + a)]] with
+    (a, b) its rows of ``wbar``. ``eta`` holds one entry per cone, ``wbar``
+    and the scaled point ``lam = W z = W^-1 s`` are flat over the inequality
+    rows. A nonneg row is a one-row cone: there wbar = 1, so W = eta =
+    sqrt(s / z) and lam = eta z. Every method acts on all cones at once.
     """
 
     def __init__(self, ws: _Workspace, s: np.ndarray, z: np.ndarray):
         self.ws = ws
         h, cid = ws.heads, ws.cone_id
-        ss, zs = s[ws.soc], z[ws.soc]
-        s0, z0 = ss[h], zs[h]
-        rho_s2 = s0**2 - ws.tail_dot(ss, ss)
-        rho_z2 = z0**2 - ws.tail_dot(zs, zs)
+        s0, z0 = s[h], z[h]
+        rho_s2 = s0**2 - ws.tail_dot(s, s)
+        rho_z2 = z0**2 - ws.tail_dot(z, z)
         if (
             np.any(rho_s2 <= 0.0) or np.any(rho_z2 <= 0.0)
             or np.any(s0 <= 0.0) or np.any(z0 <= 0.0)
         ):
-            raise NumericalError("iterate left the interior of a second-order cone")
+            raise NumericalError("iterate left the interior of an inequality cone")
         rho_s = np.sqrt(rho_s2)
         rho_z = np.sqrt(rho_z2)
-        sbar = ss / rho_s[cid]
-        zbar = zs / rho_z[cid]
+        sbar = s / rho_s[cid]
+        zbar = z / rho_z[cid]
         gamma = np.sqrt((1.0 + ws.cone_dot(sbar, zbar)) / 2.0)
         self.wbar = (sbar + ws.jsign * zbar) / (2.0 * gamma)[cid]
         self.eta = np.sqrt(rho_s / rho_z)
@@ -118,18 +119,14 @@ class _NtScaling:
         self._eta_rows = self.eta[cid]
         self._eta2_rows = (self.eta**2)[cid]
 
-        self.w_nn = np.sqrt(s[ws.nn] / z[ws.nn])
-        self._w2_nn = self.w_nn**2
-        self.lam = np.empty_like(s)
-        self.lam[ws.nn] = np.sqrt(s[ws.nn] * z[ws.nn])
-        lam = self._soc_w(zs)
-        self.lam[ws.soc] = lam
-        self._lam0 = lam[h]
-        self._lam_det = self._lam0**2 - ws.tail_dot(lam, lam)
+        self.lam = self.mul_w(z)
+        self._lam0 = self.lam[h]
+        self._lam_det = self._lam0**2 - ws.tail_dot(self.lam, self.lam)
         if np.any(self._lam_det <= 0.0) or np.any(self._lam0 <= 0.0):
             raise NumericalError("scaling point left the cone interior")
 
-    def _soc_w(self, u: np.ndarray) -> np.ndarray:
+    def mul_w(self, u: np.ndarray) -> np.ndarray:
+        """W u."""
         h = self.ws.heads
         u0 = u[h]
         bu = self.ws.tail_dot(self.wbar, u)
@@ -137,53 +134,30 @@ class _NtScaling:
         out[h] = self._a * u0 + bu
         return self._eta_rows * out
 
-    def mul_w(self, u: np.ndarray) -> np.ndarray:
-        """W u."""
-        ws = self.ws
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] * self.w_nn
-        out[ws.soc] = self._soc_w(u[ws.soc])
-        return out
-
     def mul_winv(self, u: np.ndarray) -> np.ndarray:
-        """W^-1 u; on a second-order cone W^-1 = J (W / eta) J / eta."""
-        ws = self.ws
-        h = ws.heads
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] / self.w_nn
-        us = u[ws.soc]
-        u0 = us[h]
-        bu = ws.tail_dot(self.wbar, us)
-        o = us + (-u0 + bu / self._a1)[ws.cone_id] * self.wbar
-        o[h] = self._a * u0 - bu
-        out[ws.soc] = o / self._eta_rows
-        return out
+        """W^-1 u; W^-1 = J (W / eta) J / eta."""
+        h = self.ws.heads
+        u0 = u[h]
+        bu = self.ws.tail_dot(self.wbar, u)
+        out = u + (-u0 + bu / self._a1)[self.ws.cone_id] * self.wbar
+        out[h] = self._a * u0 - bu
+        return out / self._eta_rows
 
     def mul_winv2(self, u: np.ndarray) -> np.ndarray:
-        """W^-2 u; on a second-order cone W^-2 = eta^-2 (2 wtil wtil' - J), wtil = J wbar."""
-        ws = self.ws
-        h = ws.heads
-        out = np.empty_like(u)
-        out[ws.nn] = u[ws.nn] / self._w2_nn
-        us = u[ws.soc]
-        u0 = us[h]
-        wtu = self._a * u0 - ws.tail_dot(self.wbar, us)
-        o = (-2.0 * wtu)[ws.cone_id] * self.wbar + us
-        o[h] = 2.0 * self._a * wtu - u0
-        out[ws.soc] = o / self._eta2_rows
-        return out
+        """W^-2 u; W^-2 = eta^-2 (2 wtil wtil' - J) with wtil = J wbar."""
+        h = self.ws.heads
+        u0 = u[h]
+        wtu = self._a * u0 - self.ws.tail_dot(self.wbar, u)
+        out = (-2.0 * wtu)[self.ws.cone_id] * self.wbar + u
+        out[h] = 2.0 * self._a * wtu - u0
+        return out / self._eta2_rows
 
     def arrow_solve(self, v: np.ndarray) -> np.ndarray:
         """Solve lam o u = v for u (the arrow-matrix inverse on each cone)."""
-        ws = self.ws
-        h = ws.heads
-        out = np.empty_like(v)
-        out[ws.nn] = v[ws.nn] / self.lam[ws.nn]
-        lam, vs = self.lam[ws.soc], v[ws.soc]
-        u0 = (self._lam0 * vs[h] - ws.tail_dot(lam, vs)) / self._lam_det
-        o = (vs - u0[ws.cone_id] * lam) / self._lam0[ws.cone_id]
-        o[h] = u0
-        out[ws.soc] = o
+        h, cid = self.ws.heads, self.ws.cone_id
+        u0 = (self._lam0 * v[h] - self.ws.tail_dot(self.lam, v)) / self._lam_det
+        out = (v - u0[cid] * self.lam) / self._lam0[cid]
+        out[h] = u0
         return out
 
 
@@ -231,17 +205,15 @@ class _Workspace:
 
     The program must be in canonical order (``lowering.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
-    rows, which hold the nonneg rows (slice ``nn``) followed by one flat
-    region of every second-order cone's rows (slice ``soc``). Inside that
-    region cone k starts at row ``heads[k]``; ``cone_id`` gives each row's
+    rows. Every inequality row belongs to one second-order cone of that flat
+    region: each nonneg row is a one-row cone s0 >= 0, followed by the soc
+    cones. Cone k starts at row ``heads[k]``; ``cone_id`` gives each row's
     cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1) (+1 on a
     head, -1 on a tail row). Per-cone dot products are ``np.add.reduceat``
     sums over ``heads`` and per-cone scalars are broadcast back to rows
     through ``cone_id``, so every cone operation is a handful of array
     operations whatever the number of cones. ``gram_stack`` holds one
-    column per inequality group, the entries i <= j of A_g' S_g A_g at
-    position i*n + j: each nonneg row alone with S = 1, then each cone with
-    S = -J.
+    column per cone, the entries i <= j of A_k' (-J) A_k at position i*n + j.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -251,22 +223,23 @@ class _Workspace:
                 "lower the program first"
             )
         A = prog.A.tocsr()
-        sizes = np.array([c.dim for c in prog.cones if c.kind == "soc"], dtype=int)
+        ineq = [c for c in prog.cones if c.kind != "zero"]
+        one_row = np.array([c.kind == "nonneg" for c in ineq], dtype=bool)
+        dims = np.array([c.dim for c in ineq], dtype=int)
+        #: rows of each cone: a 1 for each nonneg row, then each soc dim
+        self.sizes = np.repeat(np.where(one_row, 1, dims), np.where(one_row, dims, 1))
 
         self.n = prog.n_vars
         self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
-        self.n_nn = sum(c.dim for c in prog.cones if c.kind == "nonneg")
         self.m_in = prog.n_rows - self.n_eq
-        self.nn = slice(0, self.n_nn)
-        self.soc = slice(self.n_nn, self.m_in)
-        self.heads = np.cumsum(sizes) - sizes
-        self.cone_id = np.repeat(np.arange(sizes.size), sizes)
-        self.jsign = -np.ones(self.m_in - self.n_nn)
+        self.heads = np.cumsum(self.sizes) - self.sizes
+        self.cone_id = np.repeat(np.arange(self.sizes.size), self.sizes)
+        self.jsign = -np.ones(self.m_in)
         self.jsign[self.heads] = 1.0
-        #: identity element of the cone product: 1 on nonneg rows and heads
+        #: identity element of the cone product: 1 on every head
         self.e = np.zeros(self.m_in)
-        self.e[self.nn] = 1.0
-        self.e[self.n_nn + self.heads] = 1.0
+        self.e[self.heads] = 1.0
+        self.degree = self.sizes.size
 
         self.A_eq = A[: self.n_eq].toarray()
         # the right-hand side of every solve with A_eq', checked once here
@@ -279,66 +252,51 @@ class _Workspace:
         self.b_in = prog.b[self.n_eq:]
         self.c = prog.c.copy()
 
-        self.A_soc_t = self.A_in[self.soc].T.tocsr()
-        n_groups = self.n_nn + sizes.size
-        self.gram_stack = _gram_stack(
-            self.A_in,
-            np.concatenate([np.arange(self.n_nn), self.n_nn + self.cone_id]),
-            np.concatenate([np.ones(self.n_nn), -self.jsign]),
-            n_groups,
-        )
-        self.degree = n_groups
+        self.gram_stack = _gram_stack(self.A_in, self.cone_id, -self.jsign, self.degree)
 
     def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
         """The lower triangle of A_in' W^-2 A_in at the scaling sc, in Fortran order.
 
-        Every group's Gram block is weighted by 1/w^2 (nonneg) or 1/eta^2
-        (cone) in one product with ``gram_stack``, which lands in a fresh
-        Fortran-ordered buffer; the rank-one part of each cone's W^-2, 2 F F'
-        with column k of F equal to A_k' J wbar_k / eta_k, is added into that
-        buffer by one ``dsyrk``. The strict upper triangle is left zero.
+        With W^-2 = eta^-2 (2 J wbar wbar' J - J) on each cone, every cone's
+        Gram block is weighted by 1/eta^2 in one product with ``gram_stack``,
+        which lands in a fresh Fortran-ordered buffer; the rank-one part,
+        2 F F' with column k of F equal to A_k' J wbar_k / eta_k, is added into
+        that buffer by one ``dsyrk``. The strict upper triangle is left zero.
         """
         v = self.jsign * sc.wbar / sc.eta[self.cone_id]
         cone_map = sp.csr_matrix(
-            (v, self.cone_id, np.arange(v.size + 1)), shape=(v.size, sc.eta.size)
+            (v, self.cone_id, np.arange(v.size + 1)), shape=(v.size, self.degree)
         )
-        F = (self.A_soc_t @ cone_map).toarray(order="F")
-        weights = np.concatenate([1.0 / sc.w_nn**2, 1.0 / sc.eta**2])
-        M = (self.gram_stack @ weights).reshape(self.n, self.n, order="F")
+        F = (self.A_in_t @ cone_map).toarray(order="F")
+        M = (self.gram_stack @ (1.0 / sc.eta**2)).reshape(self.n, self.n, order="F")
         return dsyrk(2.0, F, beta=1.0, c=M, lower=1, overwrite_c=1)
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u[1:] . v[1:] of every cone, for u, v over the SOC region."""
+        """u[1:] . v[1:] of every cone, for u, v over the inequality rows."""
         p = u * v
         p[self.heads] = 0.0
         return np.add.reduceat(p, self.heads)
 
     def cone_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u . v of every cone, for u, v over the SOC region."""
+        """u . v of every cone, for u, v over the inequality rows."""
         return np.add.reduceat(u * v, self.heads)
 
     def jmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Jordan product u o v over the inequality rows.
-
-        Elementwise on nonneg rows and (u'v, u0 v1 + v0 u1) on each
-        second-order cone.
-        """
+        """Jordan product u o v over the inequality rows: (u'v, u0 v1 + v0 u1) per cone."""
         h, cid = self.heads, self.cone_id
-        out = np.empty_like(u)
-        out[self.nn] = u[self.nn] * v[self.nn]
-        us, vs = u[self.soc], v[self.soc]
-        o = us[h][cid] * vs + vs[h][cid] * us
-        o[h] = self.cone_dot(us, vs)
-        out[self.soc] = o
+        out = u[h][cid] * v + v[h][cid] * u
+        out[h] = self.cone_dot(u, v)
         return out
 
-    def soc_steps(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Largest alpha per cone with u + alpha d in that second-order cone.
+    def cone_steps(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Largest alpha per cone with u + alpha d in that cone.
 
-        u and d are over the SOC region. With f(alpha) = c + b alpha + a alpha^2
-        the cone's Lorentz form of u + alpha d, a cone whose u is not interior
-        (c <= 0) gets 0; otherwise the step runs to the root of f where it
-        leaves the cone, capped where the head turns negative.
+        With f(alpha) = c + b alpha + a alpha^2 the cone's Lorentz form of
+        u + alpha d, a cone whose u is not interior (c <= 0) gets 0; otherwise
+        the step runs to the root of f where it leaves the cone, capped where
+        the head turns negative. A one-row cone can leave only through its
+        head, so its step is exactly -u0/d0 (inf when d0 >= 0): the roots of f
+        would carry the rounding of b^2 - 4ac, which is 0 in exact arithmetic.
         """
         h = self.heads
         u0, d0 = u[h], d[h]
@@ -347,10 +305,11 @@ class _Workspace:
         b = 2.0 * (u0 * d0 - self.tail_dot(u, d))
         best = np.full(h.size, np.inf)
         live = c > 0.0
-        lin = live & (a == 0.0) & (b < 0.0)
+        curved = live & (self.sizes > 1)
+        lin = curved & (a == 0.0) & (b < 0.0)
         best[lin] = -c[lin] / b[lin]
         disc = b * b - 4.0 * a * c
-        quad = live & (a != 0.0) & (disc >= 0.0)
+        quad = curved & (a != 0.0) & (disc >= 0.0)
         aq, bq = a[quad], b[quad]
         sq = np.sqrt(disc[quad])
         r1 = (-bq - sq) / (2.0 * aq)
@@ -368,9 +327,7 @@ class _Workspace:
 
     def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
         """Largest alpha with u + alpha d in every inequality cone."""
-        un, dn = u[self.nn], d[self.nn]
-        alpha = np.min(-un[dn < 0.0] / dn[dn < 0.0], initial=np.inf)
-        return float(min(alpha, self.soc_steps(u[self.soc], d[self.soc]).min(initial=np.inf)))
+        return float(self.cone_steps(u, d).min(initial=np.inf))
 
 
 def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
@@ -382,8 +339,8 @@ def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
     group's largest entry (``np.maximum.reduceat`` over the group starts), so
     the cone geometry is preserved.
     """
-    A = prog.A.tocsr().astype(float)
-    m, n = A.shape
+    work = sp.csr_matrix(prog.A, dtype=float, copy=True)
+    m, n = work.shape
     e = np.ones(m)
     d = np.ones(n)
     dims = np.array([cone.dim for cone in prog.cones], dtype=int)
@@ -394,30 +351,27 @@ def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
     first[np.cumsum(dims) - dims] = True
     starts = np.flatnonzero(first | elementwise)
     sizes = np.diff(starts, append=m)
+    row = np.repeat(np.arange(m), np.diff(work.indptr))
 
-    work = A.copy()
+    # the scales multiply the stored entries in place, so the pattern is fixed
     for _ in range(EQUILIBRATION_PASSES):
         # column pass
-        cmax = np.zeros(n)
-        coo = work.tocoo()
-        np.maximum.at(cmax, coo.col, np.abs(coo.data))
+        cmax = abs(work).max(axis=0).toarray().ravel()
         cs = 1.0 / np.sqrt(np.maximum(cmax, 1e-12))
         cs[cmax == 0.0] = 1.0
         d *= cs
-        work = work @ sp.diags(cs)
+        work.data *= cs[work.indices]
         # row pass (uniform inside each cone)
-        rmax = np.zeros(m)
-        coo = work.tocoo()
-        np.maximum.at(rmax, coo.row, np.abs(coo.data))
+        rmax = abs(work).max(axis=1).toarray().ravel()
         top = np.maximum.reduceat(rmax, starts)
         gs = np.ones(starts.size)
         live = top > 0.0
         gs[live] = 1.0 / np.sqrt(top[live])
         rs = np.repeat(gs, sizes)
         e *= rs
-        work = sp.diags(rs) @ work
+        work.data *= rs[row]
     scaled = ConicProgram(
-        c=d * prog.c, A=work.tocsr(), b=e * prog.b, cones=prog.cones, name=prog.name
+        c=d * prog.c, A=work, b=e * prog.b, cones=prog.cones, name=prog.name
     )
     return scaled, d
 

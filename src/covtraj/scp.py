@@ -361,7 +361,7 @@ def evaluate_point(
     blocks = None
     schedule = None
     dv_feedback = 0.0
-    u_sqrt = None
+    d_sqrt = None
     if unc is not None:
         schedule = kalman_precompute(segments, unc.obs, unc.p_tilde0)
         blocks = build_block_system(segments, schedule, unc.p_hat0)
@@ -369,6 +369,8 @@ def evaluate_point(
         u_sqrt = control_cov_sqrt(blocks, policy)
         for k in problem.thrust_segments:
             dv_feedback += grid.dt(k) * m_u * float(np.linalg.norm(u_sqrt[k]))
+        if problem.ga_events:
+            d_sqrt = dispersion_sqrt(blocks, policy, u_sqrt)
 
     dv_linear = sum(
         grid.dt(k) * float(np.linalg.norm(controls[k]))
@@ -381,7 +383,7 @@ def evaluate_point(
         v_inf = float(np.linalg.norm(states[pre][3:] - e.v_planet))
         disp = 0.0
         if unc is not None:
-            d_row = dispersion_sqrt(blocks, policy, u_sqrt)[pre]
+            d_row = d_sqrt[pre]
             est_sqrt = psd_sqrt(schedule.P_post[pre])
             disp = math.hypot(
                 float(np.linalg.norm(E_VEL @ d_row)),

@@ -617,22 +617,19 @@ def _cone_workspace(sizes, n_nonneg=0):
     return _Workspace(prog)
 
 
-def _interior(rng, ws, sizes):
-    """A random point strictly inside every inequality cone."""
+def _interior(rng, ws):
+    """A random point strictly inside every inequality cone (one-row cones too)."""
     u = np.empty(ws.m_in)
-    u[ws.nn] = rng.uniform(0.1, 3.0, ws.n_nn)
-    at = ws.n_nn
-    for k in sizes:
+    for at, k in zip(ws.heads, ws.sizes):
         tail = rng.standard_normal(k - 1)
         u[at + 1: at + k] = tail
         u[at] = np.linalg.norm(tail) * rng.uniform(1.05, 3.0) + rng.uniform(0.05, 1.0)
-        at += k
     return u
 
 
-def _per_cone(sizes, v):
-    """Split a vector over the SOC region into one array per cone."""
-    return np.split(v, np.cumsum(sizes)[:-1])
+def _per_cone(ws, v):
+    """Split a vector over the inequality rows into one array per cone."""
+    return np.split(v, ws.heads[1:])
 
 
 def _rel(a, b):
@@ -648,7 +645,7 @@ def _rel(a, b):
 def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
     rng = np.random.default_rng(seed)
     ws = _cone_workspace(sizes, n_nonneg)
-    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    s, z = _interior(rng, ws), _interior(rng, ws)
     sc = _NtScaling(ws, s, z)
     u = rng.standard_normal(ws.m_in)
     tol = 1e-10
@@ -662,13 +659,13 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
     assert _rel(ws.jmul(sc.lam, sc.arrow_solve(u)), u) <= tol
     assert _rel(sc.arrow_solve(ws.jmul(sc.lam, u)), u) <= tol
 
-    # each cone against its explicit W and arrow matrices
+    # each cone, nonneg rows included, against its explicit W and arrow matrices
     blocks = [
-        _per_cone(sizes, v[ws.soc])
+        _per_cone(ws, v)
         for v in (s, z, u, sc.lam, sc.mul_w(u), sc.mul_winv2(u), ws.jmul(sc.lam, u))
     ]
     for k, (wbar, sk, zk, uk, lk, wu, w2u, ju) in enumerate(
-        zip(_per_cone(sizes, sc.wbar), *blocks)
+        zip(_per_cone(ws, sc.wbar), *blocks)
     ):
         W = nt_scaling_matrix(sc.eta[k], wbar)
         assert _rel(W @ zk, lk) <= tol
@@ -677,12 +674,16 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
         assert _rel(np.linalg.solve(W @ W, uk), w2u) <= tol
         assert _rel(arrow_matrix(lk) @ uk, ju) <= tol
 
-    # max step: on the boundary of each cone, or inf when d lies in the cone
+    # max step: on the boundary of each cone, or inf when d lies in the cone;
+    # a one-row cone leaves only through its head, at -u/d exactly
     d = rng.standard_normal(ws.m_in)
-    inside = np.repeat(rng.random(len(sizes)) < 0.3, sizes)
-    d[ws.soc] = np.where(inside, _interior(rng, ws, sizes)[ws.soc], d[ws.soc])
-    steps = ws.soc_steps(s[ws.soc], d[ws.soc])
-    for k, (sk, dk) in enumerate(zip(_per_cone(sizes, s[ws.soc]), _per_cone(sizes, d[ws.soc]))):
+    inside = np.repeat(rng.random(ws.sizes.size) < 0.3, ws.sizes)
+    d = np.where(inside, _interior(rng, ws), d)
+    steps = ws.cone_steps(s, d)
+    for k, (sk, dk) in enumerate(zip(_per_cone(ws, s), _per_cone(ws, d))):
+        if dk.size == 1:
+            assert steps[k] == (-sk[0] / dk[0] if dk[0] < 0.0 else np.inf)
+            continue
         in_cone = dk[0] >= np.linalg.norm(dk[1:])
         if in_cone:
             assert steps[k] == np.inf
@@ -691,9 +692,7 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
         p = sk + steps[k] * dk
         scale = np.linalg.norm(sk) + steps[k] * np.linalg.norm(dk)
         assert abs(p[0] - np.linalg.norm(p[1:])) <= tol * scale
-    neg = d[ws.nn] < 0.0
-    nn_steps = -s[ws.nn][neg] / d[ws.nn][neg]
-    assert ws.max_step(s, d) == min(steps.min(initial=np.inf), nn_steps.min(initial=np.inf))
+    assert ws.max_step(s, d) == steps.min(initial=np.inf)
 
 
 @pytest.mark.parametrize(
@@ -717,16 +716,19 @@ def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
         A[starts[k], :] = rng.standard_normal(n)
     cones = (Cone("zero", n_eq), Cone("nonneg", n_nonneg)) + tuple(Cone("soc", k) for k in sizes)
     ws = _Workspace(ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=np.zeros(m), cones=cones))
-    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    s, z = _interior(rng, ws), _interior(rng, ws)
     sc = _NtScaling(ws, s, z)
 
+    # the nonneg rows lead the cone region, one one-row cone each
+    assert np.array_equal(ws.sizes, (1,) * n_nonneg + sizes)
+    nn = slice(0, n_nonneg)
     winv2 = np.zeros((ws.m_in, ws.m_in))
-    winv2[ws.nn, ws.nn] = np.diag(z[ws.nn] / s[ws.nn])
-    at = ws.n_nn
-    for eta, wbar in zip(sc.eta, _per_cone(sizes, sc.wbar)):
+    winv2[nn, nn] = np.diag(z[nn] / s[nn])
+    for at, eta, wbar in zip(
+        ws.heads[n_nonneg:], sc.eta[n_nonneg:], _per_cone(ws, sc.wbar)[n_nonneg:]
+    ):
         winv = np.linalg.inv(nt_scaling_matrix(eta, wbar))
         winv2[at: at + wbar.size, at: at + wbar.size] = winv @ winv
-        at += wbar.size
     A_in = A[n_eq:]
     oracle = A_in.T @ winv2 @ A_in
     # the solver assembles and factors one triangle; the upper one stays zero
@@ -734,21 +736,20 @@ def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
     assert _rel(np.tril(M), np.tril(oracle)) <= 1e-12
     assert not np.any(np.triu(M, 1))
     # the stack keeps the entries i <= j of each group's Gram block
-    groups = [A_in[[r]] for r in range(ws.n_nn)] + list(
-        np.split(A_in[ws.n_nn:], np.cumsum(sizes)[:-1])
-    )
+    groups = np.split(A_in, ws.heads[1:])
     assert ws.gram_stack.nnz == sum(np.triu((Ag != 0).T @ (Ag != 0)).sum() for Ag in groups)
     for k in empty:
-        assert not np.any(ws.gram_stack[:, ws.n_nn + k].toarray())
+        assert not np.any(ws.gram_stack[:, n_nonneg + k].toarray())
 
 
 def test_scaling_rejects_a_point_outside_one_cone():
     sizes = [3, 4, 2]
     ws = _cone_workspace(sizes, n_nonneg=2)
     rng = np.random.default_rng(5)
-    s, z = _interior(rng, ws, sizes), _interior(rng, ws, sizes)
+    s, z = _interior(rng, ws), _interior(rng, ws)
     _NtScaling(ws, s, z)
-    rows = slice(ws.n_nn + ws.heads[1], ws.n_nn + ws.heads[1] + 4)
+    k = 2 + 1  # the 4-row cone, after the two one-row nonneg cones
+    rows = slice(ws.heads[k], ws.heads[k] + ws.sizes[k])
     outside = s.copy()
     outside[rows.start] = 0.5 * np.linalg.norm(s[rows][1:])  # head below the tail norm
     mirrored = s.copy()
@@ -760,14 +761,30 @@ def test_scaling_rejects_a_point_outside_one_cone():
             _NtScaling(ws, z, bad)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_scaling_rejects_a_nonneg_slack_at_or_below_zero(value):
+    # a nonneg row is a one-row cone: the interior check catches it before
+    # any square root is taken
+    sizes = [3, 4]
+    ws = _cone_workspace(sizes, n_nonneg=2)
+    rng = np.random.default_rng(7)
+    s, z = _interior(rng, ws), _interior(rng, ws)
+    bad = s.copy()
+    bad[1] = value
+    with pytest.raises(NumericalError):
+        _NtScaling(ws, bad, z)
+    with pytest.raises(NumericalError):
+        _NtScaling(ws, z, bad)
+
+
 def test_max_step_is_zero_from_the_cone_boundary():
     sizes = [3, 2, 4]
     ws = _cone_workspace(sizes)
     rng = np.random.default_rng(6)
-    u = _interior(rng, ws, sizes)
+    u = _interior(rng, ws)
     u[3:5] = [2.0, -2.0]  # the 2-row cone: u0 = |u1|, c = 0
     d = rng.standard_normal(ws.m_in)
-    steps = ws.soc_steps(u, d)
+    steps = ws.cone_steps(u, d)
     assert steps[1] == 0.0
     assert steps[0] > 0.0 and steps[2] > 0.0
     assert ws.max_step(u, d) == 0.0

@@ -25,7 +25,7 @@ from covtraj.scp import (
     run,
 )
 from covtraj.uncertainty import ObservationModel
-from oracles import bootstrap_ci_half_gather, estimate_deviation_gains
+from oracles import bootstrap_ci_half_gather, estimate_deviation_gains, random_policy
 from test_scp import _flyby_problem, _stochastic_scp_problem
 
 
@@ -261,8 +261,16 @@ def _same_samples(a, b):
 
 
 def test_campaign_prefix_is_batch_invariant(solved):
-    for case in ("linear", "ekf", "flyby"):
-        prob, point, cfg = _case(solved, case)
+    # the linear and EKF campaigns fly once more under random gains, whose
+    # generic entries round a one-row product apart from a many-row one
+    prob, point = solved
+    generic = evaluate_point(
+        prob, point.x0, point.controls,
+        policy=random_policy(np.random.default_rng(4), prob.grid.n_segments),
+    )
+    cases = [_case(solved, case) for case in ("linear", "ekf", "flyby")]
+    cases += [(prob, generic, cfg) for _, _, cfg in cases[:2]]
+    for prob, point, cfg in cases:
         rep = run_campaign(prob, point, cfg)
         full = rep.samples
         # with no failure the report reads the playback's arrays, uncopied
