@@ -117,6 +117,8 @@ class TimeGrid:
             raise ValueError("epochs and kinds must have equal length")
         if len(self.epochs) < 2:
             raise ValueError("a grid needs at least one segment")
+        if not np.all(np.isfinite(self.epochs)):
+            raise ValueError("grid epochs must be finite")
         allowed = {"thrust", "coast", "ga"}
         bad = set(self.kinds) - allowed
         if bad:
@@ -148,6 +150,10 @@ class TimeGrid:
 
     def is_ga(self, k: int) -> bool:
         return self.kinds[k] == "ga"
+
+    @property
+    def thrust_segments(self) -> tuple[int, ...]:
+        return tuple(k for k in range(self.n_segments) if self.kinds[k] == "thrust")
 
     @property
     def ga_segments(self) -> tuple[int, ...]:
@@ -713,3 +719,14 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise NumericalError("matrix is not positive semidefinite within regularization budget")
+
+
+def require_positive_definite(name: str, mat: np.ndarray) -> None:
+    """Raise ValueError unless ``mat`` is finite and has a Cholesky factor."""
+    try:
+        if np.all(np.isfinite(mat)):
+            np.linalg.cholesky(mat)
+            return
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(f"{name} must be finite and positive definite")

@@ -49,6 +49,12 @@ class GaEvent:
             raise ValueError("flyby body needs positive mu and periapsis floor")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("flyby risk tolerance must lie in (0, 1)")
+        # the safe-flyby envelope and its slope are singular at 0 and pi
+        if not 0.0 < self.theta_min < self.theta_max < np.pi:
+            raise ValueError(
+                f"turn-angle window ({self.theta_min}, {self.theta_max}) must satisfy "
+                "0 < theta_min < theta_max < pi"
+            )
 
 
 def skew(v: np.ndarray) -> np.ndarray:

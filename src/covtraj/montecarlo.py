@@ -116,8 +116,8 @@ class McConfig:
             raise ValueError("need at least one sample")
         if self.mode not in ("ekf", "linear"):
             raise ValueError(f"mode must be 'ekf' or 'linear', got {self.mode!r}")
-        if self.dt_wn is not None and self.dt_wn <= 0.0:
-            raise ValueError("dt_wn must be positive when given")
+        if self.dt_wn is not None and not (np.isfinite(self.dt_wn) and self.dt_wn > 0.0):
+            raise ValueError("dt_wn must be positive and finite when given")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile level must lie in (0, 1)")
         if self.bootstrap < 1:
@@ -201,30 +201,19 @@ class McReport:
     samples: McSamples
 
     def as_dict(self) -> dict:
-        """JSON-ready summary (arrays as nested lists, samples omitted)."""
-        return {
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "n_failed": self.n_failed,
-            "failed": list(self.failed),
-            "master_seed": self.master_seed,
-            "quantile_p": self.quantile_p,
-            "dv_nominal": self.dv_nominal,
-            "dv_mean": self.dv_mean,
-            "dv_max": self.dv_max,
-            "dv_q": self.dv_q,
-            "dv_ci_half": self.dv_ci_half,
-            "j_ub": self.j_ub,
-            "violation_counts": self.violation_counts.tolist(),
-            "violation_rate": self.violation_rate,
-            "od_containment": self.od_containment,
-            "od_contained_per_node": self.od_contained_per_node.tolist(),
-            "terminal_mean": self.terminal_mean.tolist(),
-            "terminal_cov": self.terminal_cov.tolist(),
-            "terminal_cov_analytic": self.terminal_cov_analytic.tolist(),
-            "periapsis_nominal": list(self.periapsis_nominal),
-            "periapsis_min": list(self.periapsis_min),
-        }
+        """JSON-ready summary (arrays and tuples as lists; the per-sample
+        ``dv_values``, ``periapses`` and ``samples`` omitted)."""
+        out = {}
+        for f in fields(self):
+            if f.name in ("dv_values", "periapses", "samples"):
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -656,7 +645,7 @@ def run_campaign(
     )
 
     violation_counts = np.sum(samples.violations, axis=0).astype(int)
-    n_thrust = len(problem.thrust_segments)
+    n_thrust = len(problem.grid.thrust_segments)
     violation_rate = (
         float(violation_counts.sum()) / (n_ok * n_thrust) if n_thrust else 0.0
     )

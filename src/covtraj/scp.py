@@ -38,7 +38,13 @@ from .covsteer import (
     dispersion_sqrt,
     kalman_precompute,
 )
-from .dynamics import LinearSegment, TimeGrid, linearize_segment, psd_sqrt
+from .dynamics import (
+    LinearSegment,
+    TimeGrid,
+    linearize_segment,
+    psd_sqrt,
+    require_positive_definite,
+)
 from .gravity_assist import (
     E_VEL,
     GaEvent,
@@ -167,6 +173,7 @@ class UncertaintyModel:
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
             object.__setattr__(self, name, mat)
+        require_positive_definite("p_f", self.p_f)
         if self.proc_noise_sqrt is not None:
             g = np.asarray(self.proc_noise_sqrt, dtype=float)
             if g.ndim != 2 or g.shape[0] != N_X:
@@ -201,10 +208,10 @@ class ScpProblem:
             object.__setattr__(self, "x0_fixed", x0f)
         if self.launch is not None and self.x0_fixed is not None:
             raise ValueError("launch constraints and a fixed x0 are exclusive")
-        if self.u_max <= 0.0:
-            raise ValueError("u_max must be positive")
-        if self.mu < 0.0:
-            raise ValueError("gravitational parameter must be nonnegative")
+        if not (np.isfinite(self.u_max) and self.u_max > 0.0):
+            raise ValueError("u_max must be positive and finite")
+        if not (np.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError("gravitational parameter must be nonnegative and finite")
         events = tuple(sorted(e.segment for e in self.ga_events))
         if events != self.grid.ga_segments:
             raise ValueError(
@@ -213,12 +220,6 @@ class ScpProblem:
             )
         if self.uncertainty is not None and self.uncertainty.obs.n_nodes != self.grid.n_nodes:
             raise ValueError("observation model does not cover the grid nodes")
-
-    @property
-    def thrust_segments(self) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(self.grid.n_segments) if self.grid.kinds[k] == "thrust"
-        )
 
 
 def deterministic_problem(problem: ScpProblem) -> ScpProblem:
@@ -367,14 +368,14 @@ def evaluate_point(
         blocks = build_block_system(segments, schedule, unc.p_hat0)
         m_u = chi2_quantile_sqrt(unc.eps_u, N_U)
         u_sqrt = control_cov_sqrt(blocks, policy)
-        for k in problem.thrust_segments:
+        for k in grid.thrust_segments:
             dv_feedback += grid.dt(k) * m_u * float(np.linalg.norm(u_sqrt[k]))
         if problem.ga_events:
             d_sqrt = dispersion_sqrt(blocks, policy, u_sqrt)
 
     dv_linear = sum(
         grid.dt(k) * float(np.linalg.norm(controls[k]))
-        for k in problem.thrust_segments
+        for k in grid.thrust_segments
     )
 
     g_ineq: list[float] = []

@@ -27,7 +27,7 @@ from scipy.special import gammainccinv
 
 from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
 from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, mean_chain
-from .dynamics import LinearSegment, TimeGrid, psd_sqrt
+from .dynamics import LinearSegment, TimeGrid, psd_sqrt, require_positive_definite
 from .errors import ConfigError
 from .gravity_assist import (
     E_VEL,
@@ -157,6 +157,7 @@ class StochasticSpec:
         object.__setattr__(self, "p_f", np.asarray(self.p_f, dtype=float))
         if self.p_f.shape != (N_X, N_X):
             raise ValueError("terminal dispersion bound must be 6x6")
+        require_positive_definite("p_f", self.p_f)
         if not 0.0 < self.eps_u < 1.0:
             raise ValueError("eps_u must lie in (0, 1)")
 
@@ -184,6 +185,21 @@ class PenaltyWeights:
 class SubproblemLayout:
     """Built program plus the variable map needed to read a solution back.
 
+    The program has one variable block per kind, in this column order:
+
+    - ``x0`` (6): the initial mean state
+    - ``u`` (n_ctl, 3): one row per thrust or gravity-assist segment of
+      ``grid``, in segment order (thrust accelerations, Cayley parameters)
+    - ``theta`` (n_assist): the turn angle of each assist
+    - ``K`` (18 n_gain, stochastic only): the gain blocks, see below
+    - ``a`` (n_thrust): the thrust-magnitude epigraph of each thrust segment
+    - ``b`` (n_thrust, stochastic only): its feedback-magnitude epigraph
+    - ``xi`` (6): the terminal-mean relaxation
+    - ``assist`` (n_assist, 2 or 3): per assist, the safety slack zeta, the
+      mean v-infinity epigraph c1 and (stochastic only) the dispersion one c2
+    - ``penalty`` (6 + n_assist, 2): per relaxed row, ``xi`` then each zeta,
+      the pow3 and rsoc penalty epigraphs pa and pq
+
     ``gain_pairs`` (n_gain, 2) lists the (segment k, node i) of every
     designed gain block K_{k,i}, by thrust segment and then feedback node;
     pair j owns the 18 consecutive columns from 18 j of the variable block
@@ -193,8 +209,6 @@ class SubproblemLayout:
 
     program: ConicProgram
     grid: TimeGrid
-    thrust_segments: tuple[int, ...]
-    ga_segments: tuple[int, ...]
     gain_pairs: np.ndarray
     assists: tuple[GaEvent, ...]
     m_u: float | None
@@ -325,10 +339,8 @@ def build_subproblem(
     if len(weights.lam_assists) != len(assists):
         raise ValueError("one assist multiplier per assist is required")
 
-    kinds = grid.kinds
-    thrust = tuple(k for k in range(n_seg) if kinds[k] == "thrust")
-    ga_segs = tuple(k for k in range(n_seg) if kinds[k] == "ga")
-    if tuple(sorted(a.segment for a in assists)) != ga_segs:
+    thrust = list(grid.thrust_segments)
+    if tuple(sorted(a.segment for a in assists)) != grid.ga_segments:
         raise ValueError("assists must map one-to-one onto ga segments")
     if len(theta_refs) != len(assists):
         raise ValueError("one reference turn angle per assist is required")
@@ -338,14 +350,15 @@ def build_subproblem(
             raise ValueError(
                 f"reference turn angle {theta_ref} outside [{a.theta_min}, {a.theta_max}]"
             )
-    var_segments = tuple(sorted(thrust + ga_segs))
+    var_segs = sorted(grid.thrust_segments + grid.ga_segments)
     dts = grid.dts
 
     Phi, Bb, Cv = mean_chain(segments)
 
+    stoch = stochastic is not None
     m_u = None
     gain_pairs = np.zeros((0, 2), dtype=int)
-    if stochastic is not None:
+    if stoch:
         blocks = stochastic.blocks
         if blocks.n_segments != n_seg:
             raise ValueError("block system does not match the grid")
@@ -366,53 +379,37 @@ def build_subproblem(
             n: psd_sqrt(stochastic.schedule.P_post[n])
             for n in (n_seg, *(a.segment for a in assists))
         }
-    m_assists = tuple(
-        chi2_quantile_sqrt(a.eps, N_U) if stochastic is not None else 0.0
-        for a in assists
-    )
+    m_assists = [chi2_quantile_sqrt(a.eps, N_U) if stoch else 0.0 for a in assists]
 
     pb = ProgramBuilder(name)
     x0 = pb.var_block("x0", N_X)
-    u_idx: dict[int, np.ndarray] = {}
-    for k in var_segments:
-        u_idx[k] = pb.var_block(f"u{k}", N_U)
-    theta_idx: dict[int, int] = {}
-    for a_i, a in enumerate(assists):
-        theta_idx[a_i] = pb.var_block(f"theta{a_i}", 1)[0]
-    if stochastic is not None:
-        gain_idx = pb.var_block("K", len(gain_pairs) * N_U * N_X).reshape(-1, N_U, N_X)
-    a_idx = {k: pb.var_block(f"a{k}", 1)[0] for k in thrust}
-    if stochastic is not None:
-        b_idx = {k: pb.var_block(f"b{k}", 1)[0] for k in thrust}
+    u = pb.var_block("u", N_U * len(var_segs)).reshape(-1, N_U)
+    u_at = np.full((n_seg, N_U), -1)  # u's columns by segment; -1 on coasts
+    u_at[var_segs] = u
+    theta = pb.var_block("theta", len(assists))
+    if stoch:
+        K = pb.var_block("K", len(gain_pairs) * N_U * N_X).reshape(-1, N_U, N_X)
+    a_col = pb.var_block("a", len(thrust))
+    if stoch:
+        b_col = pb.var_block("b", len(thrust))
     xi = pb.var_block("xi", N_X)
-    zeta_idx: dict[int, int] = {}
-    c1_idx: dict[int, int] = {}
-    c2_idx: dict[int, int] = {}
-    for a_i in range(len(assists)):
-        zeta_idx[a_i] = pb.var_block(f"zeta{a_i}", 1)[0]
-        c1_idx[a_i] = pb.var_block(f"c1_{a_i}", 1)[0]
-        if stochastic is not None:
-            c2_idx[a_i] = pb.var_block(f"c2_{a_i}", 1)[0]
-    relaxed = [("xi", j) for j in range(N_X)] + [("zeta", a_i) for a_i in range(len(assists))]
-    pa_idx = {}
-    pq_idx = {}
-    for j, key in enumerate(relaxed):
-        pa_idx[key] = pb.var_block(f"pa{j}", 1)[0]
-        pq_idx[key] = pb.var_block(f"pq{j}", 1)[0]
+    width = 3 if stoch else 2
+    aux = pb.var_block("assist", width * len(assists)).reshape(-1, width)
+    zeta, c1 = aux[:, 0], aux[:, 1]
+    c2 = aux[:, 2] if stoch else None
+    relaxed = np.concatenate([xi, zeta])
+    pa, pq = pb.var_block("penalty", 2 * len(relaxed)).reshape(-1, 2).T
 
     # ------------------------------------------------------------------
     # objective
     w = weights.weight
-    for k in thrust:
-        pb.cost(a_idx[k], dts[k])
-        if stochastic is not None:
-            pb.cost(b_idx[k], dts[k] * m_u)
+    pb.cost(a_col, dts[thrust])
+    if stoch:
+        pb.cost(b_col, dts[thrust] * m_u)
     pb.cost(xi, weights.lam_terminal)
-    for a_i, lam in enumerate(weights.lam_assists):
-        pb.cost(zeta_idx[a_i], lam)
-    for key in relaxed:
-        pb.cost(pa_idx[key], 1.0 / (w * PENALTY_TAU))
-        pb.cost(pq_idx[key], 0.5 * w)
+    pb.cost(zeta, weights.lam_assists)
+    pb.cost(pa, 1.0 / (w * PENALTY_TAU))
+    pb.cost(pq, 0.5 * w)
 
     # ------------------------------------------------------------------
     # helper: affine mean-state rows coeff @ x_node (plus constants)
@@ -421,13 +418,13 @@ def build_subproblem(
         Cx0 = coeff @ Phi[node]
         rr, cc = np.nonzero(Cx0)
         cone.add(row0 + rr, x0[cc], -Cx0[rr, cc])
-        for k in var_segments:
+        for k in var_segs:
             if k >= node:
                 break
             Ck = coeff @ Bb[node, k]
             rr, cc = np.nonzero(Ck)
             if rr.size:
-                cone.add(row0 + rr, u_idx[k][cc], -Ck[rr, cc])
+                cone.add(row0 + rr, u_at[k][cc], -Ck[rr, cc])
         return coeff @ Cv[node]
 
     # helper: rows vec(lefts[k] @ K_{k,i} @ S_i) of every gain pair whose
@@ -436,28 +433,27 @@ def build_subproblem(
         for j, (k, i) in enumerate(pair_list):
             if k in lefts:
                 s_blk = blocks.s_row(i)[:, :q]
-                cone.add(*_vec_product_triplets(1, lefts[k], s_blk, gain_idx[j]))
+                cone.add(*_vec_product_triplets(1, lefts[k], s_blk, K[j]))
 
     # thrust epigraphs, chance constraint
-    for k in thrust:
+    for t, k in enumerate(thrust):
         cone = _ConeRows(1 + N_U)
-        cone.entry(0, a_idx[k], -1.0)
-        for i in range(N_U):
-            cone.entry(1 + i, u_idx[k][i], -1.0)
+        cone.entry(0, a_col[t], -1.0)
+        cone.add(1 + np.arange(N_U), u_at[k], np.full(N_U, -1.0))
         cone.emit(pb, "soc")
 
-        if stochastic is not None:
+        if stoch:
             q = cols_at(k)
             cone = _ConeRows(1 + N_U * q)
-            cone.entry(0, b_idx[k], -1.0)
+            cone.entry(0, b_col[t], -1.0)
             gain_entries(cone, q, {k: np.eye(N_U)})
             cone.emit(pb, "soc")
 
         cone = _ConeRows(1)
         cone.b[0] = u_max
-        cone.entry(0, a_idx[k], 1.0)
-        if stochastic is not None:
-            cone.entry(0, b_idx[k], m_u)
+        cone.entry(0, a_col[t], 1.0)
+        if stoch:
+            cone.entry(0, b_col[t], m_u)
         cone.emit(pb, "nonneg")
 
     # terminal mean (relaxed): x_N - x_target - xi = 0
@@ -469,7 +465,7 @@ def build_subproblem(
     cone.emit(pb, "zero")
 
     # terminal dispersion bound (stochastic): ||Pf^-1/2 [Dhat_N, Ptilde_N^1/2]||_F <= 1
-    if stochastic is not None:
+    if stoch:
         qn = cols_at(n_seg)
         cone = _ConeRows(1 + N_X * qn + N_X * N_X)
         cone.b[0] = 1.0
@@ -502,7 +498,7 @@ def build_subproblem(
     # gravity assists
     for a_i, (a, theta_ref) in enumerate(zip(assists, theta_refs)):
         pre, post = a.segment, a.segment + 1
-        th = theta_idx[a_i]
+        th = theta[a_i]
 
         # turn-angle consistency (linearized, exact at the reference)
         g_ref, dg_pre, dg_post, dg_th = turn_angle_constraint_lin(
@@ -532,16 +528,16 @@ def build_subproblem(
 
         # c1 >= ||v_inf_pre|| (mean part)
         cone = _ConeRows(4)
-        cone.entry(0, c1_idx[a_i], -1.0)
+        cone.entry(0, c1[a_i], -1.0)
         const = mean_entries(cone, 1, E_VEL, pre)
         cone.b[1:] = const - a.v_planet
         cone.emit(pb, "soc")
 
         # c2 >= || E_vel [Dhat_pre, Ptilde_pre^1/2] ||_F (dispersion part)
-        if stochastic is not None:
+        if stoch:
             qp = cols_at(pre)
             cone = _ConeRows(1 + 3 * qp + 3 * N_X)
-            cone.entry(0, c2_idx[a_i], -1.0)
+            cone.entry(0, c2[a_i], -1.0)
             cone.b[1 : 1 + 3 * qp] = (E_VEL @ blocks.s_row(pre)[:, :qp]).ravel()
             gain_entries(
                 cone, qp, {k: E_VEL @ blocks.Bblk[pre, k] for k in thrust if k < pre}
@@ -555,55 +551,46 @@ def build_subproblem(
         cone = _ConeRows(1)
         cone.b[0] = vmax_ref - dvmax * theta_ref
         cone.entry(0, th, -dvmax)
-        cone.entry(0, zeta_idx[a_i], -1.0)
-        cone.entry(0, c1_idx[a_i], 1.0)
-        if stochastic is not None:
-            cone.entry(0, c2_idx[a_i], m_assists[a_i])
+        cone.entry(0, zeta[a_i], -1.0)
+        cone.entry(0, c1[a_i], 1.0)
+        if stoch:
+            cone.entry(0, c2[a_i], m_assists[a_i])
         cone.emit(pb, "nonneg")
 
         # zeta >= 0
         cone = _ConeRows(1)
-        cone.entry(0, zeta_idx[a_i], -1.0)
+        cone.entry(0, zeta[a_i], -1.0)
         cone.emit(pb, "nonneg")
 
     # penalty epigraphs per relaxed row
-    for key in relaxed:
-        var = xi[key[1]] if key[0] == "xi" else zeta_idx[key[1]]
+    for var, pa_j, pq_j in zip(relaxed, pa, pq):
         cone = _ConeRows(3)
-        cone.entry(0, pa_idx[key], -1.0)
+        cone.entry(0, pa_j, -1.0)
         cone.b[1] = 1.0
         cone.entry(2, var, -w)
         cone.emit(pb, "pow3", alpha=1.0 / PENALTY_TAU)
         cone = _ConeRows(3)
-        cone.entry(0, pq_idx[key], -1.0)
+        cone.entry(0, pq_j, -1.0)
         cone.b[1] = 0.5
         cone.entry(2, var, -1.0)
         cone.emit(pb, "rsoc")
 
     # trust region over (x0, controls, turn angles); the initial mean is
     # included even when pinned so every variable has inequality-cone support
-    tr_vars: list[int] = []
-    tr_refs: list[float] = []
-    tr_vars.extend(x0)
-    tr_refs.extend(ref_states[0] if x0_fixed is None else x0_fixed)
-    for k in var_segments:
-        tr_vars.extend(u_idx[k])
-        tr_refs.extend(ref_controls[k])
-    for a_i, theta_ref in enumerate(theta_refs):
-        tr_vars.append(theta_idx[a_i])
-        tr_refs.append(theta_ref)
+    tr_vars = np.concatenate([x0, u.ravel(), theta])
     cone = _ConeRows(1 + len(tr_vars))
     cone.b[0] = trust_radius
-    cone.b[1:] = tr_refs
-    for j, v in enumerate(tr_vars):
-        cone.entry(1 + j, v, 1.0)
+    cone.b[1:] = np.concatenate([
+        ref_states[0] if x0_fixed is None else x0_fixed,
+        ref_controls[var_segs].ravel(),
+        theta_refs,
+    ])
+    cone.add(1 + np.arange(len(tr_vars)), tr_vars, np.ones(len(tr_vars)))
     cone.emit(pb, "soc")
 
     return SubproblemLayout(
         program=pb.build(),
         grid=grid,
-        thrust_segments=thrust,
-        ga_segments=ga_segs,
         gain_pairs=gain_pairs,
         assists=tuple(assists),
         m_u=m_u,
@@ -628,12 +615,12 @@ def extract_solution(layout: SubproblemLayout, result: SolveResult) -> Subproble
     def block(name: str) -> np.ndarray:
         return x[prog.var_blocks[name]]
 
-    n_seg = layout.grid.n_segments
-    controls = np.zeros((n_seg, N_U))
-    for k in layout.thrust_segments + layout.ga_segments:
-        controls[k] = block(f"u{k}")
-    thetas = tuple(float(block(f"theta{i}")[0]) for i in range(len(layout.assists)))
+    grid = layout.grid
+    n_seg = grid.n_segments
+    thrust = list(grid.thrust_segments)
     stochastic = layout.stochastic is not None
+    controls = np.zeros((n_seg, N_U))
+    controls[sorted(grid.thrust_segments + grid.ga_segments)] = block("u").reshape(-1, N_U)
     policy = None
     if stochastic:
         kblocks = np.zeros((n_seg, n_seg + 1, N_U, N_X))
@@ -642,22 +629,19 @@ def extract_solution(layout: SubproblemLayout, result: SolveResult) -> Subproble
         policy = FeedbackPolicy(blocks=kblocks)
     dv_lin = np.zeros(n_seg)
     dv_fb = np.zeros(n_seg)
-    for k in layout.thrust_segments:
-        dv_lin[k] = float(block(f"a{k}")[0])
-        if stochastic:
-            dv_fb[k] = float(block(f"b{k}")[0])
-    zetas = tuple(
-        float(block(f"zeta{i}")[0]) for i in range(len(layout.assists))
-    )
+    dv_lin[thrust] = block("a")
+    if stochastic:
+        dv_fb[thrust] = block("b")
+    zetas = block("assist").reshape(-1, 3 if stochastic else 2)[:, 0]
     return SubproblemSolution(
         status=result.status,
         objective=result.obj,
         x0=block("x0").copy(),
         controls=controls,
-        thetas=thetas,
+        thetas=tuple(block("theta").tolist()),
         policy=policy,
         xi=block("xi").copy(),
-        zetas=zetas,
+        zetas=tuple(zetas.tolist()),
         dv_linear=dv_lin,
         dv_feedback=dv_fb,
         result=result,

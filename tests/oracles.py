@@ -449,20 +449,25 @@ def state_mean(blocks: BlockSystem, x0_bar: np.ndarray, U_bar: np.ndarray) -> np
     return mean
 
 
+#: The subproblem's variable blocks, one per kind, in column order. ``K``
+#: and ``b`` exist only in stochastic mode.
+SUBPROBLEM_BLOCKS = ("x0", "u", "theta", "K", "a", "b", "xi", "assist", "penalty")
+
+
 def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
     """Documented variable-count breakdown; totals match the program.
 
     The count includes the free initial mean state (6 variables) alongside
     controls, turn angles, gain blocks, epigraphs, relaxation slacks, and
-    penalty auxiliaries.
+    penalty auxiliaries. The program's variable blocks must be exactly the
+    documented kinds, in the documented order, tiling the columns with the
+    sizes the breakdown predicts.
     """
-    n_thrust = len(layout.thrust_segments)
-    n_ga = len(layout.ga_segments)
+    stochastic = layout.stochastic is not None
+    n_thrust = len(layout.grid.thrust_segments)
+    n_ga = len(layout.grid.ga_segments)
     n_assist = len(layout.assists)
     n_gain_blocks = len(layout.gain_pairs)
-    n_b = sum(
-        1 for k in layout.thrust_segments if f"b{k}" in layout.program.var_blocks
-    )
     n_relaxed = N_X + n_assist
     counts = {
         "x0": N_X,
@@ -470,13 +475,33 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
         "assist_controls": N_U * n_ga,
         "turn_angles": n_assist,
         "gain_blocks": N_U * N_X * n_gain_blocks,
-        "dv_epigraphs": n_thrust + n_b,
-        "impact_epigraphs": (2 if layout.stochastic is not None else 1) * n_assist,
+        "dv_epigraphs": (2 if stochastic else 1) * n_thrust,
+        "impact_epigraphs": (2 if stochastic else 1) * n_assist,
         "relaxation_slacks": n_relaxed,
         "penalty_epigraphs": 2 * n_relaxed,
     }
     counts["total"] = sum(v for k, v in counts.items() if k != "total")
     assert counts["total"] == layout.program.n_vars
+
+    sizes = {
+        "x0": N_X,
+        "u": N_U * (n_thrust + n_ga),
+        "theta": n_assist,
+        "K": N_U * N_X * n_gain_blocks,
+        "a": n_thrust,
+        "b": n_thrust,
+        "xi": N_X,
+        "assist": (3 if stochastic else 2) * n_assist,
+        "penalty": 2 * n_relaxed,
+    }
+    names = [n for n in SUBPROBLEM_BLOCKS if stochastic or n not in ("K", "b")]
+    blocks = layout.program.var_blocks
+    assert list(blocks) == names, f"variable blocks {list(blocks)}, expected {names}"
+    start = 0
+    for name, sl in blocks.items():
+        assert (sl.start, sl.stop) == (start, start + sizes[name]), name
+        start = sl.stop
+    assert start == layout.program.n_vars
     return counts
 
 

@@ -160,6 +160,10 @@ def test_timegrid_validation():
         TimeGrid(epochs=(0.0, 1.0, 2.0), kinds=("ga", "thrust", "thrust"))  # GA dt != 0
     with pytest.raises(ValueError):
         TimeGrid(epochs=(0.0, 0.0, 1.0), kinds=("thrust", "thrust", "thrust"))  # zero dt
+    for bad in (np.nan, np.inf):
+        for epochs in ((0.0, bad, 2.0), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(epochs=epochs, kinds=("thrust", "thrust", "coast"))
     g = TimeGrid(epochs=(0.0, 0.5, 0.5, 2.0), kinds=("thrust", "ga", "coast", "coast"))
     assert g.n_segments == 3
     assert g.ga_segments == (1,)

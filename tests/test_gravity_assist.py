@@ -188,6 +188,16 @@ def test_constraint_zero_when_consistent():
     assert g0 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "window", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.5, np.pi), (0.5, 4.0), (np.nan, 1.0)]
+)
+def test_turn_angle_window_must_lie_inside_zero_pi(window):
+    theta_min, theta_max = window
+    with pytest.raises(ValueError, match="turn-angle window"):
+        GaEvent(segment=1, mu_p=1.0, r_p_min=1.0, v_planet=np.zeros(3), eps=1e-3,
+                theta_min=theta_min, theta_max=theta_max)
+
+
 def test_gravity_assist_validation():
     vp = np.zeros(3)
     GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=vp, eps=1e-3)

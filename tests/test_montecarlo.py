@@ -68,8 +68,9 @@ def test_config_validation():
         McConfig(n_samples=0)
     with pytest.raises(ValueError):
         McConfig(n_samples=10, mode="euler")
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, dt_wn=0.0)
+    for dt_wn in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt_wn"):
+            McConfig(n_samples=10, dt_wn=dt_wn)
     with pytest.raises(ValueError):
         McConfig(n_samples=10, quantile=1.0)
     with pytest.raises(ValueError):
@@ -190,7 +191,7 @@ def test_linear_mode_matches_analytic_covariance(solved):
     # chance-constrained thrust: violations no more frequent than the
     # design level plus binomial slack at this sample size
     eps_u = prob.uncertainty.eps_u
-    n_draws = cfg.n_samples * len(prob.thrust_segments)
+    n_draws = cfg.n_samples * len(prob.grid.thrust_segments)
     slack = 3.0 * np.sqrt(eps_u * (1.0 - eps_u) / n_draws)
     assert rep.violation_rate <= eps_u + slack
 

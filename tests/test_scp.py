@@ -86,6 +86,11 @@ def test_problem_validation():
         ScpProblem(grid=grid, u_max=0.0, x_target=target)
     with pytest.raises(ValueError):
         ScpProblem(grid=grid, u_max=1.0, x_target=target, mu=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScpProblem(grid=grid, u_max=bad, x_target=target)
+        with pytest.raises(ValueError, match="finite"):
+            ScpProblem(grid=grid, u_max=1.0, x_target=target, mu=bad)
     # flyby events must map one-to-one onto the grid's zero-length segments
     event = GaEvent(segment=1, mu_p=1.0, r_p_min=1.0, v_planet=[0, 1, 0], eps=1e-3)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaincc
 
 from covtraj.conic import SolveResult
+from covtraj.scp import UncertaintyModel, evaluate_point
 from covtraj.covsteer import build_block_system, kalman_precompute
 from covtraj.dynamics import TimeGrid, linearize_segment, psd_sqrt
 from covtraj.gravity_assist import (
@@ -34,6 +35,7 @@ from covtraj.subproblem import (
 )
 from covtraj.uncertainty import ObservationModel
 from oracles import layout_audit, recursive_covariances
+from test_scp import _flyby_problem
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +558,49 @@ def test_extract_solution_gathers_each_gain_pair_from_its_columns():
     assert not np.any(gains[unpaired])
 
 
+def test_extract_solution_reads_every_kind_from_its_own_columns():
+    """With x = arange(n_vars) every read-back value names its own column."""
+    prob, guess = _flyby_problem()
+    unc = prob.uncertainty
+    point = evaluate_point(prob, guess.x0, guess.controls, thetas=guess.thetas)
+    layout = build_subproblem(
+        prob.grid, list(point.segments), point.states, point.controls, prob.u_max,
+        TerminalSpec(x_target=prob.x_target),
+        PenaltyWeights(weight=1e3, lam_terminal=np.zeros(6), lam_assists=(0.0,)), 1.0,
+        x0_fixed=prob.x0_fixed, assists=prob.ga_events, theta_refs=guess.thetas,
+        stochastic=StochasticSpec(
+            blocks=point.blocks, schedule=point.schedule, eps_u=unc.eps_u, p_f=unc.p_f
+        ),
+    )
+    layout_audit(layout)
+    blocks = layout.program.var_blocks
+    x = np.arange(layout.program.n_vars, dtype=float)
+    sol = extract_solution(layout, SolveResult(
+        status="optimal", x=x, obj=0.0, iterations=0, pres=0.0, dres=0.0, gap=0.0
+    ))
+
+    def cols(name):
+        return x[blocks[name]]
+
+    thrust, ga = [0, 2], [1]  # segments: thrust, flyby, thrust
+    np.testing.assert_array_equal(sol.x0, cols("x0"))
+    np.testing.assert_array_equal(sol.controls.ravel(), cols("u"))
+    assert sol.thetas == tuple(cols("theta"))
+    np.testing.assert_array_equal(sol.dv_linear[thrust], cols("a"))
+    np.testing.assert_array_equal(sol.dv_feedback[thrust], cols("b"))
+    assert not sol.dv_linear[ga].any() and not sol.dv_feedback[ga].any()
+    np.testing.assert_array_equal(sol.xi, cols("xi"))
+    # the assist row is (zeta, c1, c2)
+    assert sol.zetas == (cols("assist")[0],)
+    k, i = layout.gain_pairs.T
+    np.testing.assert_array_equal(sol.policy.blocks[k, i].ravel(), cols("K"))
+    read = np.concatenate([
+        sol.x0, sol.controls.ravel(), sol.thetas, sol.policy.blocks[k, i].ravel(),
+        sol.dv_linear[thrust], sol.dv_feedback[thrust], sol.xi, sol.zetas,
+    ])
+    assert np.unique(read).size == read.size
+
+
 # ----------------------------------------------------------------------
 # determinism and validation
 
@@ -636,6 +681,19 @@ def test_build_validation_errors():
                 weight=10.0, lam_terminal=np.zeros(6), lam_assists=(0.1,)
             ),
         )
+
+
+@pytest.mark.parametrize("p_f", [
+    np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
+    np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+    np.diag([1.0, 1.0, 1.0, 1.0, 1.0, np.nan]),
+])
+def test_terminal_bound_must_be_positive_definite(p_f):
+    _, _, obs, sched, blocks, _, P_hat0, P_til0 = _stochastic_instance(3)
+    with pytest.raises(ValueError, match="p_f"):
+        StochasticSpec(blocks=blocks, schedule=sched, eps_u=1e-2, p_f=p_f)
+    with pytest.raises(ValueError, match="p_f"):
+        UncertaintyModel(obs=obs, p_hat0=P_hat0, p_tilde0=P_til0, eps_u=1e-2, p_f=p_f)
 
 
 def test_spec_validation_errors():
