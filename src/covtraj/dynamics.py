@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 
@@ -321,6 +319,9 @@ def lambert(
         raise NumericalError(
             f"no single-revolution transfer of duration {tof} for this geometry"
         )
+    # imported here so that importing this module leaves scipy.optimize unloaded
+    from scipy.optimize import brentq
+
     z_star = brentq(lambda z: tof_of(z) - tof, z_lo, z_hi, xtol=1e-13, rtol=1e-15)
 
     y = y_of(float(z_star))
@@ -345,12 +346,44 @@ RTOL = 1e-12
 ATOL = 1e-12
 
 # DOP853 tableau and solve_ivp's step-size control (Hairer, Norsett & Wanner,
-# Solving Ordinary Differential Equations I, sec. II.4 and II.10).
-_N_STAGES = dop853_coefficients.N_STAGES
-_A_ROWS = [dop853_coefficients.A[s, :s] for s in range(_N_STAGES)]
-_B = dop853_coefficients.B
-_E3 = dop853_coefficients.E3
-_E5 = dop853_coefficients.E5
+# Solving Ordinary Differential Equations I, sec. II.4 and II.10). The weights
+# are those of Hairer's dop853.f as scipy ships them in
+# scipy/integrate/_ivp/dop853_coefficients.py, written out as the doubles scipy
+# computes (E3 included, which scipy forms as B minus the third-order weights),
+# so that importing this module does not import scipy.integrate; the tests
+# check every entry against scipy's. Row s of _A_ROWS holds the s weights of
+# stage s on stages 0..s-1.
+_N_STAGES = 12
+_A_ROWS = [np.array(row) for row in (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+)]
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0

@@ -45,8 +45,10 @@ class GaEvent:
         object.__setattr__(self, "v_planet", np.asarray(self.v_planet, dtype=float))
         if self.v_planet.shape != (3,):
             raise ValueError("planet velocity must be a length-3 vector")
-        if self.mu_p <= 0.0 or self.r_p_min <= 0.0:
-            raise ValueError("flyby body needs positive mu and periapsis floor")
+        if not np.all(np.isfinite(self.v_planet)):
+            raise ValueError("planet velocity must be finite")
+        if not (0.0 < self.mu_p < np.inf and 0.0 < self.r_p_min < np.inf):
+            raise ValueError("flyby body needs positive, finite mu and periapsis floor")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("flyby risk tolerance must lie in (0, 1)")
         # the safe-flyby envelope and its slope are singular at 0 and pi

@@ -127,8 +127,10 @@ class LaunchSpec:
         object.__setattr__(self, "v_body", np.asarray(self.v_body, dtype=float))
         if self.r_body.shape != (3,) or self.v_body.shape != (3,):
             raise ValueError("launch body state must be two length-3 vectors")
-        if self.v_inf_max <= 0.0:
-            raise ValueError("v_inf_max must be positive")
+        if not np.all(np.isfinite(np.append(self.r_body, self.v_body))):
+            raise ValueError("launch body state must be finite")
+        if not 0.0 < self.v_inf_max < np.inf:
+            raise ValueError("v_inf_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,8 @@ class TerminalSpec:
         object.__setattr__(self, "x_target", np.asarray(self.x_target, dtype=float))
         if self.x_target.shape != (N_X,):
             raise ValueError("terminal target must be a length-6 state")
+        if not np.all(np.isfinite(self.x_target)):
+            raise ValueError("terminal target must be finite")
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,10 @@ class PenaltyWeights:
         object.__setattr__(self, "lam_assists", tuple(self.lam_assists))
         if self.lam_terminal.shape != (N_X,):
             raise ValueError("terminal multiplier must have length 6")
-        if self.weight <= 0.0:
-            raise ValueError("penalty weight must be positive")
+        if not np.all(np.isfinite(np.append(self.lam_terminal, self.lam_assists))):
+            raise ValueError("penalty multipliers must be finite")
+        if not 0.0 < self.weight < np.inf:
+            raise ValueError("penalty weight must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written by a different route than the package
 code it checks: textbook one-step recursions instead of whole-horizon block
-assembly, direct sample-path simulation instead of covariance algebra, and
-scipy.stats quantiles instead of the package's own root finder.
+assembly, direct sample-path simulation instead of covariance algebra, scipy's
+solve_ivp instead of the package's batched DOP853, and dense cone matrices
+instead of the solver's flat-array cone operations.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
 """Dynamics, ephemeris, and linearization checks against closed forms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,6 +341,37 @@ def test_failed_row_leaves_the_rest_of_the_batch_alone():
     assert np.array_equal(x1[keep], clean[keep])
     with pytest.raises(NumericalError, match="propagation failed"):
         propagate(bad[1], u[1], t0[1], t1[1], mu[1])
+
+
+def test_dop853_tableau_equals_scipy_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert dynamics._N_STAGES == ref.N_STAGES
+    assert len(dynamics._A_ROWS) == ref.N_STAGES
+    for s, row in enumerate(dynamics._A_ROWS):
+        assert row.dtype == np.float64 and row.shape == (s,)
+        assert row.tobytes() == ref.A[s, :s].tobytes()
+    for ours, theirs in [
+        (dynamics._B, ref.B),
+        (dynamics._E3, ref.E3),
+        (dynamics._E5, ref.E5),
+    ]:
+        assert ours.dtype == np.float64 and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_importing_the_pipeline_loads_no_scipy_integrate_or_optimize():
+    # a fresh interpreter: this test process has imported both already
+    code = (
+        "import sys, covtraj.scp, covtraj.montecarlo, covtraj.subproblem\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_psd_sqrt_reconstructs():

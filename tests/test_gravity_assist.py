@@ -207,3 +207,13 @@ def test_gravity_assist_validation():
         GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=vp, eps=2.0)
     with pytest.raises(ValueError):
         GaEvent(segment=3, mu_p=1e-5, r_p_min=1e-4, v_planet=np.zeros(2), eps=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["mu_p", "r_p_min", "v_planet"])
+def test_gravity_assist_rejects_nan_and_inf(field, bad):
+    kwargs = dict(segment=1, mu_p=1.0, r_p_min=1.0, v_planet=np.ones(3), eps=1e-3)
+    GaEvent(**kwargs)
+    kwargs[field] = np.array([1.0, 1.0, bad]) if field == "v_planet" else bad
+    with pytest.raises(ValueError, match="finite"):
+        GaEvent(**kwargs)

@@ -705,3 +705,39 @@ def test_spec_validation_errors():
         LaunchSpec(r_body=np.zeros(3), v_body=np.zeros(3), v_inf_max=0.0)
     with pytest.raises(ValueError):
         PenaltyWeights(weight=0.0, lam_terminal=np.zeros(6))
+
+
+_VALID_SPECS = {
+    "LaunchSpec": (LaunchSpec, dict(r_body=np.ones(3), v_body=np.ones(3), v_inf_max=1.0)),
+    "TerminalSpec": (TerminalSpec, dict(x_target=np.ones(6))),
+    "PenaltyWeights": (
+        PenaltyWeights,
+        dict(weight=1.0, lam_terminal=np.ones(6), lam_assists=(1.0, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ("LaunchSpec", "r_body"),
+        ("LaunchSpec", "v_body"),
+        ("LaunchSpec", "v_inf_max"),
+        ("TerminalSpec", "x_target"),
+        ("PenaltyWeights", "weight"),
+        ("PenaltyWeights", "lam_terminal"),
+        ("PenaltyWeights", "lam_assists"),
+    ],
+)
+def test_spec_records_reject_nan_and_inf(spec, field, bad):
+    cls, kwargs = _VALID_SPECS[spec]
+    cls(**kwargs)
+    value = kwargs[field]
+    if np.ndim(value):
+        value = np.array(value, dtype=float)
+        value[-1] = bad
+    else:
+        value = bad
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{**kwargs, field: value})
