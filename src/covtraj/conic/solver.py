@@ -188,6 +188,13 @@ def _gram_stack(A: sp.csr_matrix, group: np.ndarray, sign: np.ndarray, n_groups:
     return stacked.T
 
 
+def _row_groups(cones) -> np.ndarray:
+    """Rows of each group: one group per zero or nonneg row, one per soc cone."""
+    one_row = np.array([c.kind in ("zero", "nonneg") for c in cones], dtype=bool)
+    dims = np.array([c.dim for c in cones], dtype=int)
+    return np.repeat(np.where(one_row, 1, dims), np.where(one_row, dims, 1))
+
+
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """Lower Cholesky factor of a, in a's own buffer when a is Fortran-ordered.
 
@@ -223,11 +230,8 @@ class _Workspace:
                 "lower the program first"
             )
         A = prog.A.tocsr()
-        ineq = [c for c in prog.cones if c.kind != "zero"]
-        one_row = np.array([c.kind == "nonneg" for c in ineq], dtype=bool)
-        dims = np.array([c.dim for c in ineq], dtype=int)
         #: rows of each cone: a 1 for each nonneg row, then each soc dim
-        self.sizes = np.repeat(np.where(one_row, 1, dims), np.where(one_row, dims, 1))
+        self.sizes = _row_groups([c for c in prog.cones if c.kind != "zero"])
 
         self.n = prog.n_vars
         self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
@@ -334,23 +338,17 @@ def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
     """Ruiz-style scaling with cone-uniform row factors.
 
     Returns the scaled program (A' = E A D, b' = E b, c' = D c) and the
-    column scale d = diag(D). Zero and nonneg rows scale one by one; the rows
-    of one soc cone form a group that shares a factor, taken from the
-    group's largest entry (``np.maximum.reduceat`` over the group starts), so
-    the cone geometry is preserved.
+    column scale d = diag(D). Each row group of :func:`_row_groups` shares
+    one factor, taken from the group's largest entry (``np.maximum.reduceat``
+    over the group starts): zero and nonneg rows scale one by one, and the
+    rows of one soc cone together, so the cone geometry is preserved.
     """
     work = sp.csr_matrix(prog.A, dtype=float, copy=True)
     m, n = work.shape
     e = np.ones(m)
     d = np.ones(n)
-    dims = np.array([cone.dim for cone in prog.cones], dtype=int)
-    elementwise = np.repeat(
-        np.array([cone.kind in ("zero", "nonneg") for cone in prog.cones], dtype=bool), dims
-    )
-    first = np.zeros(m, dtype=bool)
-    first[np.cumsum(dims) - dims] = True
-    starts = np.flatnonzero(first | elementwise)
-    sizes = np.diff(starts, append=m)
+    sizes = _row_groups(prog.cones)
+    starts = np.cumsum(sizes) - sizes
     row = np.repeat(np.arange(m), np.diff(work.indptr))
 
     # the scales multiply the stored entries in place, so the pattern is fixed

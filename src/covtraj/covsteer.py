@@ -1,12 +1,11 @@
-"""Output-feedback covariance steering on a whole-horizon block system.
+"""Output-feedback covariance steering along the per-segment maps.
 
-The filtered state estimate over all nodes stacks into one affine relation
-Xhat = BA xhat0- + BB U + BC + BL Y, where Y collects the (whitened)
-innovations. With the policy u_k = ubar_k + sum_{i<=k} K_{k,i} z_i driven by
-the innovation process z, every statistic the optimizer needs — node means,
-estimate-dispersion square roots, control-covariance square roots — is affine
-in (x0bar, U, K). This module precomputes the filter schedule and the block
-structures and evaluates those affine maps.
+The linearized reference is one chain of segment maps x_{k+1} = A_k x_k +
+B_k u_k + c_k. Under the policy u_k = ubar_k + sum_{i<=k} K_{k,i} z_i on the
+innovation process z, the node means and the estimate-dispersion and
+control-covariance square roots are affine in (x0bar, U, K), each read off
+the chain by one sweep: :func:`pull_back` goes back from a node to x0, the
+controls and the drift; :func:`dispersion_sqrt` carries the gains forward.
 
 The filter itself is two steps on a stack of covariances,
 :func:`measurement_update` and :func:`time_update`. The design schedule
@@ -16,8 +15,8 @@ covariance shared by every sample (linear playback) or on one per sample
 
 The wide square root S_sqrt of the innovation-state covariance is built by a
 forward recursion (row_{k+1} = A_k row_k, then the node's own gain column is
-inserted), which reproduces the stacked [BA Phat0^1/2, BL P_Y^1/2] exactly
-without materializing the block matrices.
+inserted): block row k is the uncontrolled estimate deviation at node k as a
+map of the whitened initial dispersion and innovations.
 """
 
 from __future__ import annotations
@@ -171,29 +170,26 @@ def kalman_precompute(
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Materialized whole-horizon structure of one linearized reference.
+    """Whole-horizon structure of one linearized reference.
 
-    Phi[k] maps x0 deviations to node k; Bblk[k, i] maps u_i to node k
-    (zero for i >= k); Cvec[k] is the accumulated affine drift. S_sqrt is the
-    wide square root of the innovation-state covariance: its block row k
-    (rows 6k..6k+6) gives the dispersion square root of the *uncontrolled*
-    estimate at node k. meas_col maps a measured node index to its column
-    offset inside S_sqrt.
+    segments are the N segment maps, the one form of the linearized chain.
+    S_sqrt is the wide square root of the innovation-state covariance: its
+    block row k (rows 6k..6k+6) gives the dispersion square root of the
+    *uncontrolled* estimate at node k. meas_col maps a measured node index
+    to its column offset inside S_sqrt.
     """
 
-    Phi: np.ndarray
-    Bblk: np.ndarray
-    Cvec: np.ndarray
+    segments: tuple[LinearSegment, ...] = field(repr=False)
     S_sqrt: np.ndarray = field(repr=False)
     meas_col: dict[int, tuple[int, int]]
 
     @property
     def n_nodes(self) -> int:
-        return self.Phi.shape[0]
+        return len(self.segments) + 1
 
     @property
     def n_segments(self) -> int:
-        return self.Phi.shape[0] - 1
+        return len(self.segments)
 
     @property
     def width(self) -> int:
@@ -204,26 +200,23 @@ class BlockSystem:
         return self.S_sqrt[N_X * k : N_X * (k + 1), :]
 
 
-def mean_chain(
-    segments: Sequence[LinearSegment],
+def pull_back(
+    segments: Sequence[LinearSegment], left: np.ndarray, node: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node-state affine maps x_k = Phi[k] x_0 + sum_i Bblk[k, i] u_i + Cvec[k].
+    """Dependence of left @ x_node on x0, each earlier control and the drift.
 
-    Returns (Phi (N+1, 6, 6), Bblk (N+1, N, 6, 3), Cvec (N+1, 6)) for the N
-    segments; Bblk[k, i] is zero for i >= k.
+    One backward sweep of the segment maps; returns (to_x0 (r, 6), to_u
+    (node, r, 3), drift (r,)) with left @ x_node = to_x0 x0 + sum_{k<node}
+    to_u[k] u_k + drift.
     """
-    n = len(segments)
-    Phi = np.zeros((n + 1, N_X, N_X))
-    Bblk = np.zeros((n + 1, n, N_X, N_U))
-    Cvec = np.zeros((n + 1, N_X))
-    Phi[0] = np.eye(N_X)
-    for k, seg in enumerate(segments):
-        Phi[k + 1] = seg.A @ Phi[k]
-        if k > 0:
-            Bblk[k + 1, :k] = seg.A @ Bblk[k, :k]
-        Bblk[k + 1, k] = seg.B
-        Cvec[k + 1] = seg.A @ Cvec[k] + seg.c
-    return Phi, Bblk, Cvec
+    left = np.asarray(left, dtype=float)
+    to_u = np.empty((node, left.shape[0], N_U))
+    drift = np.zeros(left.shape[0])
+    for k in range(node - 1, -1, -1):
+        to_u[k] = left @ segments[k].B
+        drift += left @ segments[k].c
+        left = left @ segments[k].A
+    return left, to_u, drift
 
 
 def build_block_system(
@@ -231,7 +224,7 @@ def build_block_system(
     schedule: KalmanSchedule,
     P_hat0: np.ndarray,
 ) -> BlockSystem:
-    """Stack a segment list and filter schedule into block form.
+    """Block system of a segment list and its filter schedule.
 
     Args:
         segments: N linearized segments.
@@ -244,8 +237,6 @@ def build_block_system(
     n = len(segments)
     if schedule.n_nodes != n + 1:
         raise ValueError("schedule does not match segment count")
-
-    Phi, Bblk, Cvec = mean_chain(segments)
 
     meas_col: dict[int, tuple[int, int]] = {}
     width = N_X
@@ -269,7 +260,7 @@ def build_block_system(
             lo, hi = meas_col[k + 1]
             nxt[:, lo:hi] += schedule.gains[k + 1] @ schedule.innov_sqrt[k + 1]
 
-    return BlockSystem(Phi=Phi, Bblk=Bblk, Cvec=Cvec, S_sqrt=S_sqrt, meas_col=meas_col)
+    return BlockSystem(segments=tuple(segments), S_sqrt=S_sqrt, meas_col=meas_col)
 
 
 @dataclass(frozen=True)
@@ -326,17 +317,17 @@ def dispersion_sqrt(
 ) -> np.ndarray:
     """Wide square roots of the closed-loop estimate dispersion, (N+1, 6, width).
 
-    Row k is ((I + BB K) S_sqrt) block row k; its Gram matrix is Phat_k. Pass
-    a precomputed :func:`control_cov_sqrt` result to avoid recomputation.
+    Row k is S_row(k) + steered_k, where steered_0 = 0 and
+    steered_{k+1} = A_k steered_k + B_k U_k carries the control-covariance
+    square roots U through the segment maps; its Gram matrix is Phat_k.
+    Pass a precomputed :func:`control_cov_sqrt` result to avoid
+    recomputation.
     """
     if u_sqrt is None:
         u_sqrt = control_cov_sqrt(blocks, policy)
-    n1 = blocks.n_nodes
-    out = np.zeros((n1, N_X, blocks.width))
-    for k in range(n1):
-        row = blocks.s_row(k).copy()
-        for i in range(min(k, blocks.n_segments)):
-            row += blocks.Bblk[k, i] @ u_sqrt[i]
-        out[k] = row
+    out = blocks.S_sqrt.reshape(blocks.n_nodes, N_X, blocks.width).copy()
+    steered = np.zeros((N_X, blocks.width))
+    for k, seg in enumerate(blocks.segments):
+        steered = seg.A @ steered + seg.B @ u_sqrt[k]
+        out[k + 1] += steered
     return out
-

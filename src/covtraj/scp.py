@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -61,6 +61,7 @@ from .subproblem import (
     build_subproblem,
     chi2_quantile_sqrt,
     penalty_grad,
+    require_feedback_depth,
     solve_subproblem,
 )
 from .uncertainty import GatesParams, ObservationModel, gates_matrix
@@ -125,6 +126,10 @@ class ScpParams:
     max_iters: int = 200
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.eta2 < self.eta1 < self.eta0 <= 1.0:
             raise ValueError(
                 f"acceptance bands need 1 >= eta0 > eta1 > eta2 > 0, got "
@@ -181,6 +186,7 @@ class UncertaintyModel:
             object.__setattr__(self, "proc_noise_sqrt", g)
         if not 0.0 < self.eps_u < 1.0:
             raise ValueError("eps_u must lie in (0, 1)")
+        require_feedback_depth(self.feedback_depth)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.special import gammainccinv
 
 from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
-from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, mean_chain
+from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, pull_back
 from .dynamics import LinearSegment, TimeGrid, psd_sqrt, require_positive_definite
 from .errors import ConfigError
 from .gravity_assist import (
@@ -52,6 +52,7 @@ __all__ = [
     "feedback_nodes",
     "penalty_grad",
     "penalty_value",
+    "require_feedback_depth",
     "solve_subproblem",
 ]
 
@@ -107,11 +108,14 @@ def feedback_nodes(
     ``depth`` keeps only the most recent entries (banded feedback).
     """
     nodes = sorted({0, *(i for i in measured if i <= k)})
-    if depth is not None:
-        if depth < 1:
-            raise ValueError(f"feedback depth must be >= 1, got {depth}")
-        nodes = nodes[-depth:]
-    return tuple(nodes)
+    require_feedback_depth(depth)
+    return tuple(nodes if depth is None else nodes[-depth:])
+
+
+def require_feedback_depth(depth: int | None) -> None:
+    """Raise ValueError unless depth is None or an integer >= 1."""
+    if depth is not None and not (isinstance(depth, (int, np.integer)) and depth >= 1):
+        raise ValueError(f"feedback depth must be None or an integer >= 1, got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,7 @@ class StochasticSpec:
         require_positive_definite("p_f", self.p_f)
         if not 0.0 < self.eps_u < 1.0:
             raise ValueError("eps_u must lie in (0, 1)")
+        require_feedback_depth(self.feedback_depth)
 
 
 @dataclass(frozen=True)
@@ -359,8 +364,6 @@ def build_subproblem(
     var_segs = sorted(grid.thrust_segments + grid.ga_segments)
     dts = grid.dts
 
-    Phi, Bb, Cv = mean_chain(segments)
-
     stoch = stochastic is not None
     m_u = None
     gain_pairs = np.zeros((0, 2), dtype=int)
@@ -369,14 +372,12 @@ def build_subproblem(
         if blocks.n_segments != n_seg:
             raise ValueError("block system does not match the grid")
         m_u = chi2_quantile_sqrt(stochastic.eps_u, N_U)
-        measured = tuple(sorted(stochastic.blocks.meas_col))
-        depth = stochastic.feedback_depth
+        measured, depth = tuple(sorted(blocks.meas_col)), stochastic.feedback_depth
         pair_list = [(k, i) for k in thrust for i in feedback_nodes(k, measured, depth)]
         gain_pairs = np.array(pair_list, dtype=int).reshape(-1, 2)
         # columns of the square-root table active at or before node n
         def cols_at(n: int) -> int:
-            ends = [e for i, (s0, e) in blocks.meas_col.items() if i <= n]
-            return max([N_X, *ends])
+            return max([N_X, *(e for i, (_, e) in blocks.meas_col.items() if i <= n)])
 
         chol_pf = np.linalg.cholesky(stochastic.p_f)
         pf_inv = np.linalg.solve(chol_pf, np.eye(N_X))
@@ -418,20 +419,16 @@ def build_subproblem(
     pb.cost(pq, 0.5 * w)
 
     # ------------------------------------------------------------------
-    # helper: affine mean-state rows coeff @ x_node (plus constants)
-    def mean_entries(cone: _ConeRows, row0: int, coeff: np.ndarray, node: int):
-        """Add rows coeff @ x_mean(node) with slack sign s = const + coeff x."""
-        Cx0 = coeff @ Phi[node]
-        rr, cc = np.nonzero(Cx0)
-        cone.add(row0 + rr, x0[cc], -Cx0[rr, cc])
-        for k in var_segs:
-            if k >= node:
-                break
-            Ck = coeff @ Bb[node, k]
-            rr, cc = np.nonzero(Ck)
-            if rr.size:
-                cone.add(row0 + rr, u_at[k][cc], -Ck[rr, cc])
-        return coeff @ Cv[node]
+    # helper: affine mean-state rows left @ x_node of a pull_back result
+    def mean_entries(cone: _ConeRows, row0: int, chain):
+        """Add rows left @ x_mean(node) with slack sign s = const + left x."""
+        to_x0, to_u, drift = chain
+        rr, cc = np.nonzero(to_x0)
+        cone.add(row0 + rr, x0[cc], -to_x0[rr, cc])
+        ks = [k for k in var_segs if k < len(to_u)]
+        j, rr, cc = np.nonzero(to_u[ks])
+        cone.add(row0 + rr, u_at[ks][j, cc], -to_u[ks][j, rr, cc])
+        return drift
 
     # helper: rows vec(lefts[k] @ K_{k,i} @ S_i) of every gain pair whose
     # segment k has a left factor, S_i the first q columns of block row i
@@ -464,7 +461,7 @@ def build_subproblem(
 
     # terminal mean (relaxed): x_N - x_target - xi = 0
     cone = _ConeRows(N_X)
-    const = mean_entries(cone, 0, np.eye(N_X), n_seg)
+    const = mean_entries(cone, 0, pull_back(segments, np.eye(N_X), n_seg))
     cone.b[:] = const - terminal.x_target
     for j in range(N_X):
         cone.entry(j, xi[j], 1.0)
@@ -476,7 +473,7 @@ def build_subproblem(
         cone = _ConeRows(1 + N_X * qn + N_X * N_X)
         cone.b[0] = 1.0
         cone.b[1 : 1 + N_X * qn] = (pf_inv @ blocks.s_row(n_seg)[:, :qn]).ravel()
-        gain_entries(cone, qn, {k: pf_inv @ blocks.Bblk[n_seg, k] for k in thrust})
+        gain_entries(cone, qn, dict(enumerate(pull_back(segments, pf_inv, n_seg)[1])))
         cone.b[1 + N_X * qn :] = (pf_inv @ p_tilde_sqrt[n_seg]).ravel()
         cone.emit(pb, "soc")
 
@@ -511,8 +508,8 @@ def build_subproblem(
             ref_states[pre], ref_states[post], theta_ref, a.v_planet
         )
         cone = _ConeRows(1)
-        c_pre = mean_entries(cone, 0, dg_pre[None, :], pre)[0]
-        c_post = mean_entries(cone, 0, dg_post[None, :], post)[0]
+        c_pre = mean_entries(cone, 0, pull_back(segments, dg_pre[None, :], pre))[0]
+        c_post = mean_entries(cone, 0, pull_back(segments, dg_post[None, :], post))[0]
         cone.entry(0, th, -dg_th)
         cone.b[0] = (
             g_ref
@@ -533,9 +530,10 @@ def build_subproblem(
         cone.emit(pb, "nonneg")
 
         # c1 >= ||v_inf_pre|| (mean part)
+        vel_chain = pull_back(segments, E_VEL, pre)
         cone = _ConeRows(4)
         cone.entry(0, c1[a_i], -1.0)
-        const = mean_entries(cone, 1, E_VEL, pre)
+        const = mean_entries(cone, 1, vel_chain)
         cone.b[1:] = const - a.v_planet
         cone.emit(pb, "soc")
 
@@ -545,9 +543,7 @@ def build_subproblem(
             cone = _ConeRows(1 + 3 * qp + 3 * N_X)
             cone.entry(0, c2[a_i], -1.0)
             cone.b[1 : 1 + 3 * qp] = (E_VEL @ blocks.s_row(pre)[:, :qp]).ravel()
-            gain_entries(
-                cone, qp, {k: E_VEL @ blocks.Bblk[pre, k] for k in thrust if k < pre}
-            )
+            gain_entries(cone, qp, dict(enumerate(vel_chain[1])))
             cone.b[1 + 3 * qp :] = (E_VEL @ p_tilde_sqrt[pre]).ravel()
             cone.emit(pb, "soc")
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written by a different route than the package
 code it checks: textbook one-step recursions instead of whole-horizon block
-assembly, direct sample-path simulation instead of covariance algebra, scipy's
-solve_ivp instead of the package's batched DOP853, and dense cone matrices
-instead of the solver's flat-array cone operations.
+assembly, the dense condensed node maps instead of the package's sweeps over
+the per-segment maps, direct sample-path simulation instead of covariance
+algebra, scipy's solve_ivp instead of the package's batched DOP853, and dense
+cone matrices instead of the solver's flat-array cone operations.
 """
 
 from __future__ import annotations
@@ -173,6 +174,25 @@ def random_policy(rng: np.random.Generator, n: int, scale: float = 0.2) -> Feedb
     return FeedbackPolicy(blocks)
 
 
+def dense_chain(segments: list[LinearSegment]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense node maps x_k = Phi[k] x_0 + sum_i Bblk[k, i] u_i + Cvec[k].
+
+    The condensed whole-horizon table, built forward one node at a time:
+    Phi (N+1, 6, 6), Bblk (N+1, N, 6, 3), zero for i >= k, and Cvec (N+1, 6).
+    """
+    n = len(segments)
+    Phi = np.zeros((n + 1, N_X, N_X))
+    Bblk = np.zeros((n + 1, n, N_X, N_U))
+    Cvec = np.zeros((n + 1, N_X))
+    Phi[0] = np.eye(N_X)
+    for k, seg in enumerate(segments):
+        Phi[k + 1] = seg.A @ Phi[k]
+        Bblk[k + 1, :k] = seg.A @ Bblk[k, :k]
+        Bblk[k + 1, k] = seg.B
+        Cvec[k + 1] = seg.A @ Cvec[k] + seg.c
+    return Phi, Bblk, Cvec
+
+
 def estimate_deviation_gains(blocks: BlockSystem, policy: FeedbackPolicy) -> FeedbackPolicy:
     """Reference estimate-deviation form Khat = K (I + BB K)^-1 of a policy.
 
@@ -184,7 +204,8 @@ def estimate_deviation_gains(blocks: BlockSystem, policy: FeedbackPolicy) -> Fee
     """
     n = blocks.n_segments
     K = policy.blocks.transpose(0, 2, 1, 3).reshape(n * N_U, (n + 1) * N_X)
-    BB = blocks.Bblk.transpose(0, 2, 1, 3).reshape((n + 1) * N_X, n * N_U)
+    Bblk = dense_chain(blocks.segments)[1]
+    BB = Bblk.transpose(0, 2, 1, 3).reshape((n + 1) * N_X, n * N_U)
     Khat = np.linalg.solve((np.eye(BB.shape[0]) + BB @ K).T, K.T).T
     out = Khat.reshape(n, N_U, n + 1, N_X).transpose(0, 2, 1, 3).copy()
     out[np.arange(n + 1)[None, :] > np.arange(n)[:, None]] = 0.0
@@ -445,8 +466,9 @@ def state_mean(blocks: BlockSystem, x0_bar: np.ndarray, U_bar: np.ndarray) -> np
     """
     x0_bar = np.asarray(x0_bar, dtype=float)
     U_bar = np.asarray(U_bar, dtype=float).reshape(blocks.n_segments, N_U)
-    mean = blocks.Phi @ x0_bar + blocks.Cvec
-    mean += np.einsum("kinm,im->kn", blocks.Bblk[:, : blocks.n_segments], U_bar)
+    Phi, Bblk, Cvec = dense_chain(blocks.segments)
+    mean = Phi @ x0_bar + Cvec
+    mean += np.einsum("kinm,im->kn", Bblk, U_bar)
     return mean
 
 

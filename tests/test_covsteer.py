@@ -10,10 +10,14 @@ from covtraj.covsteer import (
     dispersion_sqrt,
     kalman_precompute,
     measurement_update,
+    pull_back,
 )
+from covtraj.dynamics import linearize_segment
 from covtraj.errors import NumericalError
+from covtraj.gravity_assist import ga_linearize
 from covtraj.uncertainty import ObservationModel
 from oracles import (
+    dense_chain,
     estimate_deviation_gains,
     random_observations,
     random_policy,
@@ -210,3 +214,66 @@ def test_ga_segment_breaks_no_machinery():
         np.testing.assert_allclose(
             x_sq[k] @ x_sq[k].T, P_hat_o[k], atol=1e-9 * np.max(np.abs(P_hat_o))
         )
+
+
+def _rel_close(got, want, rtol=1e-12):
+    """Norm-relative closeness of two arrays."""
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def _segments_with_assist(rng, n, at):
+    """Random segments with the one at index ``at`` replaced by a flyby map."""
+    segs = random_segments(rng, n)
+    x_pre = np.array([1.0, 0.2, -0.1, 0.3, 1.1, 0.2])
+    segs[at] = ga_linearize(x_pre, np.array([0.1, 0.4, -0.2]), np.array([0.0, 1.0, 0.0]))
+    return segs
+
+
+def _keplerian_segments(n):
+    """Thrust segments chained along a near-circular orbit, mu = 1."""
+    segs, x = [], np.array([1.0, 0.0, 0.0, 0.0, 1.05, 0.02])
+    for k in range(n):
+        u = 0.01 * np.array([np.cos(k), np.sin(k), 0.5])
+        segs.append(linearize_segment(k, x, u, 0.4 * k, 0.4 * (k + 1), mu=1.0))
+        x = segs[-1].A @ x + segs[-1].B @ u + segs[-1].c
+    return segs
+
+
+@pytest.mark.parametrize("case", ["random_with_assist", "keplerian"])
+def test_pull_back_matches_dense_chain_at_every_node(case):
+    rng = np.random.default_rng(9)
+    n = 8
+    if case == "keplerian":
+        segs = _keplerian_segments(n)
+    else:
+        segs = _segments_with_assist(rng, n, 3)
+    Phi, Bblk, Cvec = dense_chain(segs)
+    left = rng.standard_normal((3, 6))
+    for node in range(n + 1):
+        to_x0, to_u, drift = pull_back(segs, left, node)
+        assert to_u.shape == (node, 3, 3)
+        _rel_close(to_x0, left @ Phi[node])
+        _rel_close(drift, left @ Cvec[node])
+        for k in range(node):
+            _rel_close(to_u[k], left @ Bblk[node, k])
+
+
+def test_dispersion_sqrt_matches_dense_sum():
+    # S_row(k) + sum_{i<k} Bblk[k, i] U_i, the condensed form of the sweep
+    rng = np.random.default_rng(10)
+    for trial in range(4):
+        n = int(rng.integers(3, 9))
+        segs = random_segments(rng, n)
+        if trial % 2:
+            segs = _segments_with_assist(rng, n, n // 2)
+        obs = random_observations(rng, n + 1)
+        sched = kalman_precompute(segs, obs, 0.5 * np.eye(6))
+        blocks = build_block_system(segs, sched, 0.2 * np.eye(6))
+        policy = random_policy(rng, n)
+        u_sq = control_cov_sqrt(blocks, policy)
+        Bblk = dense_chain(segs)[1]
+        d_sq = dispersion_sqrt(blocks, policy)
+        assert d_sq.shape == (n + 1, 6, blocks.width)
+        for k in range(n + 1):
+            want = blocks.s_row(k) + sum(Bblk[k, i] @ u_sq[i] for i in range(k))
+            _rel_close(d_sq[k], want)

@@ -79,6 +79,16 @@ def test_params_validation():
         ScpParams(max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field",
+    [f.name for f in dataclasses.fields(ScpParams) if isinstance(f.default, float)],
+)
+def test_params_reject_nan_and_inf(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ScpParams(**{field: bad})
+
+
 def test_problem_validation():
     grid = _thrust_grid(2)
     target = np.zeros(6)

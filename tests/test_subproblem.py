@@ -2,6 +2,8 @@
 instances cross-checked against exact propagation, the recursive covariance
 oracle, and an independent convex-modeling reference (cvxpy)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -34,7 +36,7 @@ from covtraj.subproblem import (
     solve_subproblem,
 )
 from covtraj.uncertainty import ObservationModel
-from oracles import layout_audit, recursive_covariances
+from oracles import dense_chain, layout_audit, recursive_covariances
 from test_scp import _flyby_problem
 
 
@@ -335,6 +337,48 @@ def test_stochastic_solution_verified_by_recursive_oracle():
     )
 
 
+def test_depth_one_feedback_keeps_only_the_latest_node():
+    # banded feedback (depth 1) designs one gain block per thrust segment,
+    # on its latest feedback node; it restricts the full-history design
+    n = 6
+    grid = _thrust_grid(n)
+    segs, ref_states, _, _, blocks, stoch, _, _ = _stochastic_instance(n)
+    measured = sorted(blocks.meas_col)
+    weights = PenaltyWeights(weight=1e3, lam_terminal=np.zeros(6))
+    x0f = np.array([0.4, -0.2, 0.1, 0.02, 0.01, -0.03])
+    objective = {}
+    for depth in (None, 1):
+        layout = build_subproblem(
+            grid, segs, ref_states, np.zeros((n, 3)), 0.6,
+            TerminalSpec(x_target=np.zeros(6)), weights, 100.0, x0_fixed=x0f,
+            stochastic=dataclasses.replace(stoch, feedback_depth=depth),
+        )
+        layout_audit(layout)
+        sol = solve_subproblem(layout)
+        assert sol.status == "optimal"
+        objective[depth] = sol.objective
+    latest = [(k, feedback_nodes(k, measured)[-1]) for k in grid.thrust_segments]
+    assert layout.gain_pairs.tolist() == [list(p) for p in latest]
+    designed = np.zeros((n, n + 1), dtype=bool)
+    designed[tuple(np.array(latest).T)] = True
+    assert not sol.policy.blocks[~designed].any()
+    assert objective[1] >= objective[None] - 1e-7 * (1.0 + abs(objective[None]))
+
+
+@pytest.mark.parametrize("depth", [0, -1, 1.5, "2"])
+def test_records_reject_a_feedback_depth_below_one_or_not_an_integer(depth):
+    _, _, obs, _, _, stoch, P_hat0, P_til0 = _stochastic_instance(3)
+    with pytest.raises(ValueError, match="feedback depth"):
+        dataclasses.replace(stoch, feedback_depth=depth)
+    with pytest.raises(ValueError, match="feedback depth"):
+        UncertaintyModel(
+            obs=obs, p_hat0=P_hat0, p_tilde0=P_til0, eps_u=1e-2, p_f=stoch.p_f,
+            feedback_depth=depth,
+        )
+    for ok in (None, 1, np.int64(2)):
+        assert dataclasses.replace(stoch, feedback_depth=ok).feedback_depth == ok
+
+
 def test_stochastic_instance_matches_cvxpy():
     cp = pytest.importorskip("cvxpy")
     n = 4
@@ -382,9 +426,8 @@ def test_stochastic_instance_matches_cvxpy():
         x = segs[k].A @ x + segs[k].B @ u[k] + segs[k].c
     cons.append(x - target == xi)
     # terminal dispersion bound, trace form
-    dhat = blocks.s_row(n) + sum(
-        blocks.Bblk[n, k] @ pu_sqrt[k] for k in range(n)
-    )
+    Bblk = dense_chain(segs)[1]
+    dhat = blocks.s_row(n) + sum(Bblk[n, k] @ pu_sqrt[k] for k in range(n))
     L = np.linalg.cholesky(stoch.p_f)
     pf_inv_sqrt = np.linalg.solve(L, np.eye(6))
     ptil_sqrt = psd_sqrt(sched.P_post[n])
