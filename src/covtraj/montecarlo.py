@@ -109,7 +109,8 @@ class McConfig:
     max_failure_rate: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        for name in ("n_samples", "master_seed", "bootstrap"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if self.n_samples < 1:
@@ -140,8 +141,10 @@ class McSamples:
     the actuator realized (identical except for execution error on thrust
     segments in ``"ekf"`` mode), and ``violations[r, k]`` whether the
     commanded thrust exceeds ``u_max``. ``periapses`` (n, n_events) holds
-    the realized flyby radii, and ``dv`` integrates ``executed`` over the
-    grid: dv = sum_k ||u_k^executed|| dt_k >= 0.
+    the realized flyby radii, and ``dv`` integrates ``commanded`` over the
+    grid, dv = sum_k ||u_k^commanded|| dt_k >= 0, in both modes: the
+    flight-path-control effort that the analytic bound ``j_ub`` covers,
+    which holds no execution error.
     """
 
     index: np.ndarray
@@ -563,7 +566,7 @@ def _play_back(
             injected.append(Q)
         p = time_update(p, A, *injected)
 
-    dv = np.sum(np.linalg.norm(executed, axis=2) * grid.dts, axis=1)
+    dv = np.sum(np.linalg.norm(commanded, axis=2) * grid.dts, axis=1)
     return McSamples(
         index=np.arange(n),
         truth=truth,

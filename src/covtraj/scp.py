@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -82,6 +83,7 @@ __all__ = [
     "run",
     "step_ratio",
     "updated_multipliers",
+    "write_log",
 ]
 
 logger = logging.getLogger(__name__)
@@ -126,6 +128,7 @@ class ScpParams:
     max_iters: int = 200
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", operator.index(self.max_iters))
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
@@ -481,18 +484,23 @@ def updated_multipliers(weights: PenaltyWeights, point: ReferencePoint) -> Penal
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Bookkeeping for one driver iteration (values after the updates)."""
+    """Bookkeeping for one driver iteration (values after the updates).
+
+    The fields are declared in the column order of :func:`write_log`. A
+    failed subproblem solve leaves rho, d_j and d_l NaN and reports the
+    unchanged reference's violation and bound.
+    """
 
     iteration: int
-    status: str
     rho: float
     d_j: float
     d_l: float
-    accepted: bool
     tr_radius: float
     weight: float
     violation: float
     j_ub: float
+    accepted: bool
+    status: str
 
 
 @dataclass(frozen=True)
@@ -514,39 +522,20 @@ class ScpResult:
         return len(self.records)
 
 
-_LOG_COLUMNS = (
-    "iteration",
-    "rho",
-    "d_j",
-    "d_l",
-    "tr_radius",
-    "weight",
-    "violation",
-    "j_ub",
-    "accepted",
-    "status",
-)
+def write_log(records: Sequence[IterationRecord], path: str | Path) -> None:
+    """Write an iteration log as CSV, one row per record.
 
-
-def _write_log(path: str | Path, records: Sequence[IterationRecord]) -> None:
+    The columns are the fields of :class:`IterationRecord` in declaration
+    order. Float fields are written as their shortest round-trip repr and
+    flags as 0/1, so the file is deterministic for fixed records.
+    """
+    columns = fields(IterationRecord)
+    cell = {"float": lambda v: repr(float(v)), "bool": int}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_LOG_COLUMNS)
+        writer.writerow(f.name for f in columns)
         for r in records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    repr(float(r.rho)),
-                    repr(float(r.d_j)),
-                    repr(float(r.d_l)),
-                    repr(float(r.tr_radius)),
-                    repr(float(r.weight)),
-                    repr(float(r.violation)),
-                    repr(float(r.j_ub)),
-                    int(r.accepted),
-                    r.status,
-                ]
-            )
+            writer.writerow(cell.get(f.type, str)(getattr(r, f.name)) for f in columns)
 
 
 def run(
@@ -556,7 +545,6 @@ def run(
     *,
     solver_tol: float = 1e-8,
     solver_iters: int = 100,
-    log_path: str | Path | None = None,
 ) -> ScpResult:
     """Iterate linearize / solve / score / update until converged or capped.
 
@@ -571,7 +559,6 @@ def run(
             a previous run is accepted and re-evaluated against ``problem``.
         params: driver tuning; defaults to :class:`ScpParams()`.
         solver_tol / solver_iters: embedded conic-solver settings.
-        log_path: optional CSV iteration-log destination.
 
     Returns:
         ScpResult with status "converged", "iteration_cap", or
@@ -635,102 +622,68 @@ def run(
         )
         sol = solve_subproblem(layout, tol=solver_tol, max_iters=solver_iters)
 
+        converged = degenerate = False
         if not sol.ok:
             # safeguard: large weights breed ill-conditioning; back the
             # weight off and retry from the same reference
             weights = replace(weights, weight=weights.weight / params.beta)
-            logger.warning(
-                "iteration %d: subproblem %s; weight reduced to %.3e",
-                it,
-                sol.status,
-                weights.weight,
-            )
-            records.append(
-                IterationRecord(
-                    iteration=it,
-                    status=sol.status,
-                    rho=math.nan,
-                    d_j=math.nan,
-                    d_l=math.nan,
-                    accepted=False,
-                    tr_radius=tr_radius,
-                    weight=weights.weight,
-                    violation=ref.max_violation,
-                    j_ub=ref.j_ub,
-                )
-            )
             failures_in_a_row += 1
-            if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
-                status = "solver_failure"
-                break
-            continue
-
-        failures_in_a_row = 0
-        cand = evaluate_point(problem, sol.x0, sol.controls, sol.thetas, sol.policy)
-        j_cand_nl = nl_augmented_cost(cand, weights)
-        m_u = layout.m_u or 0.0
-        dv_model = float(dts @ sol.dv_linear + m_u * (dts @ sol.dv_feedback))
-        j_cand_model = augmented_cost(dv_model, sol.xi, sol.zetas, weights)
-        rho, d_j, d_l, degenerate = step_ratio(j_ref, j_cand_nl, j_cand_model)
-        accepted, tr_radius = accept_and_update(rho, tr_radius, params)
-
-        converged = False
-        if accepted:
-            ref = cand
-            converged = (
-                abs(d_j) <= params.eps_opt * max(1.0, abs(j_cand_nl))
-                and cand.max_violation <= params.eps_feas
-            )
-            weights = updated_multipliers(weights, cand)
-            if cand.max_violation > params.gamma * viol_marker:
-                weights = replace(
-                    weights, weight=min(params.beta * weights.weight, params.w_max)
+            rho = d_j = d_l = math.nan
+            accepted = False
+            reported = ref
+        else:
+            failures_in_a_row = 0
+            cand = evaluate_point(problem, sol.x0, sol.controls, sol.thetas, sol.policy)
+            j_cand_nl = nl_augmented_cost(cand, weights)
+            m_u = layout.m_u or 0.0
+            dv_model = float(dts @ sol.dv_linear + m_u * (dts @ sol.dv_feedback))
+            j_cand_model = augmented_cost(dv_model, sol.xi, sol.zetas, weights)
+            rho, d_j, d_l, degenerate = step_ratio(j_ref, j_cand_nl, j_cand_model)
+            accepted, tr_radius = accept_and_update(rho, tr_radius, params)
+            if accepted:
+                ref = cand
+                converged = (
+                    abs(d_j) <= params.eps_opt * max(1.0, abs(j_cand_nl))
+                    and cand.max_violation <= params.eps_feas
                 )
-            viol_marker = cand.max_violation
-            key = rank_key(cand)
-            if key < best_key:
-                best, best_key = cand, key
+                weights = updated_multipliers(weights, cand)
+                if cand.max_violation > params.gamma * viol_marker:
+                    weights = replace(
+                        weights, weight=min(params.beta * weights.weight, params.w_max)
+                    )
+                viol_marker = cand.max_violation
+                key = rank_key(cand)
+                if key < best_key:
+                    best, best_key = cand, key
+            reported = cand
 
-        records.append(
-            IterationRecord(
-                iteration=it,
-                status=sol.status,
-                rho=rho,
-                d_j=d_j,
-                d_l=d_l,
-                accepted=accepted,
-                tr_radius=tr_radius,
-                weight=weights.weight,
-                violation=cand.max_violation,
-                j_ub=cand.j_ub,
-            )
+        record = IterationRecord(
+            iteration=it,
+            rho=rho,
+            d_j=d_j,
+            d_l=d_l,
+            tr_radius=tr_radius,
+            weight=weights.weight,
+            violation=reported.max_violation,
+            j_ub=reported.j_ub,
+            accepted=accepted,
+            status=sol.status,
         )
-        logger.info(
-            "iter %3d %-8s rho % .3e dJ % .3e dL % .3e tr %.2e w %.1e viol %.3e J %.6f",
-            it,
-            "accept" if accepted else "reject",
-            rho,
-            d_j,
-            d_l,
-            tr_radius,
-            weights.weight,
-            cand.max_violation,
-            cand.j_ub,
-        )
+        records.append(record)
+        logger.log(logging.INFO if sol.ok else logging.WARNING, "%s", record)
         if converged:
             status = "converged"
             if degenerate:
                 logger.info("iteration %d: degenerate predicted reduction at optimum", it)
             break
+        if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
+            status = "solver_failure"
+            break
 
-    result_point = ref if status == "converged" else best
-    result = ScpResult(
+    return ScpResult(
         status=status,
-        point=result_point,
+        point=ref if status == "converged" else best,
         weights=weights,
         tr_radius=tr_radius,
         records=tuple(records),
     )
-    if log_path is not None:
-        _write_log(log_path, records)
-    return result

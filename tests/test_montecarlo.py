@@ -24,7 +24,7 @@ from covtraj.scp import (
     evaluate_point,
     run,
 )
-from covtraj.uncertainty import ObservationModel
+from covtraj.uncertainty import GatesParams, ObservationModel
 from oracles import bootstrap_ci_half_gather, estimate_deviation_gains, random_policy
 from test_scp import _flyby_problem, _stochastic_scp_problem
 
@@ -84,6 +84,19 @@ def test_config_validation():
     with pytest.raises(TypeError):
         McConfig(n_samples=10, master_seed=2.5)
     assert McConfig(n_samples=10, master_seed=np.int64(7)).master_seed == 7
+
+
+@pytest.mark.parametrize("field", ["n_samples", "bootstrap"])
+@pytest.mark.parametrize("bad", [10.5, 2.5, np.inf])
+def test_config_counts_must_be_integers(field, bad):
+    with pytest.raises(TypeError):
+        McConfig(**{"n_samples": 10, field: bad})
+
+
+@pytest.mark.parametrize("field", ["n_samples", "bootstrap"])
+def test_config_counts_accept_numpy_integers(field):
+    cfg = McConfig(**{"n_samples": 10, field: np.int64(7)})
+    assert type(getattr(cfg, field)) is int
 
 
 def test_stream_keys_match_numpy_seed_sequence():
@@ -169,6 +182,30 @@ def test_zero_noise_reproduces_reference(zero_noise):
         check = compare_bound(rep)
         assert check.holds
         assert abs(check.slack) <= 1e-12
+
+
+def test_dv_counts_the_commanded_control_in_both_modes(zero_noise):
+    # open loop under Gates execution errors alone: the actuator misses the
+    # command, but dv is the commanded flight-path-control effort that j_ub
+    # bounds, so every sample costs the nominal delta-v in both truth models
+    prob0, point0 = zero_noise
+    gates = GatesParams(sigma_prop_mag=0.01, sigma_prop_point=0.01)
+    prob = dataclasses.replace(
+        prob0, uncertainty=dataclasses.replace(prob0.uncertainty, gates=gates)
+    )
+    point = evaluate_point(prob, point0.x0, point0.controls)
+    assert point.dv_linear > 0.0
+    for mode in ("linear", "ekf"):
+        cfg = McConfig(n_samples=32, master_seed=4, mode=mode, bootstrap=10)
+        rep = run_campaign(prob, point, cfg)
+        s = rep.samples
+        assert rep.n_failed == 0
+        # the execution errors act on every sample's flight
+        assert np.all(np.abs(s.truth[:, -1] - point.states[-1]).max(axis=1) > 0.0)
+        if mode == "ekf":
+            assert np.all(np.any(s.executed != s.commanded, axis=(1, 2)))
+        np.testing.assert_allclose(s.dv, point.dv_linear, rtol=1e-12, atol=0.0)
+        assert compare_bound(rep).holds
 
 
 def test_linear_mode_matches_analytic_covariance(solved):
@@ -387,9 +424,9 @@ def test_flyby_campaign_periapsis_statistics():
             assert s.periapses[r, 0] == pytest.approx(
                 periapsis_radius(v_inf, theta, event.mu_p), abs=1e-12
             )
-            # zero-length flyby contributes nothing to the propellant sum
+            # zero-length flyby contributes nothing to the commanded delta-v
             dv_hand = float(
-                np.linalg.norm(s.executed[r, 0]) * 1.0 + np.linalg.norm(s.executed[r, 2]) * 1.0
+                np.linalg.norm(s.commanded[r, 0]) * 1.0 + np.linalg.norm(s.commanded[r, 2]) * 1.0
             )
             assert s.dv[r] == pytest.approx(dv_hand, abs=1e-12)
             if mode == "ekf":

@@ -17,6 +17,7 @@ from covtraj.gravity_assist import ga_map, max_v_inf_for_safe_flyby, turn_angle
 from covtraj.scp import (
     MAX_CONSECUTIVE_FAILURES,
     GaEvent,
+    IterationRecord,
     ScpParams,
     ScpProblem,
     TrajectoryGuess,
@@ -28,6 +29,7 @@ from covtraj.scp import (
     run,
     step_ratio,
     updated_multipliers,
+    write_log,
 )
 from covtraj.subproblem import (
     LaunchSpec,
@@ -87,6 +89,16 @@ def test_params_validation():
 def test_params_reject_nan_and_inf(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         ScpParams(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [10.5, 2.5, np.inf])
+def test_params_iteration_cap_must_be_an_integer(bad):
+    with pytest.raises(TypeError):
+        ScpParams(max_iters=bad)
+
+
+def test_params_iteration_cap_accepts_numpy_integers():
+    assert type(ScpParams(max_iters=np.int64(7)).max_iters) is int
 
 
 def test_problem_validation():
@@ -621,12 +633,21 @@ def test_persistent_solver_failure_returns_best_iterate(monkeypatch):
 def test_iteration_log_round_trips(tmp_path):
     prob, guess = _reach_problem()
     path = tmp_path / "iterations.csv"
-    res = run(prob, guess, log_path=path)
+    res = run(prob, guess)
     assert res.converged
+    # a failed-solve row carries NaN scores
+    failed = dataclasses.replace(
+        res.records[0], rho=np.nan, d_j=np.nan, d_l=np.nan, accepted=False,
+        status="numerical_error",
+    )
+    records = res.records + (failed,)
+    write_log(records, path)
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == res.iterations
-    for row, rec in zip(rows, res.records):
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(IterationRecord)]
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
         assert int(row["iteration"]) == rec.iteration
         assert row["status"] == rec.status
         assert row["accepted"] == str(int(rec.accepted))
