@@ -13,7 +13,10 @@ one linear-solve path per iteration:
    E = A_eq M^-1 A_eq' (a program without equality rows is the empty case);
 3. residual-correction (polish) passes over the full Newton system, the only
    correction loop, which remove the regularization bias and the
-   factorization error of steps 1-2.
+   factorization error of steps 1-2. At most ``POLISH_PASSES`` run; the loop
+   stops at the first pass that cuts the residual by less than
+   ``POLISH_STOP_RATIO`` (5x), as Clarabel's iterative refinement does, or
+   once the residual reaches 1e-13 of the right-hand side's scale.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -32,10 +35,12 @@ per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
 broadcast back through the cone id. So does the normal matrix: with
 W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower triangle of M is
 one product of a Gram stack fixed for the solve with the weights 1/eta^2,
-plus 2 F F' with one column A_k' J wbar_k / eta_k of F per cone, added in
-place. That one n x n buffer and its dense Cholesky factorization dominate
-each iteration. No triangular solve scans for NaNs: the factors' diagonals,
-the equality rows and each right-hand side are checked finite instead.
+plus 2 F F' with one column A_k' J wbar_k / eta_k of F per cone of more
+than one row, added in place (on a one-row cone W^-2 = 1/eta^2, so its Gram
+block enters with sign +1 and it has no column of F). That one n x n buffer
+and its dense Cholesky factorization dominate each iteration. No triangular
+solve scans for NaNs: the factors' diagonals, the equality rows and each
+right-hand side are checked finite instead.
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
 
@@ -61,6 +66,13 @@ STEP_FRACTION = 0.99
 STATIC_REG = 1e-12
 #: Column-then-row scaling passes of the Ruiz equilibration.
 EQUILIBRATION_PASSES = 3
+#: Polish stops at the first pass that cuts the Newton-system residual by
+#: less than this factor, as Clarabel's ``iterative_refinement_stop_ratio``
+#: (Goulart & Chen, arXiv:2405.12762): a pass that gains less leaves only
+#: factorization noise, which further passes do not remove.
+POLISH_STOP_RATIO = 5.0
+#: Cap on the polish passes of the combined direction.
+POLISH_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -207,6 +219,26 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
     return factor
 
 
+def _polish(d, residuals, correction, target: float, passes: int):
+    """Residual-correction passes d <- d + correction(residuals(d)) on a tuple d.
+
+    ``residuals(d)`` returns the residual blocks (arrays or scalars) of the
+    system at d and ``correction`` solves the system for them. At most
+    ``passes`` corrections are made; the loop stops early once the residual
+    norm (the largest block norm) is at most ``target``, or at the first
+    pass that cut it by less than :data:`POLISH_STOP_RATIO`.
+    """
+    last = np.inf
+    for _ in range(passes):
+        rs = residuals(d)
+        norm = max(np.linalg.norm(r) if np.ndim(r) else abs(r) for r in rs)
+        if norm <= target or POLISH_STOP_RATIO * norm > last:
+            break
+        last = norm
+        d = tuple(a + b for a, b in zip(d, correction(rs)))
+    return d
+
+
 class _Workspace:
     """Row split, flat cone indexing, and the Gram stack for one solve.
 
@@ -220,7 +252,9 @@ class _Workspace:
     sums over ``heads`` and per-cone scalars are broadcast back to rows
     through ``cone_id``, so every cone operation is a handful of array
     operations whatever the number of cones. ``gram_stack`` holds one
-    column per cone, the entries i <= j of A_k' (-J) A_k at position i*n + j.
+    column per cone, the entries i <= j of A_k' (-J) A_k at position i*n + j
+    (A_k' A_k on a one-row cone); ``n_curved`` counts the cones of more than
+    one row, each of which has a column of F in :meth:`assemble_normal`.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -256,30 +290,45 @@ class _Workspace:
         self.b_in = prog.b[self.n_eq:]
         self.c = prog.c.copy()
 
-        self.gram_stack = _gram_stack(self.A_in, self.cone_id, -self.jsign, self.degree)
+        curved = self.sizes > 1
+        curved_rows = curved[self.cone_id]
+        self.gram_stack = _gram_stack(
+            self.A_in, self.cone_id, np.where(curved_rows, -self.jsign, 1.0), self.degree
+        )
+        self.n_curved = int(curved.sum())
+        # the fixed pattern of F's cone map: each row of a cone of more than
+        # one row goes to that cone's column of F, the one-row cones' rows
+        # to none
+        self._f_rows = curved_rows
+        self._f_cols = (np.cumsum(curved) - 1)[self.cone_id[curved_rows]]
+        self._f_ptr = np.concatenate([[0], np.cumsum(curved_rows)])
 
     def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
         """The lower triangle of A_in' W^-2 A_in at the scaling sc, in Fortran order.
 
         With W^-2 = eta^-2 (2 J wbar wbar' J - J) on each cone, every cone's
         Gram block is weighted by 1/eta^2 in one product with ``gram_stack``,
-        which lands in a fresh Fortran-ordered buffer; the rank-one part,
-        2 F F' with column k of F equal to A_k' J wbar_k / eta_k, is added into
-        that buffer by one ``dsyrk``. The strict upper triangle is left zero.
+        which lands in a fresh Fortran-ordered buffer. On a one-row cone
+        W^-2 = 1/eta^2 is that weight alone; on each larger cone the rank-one
+        part, 2 F F' with a column of F equal to A_k' J wbar_k / eta_k, is
+        added into the buffer by one ``dsyrk``, skipped when there is no such
+        cone. The strict upper triangle is left zero.
         """
-        v = self.jsign * sc.wbar / sc.eta[self.cone_id]
+        M = (self.gram_stack @ (1.0 / sc.eta**2)).reshape(self.n, self.n, order="F")
+        if not self.n_curved:
+            return M
+        v = (self.jsign * sc.wbar / sc.eta[self.cone_id])[self._f_rows]
         cone_map = sp.csr_matrix(
-            (v, self.cone_id, np.arange(v.size + 1)), shape=(v.size, self.degree)
+            (v, self._f_cols, self._f_ptr), shape=(self.m_in, self.n_curved)
         )
         F = (self.A_in_t @ cone_map).toarray(order="F")
-        M = (self.gram_stack @ (1.0 / sc.eta**2)).reshape(self.n, self.n, order="F")
         return dsyrk(2.0, F, beta=1.0, c=M, lower=1, overwrite_c=1)
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u[1:] . v[1:] of every cone, for u, v over the inequality rows."""
+        """u[1:] . v[1:] of every cone, for u, v over the inequality rows (last axis)."""
         p = u * v
-        p[self.heads] = 0.0
-        return np.add.reduceat(p, self.heads)
+        p[..., self.heads] = 0.0
+        return np.add.reduceat(p, self.heads, axis=-1)
 
     def cone_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """u . v of every cone, for u, v over the inequality rows."""
@@ -295,6 +344,10 @@ class _Workspace:
     def cone_steps(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Largest alpha per cone with u + alpha d in that cone.
 
+        u and d run over the inequality rows in their last axis; stacked
+        points (one per leading index) give one row of steps each, equal to
+        what each point alone gives.
+
         With f(alpha) = c + b alpha + a alpha^2 the cone's Lorentz form of
         u + alpha d, a cone whose u is not interior (c <= 0) gets 0; otherwise
         the step runs to the root of f where it leaves the cone, capped where
@@ -303,11 +356,11 @@ class _Workspace:
         would carry the rounding of b^2 - 4ac, which is 0 in exact arithmetic.
         """
         h = self.heads
-        u0, d0 = u[h], d[h]
+        u0, d0 = u[..., h], d[..., h]
         c = u0**2 - self.tail_dot(u, u)
         a = d0**2 - self.tail_dot(d, d)
         b = 2.0 * (u0 * d0 - self.tail_dot(u, d))
-        best = np.full(h.size, np.inf)
+        best = np.full(c.shape, np.inf)
         live = c > 0.0
         curved = live & (self.sizes > 1)
         lin = curved & (a == 0.0) & (b < 0.0)
@@ -330,7 +383,7 @@ class _Workspace:
         return best
 
     def max_step(self, u: np.ndarray, d: np.ndarray) -> float:
-        """Largest alpha with u + alpha d in every inequality cone."""
+        """Largest alpha with u + alpha d in every inequality cone, for every stacked point."""
         return float(self.cone_steps(u, d).min(initial=np.inf))
 
 
@@ -384,8 +437,10 @@ def solve(
     The program is lowered to canonical form and equilibrated; each
     interior-point iteration then factors the normal matrix once, solves the
     equality rows through their Schur complement, and polishes the combined
-    direction against the full Newton system. One line per iteration is
-    logged at DEBUG level.
+    direction against the full Newton system: at most ``POLISH_PASSES``
+    residual-correction passes, stopping at the first that cuts the residual
+    by less than ``POLISH_STOP_RATIO``. One line per iteration is logged at
+    DEBUG level.
 
     Args:
         prog: program with zero/nonneg/soc/rsoc/pow3 cones.
@@ -463,16 +518,11 @@ def solve(
         sz_gap = s @ z + tau * kappa
         mu = sz_gap / (ws.degree + 1)
 
-        # convergence metrics at the tau-normalized point
-        xs = x / tau
-        pres = float(
-            np.sqrt(
-                np.sum((ws.A_in @ xs + s / tau - ws.b_in) ** 2)
-                + np.sum((ws.A_eq @ xs - ws.b_eq) ** 2)
-            )
-        ) / norm_b
-        dres = float(np.linalg.norm(ws.A_in_t @ (z / tau) + ws.A_eq.T @ (y / tau) + ws.c)) / norm_c
-        pobj = float(ws.c @ xs)
+        # convergence metrics at the tau-normalized point: the embedding
+        # residuals divided by tau
+        pres = float(np.sqrt(rp_in @ rp_in + rp_eq @ rp_eq)) / tau / norm_b
+        dres = float(np.linalg.norm(rd)) / tau / norm_c
+        pobj = float(ws.c @ x) / tau
         dobj = -float(ws.b_in @ z + ws.b_eq @ y) / tau
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         logger.debug(
@@ -524,14 +574,16 @@ def solve(
             wbeta = sc.mul_w(sc.arrow_solve(R_comp))
             f2 = R_d + ws.A_in_t @ sc.mul_winv2(R_pin - wbeta)
             dx2, dy2 = saddle(f2, R_peq)
-            dz2 = sc.mul_winv2(ws.A_in @ dx2 + wbeta - R_pin)
+            Adx2 = ws.A_in @ dx2
+            dz2 = sc.mul_winv2(Adx2 + wbeta - R_pin)
 
             num = R_g - R_tk / tau - float(ws.c @ dx2 + ws.b_in @ dz2 + ws.b_eq @ dy2)
             dtau = num / den
             dx = dx2 + dtau * dx1
             dy = dy2 + dtau * dy1
             dz = dz2 + dtau * dz1
-            ds = R_pin - ws.A_in @ dx + ws.b_in * dtau
+            # A_in dx from the two products already formed
+            ds = R_pin - (Adx2 + dtau * Adx1) + ws.b_in * dtau
             dkappa = (R_tk - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 
@@ -558,24 +610,20 @@ def solve(
                 rhs,
                 sigma * mu - tau * kappa - corr_tk,
             )
-            d = newton(*R)
             scale = 1.0 + max(np.linalg.norm(Rj) for Rj in R[:3]) + abs(R[3])
-            res_norm = np.inf
             # residual-correction passes over the full Newton system, the only
             # correction of the direction: the saddle solves carry
             # regularization bias and late-stage factorization noise
-            for _ in range(polish):
-                rs = newton_residuals(R, *d)
-                new_norm = max(np.linalg.norm(r) if np.ndim(r) else abs(r) for r in rs)
-                if new_norm <= 1e-13 * scale or new_norm >= res_norm:
-                    break
-                res_norm = new_norm
-                cd = newton(*rs)
-                d = tuple(a + b for a, b in zip(d, cd))
-            return d
+            return _polish(
+                newton(*R),
+                lambda d: newton_residuals(R, *d),
+                lambda rs: newton(*rs),
+                1e-13 * scale,
+                polish,
+            )
 
         def max_step(dz, ds, dtau, dkappa):
-            alpha = min(ws.max_step(s, ds), ws.max_step(z, dz))
+            alpha = ws.max_step(np.stack((s, z)), np.stack((ds, dz)))
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0.0:
@@ -598,7 +646,8 @@ def solve(
             # system 1: dtau coefficient
             f1 = ws.A_in_t @ sc.mul_winv2(ws.b_in) - ws.c
             dx1, dy1 = saddle(f1, ws.b_eq)
-            dz1 = sc.mul_winv2(ws.A_in @ dx1 - ws.b_in)
+            Adx1 = ws.A_in @ dx1
+            dz1 = sc.mul_winv2(Adx1 - ws.b_in)
             den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
 
             dxa, dya, dza, dsa, dta, dka = direction(0.0, None, 0.0)
@@ -608,7 +657,7 @@ def solve(
             sigma = float(np.clip((max(gap_aff, 0.0) / sz_gap) ** 3, 1e-8, 1.0 - 1e-8))
 
             corr = ws.jmul(sc.mul_winv(dsa), sc.mul_w(dza))
-            dx, dy, dz, ds, dtau, dkappa = direction(sigma, corr, dta * dka, polish=10)
+            dx, dy, dz, ds, dtau, dkappa = direction(sigma, corr, dta * dka, POLISH_PASSES)
         except (NumericalError, np.linalg.LinAlgError):
             status = "numerical_error"
             break

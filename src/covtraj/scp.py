@@ -103,6 +103,13 @@ MAX_CONSECUTIVE_FAILURES = 8
 class ScpParams:
     """Driver tuning: tolerances, acceptance bands, and penalty schedule.
 
+    ``eps_opt`` is the relative cost tolerance: an accepted step that
+    changes the augmented cost J by at most ``eps_opt * max(1, |J|)`` meets
+    the convergence test's stall condition, and a step whose actual and
+    predicted changes are both that small is degenerate (rho pinned to one,
+    see :func:`step_ratio`). ``eps_feas`` bounds the relaxed-constraint
+    violation of a converged iterate.
+
     The acceptance band is ``|rho - 1| <= eta0``; the trust region grows by
     ``alpha2`` inside the tight band ``eta2``, holds inside ``eta1``, and
     shrinks by ``alpha1`` outside. ``gamma`` gates penalty-weight growth: the
@@ -430,18 +437,31 @@ def nl_augmented_cost(point: ReferencePoint, weights: PenaltyWeights) -> float:
 
 
 def step_ratio(
-    j_ref: float, j_cand_nl: float, j_cand_model: float
+    j_ref: float,
+    j_cand_nl: float,
+    j_cand_model: float,
+    eps_opt: float = ScpParams.eps_opt,
 ) -> tuple[float, float, float, bool]:
     """Reduction ratio rho = (actual decrease) / (predicted decrease).
 
-    Returns (rho, actual, predicted, degenerate). A predicted decrease at or
-    below the degeneracy floor means the subproblem could not improve on the
-    reference; the ratio is pinned to one so the step is accepted and the
-    convergence test decides whether the loop is done.
+    Returns (rho, actual, predicted, degenerate). Two kinds of step are
+    degenerate, and for both the ratio is pinned to one so the step is
+    accepted and the convergence test decides whether the loop is done:
+
+    - a predicted decrease at or below the degeneracy floor: the subproblem
+      could not improve on the reference;
+    - an actual and a predicted change both within the convergence
+      tolerance ``eps_opt * max(1, |J|)`` of the candidate's cost J: their
+      quotient divides solver-tolerance noise by solver-tolerance noise and
+      says nothing about the model.
+
+    A small predicted decrease paired with a larger actual change is scored
+    as usual, so a real increase is still rejected.
     """
     d_j = float(j_ref - j_cand_nl)
     d_l = float(j_ref - j_cand_model)
-    if d_l <= DEGENERATE_PREDICTED_REDUCTION:
+    floor = eps_opt * max(1.0, abs(j_cand_nl))
+    if d_l <= DEGENERATE_PREDICTED_REDUCTION or max(abs(d_j), abs(d_l)) <= floor:
         return 1.0, d_j, d_l, True
     return d_j / d_l, d_j, d_l, False
 
@@ -486,15 +506,17 @@ def updated_multipliers(weights: PenaltyWeights, point: ReferencePoint) -> Penal
 class IterationRecord:
     """Bookkeeping for one driver iteration (values after the updates).
 
-    The fields are declared in the column order of :func:`write_log`. A
-    failed subproblem solve leaves rho, d_j and d_l NaN and reports the
-    unchanged reference's violation and bound.
+    The fields are declared in the column order of :func:`write_log`.
+    ``degenerate`` marks a step whose rho :func:`step_ratio` pinned to one.
+    A failed subproblem solve leaves rho, d_j and d_l NaN, is not
+    degenerate, and reports the unchanged reference's violation and bound.
     """
 
     iteration: int
     rho: float
     d_j: float
     d_l: float
+    degenerate: bool
     tr_radius: float
     weight: float
     violation: float
@@ -550,8 +572,11 @@ def run(
 
     Convergence requires both a relative cost stall, |actual decrease| <=
     eps_opt * max(1, |J_aug|), and feasibility of the relaxed constraints to
-    eps_feas, evaluated at an accepted candidate. On iteration cap the best
-    accepted iterate is returned (feasibility first, then cost).
+    eps_feas, evaluated at an accepted candidate. A step whose actual and
+    predicted changes both lie within that same tolerance is not scored by
+    their quotient, which is noise: :func:`step_ratio` pins rho to one, the
+    step is accepted, and the convergence test decides. On iteration cap
+    the best accepted iterate is returned (feasibility first, then cost).
 
     Args:
         problem: the instance (deterministic when ``uncertainty`` is None).
@@ -638,7 +663,9 @@ def run(
             m_u = layout.m_u or 0.0
             dv_model = float(dts @ sol.dv_linear + m_u * (dts @ sol.dv_feedback))
             j_cand_model = augmented_cost(dv_model, sol.xi, sol.zetas, weights)
-            rho, d_j, d_l, degenerate = step_ratio(j_ref, j_cand_nl, j_cand_model)
+            rho, d_j, d_l, degenerate = step_ratio(
+                j_ref, j_cand_nl, j_cand_model, params.eps_opt
+            )
             accepted, tr_radius = accept_and_update(rho, tr_radius, params)
             if accepted:
                 ref = cand
@@ -662,6 +689,7 @@ def run(
             rho=rho,
             d_j=d_j,
             d_l=d_l,
+            degenerate=degenerate,
             tr_radius=tr_radius,
             weight=weights.weight,
             violation=reported.max_violation,
@@ -673,8 +701,6 @@ def run(
         logger.log(logging.INFO if sol.ok else logging.WARNING, "%s", record)
         if converged:
             status = "converged"
-            if degenerate:
-                logger.info("iteration %d: degenerate predicted reduction at optimum", it)
             break
         if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
             status = "solver_failure"

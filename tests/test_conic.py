@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import arrow_matrix, lowered_cone_slack, nt_scaling_matrix
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
-from covtraj.conic.solver import _equilibrate, _NtScaling, _Workspace
+from covtraj.conic.solver import POLISH_STOP_RATIO, _equilibrate, _NtScaling, _polish, _Workspace
 from covtraj.errors import NumericalError
 
 
@@ -788,3 +788,81 @@ def test_max_step_is_zero_from_the_cone_boundary():
     assert steps[1] == 0.0
     assert steps[0] > 0.0 and steps[2] > 0.0
     assert ws.max_step(u, d) == 0.0
+
+
+def test_stacked_points_take_the_steps_of_each_point():
+    # one cone_steps call over stacked (s, z) gives each point's own steps,
+    # bit for bit, and max_step their joint minimum
+    ws = _cone_workspace([3, 2, 25, 4], n_nonneg=3)
+    rng = np.random.default_rng(11)
+    s, z = _interior(rng, ws), _interior(rng, ws)
+    ds, dz = rng.standard_normal((2, ws.m_in))
+    both = ws.cone_steps(np.stack((s, z)), np.stack((ds, dz)))
+    assert np.array_equal(both, np.stack((ws.cone_steps(s, ds), ws.cone_steps(z, dz))))
+    assert ws.max_step(np.stack((s, z)), np.stack((ds, dz))) == min(
+        ws.max_step(s, ds), ws.max_step(z, dz)
+    )
+
+
+def test_program_without_a_second_order_cone_skips_the_rank_one_update(monkeypatch):
+    # on a one-row cone W^-2 = 1/eta^2 is the Gram weight alone, so an LP's
+    # normal matrix needs no F column and no dsyrk
+    def no_dsyrk(*args, **kwargs):
+        raise AssertionError("dsyrk called on a program with no soc cone")
+
+    monkeypatch.setattr(solver, "dsyrk", no_dsyrk)
+    pb = ProgramBuilder("lp")
+    x = pb.var_block("x", 2)
+    pb.cost(x, [-2.0, -1.0])
+    _var_cone(pb, "nonneg", [(0, x[0], 1.0), (0, x[1], 1.0)], [1.0])
+    _var_cone(pb, "nonneg", [(0, x[0], -1.0), (1, x[1], -1.0)], [0.0, 0.0])
+    res = solve(pb.build())
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-7)
+
+
+# ------------------------------------------------ polish stop rule
+def _polish_toward(qs, target=0.0, passes=10):
+    """Polish d toward b = ((3, -4), 2), where correction k leaves qs[k] of the residual.
+
+    Returns the polished d and the residual norm each correction was asked
+    to remove (5 for the first).
+    """
+    b = (np.array([3.0, -4.0]), 2.0)
+    seen = []
+
+    def residuals(d):
+        return tuple(bj - dj for bj, dj in zip(b, d))
+
+    def correction(rs):
+        q = qs[len(seen)] if len(seen) < len(qs) else qs[-1]
+        seen.append(max(np.linalg.norm(r) if np.ndim(r) else abs(r) for r in rs))
+        return tuple((1.0 - q) * r for r in rs)
+
+    return _polish((np.zeros(2), 0.0), residuals, correction, target, passes), seen
+
+
+def test_polish_runs_while_each_pass_gains_the_stop_ratio():
+    # every pass cuts the residual tenfold: the 10-pass cap ends the loop
+    _, seen = _polish_toward([0.1])
+    assert len(seen) == 10
+    np.testing.assert_allclose(seen, 5.0 * 0.1 ** np.arange(10), rtol=1e-5)
+    # ... or the absolute target, once a measured residual is within it
+    _, seen = _polish_toward([0.1], target=1e-2)
+    assert seen == pytest.approx([5.0, 0.5, 0.05])
+
+
+def test_polish_stops_at_the_first_pass_that_gains_less_than_the_stop_ratio():
+    assert POLISH_STOP_RATIO == 5.0
+    # two tenfold cuts, then a pass that only halves the residual: the
+    # residual it leaves is measured and the loop stops there
+    d, seen = _polish_toward([0.1, 0.1, 0.5, 0.1])
+    assert seen == pytest.approx([5.0, 0.5, 0.05])
+    np.testing.assert_allclose(d[0], [3.0, -4.0], atol=0.026)
+    # a fourfold cut is below the ratio too; so is a residual that grows
+    for q in (0.25, 0.8, 2.0):
+        _, seen = _polish_toward([q])
+        assert len(seen) == 1
+    # no passes leave the direction as it is
+    d, seen = _polish_toward([0.1], passes=0)
+    assert not seen and d[1] == 0.0

@@ -156,6 +156,31 @@ def test_step_ratio_degenerate_floor():
     assert degen and rho == 1.0 and d_l < 0.0
 
 
+def test_step_ratio_sub_tolerance_floor():
+    # both changes within eps_opt * max(1, |J|): the quotient divides solver
+    # noise by solver noise (these are design_n6's stochastic iteration 4,
+    # which scored rho = 4 and was rejected), so rho is pinned and accepted
+    eps_opt = ScpParams().eps_opt
+    j_ref = 0.5
+    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref - 1.68e-7, j_ref - 4.2e-8, eps_opt)
+    assert degen and rho == 1.0
+    assert d_j == pytest.approx(1.68e-7, rel=1e-6)
+    assert d_l == pytest.approx(4.2e-8, rel=1e-6)
+    assert accept_and_update(rho, 1.0, ScpParams())[0]
+    # the floor scales with |J| above one: 3e-5 is within 1e-6 * 50
+    rho, _, _, degen = step_ratio(50.0, 50.0 - 3e-5, 50.0 - 1e-5, eps_opt)
+    assert degen and rho == 1.0
+    # a tiny predicted decrease with a larger actual increase is scored and
+    # rejected: only one of the two changes is within the floor
+    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref + 1e-4, j_ref - 4.2e-8, eps_opt)
+    assert not degen
+    assert rho == pytest.approx(d_j / d_l) and rho < -1e3
+    assert not accept_and_update(rho, 1.0, ScpParams())[0]
+    # and a decrease above the floor is scored as usual
+    rho, _, _, degen = step_ratio(j_ref, j_ref - 2e-6, j_ref - 1e-6, eps_opt)
+    assert not degen and rho == pytest.approx(2.0)
+
+
 def test_accept_and_update_bands():
     p = ScpParams()
     # perfect agreement: accepted, radius tripled
@@ -470,6 +495,10 @@ def test_stochastic_run_seeded_by_deterministic_solution(stochastic_runs):
     assert det.converged
     seeded = run(prob, det.point, params)
     assert seeded.converged
+    # the last steps change the cost by less than eps_opt: they are pinned
+    # and accepted instead of rejected on a quotient of noise
+    assert seeded.iterations <= 4
+    assert seeded.records[-1].degenerate and seeded.records[-1].accepted
     assert seeded.point.j_ub == pytest.approx(res.point.j_ub, rel=1e-4)
 
 
@@ -637,8 +666,8 @@ def test_iteration_log_round_trips(tmp_path):
     assert res.converged
     # a failed-solve row carries NaN scores
     failed = dataclasses.replace(
-        res.records[0], rho=np.nan, d_j=np.nan, d_l=np.nan, accepted=False,
-        status="numerical_error",
+        res.records[0], rho=np.nan, d_j=np.nan, d_l=np.nan, degenerate=False,
+        accepted=False, status="numerical_error",
     )
     records = res.records + (failed,)
     write_log(records, path)
@@ -651,6 +680,7 @@ def test_iteration_log_round_trips(tmp_path):
         assert int(row["iteration"]) == rec.iteration
         assert row["status"] == rec.status
         assert row["accepted"] == str(int(rec.accepted))
+        assert row["degenerate"] == str(int(rec.degenerate))
         # repr round-trip is exact for finite floats
         for col, value in (
             ("rho", rec.rho),
