@@ -1,4 +1,4 @@
-"""Embedded conic programming layer: program container, lowering, solver."""
+"""Embedded conic programming layer: program container, pow3 lowering, solver."""
 
 from .lowering import LoweredProgram, lower_program
 from .program import Cone, ConicProgram, ProgramBuilder

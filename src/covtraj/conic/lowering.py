@@ -1,30 +1,24 @@
-"""Lowering of a conic program to the interior-point solver's canonical form.
+"""Lowering of the pow3 cones of a conic program to second-order cones.
 
-The solver takes the form ECOS and CVXOPT take: equality (zero) rows first,
-then the nonneg orthant, then each second-order cone in turn.
-:func:`lower_program` is the one place that produces it. It builds one sparse
-row map ``L`` from original rows to lowered rows and one block ``V`` of
-auxiliary columns; the lowered program is ``A' = [L A | -V]``, ``b' = L b``,
-so its slack is ``L s + V t`` for the original slack ``s = b - A x`` and the
-auxiliaries ``t``.
+:func:`lower_program` replaces each pow3 cone, in place, with the soc cones
+of its tower and keeps every other cone, so a program in class order
+(``program``) comes out in the solver's form (``program.is_canonical``). It
+builds one sparse row map ``L`` from original rows to lowered rows and one
+block ``V`` of auxiliary columns; the lowered program is ``A' = [L A | -V]``,
+``b' = L b``, so its slack is ``L s + V t`` for the original slack
+``s = b - A x`` and the auxiliaries ``t``.
 
-- zero, nonneg and soc cones pass through as identity rows of ``L``;
-- a rotated cone 2 s0 s1 >= ||s2:||^2 maps onto the second-order cone
-  (s0+s1, s0-s1, sqrt(2) s2:);
-- a three-row power cone s0^alpha s1^(1-alpha) >= |s2| with rational
-  alpha = p/q becomes a balanced binary tree of geometric-mean cells: pad the
-  q-fold geometric mean (p copies of s0, q-p copies of s1) with copies of the
-  epigraph variable t up to the next power of two, certify w <= sqrt(a b)
-  pairwise with one soc cell (a+b, a-b, 2w) per internal tree node, and close
-  with t >= |s2|. Each symbol a, b, w, t of the tree is a small coefficient
-  map over the cone's rows and its auxiliary columns. The reduction is exact
-  whenever alpha is rational; irrational alpha is snapped to the closest
-  fraction with denominator <= MAX_DENOM (logged).
+A three-row power cone s0^alpha s1^(1-alpha) >= |s2| with rational
+alpha = p/q becomes a balanced binary tree of geometric-mean cells: pad the
+q-fold geometric mean (p copies of s0, q-p copies of s1) with copies of the
+epigraph variable t up to the next power of two, certify w <= sqrt(a b)
+pairwise with one soc cell (a+b, a-b, 2w) per internal tree node, and close
+with t >= |s2|. Each symbol a, b, w, t of the tree is a small coefficient
+map over the cone's rows and its auxiliary columns. The reduction is exact
+whenever alpha is rational; irrational alpha is snapped to the closest
+fraction with denominator <= MAX_DENOM (logged).
 
-Cones are emitted zero, then nonneg, then soc, keeping the original order
-within each class; a lowered rsoc or pow3 cone takes its original place
-among the soc cones. A program already in canonical form is returned as it
-is.
+A program without pow3 cones is returned as it is.
 """
 
 from __future__ import annotations
@@ -32,12 +26,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .program import Cone, ConicProgram
+from .program import Cone, ConicProgram, is_canonical
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +39,6 @@ MAX_DENOM = 64
 
 #: Relative mismatch above which the snap is reported.
 SNAP_WARN = 1e-12
-
-#: Cone kinds the solver takes, in the order their rows must come.
-CANONICAL_ORDER = ("zero", "nonneg", "soc")
-
-_RANK = {kind: i for i, kind in enumerate(CANONICAL_ORDER)}
-_SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -64,12 +51,6 @@ class LoweredProgram:
 
     program: ConicProgram
     n_orig: int
-
-
-def is_canonical(cones: Iterable[Cone]) -> bool:
-    """True when every cone is zero, nonneg or soc, in that class order."""
-    ranks = [_RANK.get(cone.kind) for cone in cones]
-    return None not in ranks and all(a <= b for a, b in zip(ranks, ranks[1:]))
 
 
 def _snap_alpha(alpha: float) -> Fraction:
@@ -122,11 +103,10 @@ def _pow3_tower(r0: int, alpha: float, new_aux) -> list[list[dict]]:
 
 
 def lower_program(prog: ConicProgram) -> LoweredProgram:
-    """Rewrite a program in the solver's canonical form (see module docstring).
+    """Replace each pow3 cone with its soc tower, in place (see module docstring).
 
-    Returns an equivalent program containing only zero/nonneg/soc cones in
-    that order. The objective restricted to the original columns is
-    unchanged; auxiliary columns carry zero cost.
+    The other cones keep their rows. The objective restricted to the
+    original columns is unchanged; auxiliary columns carry zero cost.
     """
     if is_canonical(prog.cones):
         return LoweredProgram(program=prog, n_orig=prog.n_vars)
@@ -139,33 +119,23 @@ def lower_program(prog: ConicProgram) -> LoweredProgram:
         n_aux += 1
         return {m + n_aux - 1: 1.0}
 
-    # per class: lowered cones as (cone, local rows, sources, coefficients);
-    # a source below m is an original row, source m + j auxiliary column j
-    classes: dict[str, list] = {kind: [] for kind in CANONICAL_ORDER}
+    # lowered cones as (cone, local rows, sources, coefficients); a source
+    # below m is an original row, source m + j auxiliary column j
+    lowered = []
     for cone, sl in prog.cone_slices():
-        if cone.kind in _RANK:
+        if cone.kind != "pow3":
             local = np.arange(cone.dim)
-            classes[cone.kind].append((cone, local, sl.start + local, np.ones(cone.dim)))
-        elif cone.kind == "rsoc":
-            rest = np.arange(2, cone.dim)
-            classes["soc"].append((
-                Cone("soc", cone.dim),
-                np.concatenate([[0, 0, 1, 1], rest]),
-                sl.start + np.concatenate([[0, 1, 0, 1], rest]),
-                np.concatenate([[1.0, 1.0, 1.0, -1.0], np.full(rest.size, _SQRT2)]),
+            lowered.append((cone, local, sl.start + local, np.ones(cone.dim)))
+            continue
+        for rows in _pow3_tower(sl.start, cone.alpha, new_aux):
+            lowered.append((
+                Cone("soc", len(rows)),
+                np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+                np.array([k for r in rows for k in r]),
+                np.array([v for r in rows for v in r.values()]),
             ))
-        else:  # pow3, the last kind Cone admits
-            for rows in _pow3_tower(sl.start, cone.alpha, new_aux):
-                classes["soc"].append((
-                    Cone("soc", len(rows)),
-                    np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
-                    np.array([k for r in rows for k in r]),
-                    np.array([v for r in rows for v in r.values()]),
-                ))
 
-    cones, local_rows, sources, coefs = zip(
-        *(item for kind in CANONICAL_ORDER for item in classes[kind])
-    )
+    cones, local_rows, sources, coefs = zip(*lowered)
     dims = np.array([cone.dim for cone in cones], dtype=int)
     rows = np.concatenate([r + off for r, off in zip(local_rows, np.cumsum(dims) - dims)])
     T = sp.csr_matrix(
@@ -175,10 +145,8 @@ def lower_program(prog: ConicProgram) -> LoweredProgram:
     L, V = T[:, :m], T[:, m:]
     A_new = sp.hstack([L @ prog.A.tocsr(), -V], format="csr")
     A_new.sort_indices()
-    c_new = np.zeros(n + n_aux)
-    c_new[:n] = prog.c
     program = ConicProgram(
-        c=c_new,
+        c=np.concatenate([prog.c, np.zeros(n_aux)]),
         A=A_new,
         b=L @ prog.b,
         cones=cones,

@@ -1,19 +1,22 @@
 """Conic program container and incremental builder.
 
 Standard form: minimize c'x subject to b - A x in K, where K is a product of
-cones listed in row order. Supported kinds:
+cones listed in row order and in class order: the zero cones, then the
+nonneg cones, then the soc and pow3 cones in the order they were added.
+Supported kinds:
 
 - ``zero``: s = 0 (equality rows).
 - ``nonneg``: s >= 0 elementwise.
 - ``soc``: s_0 >= ||s_1:||_2.
-- ``rsoc``: 2 s_0 s_1 >= ||s_2:||^2, s_0, s_1 >= 0 (dim >= 3).
 - ``pow3``: s_0^alpha s_1^(1-alpha) >= |s_2|, s_0, s_1 >= 0 (dim == 3,
-  0 < alpha < 1).
+  0 < alpha < 1); ``lowering`` replaces it with soc cones for the solver.
+- ``rsoc``: 2 s_0 s_1 >= ||s_2:||^2, declared only for covbench's
+  cone-violation test: nothing builds it and the solver rejects it.
 
 The builder allocates named variable blocks, accumulates sparse rows in
-triplet form, and produces an immutable :class:`ConicProgram`. Programs
-round-trip through a line-oriented text format with hex floats so dumps are
-byte-exact.
+triplet form, and produces an immutable :class:`ConicProgram`, its cones in
+class order. Programs round-trip through a line-oriented text format with
+hex floats so dumps are byte-exact.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import scipy.sparse as sp
 
 from ..errors import ConfigError
 
-_KINDS = ("zero", "nonneg", "soc", "rsoc", "pow3")
+#: The class of each kind; a program's cones come in class order.
+_CLASS = {"zero": 0, "nonneg": 1, "soc": 2, "pow3": 2, "rsoc": 2}
 _FORMAT_TAG = "conicprog/1"
 
 
@@ -38,14 +42,12 @@ class Cone:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _CLASS:
             raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("cone dimension must be positive")
         if self.kind == "soc" and self.dim < 2:
             raise ValueError("soc cones need dim >= 2")
-        if self.kind == "rsoc" and self.dim < 3:
-            raise ValueError("rsoc cones need dim >= 3")
         if self.kind == "pow3":
             if self.dim != 3:
                 raise ValueError("pow3 cones have exactly 3 rows")
@@ -55,9 +57,14 @@ class Cone:
             raise ValueError(f"{self.kind} cones take no alpha")
 
 
+def is_canonical(cones: tuple[Cone, ...]) -> bool:
+    """True when a program's cones, in class order, are the solver's kinds alone."""
+    return all(c.kind in ("zero", "nonneg", "soc") for c in cones)
+
+
 @dataclass(frozen=True)
 class ConicProgram:
-    """Immutable conic program in standard form."""
+    """Immutable conic program in standard form, its cones in class order."""
 
     c: np.ndarray
     A: sp.csr_matrix = field(repr=False)
@@ -65,6 +72,10 @@ class ConicProgram:
     cones: tuple[Cone, ...]
     var_blocks: dict[str, slice] = field(default_factory=dict)
     name: str = ""
+
+    def __post_init__(self):
+        if any(_CLASS[a.kind] > _CLASS[b.kind] for a, b in zip(self.cones, self.cones[1:])):
+            raise ValueError("cones must come zero, then nonneg, then soc and pow3")
 
     @property
     def n_vars(self) -> int:
@@ -113,7 +124,7 @@ class ConicProgram:
 
     @classmethod
     def load(cls, text: str) -> "ConicProgram":
-        """Parse a program previously produced by :meth:`dump`."""
+        """Parse a program produced by :meth:`dump`; ConfigError if malformed."""
         lines = text.splitlines()
         if not lines or lines[0] != _FORMAT_TAG:
             raise ConfigError(f"not a {_FORMAT_TAG} document")
@@ -127,40 +138,43 @@ class ConicProgram:
         aj: list[int] = []
         av: list[float] = []
         section = "head"
-        for raw in lines[1:]:
-            line = raw.strip()
-            if not line:
-                continue
-            if line in ("cones", "c", "b", "A", "end"):
-                section = line
-                continue
-            parts = line.split()
-            if section == "head":
-                if parts[0] == "name":
-                    name = line[5:]
-                elif parts[0] == "size":
-                    n, m, nc = int(parts[1]), int(parts[2]), int(parts[3])
-                    c = np.zeros(n)
-                    b = np.zeros(m)
-                elif parts[0] == "block":
-                    blocks[parts[1]] = slice(int(parts[2]), int(parts[3]))
-                else:
-                    raise ConfigError(f"unexpected header line: {line!r}")
-            elif section == "cones":
-                alpha = None if parts[2] == "-" else float.fromhex(parts[2])
-                cones.append(Cone(kind=parts[0], dim=int(parts[1]), alpha=alpha))
-            elif section == "c":
-                c[int(parts[0])] = float.fromhex(parts[1])
-            elif section == "b":
-                b[int(parts[0])] = float.fromhex(parts[1])
-            elif section == "A":
-                ai.append(int(parts[0]))
-                aj.append(int(parts[1]))
-                av.append(float.fromhex(parts[2]))
-        if c is None or len(cones) != nc:
-            raise ConfigError("malformed conic program document")
-        A = sp.csr_matrix((av, (ai, aj)), shape=(m, n))
-        return cls(c=c, A=A, b=b, cones=tuple(cones), var_blocks=blocks, name=name)
+        try:
+            for raw in lines[1:]:
+                line = raw.strip()
+                if not line:
+                    continue
+                if line in ("cones", "c", "b", "A", "end"):
+                    section = line
+                    continue
+                parts = line.split()
+                if section == "head":
+                    if parts[0] == "name":
+                        name = line[5:]
+                    elif parts[0] == "size":
+                        n, m, nc = int(parts[1]), int(parts[2]), int(parts[3])
+                        c = np.zeros(n)
+                        b = np.zeros(m)
+                    elif parts[0] == "block":
+                        blocks[parts[1]] = slice(int(parts[2]), int(parts[3]))
+                    else:
+                        raise ConfigError(f"unexpected header line: {line!r}")
+                elif section == "cones":
+                    alpha = None if parts[2] == "-" else float.fromhex(parts[2])
+                    cones.append(Cone(kind=parts[0], dim=int(parts[1]), alpha=alpha))
+                elif section == "c":
+                    c[int(parts[0])] = float.fromhex(parts[1])
+                elif section == "b":
+                    b[int(parts[0])] = float.fromhex(parts[1])
+                elif section == "A":
+                    ai.append(int(parts[0]))
+                    aj.append(int(parts[1]))
+                    av.append(float.fromhex(parts[2]))
+            if c is None or len(cones) != nc:
+                raise ConfigError("malformed conic program document")
+            A = sp.csr_matrix((av, (ai, aj)), shape=(m, n))
+            return cls(c=c, A=A, b=b, cones=tuple(cones), var_blocks=blocks, name=name)
+        except (ValueError, IndexError, TypeError) as exc:
+            raise ConfigError(f"malformed conic program document: {exc}") from None
 
 
 class ProgramBuilder:
@@ -168,14 +182,14 @@ class ProgramBuilder:
 
     Rows are given per cone as triplets (local row, column, value) plus the
     cone's constant vector, meaning the slack s = b_cone - A_cone x lies in
-    the cone. ``build`` sums duplicate entries and drops every zero, so the
-    program's A stores only its nonzeros.
+    the cone. ``build`` puts the cones in class order, keeping the call
+    order within each class, sums duplicate entries and drops every zero, so
+    the program's A stores only its nonzeros.
     """
 
     def __init__(self, name: str = ""):
         self.name = name
         self._n = 0
-        self._m = 0
         self._blocks: dict[str, slice] = {}
         self._cost: dict[int, float] = {}
         self._cones: list[Cone] = []
@@ -210,8 +224,8 @@ class ProgramBuilder:
         cols: np.ndarray,
         vals: np.ndarray,
         alpha: float | None = None,
-    ) -> slice:
-        """Append one cone block; returns its global row slice.
+    ) -> None:
+        """Append one cone block.
 
         Args:
             kind: cone kind (see module docstring).
@@ -230,14 +244,11 @@ class ProgramBuilder:
             raise ValueError("triplet arrays must have identical shapes")
         if rows.size and (rows.min() < 0 or rows.max() >= cone.dim):
             raise ValueError("local row index out of cone range")
-        sl = slice(self._m, self._m + cone.dim)
         self._cones.append(cone)
         self._bs.append(b)
-        self._ri.append(rows + sl.start)
+        self._ri.append(rows)
         self._rj.append(cols)
         self._rv.append(vals)
-        self._m += cone.dim
-        return sl
 
     def build(self) -> ConicProgram:
         c = np.zeros(self._n)
@@ -245,20 +256,20 @@ class ProgramBuilder:
             if i < 0 or i >= self._n:
                 raise ValueError(f"cost index {i} out of range")
             c[i] = v
-        if self._ri:
-            ri = np.concatenate(self._ri)
-            rj = np.concatenate(self._rj)
-            rv = np.concatenate(self._rv)
-        else:
-            ri = rj = np.zeros(0, dtype=int)
-            rv = np.zeros(0)
+        order = sorted(range(len(self._cones)), key=lambda k: _CLASS[self._cones[k].kind])
+        cones = tuple(self._cones[k] for k in order)
+        dims = np.array([cone.dim for cone in cones], dtype=int)
+        start = np.zeros(len(cones), dtype=int)  # first row of each cone, by call
+        start[order] = np.cumsum(dims) - dims
+        ri = np.concatenate([np.zeros(0, dtype=int), *(r + s for r, s in zip(self._ri, start))])
+        rj = np.concatenate([np.zeros(0, dtype=int), *self._rj])
+        rv = np.concatenate([np.zeros(0), *self._rv])
         if rj.size and (rj.min() < 0 or rj.max() >= self._n):
             raise ValueError("column index out of range")
-        A = sp.csr_matrix((rv, (ri, rj)), shape=(self._m, self._n))
+        A = sp.csr_matrix((rv, (ri, rj)), shape=(int(dims.sum()), self._n))
         A.sum_duplicates()
         A.eliminate_zeros()
-        b = np.concatenate(self._bs) if self._bs else np.zeros(0)
+        b = np.concatenate([np.zeros(0), *(self._bs[k] for k in order)])
         return ConicProgram(
-            c=c, A=A, b=b, cones=tuple(self._cones),
-            var_blocks=dict(self._blocks), name=self.name,
+            c=c, A=A, b=b, cones=cones, var_blocks=dict(self._blocks), name=self.name,
         )

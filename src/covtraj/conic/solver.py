@@ -1,9 +1,9 @@
 """Primal-dual interior-point solver on the homogeneous self-dual embedding.
 
-Handles programs whose cones are zero (equalities), nonneg, and second-order
-cones. ``lowering`` reduces rotated and power cones exactly and puts every
-program in canonical order beforehand: the equality rows, then the nonneg
-rows, then the second-order cones' rows, so the solver keeps no row lists.
+Takes programs in canonical form (``program.is_canonical``), the class
+order every program has from the builder on: the equality (zero) rows, then
+the nonneg rows, then the second-order cones' rows (``lowering`` replaces
+each power cone with some), so the solver keeps no row lists.
 The algorithm is the standard Nesterov-Todd scaled predictor-corrector with
 one linear-solve path per iteration:
 
@@ -16,7 +16,8 @@ one linear-solve path per iteration:
    factorization error of steps 1-2. At most ``POLISH_PASSES`` run; the loop
    stops at the first pass that cuts the residual by less than
    ``POLISH_STOP_RATIO`` (5x), as Clarabel's iterative refinement does, or
-   once the residual reaches 1e-13 of the right-hand side's scale.
+   once the residual reaches 1e-13 of the right-hand side's scale; a pass
+   that raised the residual is reverted.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -55,8 +56,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from ..errors import NumericalError
-from .lowering import is_canonical, lower_program
-from .program import ConicProgram
+from .lowering import lower_program
+from .program import ConicProgram, is_canonical
 
 logger = logging.getLogger(__name__)
 
@@ -226,15 +227,19 @@ def _polish(d, residuals, correction, target: float, passes: int):
     system at d and ``correction`` solves the system for them. At most
     ``passes`` corrections are made; the loop stops early once the residual
     norm (the largest block norm) is at most ``target``, or at the first
-    pass that cut it by less than :data:`POLISH_STOP_RATIO`.
+    pass that cut it by less than :data:`POLISH_STOP_RATIO`. A pass that
+    raised the residual is reverted, as Clarabel reverts such a refinement
+    step: the direction from before it is returned.
     """
-    last = np.inf
+    last, before = np.inf, d
     for _ in range(passes):
         rs = residuals(d)
         norm = max(np.linalg.norm(r) if np.ndim(r) else abs(r) for r in rs)
+        if norm > last:
+            return before
         if norm <= target or POLISH_STOP_RATIO * norm > last:
             break
-        last = norm
+        last, before = norm, d
         d = tuple(a + b for a, b in zip(d, correction(rs)))
     return d
 
@@ -242,7 +247,7 @@ def _polish(d, residuals, correction, target: float, passes: int):
 class _Workspace:
     """Row split, flat cone indexing, and the Gram stack for one solve.
 
-    The program must be in canonical order (``lowering.is_canonical``): its
+    The program must be in canonical form (``program.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
     rows. Every inequality row belongs to one second-order cone of that flat
     region: each nonneg row is a one-row cone s0 >= 0, followed by the soc
@@ -434,16 +439,16 @@ def solve(
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
 
-    The program is lowered to canonical form and equilibrated; each
-    interior-point iteration then factors the normal matrix once, solves the
-    equality rows through their Schur complement, and polishes the combined
-    direction against the full Newton system: at most ``POLISH_PASSES``
-    residual-correction passes, stopping at the first that cuts the residual
-    by less than ``POLISH_STOP_RATIO``. One line per iteration is logged at
-    DEBUG level.
+    The program's pow3 cones are lowered to soc cones and the program is
+    equilibrated; each interior-point iteration then factors the normal
+    matrix once, solves the equality rows through their Schur complement,
+    and polishes the combined direction against the full Newton system: at
+    most ``POLISH_PASSES`` residual-correction passes, stopping at the first
+    that cuts the residual by less than ``POLISH_STOP_RATIO`` and reverting
+    one that raised it. One line per iteration is logged at DEBUG level.
 
     Args:
-        prog: program with zero/nonneg/soc/rsoc/pow3 cones.
+        prog: program with zero, nonneg, soc and pow3 cones, in class order.
         tol: relative primal/dual/gap tolerance for the ``optimal`` status.
         max_iters: interior-point iteration cap.
 
@@ -457,7 +462,6 @@ def solve(
         NumericalError: the lowered program's equality rows are not finite.
     """
     lowered = lower_program(prog)
-    n_orig = lowered.n_orig
     lp = lowered.program
 
     scaled, d_col = _equilibrate(lp)
@@ -695,7 +699,7 @@ def solve(
         x_full = d_col * (x / tau)
         return SolveResult(
             status=status,
-            x=x_full[:n_orig],
+            x=x_full[:lowered.n_orig],
             obj=float(lp.c @ x_full),
             iterations=it,
             pres=pres,

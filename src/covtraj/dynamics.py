@@ -42,10 +42,6 @@ class ScaleSet:
         return self.length_km / self.time_s
 
     @property
-    def accel_kms2(self) -> float:
-        return self.length_km / self.time_s**2
-
-    @property
     def mu_km3s2(self) -> float:
         return self.length_km**3 / self.time_s**2
 
@@ -84,8 +80,10 @@ class BodyEphemeris:
     def __post_init__(self):
         if not (0.0 <= self.e < 1.0):
             raise ValueError(f"ephemeris for {self.name!r} needs 0 <= e < 1, got {self.e}")
-        if self.a <= 0.0:
-            raise ValueError(f"ephemeris for {self.name!r} needs a > 0, got {self.a}")
+        if not 0.0 < self.a < np.inf:
+            raise ValueError(f"ephemeris for {self.name!r} needs a finite a > 0, got {self.a}")
+        for name in ("inc", "raan", "argp", "mean_anomaly", "epoch", "mu"):
+            require_finite(f"ephemeris {name} of {self.name!r}", getattr(self, name))
 
     @property
     def mean_motion(self) -> float:
@@ -115,8 +113,7 @@ class TimeGrid:
             raise ValueError("epochs and kinds must have equal length")
         if len(self.epochs) < 2:
             raise ValueError("a grid needs at least one segment")
-        if not np.all(np.isfinite(self.epochs)):
-            raise ValueError("grid epochs must be finite")
+        require_finite("grid epochs", self.epochs)
         allowed = {"thrust", "coast", "ga"}
         bad = set(self.kinds) - allowed
         if bad:
@@ -752,6 +749,24 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise NumericalError("matrix is not positive semidefinite within regularization budget")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ValueError unless every entry of ``value`` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+
+
+def require_positive_semidefinite(name: str, mat: np.ndarray) -> None:
+    """Raise ValueError unless ``mat`` is finite and has a Cholesky factor once
+    shifted by 1e-12 of its largest entry (of 1 when it is zero)."""
+    try:
+        if np.all(np.isfinite(mat)):
+            np.linalg.cholesky(mat + 1e-12 * (np.abs(mat).max() or 1.0) * np.eye(len(mat)))
+            return
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(f"{name} must be finite and positive semidefinite")
 
 
 def require_positive_definite(name: str, mat: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearSegment
+from .dynamics import LinearSegment, require_finite
 
 #: Allowed turn-angle window (radians). The periapsis expression degenerates
 #: at 0 and pi, so references are clamped away from both.
@@ -45,8 +45,7 @@ class GaEvent:
         object.__setattr__(self, "v_planet", np.asarray(self.v_planet, dtype=float))
         if self.v_planet.shape != (3,):
             raise ValueError("planet velocity must be a length-3 vector")
-        if not np.all(np.isfinite(self.v_planet)):
-            raise ValueError("planet velocity must be finite")
+        require_finite("planet velocity", self.v_planet)
         if not (0.0 < self.mu_p < np.inf and 0.0 < self.r_p_min < np.inf):
             raise ValueError("flyby body needs positive, finite mu and periapsis floor")
         if not 0.0 < self.eps < 1.0:

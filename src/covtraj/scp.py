@@ -44,7 +44,9 @@ from .dynamics import (
     TimeGrid,
     linearize_segment,
     psd_sqrt,
+    require_finite,
     require_positive_definite,
+    require_positive_semidefinite,
 )
 from .gravity_assist import (
     E_VEL,
@@ -188,11 +190,14 @@ class UncertaintyModel:
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
             object.__setattr__(self, name, mat)
-        require_positive_definite("p_f", self.p_f)
+            # the initial covariances may be singular, the terminal bound not
+            require = require_positive_definite if name == "p_f" else require_positive_semidefinite
+            require(name, mat)
         if self.proc_noise_sqrt is not None:
             g = np.asarray(self.proc_noise_sqrt, dtype=float)
             if g.ndim != 2 or g.shape[0] != N_X:
                 raise ValueError("process-noise square root must have 6 rows")
+            require_finite("process-noise square root", g)
             object.__setattr__(self, "proc_noise_sqrt", g)
         if not 0.0 < self.eps_u < 1.0:
             raise ValueError("eps_u must lie in (0, 1)")
@@ -217,10 +222,12 @@ class ScpProblem:
         object.__setattr__(self, "ga_events", tuple(self.ga_events))
         if self.x_target.shape != (N_X,):
             raise ValueError("target must be a length-6 state")
+        require_finite("target", self.x_target)
         if self.x0_fixed is not None:
             x0f = np.asarray(self.x0_fixed, dtype=float)
             if x0f.shape != (N_X,):
                 raise ValueError("fixed initial state must have length 6")
+            require_finite("fixed initial state", x0f)
             object.__setattr__(self, "x0_fixed", x0f)
         if self.launch is not None and self.x0_fixed is not None:
             raise ValueError("launch constraints and a fixed x0 are exclusive")
@@ -268,6 +275,7 @@ class TrajectoryGuess:
             raise ValueError("initial state must have length 6")
         if self.controls.ndim != 2 or self.controls.shape[1] != N_U:
             raise ValueError("controls must be (N, 3)")
+        require_finite("guess", np.concatenate([self.x0, self.controls.ravel(), self.thetas]))
 
 
 @dataclass(frozen=True)

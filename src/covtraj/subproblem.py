@@ -27,7 +27,7 @@ from scipy.special import gammainccinv
 
 from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
 from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, pull_back
-from .dynamics import LinearSegment, TimeGrid, psd_sqrt, require_positive_definite
+from .dynamics import LinearSegment, TimeGrid, psd_sqrt, require_finite, require_positive_definite
 from .errors import ConfigError
 from .gravity_assist import (
     E_VEL,
@@ -131,8 +131,7 @@ class LaunchSpec:
         object.__setattr__(self, "v_body", np.asarray(self.v_body, dtype=float))
         if self.r_body.shape != (3,) or self.v_body.shape != (3,):
             raise ValueError("launch body state must be two length-3 vectors")
-        if not np.all(np.isfinite(np.append(self.r_body, self.v_body))):
-            raise ValueError("launch body state must be finite")
+        require_finite("launch body state", np.append(self.r_body, self.v_body))
         if not 0.0 < self.v_inf_max < np.inf:
             raise ValueError("v_inf_max must be positive and finite")
 
@@ -147,8 +146,7 @@ class TerminalSpec:
         object.__setattr__(self, "x_target", np.asarray(self.x_target, dtype=float))
         if self.x_target.shape != (N_X,):
             raise ValueError("terminal target must be a length-6 state")
-        if not np.all(np.isfinite(self.x_target)):
-            raise ValueError("terminal target must be finite")
+        require_finite("terminal target", self.x_target)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,7 @@ class PenaltyWeights:
         object.__setattr__(self, "lam_assists", tuple(self.lam_assists))
         if self.lam_terminal.shape != (N_X,):
             raise ValueError("terminal multiplier must have length 6")
-        if not np.all(np.isfinite(np.append(self.lam_terminal, self.lam_assists))):
-            raise ValueError("penalty multipliers must be finite")
+        require_finite("penalty multipliers", np.append(self.lam_terminal, self.lam_assists))
         if not 0.0 < self.weight < np.inf:
             raise ValueError("penalty weight must be positive and finite")
 
@@ -209,7 +206,8 @@ class SubproblemLayout:
     - ``assist`` (n_assist, 2 or 3): per assist, the safety slack zeta, the
       mean v-infinity epigraph c1 and (stochastic only) the dispersion one c2
     - ``penalty`` (6 + n_assist, 2): per relaxed row, ``xi`` then each zeta,
-      the pow3 and rsoc penalty epigraphs pa and pq
+      the penalty epigraphs pa (a pow3 cone, |w z|^tau) and pq (a soc,
+      z^2)
 
     ``gain_pairs`` (n_gain, 2) lists the (segment k, node i) of every
     designed gain block K_{k,i}, by thrust segment and then feedback node;
@@ -289,7 +287,7 @@ class _ConeRows:
         rows = np.concatenate(self.rows) if self.rows else np.zeros(0, dtype=int)
         cols = np.concatenate(self.cols) if self.cols else np.zeros(0, dtype=int)
         vals = np.concatenate(self.vals) if self.vals else np.zeros(0)
-        return pb.cone(kind, self.b, rows, cols, vals, alpha=alpha)
+        pb.cone(kind, self.b, rows, cols, vals, alpha=alpha)
 
 
 def build_subproblem(
@@ -341,10 +339,10 @@ def build_subproblem(
         raise ValueError("reference states must be (N+1, 6)")
     if ref_controls.shape != (n_seg, N_U):
         raise ValueError("reference controls must be (N, 3)")
-    if u_max <= 0.0:
-        raise ValueError("u_max must be positive")
-    if trust_radius <= 0.0:
-        raise ValueError("trust radius must be positive")
+    if not 0.0 < u_max < np.inf:
+        raise ValueError("u_max must be positive and finite")
+    if not 0.0 < trust_radius < np.inf:
+        raise ValueError("trust radius must be positive and finite")
     if launch is not None and x0_fixed is not None:
         raise ValueError("launch constraints and a fixed x0 are exclusive")
     if len(weights.lam_assists) != len(assists):
@@ -571,11 +569,13 @@ def build_subproblem(
         cone.b[1] = 1.0
         cone.entry(2, var, -w)
         cone.emit(pb, "pow3", alpha=1.0 / PENALTY_TAU)
+        # pq >= var^2 as the soc (pq + 1/2, pq - 1/2, sqrt(2) var)
         cone = _ConeRows(3)
         cone.entry(0, pq_j, -1.0)
-        cone.b[1] = 0.5
-        cone.entry(2, var, -1.0)
-        cone.emit(pb, "rsoc")
+        cone.entry(1, pq_j, -1.0)
+        cone.b[:2] = 0.5, -0.5
+        cone.entry(2, var, -np.sqrt(2.0))
+        cone.emit(pb, "soc")
 
     # trust region over (x0, controls, turn angles); the initial mean is
     # included even when pinned so every variable has inequality-cone support

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import F_THRUST, TimeGrid
+from .dynamics import F_THRUST, TimeGrid, require_finite
 
 #: Thrust magnitudes below this are treated as zero for frame construction.
 DEGENERATE_THRUST = 1e-12
@@ -38,17 +38,8 @@ class GatesParams:
 
     def __post_init__(self):
         for name in ("sigma_fixed_mag", "sigma_prop_mag", "sigma_fixed_point", "sigma_prop_point"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.sigma_fixed_mag == 0.0
-            and self.sigma_prop_mag == 0.0
-            and self.sigma_fixed_point == 0.0
-            and self.sigma_prop_point == 0.0
-        )
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def thrust_frame(u: np.ndarray) -> np.ndarray:
@@ -113,8 +104,8 @@ def process_noise_sqrt(sigma_acc: float, dt_wn: float) -> np.ndarray:
     Returns:
         (6, 3) matrix mapping a standard Wiener rate into the state rate.
     """
-    if sigma_acc < 0.0 or dt_wn <= 0.0:
-        raise ValueError("need sigma_acc >= 0 and dt_wn > 0")
+    if not (0.0 <= sigma_acc < np.inf and 0.0 < dt_wn < np.inf):
+        raise ValueError("need finite sigma_acc >= 0 and dt_wn > 0")
     return F_THRUST * (sigma_acc * np.sqrt(dt_wn))
 
 
@@ -165,6 +156,8 @@ class ObservationModel:
             m = np.asarray(C).shape[0]
             if D is None or np.asarray(D).shape != (m, m):
                 raise ValueError(f"node {k}: noise sqrt must be ({m}, {m})")
+            require_finite(f"node {k}: the measurement matrix", C)
+            require_finite(f"node {k}: the measurement noise sqrt", D)
             if not np.any(D):
                 raise ValueError(f"node {k}: measurement noise sqrt must be nonzero")
 

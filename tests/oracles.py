@@ -10,6 +10,7 @@ cone matrices instead of the solver's flat-array cone operations.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -419,18 +420,30 @@ def arrow_matrix(lam: np.ndarray) -> np.ndarray:
     return L
 
 
-def lowered_cone_slack(kind: str, s: np.ndarray, aux: np.ndarray, alpha=None) -> np.ndarray:
-    """Lowered soc slacks of one rsoc or pow3 cone, from its original slack.
+def program_digest(prog) -> str:
+    """sha256 of a program's A (data, indices and indptr), b, c and cones.
 
-    rsoc: (s0+s1, s0-s1, sqrt(2) s2:). pow3 with alpha = p/q: the cone
-    (t, s2), then one cell (a+b, a-b, 2w) for each pair of differing leaves
-    of the geometric-mean tree, level by level and left to right, closing
-    with (a+b, a-b, 2t). The leaves are p copies of s0, q-p of s1 and t up
-    to the next power of two; t = aux[0] and the cells' w take aux[1:] in
-    order. This acts on slack values, where the lowering builds a row map.
+    Two programs with one digest hold the same bytes: the same stored
+    entries in the same order, the same constants and the same cone list.
     """
-    if kind == "rsoc":
-        return np.concatenate([[s[0] + s[1], s[0] - s[1]], np.sqrt(2.0) * s[2:]])
+    h = hashlib.sha256()
+    A = prog.A.tocsr()
+    for a in (A.data, A.indices, A.indptr, prog.b, prog.c):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr([(c.kind, c.dim, c.alpha) for c in prog.cones]).encode())
+    return h.hexdigest()
+
+
+def pow3_tower_slack(s: np.ndarray, aux: np.ndarray, alpha: float) -> np.ndarray:
+    """Lowered soc slacks of one pow3 cone, from its original slack.
+
+    With alpha = p/q: the cone (t, s2), then one cell (a+b, a-b, 2w) for
+    each pair of differing leaves of the geometric-mean tree, level by level
+    and left to right, closing with (a+b, a-b, 2t). The leaves are p copies
+    of s0, q-p of s1 and t up to the next power of two; t = aux[0] and the
+    cells' w take aux[1:] in order. This acts on slack values, where the
+    lowering builds a row map.
+    """
     frac = Fraction(alpha).limit_denominator(64)
     p, q = frac.numerator, frac.denominator
     width = 1 << (q - 1).bit_length()

@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import arrow_matrix, lowered_cone_slack, nt_scaling_matrix
+from oracles import arrow_matrix, nt_scaling_matrix, pow3_tower_slack, program_digest
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
 from covtraj.conic.solver import POLISH_STOP_RATIO, _equilibrate, _NtScaling, _polish, _Workspace
-from covtraj.errors import NumericalError
+from covtraj.errors import ConfigError, NumericalError
 
 
 def _var_cone(pb, kind, entries, b, alpha=None):
@@ -94,21 +94,6 @@ def test_dual_infeasible_certificate():
     assert res.status == "dual_infeasible"
 
 
-def test_rsoc_direct():
-    # min x s.t. 2 x y >= z^2 with y = 1, z = 3 -> x = 4.5
-    pb = ProgramBuilder()
-    x = pb.var_block("x", 1)[0]
-    pb.cost(x, 1.0)
-    _var_cone(
-        pb, "rsoc",
-        [(0, x, -1.0)],
-        [0.0, 1.0, 3.0],
-    )
-    res = solve(pb.build())
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(4.5, abs=1e-6)
-
-
 def test_pow3_epigraph_of_tau_power():
     # min a s.t. a^(10/11) >= |z|, z = 2  ->  a = 2^(11/10)
     pb = ProgramBuilder()
@@ -153,7 +138,8 @@ def test_pow3_sqrt_case():
 
 
 def test_penalty_shaped_composite():
-    # min a + q s.t. a >= |xi|^1.1, q >= xi^2, xi = 0.7
+    # min a + q s.t. a >= |xi|^1.1, q >= xi^2, xi = 0.7; q >= xi^2 is the
+    # soc (q + 1/2, q - 1/2, sqrt(2) xi), as build_subproblem writes it
     pb = ProgramBuilder()
     xi = pb.var_block("xi", 1)[0]
     a = pb.var_block("a", 1)[0]
@@ -162,7 +148,8 @@ def test_penalty_shaped_composite():
     _var_cone(pb, "zero", [(0, xi, 1.0)], [0.7])
     _var_cone(pb, "pow3", [(0, a, -1.0), (2, xi, -1.0)], [0.0, 1.0, 0.0],
               alpha=10.0 / 11.0)
-    _var_cone(pb, "rsoc", [(0, q, -1.0), (2, xi, -1.0)], [0.0, 0.5, 0.0])
+    _var_cone(pb, "soc", [(0, q, -1.0), (1, q, -1.0), (2, xi, -np.sqrt(2.0))],
+              [0.5, -0.5, 0.0])
     res = solve(pb.build())
     assert res.status == "optimal"
     assert res.x[1] == pytest.approx(0.7 ** 1.1, abs=1e-6)
@@ -180,24 +167,6 @@ def test_lowering_preserves_soc_only_program():
     assert low.n_orig == 2
 
 
-def test_lowering_rsoc_row_transform():
-    pb = ProgramBuilder()
-    x = pb.var_block("x", 3)
-    _var_cone(
-        pb, "rsoc",
-        [(0, x[0], -1.0), (1, x[1], -1.0), (2, x[2], -1.0)],
-        [0.0, 0.0, 0.0],
-    )
-    low = lower_program(pb.build())
-    prog = low.program
-    assert [c.kind for c in prog.cones] == ["soc"]
-    # rows: (x0+x1, x0-x1, sqrt2 x2)
-    A = prog.A.toarray()
-    np.testing.assert_allclose(A[0], [-1.0, -1.0, 0.0])
-    np.testing.assert_allclose(A[1], [-1.0, 1.0, 0.0])
-    np.testing.assert_allclose(A[2], [0.0, 0.0, -np.sqrt(2.0)])
-
-
 @pytest.mark.parametrize("alpha", [10.0 / 11.0, 0.3, 0.5])
 def test_lowered_rows_match_dense_slack_oracle(alpha):
     # b' - A' [x; aux] of the lowered program is the documented transform of
@@ -206,7 +175,7 @@ def test_lowered_rows_match_dense_slack_oracle(alpha):
     n = 4
     pb = ProgramBuilder()
     pb.var_block("x", n)
-    for kind, dim, a in (("rsoc", 5, None), ("pow3", 3, alpha)):
+    for kind, dim, a in (("soc", 5, None), ("pow3", 3, alpha)):
         local, cols = np.divmod(np.arange(dim * n), n)
         pb.cone(kind, rng.standard_normal(dim), local, cols, rng.standard_normal(dim * n), alpha=a)
     prog = pb.build()
@@ -215,10 +184,8 @@ def test_lowered_rows_match_dense_slack_oracle(alpha):
     aux = rng.standard_normal(lp.n_vars - n)
     got = lp.b - lp.A.toarray() @ np.concatenate([x, aux])
     s = prog.b - prog.A.toarray() @ x
-    want = np.concatenate([
-        lowered_cone_slack("rsoc", s[:5], aux),
-        lowered_cone_slack("pow3", s[5:], aux, alpha),
-    ])
+    # the soc cone keeps its slack; the pow3 cone becomes its tower
+    want = np.concatenate([s[:5], pow3_tower_slack(s[5:], aux, alpha)])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -226,7 +193,8 @@ def _interleaved_program(order):
     """min t + u + v + 0.1 x0 over the cones named in ``order``.
 
     soc: ||x - p|| <= t; zero0: x0 + x1 + x2 = 1; nonneg: x2 <= 0.2;
-    rsoc: u >= x0^2; pow3: v >= |x1|^1.1; zero1: x3 = 0.5.
+    quad: u >= x0^2, the soc (u + 1/2, u - 1/2, sqrt(2) x0);
+    pow3: v >= |x1|^1.1; zero1: x3 = 0.5.
     """
     pb = ProgramBuilder("interleaved")
     x = pb.var_block("x", 4)
@@ -237,7 +205,8 @@ def _interleaved_program(order):
                 [(0, t, -1.0)] + [(1 + j, x[j], -1.0) for j in range(4)], None),
         "zero0": ("zero", [1.0], [(0, x[j], 1.0) for j in range(3)], None),
         "nonneg": ("nonneg", [0.2], [(0, x[2], 1.0)], None),
-        "rsoc": ("rsoc", [0.0, 0.5, 0.0], [(0, u, -1.0), (2, x[0], -1.0)], None),
+        "quad": ("soc", [0.5, -0.5, 0.0],
+                 [(0, u, -1.0), (1, u, -1.0), (2, x[0], -np.sqrt(2.0))], None),
         "pow3": ("pow3", [0.0, 1.0, 0.0], [(0, v, -1.0), (2, x[1], -1.0)], 10.0 / 11.0),
         "zero1": ("zero", [0.5], [(0, x[3], 1.0)], None),
     }
@@ -247,33 +216,69 @@ def _interleaved_program(order):
     return pb.build()
 
 
-def test_cone_order_does_not_change_the_solve():
-    mixed = _interleaved_program(["soc", "zero0", "nonneg", "rsoc", "pow3", "zero1"])
-    canonical = _interleaved_program(["zero0", "zero1", "nonneg", "soc", "rsoc", "pow3"])
-    kinds = [c.kind for c in lower_program(mixed).program.cones]
-    n_soc = len(kinds) - 3
-    assert n_soc > 3  # the pow3 tower adds cones
-    assert kinds == ["zero", "zero", "nonneg"] + ["soc"] * n_soc
-    r1, r2 = solve(mixed), solve(canonical)
-    assert r1.status == r2.status == "optimal"
-    assert r1.x.tobytes() == r2.x.tobytes()
-    assert r1.obj == r2.obj
-    assert r1.iterations == r2.iterations
+def test_builder_call_order_does_not_change_the_program():
+    # the builder puts the cones in class order and keeps the call order
+    # within a class, so every call order that keeps it builds one program
+    order = ["soc", "zero0", "nonneg", "quad", "pow3", "zero1"]
+    prog = _interleaved_program(order)
+    assert [c.kind for c in prog.cones] == ["zero", "zero", "nonneg", "soc", "soc", "pow3"]
+    assert [c.dim for c in prog.cones[3:5]] == [5, 3]
+    digest = program_digest(prog)
+    n_orders = 0
+    for perm in itertools.permutations(order):
+        if perm.index("zero0") < perm.index("zero1") and (
+            perm.index("soc") < perm.index("quad") < perm.index("pow3")
+        ):
+            assert program_digest(_interleaved_program(perm)) == digest, perm
+            n_orders += 1
+    assert n_orders == 60
+    # within a class the call order stands
+    swapped = _interleaved_program(["zero0", "zero1", "nonneg", "quad", "soc", "pow3"])
+    assert [c.dim for c in swapped.cones[3:5]] == [3, 5]
+    res = solve(prog)
+    assert res.status == "optimal"
 
 
-def test_workspace_rejects_a_non_canonical_program():
-    def program(*cones):
-        m = sum(c.dim for c in cones)
-        return ConicProgram(c=np.zeros(1), A=sp.csr_matrix((m, 1)), b=np.zeros(m), cones=cones)
+def _empty_program(*cones):
+    m = sum(c.dim for c in cones)
+    return ConicProgram(c=np.zeros(1), A=sp.csr_matrix((m, 1)), b=np.zeros(m), cones=cones)
 
-    _Workspace(program(Cone("zero", 1), Cone("nonneg", 2), Cone("soc", 3)))
+
+def test_program_rejects_cones_out_of_class_order():
+    _empty_program(Cone("zero", 1), Cone("nonneg", 2), Cone("pow3", 3, 0.5), Cone("soc", 3))
     for cones in (
         (Cone("soc", 3), Cone("nonneg", 2)),
         (Cone("nonneg", 1), Cone("zero", 1)),
-        (Cone("rsoc", 3),),
+        (Cone("pow3", 3, 0.5), Cone("zero", 1)),
     ):
-        with pytest.raises(ValueError):
-            _Workspace(program(*cones))
+        with pytest.raises(ValueError, match="class order|zero, then nonneg"):
+            _empty_program(*cones)
+
+
+def test_workspace_rejects_a_non_canonical_program():
+    _Workspace(_empty_program(Cone("zero", 1), Cone("nonneg", 2), Cone("soc", 3)))
+    with pytest.raises(ValueError, match="lower the program"):
+        _Workspace(_empty_program(Cone("nonneg", 1), Cone("pow3", 3, 0.5)))
+
+
+def test_lower_program_changes_only_the_pow3_cones():
+    prog = _interleaved_program(["soc", "zero0", "nonneg", "pow3", "quad", "zero1"])
+    lp = lower_program(prog).program
+    n, m = prog.n_vars, prog.n_rows
+    # the rows before the pow3 cone, and the soc cone after it, are the
+    # program's own rows, with zero coefficients on the tower auxiliaries
+    before = m - 6  # the pow3 cone then the 3-row quad cone close the program
+    assert lp.cones[:4] == prog.cones[:4]
+    assert lp.cones[-1] == prog.cones[-1]
+    kept = np.r_[0:before, lp.n_rows - 3:lp.n_rows]
+    orig = np.r_[0:before, m - 3:m]
+    assert (lp.A[kept, :n] != prog.A[orig]).nnz == 0
+    assert lp.A[kept, n:].nnz == 0
+    assert lp.b[kept].tobytes() == prog.b[orig].tobytes()
+    assert lp.c[:n].tobytes() == prog.c.tobytes() and not lp.c[n:].any()
+    # the pow3 cone became soc cones in its place
+    tower = lp.cones[4:-1]
+    assert len(tower) > 1 and all(c.kind == "soc" for c in tower)
 
 
 def test_builder_stores_no_explicit_zeros():
@@ -337,6 +342,22 @@ def test_dump_load_round_trip():
     r1, r2 = solve(prog), solve(prog2)
     assert r1.status == r2.status
     np.testing.assert_array_equal(r1.x, r2.x)
+
+
+def test_load_rejects_unknown_kinds_and_cones_out_of_class_order():
+    pb = ProgramBuilder("load")
+    x = pb.var_block("x", 2)
+    _var_cone(pb, "zero", [(0, x[0], 1.0)], [1.0])
+    _var_cone(pb, "soc", [(1, x[0], -1.0), (2, x[1], -1.0)], [1.0, 0.0, 0.0])
+    text = pb.build().dump()
+    assert "cones\nzero 1 -\nsoc 3 -\n" in text
+    for bad in (
+        text.replace("soc 3 -", "exp 3 -"),  # a kind no program holds
+        text.replace("soc 3 -", "soc 1 -"),  # a cone too small for its kind
+        text.replace("zero 1 -\nsoc 3 -", "soc 3 -\nzero 1 -"),  # out of class order
+    ):
+        with pytest.raises(ConfigError):
+            ConicProgram.load(bad)
 
 
 def _small_socp():
@@ -866,3 +887,17 @@ def test_polish_stops_at_the_first_pass_that_gains_less_than_the_stop_ratio():
     # no passes leave the direction as it is
     d, seen = _polish_toward([0.1], passes=0)
     assert not seen and d[1] == 0.0
+
+
+def test_polish_reverts_a_pass_that_raised_the_residual():
+    # a tenfold cut, then a pass that doubles the residual: that pass is
+    # measured, stops the loop and is undone, so the direction keeps the
+    # residual 0.5 of the first pass instead of 1.0
+    d, seen = _polish_toward([0.1, 2.0])
+    assert seen == pytest.approx([5.0, 0.5])
+    np.testing.assert_allclose(d[0], [2.7, -3.6], rtol=1e-14)
+    assert d[1] == pytest.approx(1.8, rel=1e-14)
+    # a first pass that raises the residual leaves the direction as it was
+    d, seen = _polish_toward([2.0])
+    assert seen == pytest.approx([5.0])
+    assert not d[0].any() and d[1] == 0.0

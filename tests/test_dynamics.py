@@ -157,6 +157,18 @@ def test_ephemeris_validation():
                       mean_anomaly=0, epoch=0)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("a", np.nan), ("a", np.inf), ("inc", np.nan), ("mean_anomaly", np.inf),
+     ("epoch", np.nan), ("mu", np.inf)],
+)
+def test_ephemeris_rejects_nan_and_inf(field, bad):
+    ok = dict(name="t", a=1.0, e=0.1, inc=0.0, raan=0.0, argp=0.0, mean_anomaly=0.0, epoch=0.0)
+    BodyEphemeris(**ok)
+    with pytest.raises(ValueError, match="finite"):
+        BodyEphemeris(**{**ok, field: bad})
+
+
 def test_timegrid_validation():
     TimeGrid(epochs=(0.0, 1.0, 1.0, 2.0), kinds=("thrust", "ga", "coast", "thrust"))
     with pytest.raises(ValueError):

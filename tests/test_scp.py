@@ -130,6 +130,34 @@ def test_problem_validation():
         TrajectoryGuess(x0=np.zeros(6), controls=np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x_target", np.nan),
+        ("x_target", np.inf),
+        ("x0_fixed", np.nan),
+        ("x0_fixed", np.inf),
+    ],
+)
+def test_problem_rejects_nan_and_inf_states(field, value):
+    ok = dict(grid=_thrust_grid(2), u_max=1.0, x_target=np.zeros(6), x0_fixed=np.zeros(6))
+    ScpProblem(**ok)
+    bad = np.zeros(6)
+    bad[3] = value
+    with pytest.raises(ValueError, match="finite"):
+        ScpProblem(**{**ok, field: bad})
+
+
+@pytest.mark.parametrize("field", ["x0", "controls", "thetas"])
+def test_guess_rejects_nan(field):
+    ok = dict(x0=np.zeros(6), controls=np.zeros((2, 3)), thetas=(0.1,))
+    TrajectoryGuess(**ok)
+    bad = np.array(ok[field], dtype=float)
+    bad.flat[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryGuess(**{**ok, field: bad if field != "thetas" else tuple(bad)})
+
+
 # ----------------------------------------------------------------------
 # step scoring and trust-region schedule
 

@@ -726,6 +726,69 @@ def test_build_validation_errors():
         )
 
 
+def _variant_programs():
+    """The program of each build_subproblem variant, by name."""
+    n = 4
+    grid = _thrust_grid(n)
+    segs, ref_states = _drift_chain(n)
+    weights = PenaltyWeights(weight=10.0, lam_terminal=np.zeros(6))
+    term = TerminalSpec(x_target=np.ones(6))
+    common = (grid, segs, ref_states, np.zeros((n, 3)), 0.5, term, weights, 10.0)
+    noisy, noisy_states, *_, stoch, _, _ = _stochastic_instance(n, measured=(0, 2))
+    fly_prob, fly_guess = _flyby_problem()
+    point = evaluate_point(fly_prob, fly_guess.x0, fly_guess.controls, thetas=fly_guess.thetas)
+    unc = fly_prob.uncertainty
+    layouts = {
+        "mean-only": build_subproblem(*common),
+        "x0_fixed": build_subproblem(*common, x0_fixed=np.zeros(6)),
+        "launch": build_subproblem(
+            *common, launch=LaunchSpec(np.zeros(3), np.zeros(3), 0.5)
+        ),
+        "stochastic": build_subproblem(
+            grid, noisy, noisy_states, np.zeros((n, 3)), 0.6, term, weights, 100.0,
+            stochastic=stoch,
+        ),
+        "flyby": build_subproblem(
+            fly_prob.grid, list(point.segments), point.states, point.controls,
+            fly_prob.u_max, TerminalSpec(x_target=fly_prob.x_target), PenaltyWeights(
+                weight=10.0, lam_terminal=np.zeros(6), lam_assists=(0.0,)
+            ), 0.5, x0_fixed=fly_prob.x0_fixed, assists=fly_prob.ga_events,
+            theta_refs=point.thetas, stochastic=StochasticSpec(
+                blocks=point.blocks, schedule=point.schedule, eps_u=unc.eps_u, p_f=unc.p_f,
+            ),
+        ),
+    }
+    return {name: (layout.program, len(layout.assists)) for name, layout in layouts.items()}
+
+
+def test_every_variant_is_built_in_class_order():
+    # zero, then nonneg, then soc and pow3; one pow3 per relaxed row, whose
+    # quadratic penalty epigraph is a soc
+    for name, (prog, n_assist) in _variant_programs().items():
+        kinds = [c.kind for c in prog.cones]
+        classes = [{"zero": 0, "nonneg": 1}.get(k, 2) for k in kinds]
+        assert classes == sorted(classes), name
+        assert set(kinds) <= {"zero", "nonneg", "soc", "pow3"}, name
+        assert kinds.count("pow3") == 6 + n_assist, name
+        assert classes.count(0) and classes.count(2), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["u_max", "trust_radius"])
+def test_build_rejects_nan_and_inf_bounds(field, bad):
+    n = 3
+    segs, ref_states = _drift_chain(n)
+    ok = dict(
+        u_max=0.5, terminal=TerminalSpec(x_target=np.zeros(6)),
+        weights=PenaltyWeights(weight=10.0, lam_terminal=np.zeros(6)), trust_radius=10.0,
+    )
+    build_subproblem(_thrust_grid(n), segs, ref_states, np.zeros((n, 3)), **ok)
+    with pytest.raises(ValueError, match="finite"):
+        build_subproblem(
+            _thrust_grid(n), segs, ref_states, np.zeros((n, 3)), **{**ok, field: bad}
+        )
+
+
 @pytest.mark.parametrize("p_f", [
     np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
     np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),

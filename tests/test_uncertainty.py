@@ -74,7 +74,23 @@ def test_gates_zero_thrust_uses_fixed_terms_only():
 def test_gates_params_validation():
     with pytest.raises(ValueError):
         GatesParams(sigma_fixed_mag=-1.0)
-    assert GatesParams().is_zero
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field", ["sigma_fixed_mag", "sigma_prop_mag", "sigma_fixed_point", "sigma_prop_point"]
+)
+def test_gates_params_reject_nan_and_inf(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        GatesParams(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "sigma_acc, dt_wn", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_process_noise_sqrt_rejects_nan_and_inf(sigma_acc, dt_wn):
+    with pytest.raises(ValueError, match="finite"):
+        process_noise_sqrt(sigma_acc, dt_wn)
 
 
 def test_process_noise_sqrt_value():
@@ -101,6 +117,30 @@ def test_dispersion_spec_symmetry_enforced():
             model(**{name: skew})
     with pytest.raises(ValueError):
         model(p_hat0=np.eye(5))
+
+
+def _inf_on_diagonal():
+    m = np.eye(6)
+    m[5, 5] = np.inf
+    return m
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("proc_noise_sqrt", np.full((6, 3), np.nan)),
+        ("p_hat0", _inf_on_diagonal()),
+        ("p_tilde0", _inf_on_diagonal()),
+        ("p_hat0", np.diag([1.0] * 5 + [-1.0])),
+        ("p_tilde0", np.diag([1.0] * 5 + [-1.0])),
+    ],
+)
+def test_uncertainty_model_rejects_non_finite_and_indefinite_inputs(field, value):
+    obs = ObservationModel(has_measurement=(False,), sqrt_noise=(None,))
+    ok = dict(obs=obs, p_hat0=np.eye(6), p_tilde0=np.zeros((6, 6)), eps_u=0.01, p_f=np.eye(6))
+    UncertaintyModel(**ok, proc_noise_sqrt=np.ones((6, 3)))
+    with pytest.raises(ValueError, match="finite|semidefinite"):
+        UncertaintyModel(**{**ok, field: value})
 
 
 def test_observation_schedule_partition():
@@ -143,3 +183,15 @@ def test_observation_model_validation():
                          sqrt_noise=(np.eye(6), None))
     assert m.measured_nodes == (0,)
     np.testing.assert_array_equal(m.obs_matrix[0], np.eye(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["sqrt_noise", "obs_matrix"])
+def test_observation_model_rejects_nan_and_inf(field, bad):
+    mats = {"sqrt_noise": np.eye(6), "obs_matrix": np.eye(6)}
+    ObservationModel(has_measurement=(True,), sqrt_noise=(mats["sqrt_noise"],),
+                     obs_matrix=(mats["obs_matrix"],))
+    mats[field][2, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ObservationModel(has_measurement=(True,), sqrt_noise=(mats["sqrt_noise"],),
+                         obs_matrix=(mats["obs_matrix"],))
