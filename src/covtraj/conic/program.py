@@ -76,6 +76,13 @@ class ConicProgram:
     def __post_init__(self):
         if any(_CLASS[a.kind] > _CLASS[b.kind] for a, b in zip(self.cones, self.cones[1:])):
             raise ValueError("cones must come zero, then nonneg, then soc and pow3")
+        m = self.b.shape[0]
+        if m == 0:
+            raise ValueError("a program needs at least one row")
+        if sum(c.dim for c in self.cones) != m:
+            raise ValueError(f"the cones hold {sum(c.dim for c in self.cones)} rows, b has {m}")
+        if self.A.shape != (m, self.c.shape[0]):
+            raise ValueError(f"A is {self.A.shape}, b and c need {(m, self.c.shape[0])}")
 
     @property
     def n_vars(self) -> int:

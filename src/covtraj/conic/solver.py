@@ -7,8 +7,8 @@ each power cone with some), so the solver keeps no row lists.
 The algorithm is the standard Nesterov-Todd scaled predictor-corrector with
 one linear-solve path per iteration:
 
-1. one in-place Cholesky factorization of the regularized normal matrix
-   M = A_in' W^-2 A_in + reg I, assembled as one triangle in Fortran order;
+1. one factorization of the Newton system without its equality rows, on
+   one of the two paths below;
 2. a direct solve of the equality rows through the Schur complement
    E = A_eq M^-1 A_eq' (a program without equality rows is the empty case);
 3. residual-correction (polish) passes over the full Newton system, the only
@@ -18,6 +18,36 @@ one linear-solve path per iteration:
    ``POLISH_STOP_RATIO`` (5x), as Clarabel's iterative refinement does, or
    once the residual reaches 1e-13 of the right-hand side's scale; a pass
    that raised the residual is reverted.
+
+Both factorizations sit behind one solve (f_x, f_z, g) -> (dx, dy, dz), and
+the program's structure picks one per solve: the sparse path when a dense
+Cholesky, n^3/3 flops, would cost more than ``SPARSE_KKT_RATIO`` times the
+nonzeros of the sparse KKT, the dense path otherwise.
+
+- Dense: the in-place Cholesky factor of the normal matrix M = A_in' W^-2
+  A_in + reg I, reg = STATIC_REG (1 + max diag M) frozen at the first
+  iterate, assembled as one triangle in Fortran order; dz = W^-2 (A_in dx
+  - f_z). With W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower
+  triangle of M is one product of a Gram stack fixed for the solve with the
+  weights 1/eta^2, plus 2 F F' with one column A_k' J wbar_k / eta_k of F
+  per cone of more than one row, added in place (on a one-row cone W^-2 =
+  1/eta^2, so its Gram block enters with sign +1 and it has no column of F).
+- Sparse: SuperLU's factor of the quasi-definite KKT [[reg_x I, A_in'],
+  [A_in, -W^2]] over (x, z, two expansion columns per soc cone), whose z
+  block gives dz. Each soc cone's W^2 = eta^2 (D + u u' - v v') is expanded
+  as ECOS does (Domahidi, Chu & Boyd, ECC 2013): -eta^2 D on its rows, a
+  column eta^2 v with diagonal -eta^2 and a column eta^2 u with diagonal
+  +eta^2; a one-row cone carries -eta^2. With wbar = (w0, omega q), q a unit
+  vector: d1 = 1/2 / (1 + 2 omega^2), D = diag(d1, 1, ..., 1), u = (u0,
+  u1 q), v = (0, v1 q), u0 = sqrt(1 + 2 omega^2 - d1), u1 = 2 w0 omega / u0
+  and v1 = sqrt(2 omega^2 (1 + d1) / (1 + 2 omega^2 - d1)), a form without
+  the cancellation of sqrt(u1^2 - 2 omega^2). Static regularization goes on
+  every diagonal with its quasi-definite sign, + on x and the u columns and
+  - on z and the v columns: KKT_REG (1 + max diag M at the first iterate)
+  on x, ``KKT_REG`` elsewhere. So K factors without pivoting in any order:
+  the first factorization takes SuperLU's minimum-degree order of K + K',
+  later ones write K's values through a fixed slot map into K in that order
+  and factor it as it stands. No n x n matrix and no Gram stack is built.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -33,15 +63,9 @@ marks head and tail rows. The NT scaling (eta, wbar, lam) of every cone is
 computed together once per iteration, and W, W^-1, W^-2, the Jordan
 product, the arrow solve and the step length act on all cones at once:
 per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
-broadcast back through the cone id. So does the normal matrix: with
-W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower triangle of M is
-one product of a Gram stack fixed for the solve with the weights 1/eta^2,
-plus 2 F F' with one column A_k' J wbar_k / eta_k of F per cone of more
-than one row, added in place (on a one-row cone W^-2 = 1/eta^2, so its Gram
-block enters with sign +1 and it has no column of F). That one n x n buffer
-and its dense Cholesky factorization dominate each iteration. No triangular
-solve scans for NaNs: the factors' diagonals, the equality rows and each
-right-hand side are checked finite instead.
+broadcast back through the cone id. No triangular solve scans for NaNs:
+the dense factors' diagonals, the equality rows and each direction are
+checked finite instead.
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
 
@@ -74,7 +98,15 @@ EQUILIBRATION_PASSES = 3
 POLISH_STOP_RATIO = 5.0
 #: Cap on the polish passes of the combined direction.
 POLISH_PASSES = 10
-
+#: The factorization rule's one constant: the sparse path takes programs
+#: with n^3/3 > SPARSE_KKT_RATIO nnz(K). Measured crossover (one BLAS
+#: thread): n^3/(3 nnz K) is 511-670 on design_n6, where one SuperLU factor
+#: takes 1.45 ms against 0.9 ms for LAPACK's with the assembly of M; the paths
+#: are at parity at 2,675 (sweep N=12), the dense one as fast at 4,591 and
+#: 5,793 (N=60 depth 2, N=40 depth 3); at 18,831 (N=24) the sparse one wins 3x.
+SPARSE_KKT_RATIO = 1e4
+#: Static regularization of the sparse KKT (see the module docstring).
+KKT_REG = 1e-8
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -220,6 +252,104 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
     return factor
 
 
+class _QuasiDefiniteKkt:
+    """The sparse path's KKT over (x, z, two columns per soc cone), fixed per solve.
+
+    ``rows`` and ``cols`` hold K's pattern: its diagonal, then one entry of
+    each symmetric pair (A_in, then the v and u columns), then its mirror.
+    """
+
+    def __init__(self, ws: _Workspace):
+        # no reference back to ws, which holds this KKT: a cycle would outlive the solve
+        n, m = ws.n, ws.m_in
+        self.curved = ws.sizes > 1
+        self.curved_rows = np.flatnonzero(self.curved[ws.cone_id])
+        n_curved = int(self.curved.sum())
+        col_v = n + m + (np.cumsum(self.curved) - 1)[ws.cone_id[self.curved_rows]]
+        self.n_aux = 2 * n_curved
+        self.size = n + m + self.n_aux
+        A = ws.A_in.tocoo()
+        self._a_data = A.data
+        pair_r = np.concatenate([n + A.row, n + self.curved_rows, n + self.curved_rows])
+        pair_c = np.concatenate([A.col, col_v, col_v + n_curved])
+        diag = np.arange(self.size)
+        self.rows = np.concatenate([diag, pair_r, pair_c])
+        self.cols = np.concatenate([diag, pair_c, pair_r])
+        self.reg = None
+        self._slot = None
+
+    def _normal_diagonal(self, sc: _NtScaling) -> np.ndarray:
+        """diag(A_in' W^-2 A_in), with W^-2 = eta^-2 (2 J wbar wbar' J - J) on each cone."""
+        ws, eta = sc.ws, sc.eta[sc.ws.cone_id]
+        cone_map = (ws.jsign * sc.wbar / eta, ws.cone_id, np.arange(ws.m_in + 1))
+        F = ws.A_in_t @ sp.csr_matrix(cone_map, shape=(ws.m_in, ws.degree))
+        squares = ws.A_in.multiply(ws.A_in).T @ (ws.jsign / eta**2)
+        return 2.0 * F.multiply(F).sum(axis=1).A1 - squares
+
+    def _values(self, sc: _NtScaling, bump: float) -> np.ndarray:
+        """K's values in the order of ``rows`` and ``cols`` at the scaling sc."""
+        ws = sc.ws
+        h, cid = ws.heads, ws.cone_id
+        omega2 = ws.tail_dot(sc.wbar, sc.wbar)
+        d1 = 0.5 / (1.0 + 2.0 * omega2)
+        u0 = np.sqrt(1.0 + 2.0 * omega2 - d1)
+        eta2 = sc.eta**2
+        d = np.ones(ws.m_in)
+        d[h[self.curved]] = d1[self.curved]
+        # eta^2 u and eta^2 v of every cone, whose tails are multiples of wbar's
+        u = (2.0 * sc.wbar[h] / u0 * eta2)[cid] * sc.wbar
+        v = (np.sqrt(2.0 * (1.0 + d1)) / u0 * eta2)[cid] * sc.wbar
+        u[h] = u0 * eta2
+        v[h] = 0.0
+        reg_x, reg = self.reg
+        aux = eta2[self.curved]
+        diag = np.concatenate([np.full(ws.n, reg_x), -eta2[cid] * d - reg, -aux - reg, aux + reg])
+        diag *= 1.0 + bump * STATIC_REG
+        pair = np.concatenate([self._a_data, v[self.curved_rows], u[self.curved_rows]])
+        return np.concatenate([diag, pair, pair])
+
+    def factor(self, sc: _NtScaling, bump: float):
+        """The solve (f_x, f_z) -> (dx, dz) of one factorization of K at sc.
+
+        ``bump`` scales every diagonal by 1 + bump * STATIC_REG, as a retry
+        on the dense path does; SuperLU raises RuntimeError on a zero pivot.
+        """
+        from scipy.sparse.linalg import splu
+
+        if self.reg is None:
+            self.reg = (KKT_REG * (1.0 + self._normal_diagonal(sc).max(initial=0.0)), KKT_REG)
+        values = self._values(sc, bump)
+        options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        if self._slot is None:
+            K = sp.csc_matrix((values, (self.rows, self.cols)), shape=(self.size,) * 2)
+            lu = splu(K, permc_spec="MMD_AT_PLUS_A", **options)
+            # later factorizations take K[q][:, q], q = argsort(perm_c), the
+            # order of this one: tag each entry by its position in ``rows``
+            # to find its slot in that matrix's data
+            nnz = self.rows.size
+            self._ordered = sp.csc_matrix(
+                (np.arange(1.0, nnz + 1.0), (lu.perm_c[self.rows], lu.perm_c[self.cols])),
+                shape=K.shape,
+            )
+            self._slot = np.empty(nnz, dtype=int)
+            self._slot[self._ordered.data.astype(int) - 1] = np.arange(nnz)
+            self._order = np.argsort(lu.perm_c)
+            q = slice(None)  # this factor applies its own order
+        else:
+            self._ordered.data[self._slot] = values
+            lu = splu(self._ordered, permc_spec="NATURAL", **options)
+            q = self._order
+        n, m = sc.ws.n, sc.ws.m_in
+
+        def newton_solve(f_x, f_z):
+            rhs = np.concatenate([f_x, f_z, np.zeros((self.n_aux,) + np.shape(f_x)[1:])])
+            sol = np.empty_like(rhs)
+            sol[q] = lu.solve(rhs[q])
+            return sol[:n], sol[n: n + m]
+
+        return newton_solve
+
+
 def _polish(d, residuals, correction, target: float, passes: int):
     """Residual-correction passes d <- d + correction(residuals(d)) on a tuple d.
 
@@ -256,10 +386,11 @@ class _Workspace:
     head, -1 on a tail row). Per-cone dot products are ``np.add.reduceat``
     sums over ``heads`` and per-cone scalars are broadcast back to rows
     through ``cone_id``, so every cone operation is a handful of array
-    operations whatever the number of cones. ``gram_stack`` holds one
-    column per cone, the entries i <= j of A_k' (-J) A_k at position i*n + j
-    (A_k' A_k on a one-row cone); ``n_curved`` counts the cones of more than
-    one row, each of which has a column of F in :meth:`assemble_normal`.
+    operations whatever the number of cones. ``kkt`` is the sparse path's
+    KKT, or None on the dense path, whose ``gram_stack`` holds one column per
+    cone, the entries i <= j of A_k' (-J) A_k at position i*n + j (A_k' A_k
+    on a one-row cone); ``n_curved`` counts the cones of more than one row,
+    each of which has a column of F in :meth:`assemble_normal`.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -296,6 +427,12 @@ class _Workspace:
         self.c = prog.c.copy()
 
         curved = self.sizes > 1
+        # K's nonzeros: its diagonal, A_in and two columns per soc cone, twice
+        kkt_nnz = self.n + self.m_in + 2 * self.A_in.nnz + int((4 * self.sizes[curved] + 2).sum())
+        self.kkt = None
+        if self.n**3 / 3.0 > SPARSE_KKT_RATIO * kkt_nnz:
+            self.kkt = _QuasiDefiniteKkt(self)
+            return
         curved_rows = curved[self.cone_id]
         self.gram_stack = _gram_stack(
             self.A_in, self.cone_id, np.where(curved_rows, -self.jsign, 1.0), self.degree
@@ -440,12 +577,15 @@ def solve(
     """Solve a conic program to the requested relative tolerance.
 
     The program's pow3 cones are lowered to soc cones and the program is
-    equilibrated; each interior-point iteration then factors the normal
-    matrix once, solves the equality rows through their Schur complement,
+    equilibrated; each interior-point iteration then factors the Newton
+    system once, solves the equality rows through their Schur complement,
     and polishes the combined direction against the full Newton system: at
     most ``POLISH_PASSES`` residual-correction passes, stopping at the first
     that cuts the residual by less than ``POLISH_STOP_RATIO`` and reverting
-    one that raised it. One line per iteration is logged at DEBUG level.
+    one that raised it. The factorization is the dense Cholesky factor of
+    the normal matrix, or, when n^3/3 > ``SPARSE_KKT_RATIO`` nnz(K), SuperLU's
+    factor of the expanded, regularized quasi-definite KKT K (module
+    docstring). One line per iteration is logged at DEBUG level.
 
     Args:
         prog: program with zero, nonneg, soc and pow3 cones, in class order.
@@ -485,25 +625,65 @@ def solve(
     reg = None
 
     def factor(sc):
-        # LAPACK factors M where it lies, so each retry assembles it again; a
-        # retry scales the diagonal, so the bump stays relative to each pivot
+        """This iteration's solve of the Newton system, (f_x, f_z, g) -> (dx, dy, dz).
+
+        (dx, dz) solve it without equality rows for (f_x - A_eq' dy, f_z),
+        and dy makes A_eq dx = g through E = A_eq M^-1 A_eq'; A_in dx comes
+        with them. A failed factorization, not E, is retried with its
+        diagonal scaled, so the bump stays relative to each pivot.
+        """
         nonlocal reg
         for bump in (0.0, 1e4, 1e8):
-            M = ws.assemble_normal(sc)
-            diag = np.diag_indices_from(M)
-            # the regularization scale is frozen at the first iteration: cone
-            # weights diverge as the complementarity gap closes and a
-            # regularization tracking the growing diagonal would bias the
-            # dual residual by reg * |dx|
-            if reg is None:
-                reg = STATIC_REG * (1.0 + float(np.abs(M[diag]).max(initial=0.0)))
-            M[diag] += reg
-            M[diag] *= 1.0 + bump * STATIC_REG
             try:
-                return _cholesky(M)
-            except np.linalg.LinAlgError:
-                del M
-        raise NumericalError("normal matrix factorization failed")
+                if ws.kkt is not None:
+                    solve_kkt = ws.kkt.factor(sc, bump)
+                    break
+                # LAPACK factors M where it lies, so each retry assembles it again
+                M = ws.assemble_normal(sc)
+                diag = np.diag_indices_from(M)
+                # the regularization scale is frozen at the first iteration:
+                # cone weights diverge as the complementarity gap closes and a
+                # regularization tracking the growing diagonal would bias the
+                # dual residual by reg * |dx|
+                if reg is None:
+                    reg = STATIC_REG * (1.0 + float(np.abs(M[diag]).max(initial=0.0)))
+                M[diag] += reg
+                M[diag] *= 1.0 + bump * STATIC_REG
+                L = _cholesky(M)
+                break
+            except (np.linalg.LinAlgError, RuntimeError):
+                M = None
+        else:
+            raise NumericalError("Newton system factorization failed")
+
+        if ws.kkt is not None:
+            ME_x, ME_z = solve_kkt(ws.A_eq.T, np.zeros((ws.m_in, n_eq)))
+        else:
+            ME_x = sla.cho_solve(L, ws.A_eq.T, check_finite=False)
+        E = ws.A_eq @ ME_x
+        # scaled with the current diagonal: E inherits the cone-weight
+        # growth and an undersized shift lets factorization noise through;
+        # the bias this injects is removed by the direction polish passes
+        E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max(initial=0.0))
+        EF = _cholesky(E)
+
+        def saddle(f_x, f_z, g):
+            if ws.kkt is not None:
+                px, pz = solve_kkt(f_x, f_z)
+            else:
+                px = sla.cho_solve(L, f_x + ws.A_in_t @ sc.mul_winv2(f_z), check_finite=False)
+            q = sla.cho_solve(EF, ws.A_eq @ px - g, check_finite=False)
+            dx = px - ME_x @ q
+            Adx = ws.A_in @ dx
+            # the normal equations give dz from dx; the KKT gives it in its
+            # z block, which carries the KKT's own regularization
+            dz = pz - ME_z @ q if ws.kkt is not None else sc.mul_winv2(Adx - f_z)
+            # a non-finite right-hand side or factor shows in the direction
+            if not (np.isfinite(dx).all() and np.isfinite(q).all() and np.isfinite(dz).all()):
+                raise NumericalError("Newton direction is not finite")
+            return dx, q, dz, Adx
+
+        return saddle
 
     status = "max_iterations"
     it = 0
@@ -565,21 +745,10 @@ def solve(
                 break
 
         # direction solves on this iteration's scaling and factors (set below)
-        def saddle(f, g):
-            """Solve [[M, A_eq'], [A_eq, 0]] (p, q) = (f, g) by the Schur complement."""
-            if not (np.isfinite(f).all() and np.isfinite(g).all()):
-                raise NumericalError("saddle right-hand side is not finite")
-            Mf = sla.cho_solve(MF, f, check_finite=False)
-            q = sla.cho_solve(EF, ws.A_eq @ Mf - g, check_finite=False)
-            return Mf - ME @ q, q
-
         def newton(R_d, R_pin, R_peq, R_g, R_comp, R_tk):
             """Direction for general right-hand sides of the scaled KKT system."""
             wbeta = sc.mul_w(sc.arrow_solve(R_comp))
-            f2 = R_d + ws.A_in_t @ sc.mul_winv2(R_pin - wbeta)
-            dx2, dy2 = saddle(f2, R_peq)
-            Adx2 = ws.A_in @ dx2
-            dz2 = sc.mul_winv2(Adx2 + wbeta - R_pin)
+            dx2, dy2, dz2, Adx2 = saddle(R_d, R_pin - wbeta, R_peq)
 
             num = R_g - R_tk / tau - float(ws.c @ dx2 + ws.b_in @ dz2 + ws.b_eq @ dy2)
             dtau = num / den
@@ -636,22 +805,13 @@ def solve(
 
         try:
             sc = _NtScaling(ws, s, z)
-            # one normal matrix, factored where it lies, is live at a time
-            MF = None
-            MF = factor(sc)
-            ME = sla.cho_solve(MF, ws.A_eq.T, check_finite=False)
-            E = ws.A_eq @ ME
-            # scaled with the current diagonal: E inherits the cone-weight
-            # growth and an undersized shift lets factorization noise through;
-            # the bias this injects is removed by the direction polish passes
-            E[np.diag_indices_from(E)] += STATIC_REG * (1.0 + np.abs(np.diag(E)).max(initial=0.0))
-            EF = _cholesky(E)
+            # one factorization, the dense one factored where it lies, is
+            # live at a time
+            saddle = None
+            saddle = factor(sc)
 
             # system 1: dtau coefficient
-            f1 = ws.A_in_t @ sc.mul_winv2(ws.b_in) - ws.c
-            dx1, dy1 = saddle(f1, ws.b_eq)
-            Adx1 = ws.A_in @ dx1
-            dz1 = sc.mul_winv2(Adx1 - ws.b_in)
+            dx1, dy1, dz1, Adx1 = saddle(-ws.c, ws.b_in, ws.b_eq)
             den = float(ws.c @ dx1 + ws.b_in @ dz1 + ws.b_eq @ dy1) - kappa / tau
 
             dxa, dya, dza, dsa, dta, dka = direction(0.0, None, 0.0)

@@ -1,10 +1,12 @@
 """Conic layer: analytic-solution problems, lowering, certificates, dumps."""
 
+import gc
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import arrow_matrix, nt_scaling_matrix, pow3_tower_slack, program_digest
@@ -716,6 +718,23 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
     assert ws.max_step(s, d) == steps.min(initial=np.inf)
 
 
+def _random_cone_workspace(rng, sizes, n_nonneg, empty, full):
+    """Workspace of a random 9-column program with two equality rows, n_nonneg
+    nonneg rows and one soc per size; the cones listed in ``empty`` touch no
+    column, those in ``full`` every column through their head row."""
+    n, n_eq = 9, 2
+    m = n_eq + n_nonneg + sum(sizes)
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
+    starts = n_eq + n_nonneg + np.cumsum(sizes) - sizes
+    for k in empty:
+        A[starts[k]: starts[k] + sizes[k]] = 0.0
+    for k in full:
+        A[starts[k], :] = rng.standard_normal(n)
+    cones = (Cone("zero", n_eq), Cone("nonneg", n_nonneg)) + tuple(Cone("soc", k) for k in sizes)
+    ws = _Workspace(ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=np.zeros(m), cones=cones))
+    return ws, A[n_eq:]
+
+
 @pytest.mark.parametrize(
     "sizes, n_nonneg, empty, full",
     [
@@ -727,16 +746,7 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
     rng = np.random.default_rng(seed)
-    n, n_eq = 9, 2
-    m = n_eq + n_nonneg + sum(sizes)
-    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
-    starts = n_eq + n_nonneg + np.cumsum(sizes) - sizes
-    for k in empty:
-        A[starts[k]: starts[k] + sizes[k]] = 0.0
-    for k in full:
-        A[starts[k], :] = rng.standard_normal(n)
-    cones = (Cone("zero", n_eq), Cone("nonneg", n_nonneg)) + tuple(Cone("soc", k) for k in sizes)
-    ws = _Workspace(ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=np.zeros(m), cones=cones))
+    ws, A_in = _random_cone_workspace(rng, sizes, n_nonneg, empty, full)
     s, z = _interior(rng, ws), _interior(rng, ws)
     sc = _NtScaling(ws, s, z)
 
@@ -750,7 +760,6 @@ def test_normal_matrix_matches_dense_oracle(sizes, n_nonneg, empty, full, seed):
     ):
         winv = np.linalg.inv(nt_scaling_matrix(eta, wbar))
         winv2[at: at + wbar.size, at: at + wbar.size] = winv @ winv
-    A_in = A[n_eq:]
     oracle = A_in.T @ winv2 @ A_in
     # the solver assembles and factors one triangle; the upper one stays zero
     M = ws.assemble_normal(sc)
@@ -901,3 +910,341 @@ def test_polish_reverts_a_pass_that_raised_the_residual():
     d, seen = _polish_toward([2.0])
     assert seen == pytest.approx([5.0])
     assert not d[0].any() and d[1] == 0.0
+
+
+# ------------------------------------------------ the sparse KKT path
+def _force_path(monkeypatch, path):
+    """Send every program to one factorization by patching the rule's constant."""
+    monkeypatch.setattr(solver, "SPARSE_KKT_RATIO", {"dense": np.inf, "sparse": 0.0}[path])
+
+
+def _oracle_winv2(ws, sc):
+    """Block-diagonal W^-2 from each cone's explicit W, as J W^2 J / eta^4."""
+    winv2 = np.zeros((ws.m_in, ws.m_in))
+    for at, eta, wbar in zip(ws.heads, sc.eta, _per_cone(ws, sc.wbar)):
+        W = nt_scaling_matrix(eta, wbar)
+        J = np.diag(np.r_[1.0, -np.ones(wbar.size - 1)])
+        winv2[at: at + wbar.size, at: at + wbar.size] = J @ W @ W @ J / eta**4
+    return winv2
+
+
+def _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed):
+    """A sparse-path workspace on the cone sets of the normal-matrix oracle test."""
+    _force_path(monkeypatch, "sparse")
+    rng = np.random.default_rng(seed)
+    ws, A_in = _random_cone_workspace(rng, sizes, n_nonneg, empty, full)
+    assert ws.kkt is not None and not hasattr(ws, "gram_stack")
+    return rng, ws, A_in
+
+
+def _kkt_solves(ws, sc, reg_x):
+    """Two solves of the KKT at sc without z-side regularization: the first
+    factorization, which picks the order, and a later one in that order."""
+    ws.kkt.reg = (reg_x, 0.0)
+    return [ws.kkt.factor(sc, 0.0) for _ in range(2)]
+
+
+KKT_CONE_SETS = [
+    ((2, 3, 5, 25, 4), 3, (), ()),  # mixed cone sizes plus nonneg rows
+    ((3, 6, 2), 2, (), (1,)),  # one cone on every column
+    ((4, 3, 5), 1, (1,), ()),  # one cone on no column
+    ((), 12, (), ()),  # one-row cones only: no expansion column
+]
+
+
+@pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS)
+@pytest.mark.parametrize("seed", range(3))
+def test_kkt_solve_matches_the_normal_equations(monkeypatch, sizes, n_nonneg, empty, full, seed):
+    # K (dx, dz) = (f_x, f_z) reduces to (M + reg_x I) dx = f_x + A' W^-2 f_z
+    # and dz = W^-2 (A dx - f_z); reg_x keeps the oracle well conditioned
+    # where A_in has fewer independent rows than columns
+    rng, ws, A_in = _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed)
+    sc = _NtScaling(ws, _interior(rng, ws), _interior(rng, ws))
+    winv2 = _oracle_winv2(ws, sc)
+    M = A_in.T @ winv2 @ A_in
+    assert _rel(ws.kkt._normal_diagonal(sc), np.diag(M)) <= 1e-12
+    reg_x = 1e-3 * (1.0 + np.diag(M).max())
+    f_x, f_z = rng.standard_normal(ws.n), rng.standard_normal(ws.m_in)
+    dx = np.linalg.solve(M + reg_x * np.eye(ws.n), f_x + A_in.T @ winv2 @ f_z)
+    dz = winv2 @ (A_in @ dx - f_z)
+    for kkt_solve in _kkt_solves(ws, sc, reg_x):
+        got_x, got_z = kkt_solve(f_x, f_z)
+        assert _rel(got_x, dx) <= 1e-9 and _rel(got_z, dz) <= 1e-9
+        # columns of right-hand sides solve as each column alone
+        cols_x, cols_z = kkt_solve(np.stack([f_x, -f_x], 1), np.stack([f_z, -f_z], 1))
+        np.testing.assert_allclose(cols_x, np.stack([got_x, -got_x], 1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cols_z, np.stack([got_z, -got_z], 1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS[:3])
+@pytest.mark.parametrize("seed", range(3))
+def test_kkt_expansion_holds_near_a_cone_boundary(monkeypatch, sizes, n_nonneg, empty, full, seed):
+    # s and z a relative 4e-7 inside the boundary of the first soc cone, on
+    # opposite sides: its wbar has omega = |wbar_1:| = 1 / sqrt(8e-7), about 1.1e3
+    rng, ws, A_in = _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed)
+    s, z = _interior(rng, ws), _interior(rng, ws)
+    at, d = ws.heads[n_nonneg], ws.sizes[n_nonneg]
+    q = rng.standard_normal(d - 1)
+    q /= np.linalg.norm(q)
+    s[at], s[at + 1: at + d] = 1.0, (1.0 - 4e-7) * q
+    z[at], z[at + 1: at + d] = 2.0, -2.0 * (1.0 - 4e-7) * q
+    sc = _NtScaling(ws, s, z)
+    assert np.sqrt(ws.tail_dot(sc.wbar, sc.wbar)).max() >= 1e3
+
+    # eliminating the expansion columns from K leaves -W^2 on every cone
+    kkt, n, m = ws.kkt, ws.n, ws.m_in
+    kkt.reg = (1.0, 0.0)
+    K = sp.csr_matrix((kkt._values(sc, 0.0), (kkt.rows, kkt.cols)), shape=(kkt.size,) * 2)
+    K = K.toarray()
+    zz, aux = slice(n, n + m), slice(n + m, None)
+    w2 = -K[zz, zz] + K[zz, aux] @ np.linalg.solve(K[aux, aux], K[aux, zz])
+    for at, eta, wbar in zip(ws.heads, sc.eta, _per_cone(ws, sc.wbar)):
+        W = nt_scaling_matrix(eta, wbar)
+        block = w2[at: at + wbar.size, at: at + wbar.size]
+        assert np.linalg.norm(block - W @ W) <= 1e-12 * np.linalg.norm(W @ W)
+
+    # the reduced system's condition is about 1e8-1e9 here, so no solve in
+    # double precision, the dense oracle's included, gets closer than about
+    # 1e-8 to the exact solution
+    winv2 = _oracle_winv2(ws, sc)
+    M = A_in.T @ winv2 @ A_in
+    reg_x = solver.KKT_REG * (1.0 + np.diag(M).max())
+    f_x, f_z = rng.standard_normal(n), rng.standard_normal(m)
+    dx = np.linalg.solve(M + reg_x * np.eye(n), f_x + A_in.T @ winv2 @ f_z)
+    dz = winv2 @ (A_in @ dx - f_z)
+    for kkt_solve in _kkt_solves(ws, sc, reg_x):
+        got_x, got_z = kkt_solve(f_x, f_z)
+        assert _rel(got_x, dx) <= 1e-6 and _rel(got_z, dz) <= 1e-6
+
+
+# every solve test of this module, run on each path through a recording solve
+SOLVE_TESTS = [
+    test_lp_unique_vertex,
+    test_soc_projection_with_equality,
+    test_soc_anchored_distance,
+    test_primal_infeasible_certificate,
+    test_dual_infeasible_certificate,
+    test_pow3_epigraph_of_tau_power,
+    test_pow3_general_exponent,
+    test_pow3_sqrt_case,
+    test_penalty_shaped_composite,
+    test_solver_deterministic,
+    test_capped_solve_reports_the_residuals_of_the_iterate_it_returns,
+    test_variable_with_only_equality_rows_still_solves,
+    test_unbounded_free_column_is_not_reported_optimal,
+    test_zero_cost_column_in_no_row_solves,
+]
+
+
+@pytest.mark.parametrize("check", SOLVE_TESTS, ids=lambda f: f.__name__[5:])
+def test_sparse_path_keeps_each_solve_tests_status_and_objective(monkeypatch, check):
+    results = {}
+    for path in ("dense", "sparse"):
+        _force_path(monkeypatch, path)
+        seen = results[path] = []
+
+        def recording(prog, *args, seen=seen, **kwargs):
+            seen.append(solver.solve(prog, *args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setitem(globals(), "solve", recording)
+        check()
+    dense, sparse = results["dense"], results["sparse"]
+    assert dense and [r.status for r in sparse] == [r.status for r in dense]
+    for a, b in zip(dense, sparse):
+        assert (a.obj is None) == (b.obj is None)
+        if a.obj is not None:
+            assert abs(a.obj - b.obj) <= 1e-8
+
+
+def _spy_splu(monkeypatch, fail=()):
+    """Wrap splu to record the diagonal of each matrix it factors.
+
+    The k-th call (counting from 1) raises RuntimeError, as SuperLU does on
+    a zero pivot, instead of factoring when k is in ``fail``.
+    """
+    splu = spla.splu
+    seen = []
+
+    def spy(K, *args, **kwargs):
+        seen.append(K.diagonal().copy())
+        if len(seen) in fail:
+            raise RuntimeError("injected")
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return seen
+
+
+def test_kkt_factor_retry_scales_the_diagonal(monkeypatch):
+    _force_path(monkeypatch, "sparse")
+    seen = _spy_splu(monkeypatch, fail=(3,))
+    res = solve(_small_socp())
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(seen[3], seen[2] * (1.0 + 1e4 * solver.STATIC_REG))
+
+
+def test_kkt_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
+    _force_path(monkeypatch, "sparse")
+    seen = _spy_splu(monkeypatch, fail=(3, 4, 5))
+    res = solve(_small_socp())
+    assert res.status == "numerical_error"
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_survives_last_bit_changes_of_the_kkt(monkeypatch, seed):
+    # the sparse path's counterpart of the last-bit test above: a symmetric
+    # one-ulp perturbation of every K that SuperLU factors
+    _force_path(monkeypatch, "sparse")
+    prog = _small_socp()
+    plain = solve(prog)
+    rng = np.random.default_rng(seed)
+    splu, eps = spla.splu, np.finfo(float).eps
+
+    def perturbed(K, *args, **kwargs):
+        upper = sp.triu(K, 1).tocoo()
+        noise = sp.coo_matrix(
+            (rng.choice([-1.0, 1.0], upper.nnz) * eps * np.abs(upper.data), (upper.row, upper.col)),
+            shape=K.shape,
+        )
+        diag = sp.diags(rng.choice([-1.0, 1.0], K.shape[0]) * eps * np.abs(K.diagonal()))
+        return splu((K + noise + noise.T + diag).tocsc(), *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", perturbed)
+    res = solve(prog)
+    assert plain.status == res.status == "optimal"
+    assert res.iterations == plain.iterations
+
+
+def _box_lp(n, k):
+    """min c'x over 0 <= x <= 1 with sum x = k: x picks the k smallest costs."""
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(n)
+    pb = ProgramBuilder("box")
+    x = pb.var_block("x", n)
+    pb.cost(x, c)
+    ones = np.ones(n)
+    pb.cone("zero", [float(k)], np.zeros(n, dtype=int), x, ones)
+    pb.cone("nonneg", np.zeros(n), np.arange(n), x, -ones)
+    pb.cone("nonneg", ones, np.arange(n), x, ones)
+    return pb.build(), np.sort(c)[:k].sum()
+
+
+def test_the_rule_sends_each_program_to_one_factorization(monkeypatch):
+    # no patched constant: the rule alone picks the path. The small SOCP
+    # stays dense; the 600-column box LP has n^3/3 = 7.2e7 against a KKT of
+    # 4,200 nonzeros and goes sparse
+    splu, cho_factor = spla.splu, solver.sla.cho_factor
+    splu_calls, factored = [], []
+
+    def splu_spy(K, *args, **kwargs):
+        splu_calls.append(K.shape)
+        return splu(K, *args, **kwargs)
+
+    def factor_spy(a, *args, **kwargs):
+        factored.append(a.shape)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu_spy)
+    monkeypatch.setattr(solver.sla, "cho_factor", factor_spy)
+
+    small = _small_socp()
+    assert solve(small).status == "optimal"
+    n = lower_program(small).program.n_vars
+    assert not splu_calls and (n, n) in factored
+
+    factored.clear()
+    box, best = _box_lp(600, 150)
+    res = solve(box)
+    assert res.status == "optimal"
+    assert res.obj == pytest.approx(best, abs=1e-6)
+    assert splu_calls and factored and set(factored) == {(1, 1)}
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_solve_leaves_no_reference_cycle(monkeypatch, path):
+    # the workspace, and on the sparse path its KKT and factor, go with the
+    # solve's last reference; a cycle among them held an N=24 solve's 21 MB
+    # until a cyclic collection, so repeated solves piled up
+    _force_path(monkeypatch, path)
+    prog = _small_socp()
+    solve(prog)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(prog)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ------------------------------------------------ numerical_error exits
+def _blow_up_dx(monkeypatch, k):
+    """Scale the combined direction's dx of iteration k by 1e10, so the
+    iterate measured next has a merit far above the best one."""
+    polish = solver._polish
+    calls = []
+
+    def blown(d, *args):
+        out = polish(d, *args)
+        if args[-1] == solver.POLISH_PASSES:
+            calls.append(1)
+            if len(calls) == k:
+                return (out[0] * 1e10,) + out[1:]
+        return out
+
+    monkeypatch.setattr(solver, "_polish", blown)
+
+
+def _vanish_step(monkeypatch, k):
+    """Make iteration k's combined step length zero."""
+    max_step = _Workspace.max_step
+    calls = []
+
+    def zero(self, u, d):
+        calls.append(1)
+        return 0.0 if len(calls) == 2 * k else max_step(self, u, d)
+
+    monkeypatch.setattr(_Workspace, "max_step", zero)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("exit_, measured", [(_blow_up_dx, 1), (_vanish_step, 0)],
+                         ids=["merit_blow_up", "vanishing_step"])
+@pytest.mark.parametrize("late", [False, True])
+def test_numerical_error_exits_report_the_best_measured_iterate(monkeypatch, path, exit_, measured, late):
+    # an exit after iteration k's step has measured the iterates 1..k (and
+    # k + 1, whose merit blew up), so it returns what a solve capped at k
+    # iterations returns: the same best iterate with its own residuals. Early
+    # that iterate is not within 1e2 * tol; late it is, and x comes with it
+    _force_path(monkeypatch, path)
+    prog = _small_socp()
+    k = solve(prog).iterations - 1 if late else 3
+    capped = solve(prog, max_iters=k)
+    exit_(monkeypatch, k)
+    res = solve(prog)
+    assert res.iterations == k + measured
+    assert res.status == ("optimal_inaccurate" if late else "numerical_error")
+    assert capped.status == ("optimal_inaccurate" if late else "max_iterations")
+    assert (res.pres, res.dres, res.gap) == (capped.pres, capped.dres, capped.gap)
+    assert (res.x is None) == (not late) and (capped.x is None) == (not late)
+    if late:
+        assert np.array_equal(res.x, capped.x) and res.obj == capped.obj
+
+
+@pytest.mark.parametrize(
+    "rows, a_shape, n_c, match",
+    [
+        (4, (5, 3), 3, "cones hold 4 rows, b has 5"),  # cones sum to fewer rows than b
+        (6, (5, 3), 3, "cones hold 6 rows, b has 5"),  # ... to more rows than b
+        (5, (5, 3), 2, r"A is \(5, 3\)"),  # c shorter than A has columns
+        (5, (4, 3), 3, r"A is \(4, 3\)"),  # A shorter than b
+        (0, (0, 3), 3, "at least one row"),  # no rows at all
+    ],
+)
+def test_program_rejects_inconsistent_shapes(rows, a_shape, n_c, match):
+    cones = (Cone("nonneg", rows),) if rows else ()
+    m = 5 if rows else 0
+    with pytest.raises(ValueError, match=match):
+        ConicProgram(c=np.zeros(n_c), A=sp.csr_matrix(a_shape), b=np.zeros(m), cones=cones)

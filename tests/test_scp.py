@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import covtraj.scp as scp_mod
+import covtraj.subproblem as subproblem_mod
+from covtraj.conic import solver
 from covtraj.covsteer import FeedbackPolicy, dispersion_sqrt
 from covtraj.dynamics import TimeGrid, propagate
 from covtraj.gravity_assist import ga_map, max_v_inf_for_safe_flyby, turn_angle
@@ -528,6 +530,32 @@ def test_stochastic_run_seeded_by_deterministic_solution(stochastic_runs):
     assert seeded.iterations <= 4
     assert seeded.records[-1].degenerate and seeded.records[-1].accepted
     assert seeded.point.j_ub == pytest.approx(res.point.j_ub, rel=1e-4)
+
+
+def test_sparse_kkt_keeps_the_stochastic_design_subproblems_optimal(monkeypatch, stochastic_runs):
+    # the seeded stochastic run above, with every subproblem sent to the
+    # sparse KKT: each solve still ends optimal, within two IPM iterations of
+    # the dense path, and the run keeps its SCP iteration count
+    prob, params, guess, _, _, _ = stochastic_runs
+    det = run(deterministic_problem(prob), guess, params)
+    solve = subproblem_mod.solve
+    counts = {}
+    for path, ratio in (("dense", np.inf), ("sparse", 0.0)):
+        monkeypatch.setattr(solver, "SPARSE_KKT_RATIO", ratio)
+        seen = counts[path] = []
+
+        def recording(prog, *args, seen=seen, **kwargs):
+            res = solve(prog, *args, **kwargs)
+            seen.append((res.status, res.iterations))
+            return res
+
+        monkeypatch.setattr(subproblem_mod, "solve", recording)
+        assert run(prob, det.point, params).converged
+    dense, sparse = counts["dense"], counts["sparse"]
+    assert len(sparse) == len(dense)
+    assert {status for status, _ in dense + sparse} == {"optimal"}
+    for (_, a), (_, b) in zip(dense, sparse):
+        assert abs(a - b) <= 2
 
 
 def _flyby_problem(r_p_min=0.01):
