@@ -72,6 +72,7 @@ from .dynamics import linearize_segment, propagate  # noqa: F401  (see _simulate
 from .errors import ConfigError, NumericalError
 from .gravity_assist import cayley_rotation, ga_map, periapsis_radius
 from .scp import ReferencePoint, ScpProblem
+from .subproblem import DV99_TAIL
 from .uncertainty import gates_matrix
 
 #: Absolute slack added to the three-sigma orbit-determination gate so the
@@ -79,6 +80,9 @@ from .uncertainty import gates_matrix
 #: (noise-free scenarios reproduce the estimate to integrator precision, not
 #: bit-exactly).
 OD_TOLERANCE = 1e-12
+
+#: Confidence of the bootstrap interval on the delta-v quantile.
+BOOTSTRAP_CONF = 0.99
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ class McConfig:
     so the first m samples of a campaign are the same whatever ``n_samples``
     is. ``dt_wn`` is the redraw interval of the white-acceleration process
     in ``"ekf"`` mode; segments are split into uniform windows no longer
-    than this, and ``None`` holds one draw across each whole segment. The
-    bootstrap settings size the confidence interval attached to the delta-v
+    than this, and ``None`` holds one draw across each whole segment.
+    ``bootstrap`` resamples size the confidence interval of the delta-v
     quantile; ``max_failure_rate`` is the tolerated fraction of samples that
     may fail numerically before the campaign itself errors out (a campaign
     in which every sample fails always errors out).
@@ -103,9 +107,7 @@ class McConfig:
     master_seed: int = 0
     mode: str = "ekf"
     dt_wn: float | None = None
-    quantile: float = 0.99
     bootstrap: int = 1000
-    bootstrap_conf: float = 0.99
     max_failure_rate: float = 0.01
 
     def __post_init__(self):
@@ -119,12 +121,8 @@ class McConfig:
             raise ValueError(f"mode must be 'ekf' or 'linear', got {self.mode!r}")
         if self.dt_wn is not None and not (np.isfinite(self.dt_wn) and self.dt_wn > 0.0):
             raise ValueError("dt_wn must be positive and finite when given")
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile level must lie in (0, 1)")
         if self.bootstrap < 1:
             raise ValueError("need at least one bootstrap resample")
-        if not 0.0 < self.bootstrap_conf < 1.0:
-            raise ValueError("bootstrap confidence must lie in (0, 1)")
         if not 0.0 <= self.max_failure_rate <= 1.0:
             raise ValueError("max_failure_rate must lie in [0, 1]")
 
@@ -166,9 +164,9 @@ class McSamples:
 class McReport:
     """Campaign statistics over all successful samples.
 
-    ``dv_q`` is the order-statistic delta-v quantile at ``quantile_p`` with
-    bootstrap confidence half-width ``dv_ci_half``; ``j_ub`` is the analytic
-    bound carried by the reference point for comparison. Violation counts
+    ``dv_q`` is the order-statistic delta-v quantile at ``quantile_p``, the
+    level 1 - ``DV99_TAIL`` of the analytic bound ``j_ub`` of the reference
+    point; ``dv_ci_half`` is its bootstrap half-width. Violation counts
     are per segment (commanded thrust above ``u_max``), the containment
     figures count per-node orbit-determination errors inside three-sigma,
     and the terminal statistics describe the dispersion of the realized
@@ -228,7 +226,6 @@ class BoundCheck:
     fails. ``slack`` is j_ub - dv_q (positive when the bound has margin).
     """
 
-    quantile_p: float
     dv_q: float
     j_ub: float
     ci_half: float
@@ -638,12 +635,12 @@ def run_campaign(
     n_ok = samples.index.size
 
     dv_values = samples.dv
-    dv_q = estimate_quantile(dv_values, cfg.quantile)
+    dv_q = estimate_quantile(dv_values, 1.0 - DV99_TAIL)
     ci_half = _quantile_ci_half(
         dv_values,
-        cfg.quantile,
+        1.0 - DV99_TAIL,
         cfg.bootstrap,
-        cfg.bootstrap_conf,
+        BOOTSTRAP_CONF,
         np.random.SeedSequence([cfg.master_seed, cfg.n_samples]),
     )
 
@@ -679,7 +676,7 @@ def run_campaign(
         n_failed=len(failed),
         failed=failed,
         master_seed=cfg.master_seed,
-        quantile_p=cfg.quantile,
+        quantile_p=1.0 - DV99_TAIL,
         dv_values=dv_values,
         dv_nominal=point.dv_linear,
         dv_mean=float(dv_values.mean()),
@@ -711,7 +708,6 @@ def compare_bound(report: McReport, j_ub: float | None = None) -> BoundCheck:
     """
     bound = report.j_ub if j_ub is None else float(j_ub)
     return BoundCheck(
-        quantile_p=report.quantile_p,
         dv_q=report.dv_q,
         j_ub=bound,
         ci_half=report.dv_ci_half,

@@ -55,6 +55,7 @@ from .gravity_assist import (
     max_v_inf_for_safe_flyby,
 )
 from .subproblem import (
+    DV99_MULTIPLIER,
     LaunchSpec,
     PenaltyWeights,
     StochasticSpec,
@@ -286,7 +287,8 @@ class ReferencePoint:
     every linearized segment is exact at this trajectory. ``g_eq`` is the
     terminal rendezvous defect of that flow; ``g_ineq`` holds the flyby
     safety margins (positive means violated). ``dv_linear``/``dv_feedback``
-    are the deterministic and dispersion-feedback parts of the delta-v bound.
+    are the two dt-weighted parts of the delta-v bound; unlike the per-segment
+    ``SubproblemSolution.dv_feedback``, ``dv_feedback`` has DV99_MULTIPLIER in.
     """
 
     x0: np.ndarray
@@ -304,7 +306,7 @@ class ReferencePoint:
 
     @property
     def j_ub(self) -> float:
-        """Delta-v-99 upper bound of this iterate."""
+        """Bound on this iterate's 1 - DV99_TAIL delta-v quantile, for any eps_u."""
         return self.dv_linear + self.dv_feedback
 
     @property
@@ -390,10 +392,9 @@ def evaluate_point(
     if unc is not None:
         schedule = kalman_precompute(segments, unc.obs, unc.p_tilde0)
         blocks = build_block_system(segments, schedule, unc.p_hat0)
-        m_u = chi2_quantile_sqrt(unc.eps_u, N_U)
         u_sqrt = control_cov_sqrt(blocks, policy)
         for k in grid.thrust_segments:
-            dv_feedback += grid.dt(k) * m_u * float(np.linalg.norm(u_sqrt[k]))
+            dv_feedback += grid.dt(k) * DV99_MULTIPLIER * float(np.linalg.norm(u_sqrt[k]))
         if problem.ga_events:
             d_sqrt = dispersion_sqrt(blocks, policy, u_sqrt)
 
@@ -668,8 +669,7 @@ def run(
             failures_in_a_row = 0
             cand = evaluate_point(problem, sol.x0, sol.controls, sol.thetas, sol.policy)
             j_cand_nl = nl_augmented_cost(cand, weights)
-            m_u = layout.m_u or 0.0
-            dv_model = float(dts @ sol.dv_linear + m_u * (dts @ sol.dv_feedback))
+            dv_model = float(dts @ sol.dv_linear + DV99_MULTIPLIER * (dts @ sol.dv_feedback))
             j_cand_model = augmented_cost(dv_model, sol.xi, sol.zetas, weights)
             rho, d_j, d_l, degenerate = step_ratio(
                 j_ref, j_cand_nl, j_cand_model, params.eps_opt

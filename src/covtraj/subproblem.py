@@ -5,15 +5,15 @@ affine segment maps. Decision variables are the initial mean state, the mean
 controls on thrust segments, the gravity-assist rotation parameters and turn
 angles, causal output-feedback gain blocks (stochastic mode), and epigraph /
 relaxation auxiliaries. The program minimizes the 99th-percentile delta-v
-upper bound
+upper bound, at the fixed level 1 - DV99_TAIL whatever the thrust risk eps_u,
 
-    sum_k dt_k (||u_k|| + m ||P_u_k^1/2||_F),   m = chi2_quantile_sqrt(eps, 3)
+    sum_k dt_k (||u_k|| + m ||P_u_k^1/2||_F),   m = DV99_MULTIPLIER
 
 plus exact-penalty terms on the relaxed terminal-mean and flyby-safety rows,
-subject to thrust magnitude chance constraints, a terminal dispersion bound,
-launch and flyby constraints, and a trust region. Everything is affine in the
-decision variables because the control covariance square root is linear in
-the gain blocks.
+subject to thrust chance constraints at risk eps_u, a terminal dispersion
+bound, launch and flyby constraints, and a trust region. Everything is affine
+in the decision variables because the control covariance square root is
+linear in the gain blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .gravity_assist import (
 )
 
 __all__ = [
+    "DV99_MULTIPLIER",
+    "DV99_TAIL",
     "PENALTY_TAU",
     "LaunchSpec",
     "PenaltyWeights",
@@ -79,6 +81,11 @@ def chi2_quantile_sqrt(eps: float, dim: int) -> float:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     return float(np.sqrt(2.0 * gammainccinv(0.5 * dim, eps)))
 
+
+#: Tail of the delta-v bound j_ub (its 0.99 quantile) and its feedback multiplier.
+#: The tail is stored since 1 - 0.01 == 0.99 in doubles but 1 - 0.99 != 0.01.
+DV99_TAIL = 1e-2
+DV99_MULTIPLIER = chi2_quantile_sqrt(DV99_TAIL, N_U)
 
 #: Exponent tau of the exact penalty phi(y) = |y|^tau / tau + y^2 / 2; the
 #: subproblem models the |y|^tau term with a pow3 cone of exponent 1 / tau.
@@ -220,13 +227,13 @@ class SubproblemLayout:
     grid: TimeGrid
     gain_pairs: np.ndarray
     assists: tuple[GaEvent, ...]
-    m_u: float | None
     stochastic: StochasticSpec | None
 
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    """Decision variables of one solved subproblem."""
+    """Decision variables of one solved subproblem; ``dv_linear`` and
+    ``dv_feedback`` are the unweighted per-segment ||u_k|| and ||P_u_k^1/2||_F."""
 
     status: str
     objective: float | None
@@ -305,7 +312,6 @@ def build_subproblem(
     assists: Sequence[GaEvent] = (),
     theta_refs: Sequence[float] = (),
     stochastic: StochasticSpec | None = None,
-    name: str = "trajectory-subproblem",
 ) -> SubproblemLayout:
     """Assemble the conic subproblem around one reference trajectory.
 
@@ -325,7 +331,6 @@ def build_subproblem(
             segment.
         theta_refs: reference turn angle of each assist, inside its window.
         stochastic: dispersion data; None builds the mean-only problem.
-        name: program name (appears in dumps).
 
     Returns:
         SubproblemLayout wrapping the ConicProgram and the variable map.
@@ -363,13 +368,12 @@ def build_subproblem(
     dts = grid.dts
 
     stoch = stochastic is not None
-    m_u = None
     gain_pairs = np.zeros((0, 2), dtype=int)
     if stoch:
         blocks = stochastic.blocks
         if blocks.n_segments != n_seg:
             raise ValueError("block system does not match the grid")
-        m_u = chi2_quantile_sqrt(stochastic.eps_u, N_U)
+        m_thrust = chi2_quantile_sqrt(stochastic.eps_u, N_U)
         measured, depth = tuple(sorted(blocks.meas_col)), stochastic.feedback_depth
         pair_list = [(k, i) for k in thrust for i in feedback_nodes(k, measured, depth)]
         gain_pairs = np.array(pair_list, dtype=int).reshape(-1, 2)
@@ -386,7 +390,7 @@ def build_subproblem(
         }
     m_assists = [chi2_quantile_sqrt(a.eps, N_U) if stoch else 0.0 for a in assists]
 
-    pb = ProgramBuilder(name)
+    pb = ProgramBuilder("trajectory-subproblem")
     x0 = pb.var_block("x0", N_X)
     u = pb.var_block("u", N_U * len(var_segs)).reshape(-1, N_U)
     u_at = np.full((n_seg, N_U), -1)  # u's columns by segment; -1 on coasts
@@ -410,7 +414,7 @@ def build_subproblem(
     w = weights.weight
     pb.cost(a_col, dts[thrust])
     if stoch:
-        pb.cost(b_col, dts[thrust] * m_u)
+        pb.cost(b_col, dts[thrust] * DV99_MULTIPLIER)
     pb.cost(xi, weights.lam_terminal)
     pb.cost(zeta, weights.lam_assists)
     pb.cost(pa, 1.0 / (w * PENALTY_TAU))
@@ -454,7 +458,7 @@ def build_subproblem(
         cone.b[0] = u_max
         cone.entry(0, a_col[t], 1.0)
         if stoch:
-            cone.entry(0, b_col[t], m_u)
+            cone.entry(0, b_col[t], m_thrust)
         cone.emit(pb, "nonneg")
 
     # terminal mean (relaxed): x_N - x_target - xi = 0
@@ -595,7 +599,6 @@ def build_subproblem(
         grid=grid,
         gain_pairs=gain_pairs,
         assists=tuple(assists),
-        m_u=m_u,
         stochastic=stochastic,
     )
 

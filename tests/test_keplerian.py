@@ -97,6 +97,21 @@ def test_monte_carlo_meets_the_design_claims(designed, mode):
     assert rep.od_containment >= 0.95
 
 
+def test_bound_holds_at_the_99_percent_level_under_a_large_thrust_risk(designed):
+    # eps_u = 0.6 loosens only the thrust chance constraint; j_ub still
+    # bounds the 99% delta-v quantile, with no bootstrap slack
+    prob, det, _ = designed
+    unc = dataclasses.replace(prob.uncertainty, eps_u=0.6)
+    sto = run(dataclasses.replace(prob, uncertainty=unc), det.point)
+    assert sto.converged
+    rep = run_campaign(
+        prob, sto.point, McConfig(n_samples=4000, master_seed=0, mode="linear")
+    )
+    assert rep.n_failed == 0
+    assert rep.dv_q <= rep.j_ub
+    assert rep.violation_rate <= unc.eps_u
+
+
 def test_finite_feedback_memory_stays_near_full_history(designed):
     prob, det, full = designed
     unc = dataclasses.replace(prob.uncertainty, feedback_depth=2)

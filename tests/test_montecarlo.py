@@ -72,11 +72,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="dt_wn"):
             McConfig(n_samples=10, dt_wn=dt_wn)
     with pytest.raises(ValueError):
-        McConfig(n_samples=10, quantile=1.0)
-    with pytest.raises(ValueError):
         McConfig(n_samples=10, bootstrap=0)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, bootstrap_conf=0.0)
     with pytest.raises(ValueError):
         McConfig(n_samples=10, max_failure_rate=1.5)
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from covtraj.gravity_assist import (
     max_v_inf_for_safe_flyby,
 )
 from covtraj.subproblem import (
+    DV99_MULTIPLIER,
     PENALTY_TAU,
     LaunchSpec,
     PenaltyWeights,
@@ -36,8 +37,8 @@ from covtraj.subproblem import (
     solve_subproblem,
 )
 from covtraj.uncertainty import ObservationModel
-from oracles import dense_chain, layout_audit, recursive_covariances
-from test_scp import _flyby_problem
+from oracles import dense_chain, layout_audit, random_policy, recursive_covariances
+from test_scp import _flyby_problem, _stochastic_scp_problem
 
 
 # ----------------------------------------------------------------------
@@ -331,10 +332,57 @@ def test_stochastic_solution_verified_by_recursive_oracle():
 
     # objective equals dv bound plus penalties at the extracted values
     dts = grid.dts
-    dv = float(np.sum((sol.dv_linear + m_u * sol.dv_feedback) * dts))
+    dv = float(np.sum((sol.dv_linear + DV99_MULTIPLIER * sol.dv_feedback) * dts))
     assert augmented_cost(dv, sol.xi, (), weights) == pytest.approx(
         sol.objective, rel=1e-5
     )
+
+
+def test_thrust_risk_moves_only_the_thrust_chance_rows():
+    # eps_u is the risk of the thrust chance constraint alone: the delta-v
+    # bound's cost and the evaluated j_ub stay at the DV99_TAIL level
+    prob, x0, _ = _stochastic_scp_problem()
+    n = prob.grid.n_segments
+    controls = 0.05 * np.random.default_rng(2).standard_normal((n, 3))
+    policy = random_policy(np.random.default_rng(3), n)
+    weights = PenaltyWeights(weight=1e3, lam_terminal=np.zeros(6))
+    programs, j_ub = [], []
+    for eps_u in (1e-2, 0.6):
+        unc = dataclasses.replace(prob.uncertainty, eps_u=eps_u)
+        point = evaluate_point(
+            dataclasses.replace(prob, uncertainty=unc), x0, controls, policy=policy
+        )
+        assert point.dv_feedback > 0.0
+        j_ub.append(point.j_ub)
+        programs.append(build_subproblem(
+            prob.grid, list(point.segments), point.states, point.controls,
+            prob.u_max, TerminalSpec(x_target=prob.x_target), weights, 1.0,
+            x0_fixed=x0,
+            stochastic=StochasticSpec(
+                blocks=point.blocks, schedule=point.schedule, eps_u=eps_u,
+                p_f=unc.p_f,
+            ),
+        ).program)
+    assert j_ub[0] == j_ub[1]
+
+    lo, hi = programs
+    assert lo.c.tobytes() == hi.c.tobytes()
+    assert lo.b.tobytes() == hi.b.tobytes()
+    assert lo.cones == hi.cones
+    assert (lo.A != 0).nnz == (hi.A != 0).nnz == ((lo.A != 0) + (hi.A != 0)).nnz
+    # the one entry that moves per thrust segment is b_k's coefficient in
+    # its row u_max - a_k - m b_k >= 0, with m = chi2_quantile_sqrt(eps_u, 3)
+    rows, cols = (lo.A != hi.A).nonzero()
+    order = np.argsort(cols)
+    rows, cols = rows[order], cols[order]
+    columns = np.arange(lo.n_vars)
+    np.testing.assert_array_equal(cols, columns[lo.var_blocks["b"]])
+    np.testing.assert_array_equal(lo.b[rows], prob.u_max)
+    a_cols = columns[lo.var_blocks["a"]]
+    np.testing.assert_array_equal(np.asarray(lo.A.tocsr()[rows, a_cols]).ravel(), 1.0)
+    for prog, eps_u in zip(programs, (1e-2, 0.6)):
+        coef = np.asarray(prog.A.tocsr()[rows, cols]).ravel()
+        np.testing.assert_array_equal(coef, chi2_quantile_sqrt(eps_u, 3))
 
 
 def test_depth_one_feedback_keeps_only_the_latest_node():
@@ -444,7 +492,7 @@ def test_stochastic_instance_matches_cvxpy():
     obj = cp.sum(
         cp.hstack(
             [
-                dts[k] * (cp.norm(u[k]) + m_u * cp.norm(pu_sqrt[k], "fro"))
+                dts[k] * (cp.norm(u[k]) + DV99_MULTIPLIER * cp.norm(pu_sqrt[k], "fro"))
                 for k in range(n)
             ]
         )
