@@ -45,9 +45,9 @@ nonzeros of the sparse KKT, the dense path otherwise.
   every diagonal with its quasi-definite sign, + on x and the u columns and
   - on z and the v columns: KKT_REG (1 + max diag M at the first iterate)
   on x, ``KKT_REG`` elsewhere. So K factors without pivoting in any order:
-  the first factorization takes SuperLU's minimum-degree order of K + K',
-  later ones write K's values through a fixed slot map into K in that order
-  and factor it as it stands. No n x n matrix and no Gram stack is built.
+  the first factorization takes SuperLU's minimum-degree order of K + K'
+  and builds K in it once; later ones write only the diagonal and expansion
+  columns (5% of K at N=24). No n x n matrix and no Gram stack is built.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -253,30 +253,32 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 class _QuasiDefiniteKkt:
-    """The sparse path's KKT over (x, z, two columns per soc cone), fixed per solve.
+    """The sparse path's KKT over (x, z, two columns per soc cone), built once per solve.
 
-    ``rows`` and ``cols`` hold K's pattern: its diagonal, then one entry of
-    each symmetric pair (A_in, then the v and u columns), then its mirror.
+    Its variable entries, the diagonal and the v and u columns, move with the
+    scaling; A_in's stay. The first factorization builds K[q][:, q], q =
+    argsort(perm_c) of its own order, and each later one writes only the
+    variable entries, through ``_slot``.
     """
 
     def __init__(self, ws: _Workspace):
         # no reference back to ws, which holds this KKT: a cycle would outlive the solve
-        n, m = ws.n, ws.m_in
-        self.curved = ws.sizes > 1
-        self.curved_rows = np.flatnonzero(self.curved[ws.cone_id])
-        n_curved = int(self.curved.sum())
-        col_v = n + m + (np.cumsum(self.curved) - 1)[ws.cone_id[self.curved_rows]]
-        self.n_aux = 2 * n_curved
-        self.size = n + m + self.n_aux
-        A = ws.A_in.tocoo()
-        self._a_data = A.data
-        pair_r = np.concatenate([n + A.row, n + self.curved_rows, n + self.curved_rows])
-        pair_c = np.concatenate([A.col, col_v, col_v + n_curved])
-        diag = np.arange(self.size)
-        self.rows = np.concatenate([diag, pair_r, pair_c])
-        self.cols = np.concatenate([diag, pair_c, pair_r])
+        self.n_aux = 2 * ws.n_curved
+        self.size = ws.n + ws.m_in + self.n_aux
         self.reg = None
-        self._slot = None
+        self._ordered = None
+
+    def entries(self, ws: _Workspace, variable: np.ndarray):
+        """K's int32 (rows, cols) and values: the variable entries (the
+        diagonal, one entry of each symmetric pair of the v and u columns,
+        its mirror), valued ``variable``, then A_in and its mirror."""
+        n, A = ws.n, ws.A_in.tocoo()
+        col_v = n + ws.m_in + ws.curved_cone
+        aux_r, aux_c = np.tile(n + ws.curved_rows, 2), np.r_[col_v, col_v + ws.n_curved]
+        diag = np.arange(self.size)
+        rows = np.concatenate([diag, aux_r, aux_c, n + A.row, A.col], dtype=np.int32)
+        cols = np.concatenate([diag, aux_c, aux_r, A.col, n + A.row], dtype=np.int32)
+        return rows, cols, np.concatenate([variable, A.data, A.data])
 
     def _normal_diagonal(self, sc: _NtScaling) -> np.ndarray:
         """diag(A_in' W^-2 A_in), with W^-2 = eta^-2 (2 J wbar wbar' J - J) on each cone."""
@@ -286,26 +288,26 @@ class _QuasiDefiniteKkt:
         squares = ws.A_in.multiply(ws.A_in).T @ (ws.jsign / eta**2)
         return 2.0 * F.multiply(F).sum(axis=1).A1 - squares
 
-    def _values(self, sc: _NtScaling, bump: float) -> np.ndarray:
-        """K's values in the order of ``rows`` and ``cols`` at the scaling sc."""
+    def variable(self, sc: _NtScaling, bump: float) -> np.ndarray:
+        """K's variable entries at the scaling sc, in :meth:`entries`' order."""
         ws = sc.ws
-        h, cid = ws.heads, ws.cone_id
+        h, cid, curved = ws.heads, ws.cone_id, ws.sizes > 1
         omega2 = ws.tail_dot(sc.wbar, sc.wbar)
         d1 = 0.5 / (1.0 + 2.0 * omega2)
         u0 = np.sqrt(1.0 + 2.0 * omega2 - d1)
         eta2 = sc.eta**2
         d = np.ones(ws.m_in)
-        d[h[self.curved]] = d1[self.curved]
+        d[h[curved]] = d1[curved]
         # eta^2 u and eta^2 v of every cone, whose tails are multiples of wbar's
         u = (2.0 * sc.wbar[h] / u0 * eta2)[cid] * sc.wbar
         v = (np.sqrt(2.0 * (1.0 + d1)) / u0 * eta2)[cid] * sc.wbar
         u[h] = u0 * eta2
         v[h] = 0.0
         reg_x, reg = self.reg
-        aux = eta2[self.curved]
+        aux = eta2[curved]
         diag = np.concatenate([np.full(ws.n, reg_x), -eta2[cid] * d - reg, -aux - reg, aux + reg])
         diag *= 1.0 + bump * STATIC_REG
-        pair = np.concatenate([self._a_data, v[self.curved_rows], u[self.curved_rows]])
+        pair = np.concatenate([v[ws.curved_rows], u[ws.curved_rows]])
         return np.concatenate([diag, pair, pair])
 
     def factor(self, sc: _NtScaling, bump: float):
@@ -318,21 +320,22 @@ class _QuasiDefiniteKkt:
 
         if self.reg is None:
             self.reg = (KKT_REG * (1.0 + self._normal_diagonal(sc).max(initial=0.0)), KKT_REG)
-        values = self._values(sc, bump)
+        values = self.variable(sc, bump)
         options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-        if self._slot is None:
-            K = sp.csc_matrix((values, (self.rows, self.cols)), shape=(self.size,) * 2)
+        if self._ordered is None:
+            rows, cols, data = self.entries(sc.ws, values)
+            K = sp.csc_matrix((data, (rows, cols)), shape=(self.size,) * 2)
             lu = splu(K, permc_spec="MMD_AT_PLUS_A", **options)
-            # later factorizations take K[q][:, q], q = argsort(perm_c), the
-            # order of this one: tag each entry by its position in ``rows``
-            # to find its slot in that matrix's data
-            nnz = self.rows.size
-            self._ordered = sp.csc_matrix(
-                (np.arange(1.0, nnz + 1.0), (lu.perm_c[self.rows], lu.perm_c[self.cols])),
-                shape=K.shape,
-            )
-            self._slot = np.empty(nnz, dtype=int)
-            self._slot[self._ordered.data.astype(int) - 1] = np.arange(nnz)
+            # K[q][:, q] holds K's entries sorted by permuted column, then
+            # row. Each array goes once read: this is the solve's memory peak
+            del K
+            rows, cols = lu.perm_c[rows], lu.perm_c[cols]
+            at = np.lexsort((rows, cols))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.size))])
+            del cols
+            self._ordered = sp.csc_matrix((data[at], rows[at], indptr), shape=(self.size,) * 2)
+            slot = np.flatnonzero(at < values.size)
+            self._slot = slot[np.argsort(at[slot])]
             self._order = np.argsort(lu.perm_c)
             q = slice(None)  # this factor applies its own order
         else:
@@ -427,23 +430,22 @@ class _Workspace:
         self.c = prog.c.copy()
 
         curved = self.sizes > 1
+        self.n_curved = int(curved.sum())
+        #: the rows of the cones of more than one row, and each one's cone
+        #: among those: its column of F, or of the v and u columns of K
+        self.curved_rows = np.flatnonzero(curved[self.cone_id])
+        self.curved_cone = (np.cumsum(curved) - 1)[self.cone_id[self.curved_rows]]
         # K's nonzeros: its diagonal, A_in and two columns per soc cone, twice
         kkt_nnz = self.n + self.m_in + 2 * self.A_in.nnz + int((4 * self.sizes[curved] + 2).sum())
         self.kkt = None
         if self.n**3 / 3.0 > SPARSE_KKT_RATIO * kkt_nnz:
             self.kkt = _QuasiDefiniteKkt(self)
             return
-        curved_rows = curved[self.cone_id]
+        in_curved = curved[self.cone_id]
         self.gram_stack = _gram_stack(
-            self.A_in, self.cone_id, np.where(curved_rows, -self.jsign, 1.0), self.degree
+            self.A_in, self.cone_id, np.where(in_curved, -self.jsign, 1.0), self.degree
         )
-        self.n_curved = int(curved.sum())
-        # the fixed pattern of F's cone map: each row of a cone of more than
-        # one row goes to that cone's column of F, the one-row cones' rows
-        # to none
-        self._f_rows = curved_rows
-        self._f_cols = (np.cumsum(curved) - 1)[self.cone_id[curved_rows]]
-        self._f_ptr = np.concatenate([[0], np.cumsum(curved_rows)])
+        self._f_ptr = np.concatenate([[0], np.cumsum(in_curved)])
 
     def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
         """The lower triangle of A_in' W^-2 A_in at the scaling sc, in Fortran order.
@@ -459,9 +461,9 @@ class _Workspace:
         M = (self.gram_stack @ (1.0 / sc.eta**2)).reshape(self.n, self.n, order="F")
         if not self.n_curved:
             return M
-        v = (self.jsign * sc.wbar / sc.eta[self.cone_id])[self._f_rows]
+        v = (self.jsign * sc.wbar / sc.eta[self.cone_id])[self.curved_rows]
         cone_map = sp.csr_matrix(
-            (v, self._f_cols, self._f_ptr), shape=(self.m_in, self.n_curved)
+            (v, self.curved_cone, self._f_ptr), shape=(self.m_in, self.n_curved)
         )
         F = (self.A_in_t @ cone_map).toarray(order="F")
         return dsyrk(2.0, F, beta=1.0, c=M, lower=1, overwrite_c=1)

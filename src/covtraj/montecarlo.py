@@ -83,6 +83,8 @@ OD_TOLERANCE = 1e-12
 
 #: Confidence of the bootstrap interval on the delta-v quantile.
 BOOTSTRAP_CONF = 0.99
+#: Bootstrap indices drawn at once (20 MB of int32); blocks continue one stream.
+BOOTSTRAP_BLOCK = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -269,15 +271,11 @@ def _quantile_ci_half(
     n = values.size
     order = math.ceil(p * n) - 1
     quantiles = np.empty(n_resamples)
-    # Resample in chunks so the index matrix stays bounded at large n.
-    chunk = max(1, 20_000_000 // max(n, 1))
-    done = 0
-    while done < n_resamples:
-        m = min(chunk, n_resamples - done)
-        idx = rng.integers(0, n, size=(m, n), dtype=np.int32)
+    block = max(1, BOOTSTRAP_BLOCK // max(n, 1))
+    for done in range(0, n_resamples, block):
+        idx = rng.integers(0, n, size=(min(block, n_resamples - done), n), dtype=np.int32)
         idx.partition(order, axis=1)
-        quantiles[done : done + m] = values[idx[:, order]]
-        done += m
+        quantiles[done : done + block] = values[idx[:, order]]
     lo, hi = np.quantile(quantiles, [0.5 * (1.0 - conf), 0.5 * (1.0 + conf)])
     return float(0.5 * (hi - lo))
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -937,6 +938,13 @@ def _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed):
     return rng, ws, A_in
 
 
+def _natural_kkt(ws, sc):
+    """K at sc in natural order, from the KKT's own entries through scipy's
+    COO-to-CSC conversion, as the first factorization builds it."""
+    rows, cols, values = ws.kkt.entries(ws, ws.kkt.variable(sc, 0.0))
+    return sp.csc_matrix((values, (rows, cols)), shape=(ws.kkt.size,) * 2)
+
+
 def _kkt_solves(ws, sc, reg_x):
     """Two solves of the KKT at sc without z-side regularization: the first
     factorization, which picks the order, and a later one in that order."""
@@ -994,8 +1002,7 @@ def test_kkt_expansion_holds_near_a_cone_boundary(monkeypatch, sizes, n_nonneg, 
     # eliminating the expansion columns from K leaves -W^2 on every cone
     kkt, n, m = ws.kkt, ws.n, ws.m_in
     kkt.reg = (1.0, 0.0)
-    K = sp.csr_matrix((kkt._values(sc, 0.0), (kkt.rows, kkt.cols)), shape=(kkt.size,) * 2)
-    K = K.toarray()
+    K = _natural_kkt(ws, sc).toarray()
     zz, aux = slice(n, n + m), slice(n + m, None)
     w2 = -K[zz, zz] + K[zz, aux] @ np.linalg.solve(K[aux, aux], K[aux, zz])
     for at, eta, wbar in zip(ws.heads, sc.eta, _per_cone(ws, sc.wbar)):
@@ -1015,6 +1022,84 @@ def test_kkt_expansion_holds_near_a_cone_boundary(monkeypatch, sizes, n_nonneg, 
     for kkt_solve in _kkt_solves(ws, sc, reg_x):
         got_x, got_z = kkt_solve(f_x, f_z)
         assert _rel(got_x, dx) <= 1e-6 and _rel(got_z, dz) <= 1e-6
+
+
+@pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS)
+def test_kkt_factors_k_in_its_first_factorizations_order(monkeypatch, sizes, n_nonneg, empty, full):
+    # SuperLU gets K first, then K[q][:, q], q = argsort(perm_c) of that
+    # first factorization, at a later scaling and at a bump retry of it,
+    # byte for byte as the construction the permuted matrix replaced builds
+    # them: K from its entries in any order, and K[q][:, q] from entries
+    # tagged by their position, whose tags give each value its slot
+    rng, ws, _ = _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, 0)
+    kkt, splu = ws.kkt, spla.splu
+    got, perm_c = [], []
+
+    def spy(K, *args, **kwargs):
+        got.append((K.data.copy(), K.indices.copy(), K.indptr.copy()))
+        lu = splu(K, *args, **kwargs)
+        perm_c.append(lu.perm_c)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", spy)
+    first, later = (_NtScaling(ws, _interior(rng, ws), _interior(rng, ws)) for _ in range(2))
+    calls = [(first, 0.0), (later, 0.0), (later, 1e4)]
+    for sc, bump in calls:
+        kkt.factor(sc, bump)
+    p, shape = perm_c[0], (kkt.size,) * 2
+    for k, ((sc, bump), matrix) in enumerate(zip(calls, got)):
+        rows, cols, values = kkt.entries(ws, kkt.variable(sc, bump))
+        shuffle = rng.permutation(values.size)
+        natural = sp.csc_matrix((values[shuffle], (rows[shuffle], cols[shuffle])), shape=shape)
+        if k == 0:
+            want = natural
+        else:
+            tags = np.arange(1.0, values.size + 1.0)
+            want = sp.csc_matrix((tags, (p[rows], p[cols])), shape=shape)
+            slot = np.empty(values.size, dtype=int)
+            slot[want.data.astype(int) - 1] = np.arange(values.size)
+            want.data[slot] = values
+            q = np.argsort(p)
+            permuted = natural[q][:, q]
+            permuted.sort_indices()
+            assert np.array_equal(permuted.data, want.data)
+            assert np.array_equal(permuted.indices, want.indices)
+            assert np.array_equal(permuted.indptr, want.indptr)
+        for a, b in zip(matrix, (want.data, want.indices, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _banded_socp(n, dim, width):
+    """n soc cones of ``dim`` rows, the rows of cone j on columns j to
+    j + width - 1 (the last ones clipped to n - 1): a band, whose KKT
+    factors with little fill."""
+    rng = np.random.default_rng(3)
+    m = n * dim
+    rows = np.repeat(np.arange(m), width)
+    cols = np.minimum(rows // dim + np.tile(np.arange(width), m), n - 1)
+    A = sp.csr_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(m, n))
+    return ConicProgram(c=np.zeros(n), A=A, b=np.zeros(m), cones=(Cone("soc", dim),) * n)
+
+
+def test_sparse_path_allocates_few_bytes_per_kkt_entry(monkeypatch):
+    # the workspace and two factorizations of a 52k-entry K allocate at most
+    # 70 bytes per entry of K at their peak, SuperLU's own memory aside: 55
+    # with K's pattern in int32 and slots only for the entries that change,
+    # 86 with the pattern kept in int64 and a slot for every entry
+    _force_path(monkeypatch, "sparse")
+    prog = _banded_socp(600, 4, 8)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        ws = _Workspace(prog)
+        for _ in range(2):
+            ws.kkt.factor(_NtScaling(ws, _interior(rng, ws), _interior(rng, ws)), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz = ws.kkt._ordered.nnz
+    assert 50_000 <= nnz <= 55_000
+    assert peak <= 70 * nnz
 
 
 # every solve test of this module, run on each path through a recording solve

@@ -110,7 +110,7 @@ def test_stream_keys_match_numpy_seed_sequence():
 
 
 def test_bootstrap_matches_gather_oracle():
-    # ties, unsorted input, and 1000 resamples of 25,000 in two chunks
+    # ties, unsorted input, and 1000 resamples of 25,000 in blocks of 200
     values = np.round(np.random.Generator(np.random.Philox(4)).normal(size=25_000), 2)
     seed = np.random.SeedSequence([5, values.size])
     half = mc_mod._quantile_ci_half(values, 0.99, 1000, 0.99, seed)
@@ -120,6 +120,19 @@ def test_bootstrap_matches_gather_oracle():
     seed = np.random.SeedSequence([5, 1])
     assert mc_mod._quantile_ci_half(values[:1], 0.99, 50, 0.99, seed) == 0.0
     assert bootstrap_ci_half_gather(values[:1], 0.99, 50, 0.99, seed) == 0.0
+
+
+@pytest.mark.parametrize("n", [80, 401])
+def test_bootstrap_block_size_leaves_the_half_width_bit_identical(monkeypatch, n):
+    # the index draws continue one stream across blocks: one row at a time,
+    # seven (the last block short) and all 50 rows at once give equal bits
+    values = np.random.Generator(np.random.Philox(n)).normal(size=n)
+    seed = np.random.SeedSequence([7, n])
+    halves = []
+    for rows in (1, 7, 50):
+        monkeypatch.setattr(mc_mod, "BOOTSTRAP_BLOCK", rows * n)
+        halves.append(mc_mod._quantile_ci_half(values, 0.99, 50, 0.99, seed).hex())
+    assert halves[0] == halves[1] == halves[2]
 
 
 def test_quantile_order_statistic():
