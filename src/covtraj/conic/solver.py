@@ -25,13 +25,13 @@ Cholesky, n^3/3 flops, would cost more than ``SPARSE_KKT_RATIO`` times the
 nonzeros of the sparse KKT, the dense path otherwise.
 
 - Dense: the in-place Cholesky factor of the normal matrix M = A_in' W^-2
-  A_in + reg I, reg = STATIC_REG (1 + max diag M) frozen at the first
-  iterate, assembled as one triangle in Fortran order; dz = W^-2 (A_in dx
-  - f_z). With W^-2 = eta^-2 (2 J wbar wbar' J - J) on a cone, the lower
-  triangle of M is one product of a Gram stack fixed for the solve with the
-  weights 1/eta^2, plus 2 F F' with one column A_k' J wbar_k / eta_k of F
-  per cone of more than one row, added in place (on a one-row cone W^-2 =
-  1/eta^2, so its Gram block enters with sign +1 and it has no column of F).
+  A_in + reg I, reg = STATIC_REG ``reg_scale``, assembled as one triangle
+  in Fortran order; dz = W^-2 (A_in dx - f_z). With W^-2 = eta^-2 (2 J
+  wbar wbar' J - J) on a cone, the lower triangle of M is one product of a
+  Gram stack fixed for the solve with the weights 1/eta^2, plus 2 F F' with
+  one column A_k' J wbar_k / eta_k of F per cone of more than one row, added
+  in place (on a one-row cone W^-2 = 1/eta^2, so its Gram block enters with
+  sign +1 and it has no column of F).
 - Sparse: SuperLU's factor of the quasi-definite KKT [[reg_x I, A_in'],
   [A_in, -W^2]] over (x, z, two expansion columns per soc cone), whose z
   block gives dz. Each soc cone's W^2 = eta^2 (D + u u' - v v') is expanded
@@ -43,11 +43,16 @@ nonzeros of the sparse KKT, the dense path otherwise.
   and v1 = sqrt(2 omega^2 (1 + d1) / (1 + 2 omega^2 - d1)), a form without
   the cancellation of sqrt(u1^2 - 2 omega^2). Static regularization goes on
   every diagonal with its quasi-definite sign, + on x and the u columns and
-  - on z and the v columns: KKT_REG (1 + max diag M at the first iterate)
-  on x, ``KKT_REG`` elsewhere. So K factors without pivoting in any order:
-  the first factorization takes SuperLU's minimum-degree order of K + K'
-  and builds K in it once; later ones write only the diagonal and expansion
-  columns (5% of K at N=24). No n x n matrix and no Gram stack is built.
+  - on z and the v columns: KKT_REG ``reg_scale`` on x, ``KKT_REG``
+  elsewhere. So K factors without pivoting in any order: the first
+  factorization takes SuperLU's minimum-degree order of K + K' and builds K
+  in it once; later ones write only the diagonal and expansion columns (5%
+  of K at N=24). No n x n matrix and no Gram stack is built.
+
+Both paths regularize x relative to ``reg_scale`` = 1 + max diag M at the
+start s = z = e, where every W = I and diag M is A_in's squared column
+norms. It stays fixed: the cone weights diverge as the gap closes, and a
+regularization tracking them would bias the dual residual by reg |dx|.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -87,7 +92,7 @@ logger = logging.getLogger(__name__)
 
 #: Fraction of the distance to the cone boundary taken by combined steps.
 STEP_FRACTION = 0.99
-#: Static diagonal regularization relative to the normal-matrix scale.
+#: Static diagonal regularization of M relative to ``reg_scale``.
 STATIC_REG = 1e-12
 #: Column-then-row scaling passes of the Ruiz equilibration.
 EQUILIBRATION_PASSES = 3
@@ -265,7 +270,7 @@ class _QuasiDefiniteKkt:
         # no reference back to ws, which holds this KKT: a cycle would outlive the solve
         self.n_aux = 2 * ws.n_curved
         self.size = ws.n + ws.m_in + self.n_aux
-        self.reg = None
+        self.reg = (KKT_REG * ws.reg_scale, KKT_REG)  # on x, on every other diagonal
         self._ordered = None
 
     def entries(self, ws: _Workspace, variable: np.ndarray):
@@ -279,14 +284,6 @@ class _QuasiDefiniteKkt:
         rows = np.concatenate([diag, aux_r, aux_c, n + A.row, A.col], dtype=np.int32)
         cols = np.concatenate([diag, aux_c, aux_r, A.col, n + A.row], dtype=np.int32)
         return rows, cols, np.concatenate([variable, A.data, A.data])
-
-    def _normal_diagonal(self, sc: _NtScaling) -> np.ndarray:
-        """diag(A_in' W^-2 A_in), with W^-2 = eta^-2 (2 J wbar wbar' J - J) on each cone."""
-        ws, eta = sc.ws, sc.eta[sc.ws.cone_id]
-        cone_map = (ws.jsign * sc.wbar / eta, ws.cone_id, np.arange(ws.m_in + 1))
-        F = ws.A_in_t @ sp.csr_matrix(cone_map, shape=(ws.m_in, ws.degree))
-        squares = ws.A_in.multiply(ws.A_in).T @ (ws.jsign / eta**2)
-        return 2.0 * F.multiply(F).sum(axis=1).A1 - squares
 
     def variable(self, sc: _NtScaling, bump: float) -> np.ndarray:
         """K's variable entries at the scaling sc, in :meth:`entries`' order."""
@@ -318,8 +315,6 @@ class _QuasiDefiniteKkt:
         """
         from scipy.sparse.linalg import splu
 
-        if self.reg is None:
-            self.reg = (KKT_REG * (1.0 + self._normal_diagonal(sc).max(initial=0.0)), KKT_REG)
         values = self.variable(sc, bump)
         options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         if self._ordered is None:
@@ -378,11 +373,14 @@ def _polish(d, residuals, correction, target: float, passes: int):
 
 
 class _Workspace:
-    """Row split, flat cone indexing, and the Gram stack for one solve.
+    """A solve's whole set-up: the scaled rows, cone indexing, regularization scale.
 
     The program must be in canonical form (``program.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
-    rows. Every inequality row belongs to one second-order cone of that flat
+    rows. Its A is copied once and equilibrated in place, so ``A_eq``,
+    ``A_in``, ``b_*`` and ``c`` are scaled, ``col_scale`` maps x back, and
+    the program is not read again; ``reg_scale`` is the module docstring's.
+    Every inequality row belongs to one second-order cone of that flat
     region: each nonneg row is a one-row cone s0 >= 0, followed by the soc
     cones. Cone k starts at row ``heads[k]``; ``cone_id`` gives each row's
     cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1) (+1 on a
@@ -402,13 +400,15 @@ class _Workspace:
                 "the solver takes zero, then nonneg, then soc cones; "
                 "lower the program first"
             )
-        A = prog.A.tocsr()
-        #: rows of each cone: a 1 for each nonneg row, then each soc dim
-        self.sizes = _row_groups([c for c in prog.cones if c.kind != "zero"])
+        A = sp.csr_matrix(prog.A, dtype=float, copy=True)
+        groups = _row_groups(prog.cones)
+        row_scale, self.col_scale = _equilibrate(A, groups)
 
         self.n = prog.n_vars
         self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
         self.m_in = prog.n_rows - self.n_eq
+        #: rows of each cone: a 1 for each nonneg row, then each soc dim
+        self.sizes = groups[self.n_eq:]
         self.heads = np.cumsum(self.sizes) - self.sizes
         self.cone_id = np.repeat(np.arange(self.sizes.size), self.sizes)
         self.jsign = -np.ones(self.m_in)
@@ -422,12 +422,16 @@ class _Workspace:
         # the right-hand side of every solve with A_eq', checked once here
         if not np.isfinite(self.A_eq).all():
             raise NumericalError("equality rows are not finite")
-        self.b_eq = prog.b[: self.n_eq]
+        b = row_scale * prog.b
+        self.b_eq = b[: self.n_eq]
         self.A_in = A[self.n_eq:]
+        del A  # only the A_eq and A_in copies stay
         #: A_in' built once: its products sum in the same order as A_in.T's
         self.A_in_t = self.A_in.T.tocsr()
-        self.b_in = prog.b[self.n_eq:]
-        self.c = prog.c.copy()
+        self.b_in = b[self.n_eq:]
+        self.c = self.col_scale * prog.c
+        squares = np.bincount(self.A_in.indices, self.A_in.data**2, minlength=self.n)
+        self.reg_scale = 1.0 + float(squares.max(initial=0.0))
 
         curved = self.sizes > 1
         self.n_curved = int(curved.sum())
@@ -531,44 +535,40 @@ class _Workspace:
         return float(self.cone_steps(u, d).min(initial=np.inf))
 
 
-def _equilibrate(prog: ConicProgram) -> tuple[ConicProgram, np.ndarray]:
-    """Ruiz-style scaling with cone-uniform row factors.
+def _equilibrate(A: sp.csr_matrix, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ruiz-style scaling of the float CSR matrix A in place, with cone-uniform row factors.
 
-    Returns the scaled program (A' = E A D, b' = E b, c' = D c) and the
-    column scale d = diag(D). Each row group of :func:`_row_groups` shares
-    one factor, taken from the group's largest entry (``np.maximum.reduceat``
-    over the group starts): zero and nonneg rows scale one by one, and the
-    rows of one soc cone together, so the cone geometry is preserved.
+    A becomes E A D; returns the row and column scales (e, d) = (diag E,
+    diag D), with which b' = E b and c' = D c. ``sizes`` holds the row count
+    of each group of :func:`_row_groups`, in row order; each group shares
+    one factor, taken from its largest entry (``np.maximum.reduceat`` over
+    the group starts): zero and nonneg rows scale one by one, and the rows
+    of one soc cone together, so the cone geometry is preserved.
     """
-    work = sp.csr_matrix(prog.A, dtype=float, copy=True)
-    m, n = work.shape
+    m, n = A.shape
     e = np.ones(m)
     d = np.ones(n)
-    sizes = _row_groups(prog.cones)
     starts = np.cumsum(sizes) - sizes
-    row = np.repeat(np.arange(m), np.diff(work.indptr))
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
 
     # the scales multiply the stored entries in place, so the pattern is fixed
     for _ in range(EQUILIBRATION_PASSES):
         # column pass
-        cmax = abs(work).max(axis=0).toarray().ravel()
+        cmax = abs(A).max(axis=0).toarray().ravel()
         cs = 1.0 / np.sqrt(np.maximum(cmax, 1e-12))
         cs[cmax == 0.0] = 1.0
         d *= cs
-        work.data *= cs[work.indices]
+        A.data *= cs[A.indices]
         # row pass (uniform inside each cone)
-        rmax = abs(work).max(axis=1).toarray().ravel()
+        rmax = abs(A).max(axis=1).toarray().ravel()
         top = np.maximum.reduceat(rmax, starts)
         gs = np.ones(starts.size)
         live = top > 0.0
         gs[live] = 1.0 / np.sqrt(top[live])
         rs = np.repeat(gs, sizes)
         e *= rs
-        work.data *= rs[row]
-    scaled = ConicProgram(
-        c=d * prog.c, A=work, b=e * prog.b, cones=prog.cones, name=prog.name
-    )
-    return scaled, d
+        A.data *= rs[row]
+    return e, d
 
 
 def solve(
@@ -578,16 +578,17 @@ def solve(
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
 
-    The program's pow3 cones are lowered to soc cones and the program is
-    equilibrated; each interior-point iteration then factors the Newton
-    system once, solves the equality rows through their Schur complement,
-    and polishes the combined direction against the full Newton system: at
-    most ``POLISH_PASSES`` residual-correction passes, stopping at the first
-    that cuts the residual by less than ``POLISH_STOP_RATIO`` and reverting
-    one that raised it. The factorization is the dense Cholesky factor of
-    the normal matrix, or, when n^3/3 > ``SPARSE_KKT_RATIO`` nnz(K), SuperLU's
-    factor of the expanded, regularized quasi-definite KKT K (module
-    docstring). One line per iteration is logged at DEBUG level.
+    The program's pow3 cones are lowered to soc cones and the workspace
+    equilibrates its own copy of the rows; each interior-point iteration then
+    factors the Newton system once, solves the equality rows through their
+    Schur complement, and polishes the combined direction against the full
+    Newton system: at most ``POLISH_PASSES`` residual-correction passes,
+    stopping at the first that cuts the residual by less than
+    ``POLISH_STOP_RATIO`` and reverting one that raised it. The factorization
+    is the dense Cholesky factor of the normal matrix, or, when n^3/3 >
+    ``SPARSE_KKT_RATIO`` nnz(K), SuperLU's factor of the expanded, regularized
+    quasi-definite KKT K (module docstring). One line per iteration is logged
+    at DEBUG level.
 
     Args:
         prog: program with zero, nonneg, soc and pow3 cones, in class order.
@@ -604,10 +605,10 @@ def solve(
         NumericalError: the lowered program's equality rows are not finite.
     """
     lowered = lower_program(prog)
-    lp = lowered.program
-
-    scaled, d_col = _equilibrate(lp)
-    ws = _Workspace(scaled)
+    ws = _Workspace(lowered.program)
+    # the answer reads the lowered cost and size; its rows go with it here
+    cost, n_orig = lowered.program.c, lowered.n_orig
+    del lowered
 
     n, n_eq = ws.n, ws.n_eq
     x = np.zeros(n)
@@ -624,8 +625,6 @@ def solve(
     best_merit = np.inf
     best_snap: dict | None = None
 
-    reg = None
-
     def factor(sc):
         """This iteration's solve of the Newton system, (f_x, f_z, g) -> (dx, dy, dz).
 
@@ -634,7 +633,6 @@ def solve(
         with them. A failed factorization, not E, is retried with its
         diagonal scaled, so the bump stays relative to each pivot.
         """
-        nonlocal reg
         for bump in (0.0, 1e4, 1e8):
             try:
                 if ws.kkt is not None:
@@ -643,13 +641,7 @@ def solve(
                 # LAPACK factors M where it lies, so each retry assembles it again
                 M = ws.assemble_normal(sc)
                 diag = np.diag_indices_from(M)
-                # the regularization scale is frozen at the first iteration:
-                # cone weights diverge as the complementarity gap closes and a
-                # regularization tracking the growing diagonal would bias the
-                # dual residual by reg * |dx|
-                if reg is None:
-                    reg = STATIC_REG * (1.0 + float(np.abs(M[diag]).max(initial=0.0)))
-                M[diag] += reg
+                M[diag] += STATIC_REG * ws.reg_scale
                 M[diag] *= 1.0 + bump * STATIC_REG
                 L = _cholesky(M)
                 break
@@ -858,11 +850,11 @@ def solve(
 
     if status in ("optimal", "optimal_inaccurate"):
         # undo equilibration and the homogenizing tau
-        x_full = d_col * (x / tau)
+        x_full = ws.col_scale * (x / tau)
         return SolveResult(
             status=status,
-            x=x_full[:lowered.n_orig],
-            obj=float(lp.c @ x_full),
+            x=x_full[:n_orig],
+            obj=float(cost @ x_full),
             iterations=it,
             pres=pres,
             dres=dres,

@@ -136,9 +136,6 @@ class TimeGrid:
     def n_segments(self) -> int:
         return len(self.epochs) - 1
 
-    def dt(self, k: int) -> float:
-        return self.epochs[k + 1] - self.epochs[k]
-
     @property
     def dts(self) -> np.ndarray:
         return np.diff(np.asarray(self.epochs))

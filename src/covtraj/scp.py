@@ -336,6 +336,7 @@ def evaluate_point(
     """
     grid = problem.grid
     n_seg = grid.n_segments
+    dts = grid.dts
     unc = problem.uncertainty
     x0 = np.asarray(x0, dtype=float)
     controls = np.array(controls, dtype=float)
@@ -394,12 +395,12 @@ def evaluate_point(
         blocks = build_block_system(segments, schedule, unc.p_hat0)
         u_sqrt = control_cov_sqrt(blocks, policy)
         for k in grid.thrust_segments:
-            dv_feedback += grid.dt(k) * DV99_MULTIPLIER * float(np.linalg.norm(u_sqrt[k]))
+            dv_feedback += dts[k] * DV99_MULTIPLIER * float(np.linalg.norm(u_sqrt[k]))
         if problem.ga_events:
             d_sqrt = dispersion_sqrt(blocks, policy, u_sqrt)
 
     dv_linear = sum(
-        grid.dt(k) * float(np.linalg.norm(controls[k]))
+        dts[k] * float(np.linalg.norm(controls[k]))
         for k in grid.thrust_segments
     )
 

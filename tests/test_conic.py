@@ -3,6 +3,7 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 from oracles import arrow_matrix, nt_scaling_matrix, pow3_tower_slack, program_digest
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
-from covtraj.conic.solver import POLISH_STOP_RATIO, _equilibrate, _NtScaling, _polish, _Workspace
+from covtraj.conic.solver import (
+    POLISH_STOP_RATIO,
+    _equilibrate,
+    _NtScaling,
+    _polish,
+    _row_groups,
+    _Workspace,
+)
 from covtraj.errors import ConfigError, NumericalError
 
 
@@ -304,11 +312,11 @@ def test_equilibration_matches_per_group_loop():
     dense[rng.random((m, n)) < 0.4] = 0.0
     dense[4] = 0.0  # an all-zero row keeps the scale 1
     A = sp.csr_matrix(dense)
-    prog = ConicProgram(c=rng.standard_normal(n), A=A, b=rng.standard_normal(m), cones=cones)
-    scaled, d = _equilibrate(prog)
+    scaled = A.copy()
+    e, d = _equilibrate(scaled, _row_groups(cones))
 
     groups = [np.array([r]) for r in range(5)] + [np.arange(5, 9), np.arange(9, 11)]
-    work, e, d_ref = A.copy(), np.ones(m), np.ones(n)
+    work, e_ref, d_ref = A.copy(), np.ones(m), np.ones(n)
     for _ in range(3):
         cmax = np.abs(work).max(axis=0).toarray().ravel()
         cs = np.where(cmax > 0.0, 1.0 / np.sqrt(np.maximum(cmax, 1e-12)), 1.0)
@@ -319,11 +327,11 @@ def test_equilibration_matches_per_group_loop():
         for g in groups:
             if rmax[g].max() > 0.0:
                 rs[g] = 1.0 / np.sqrt(rmax[g].max())
-        e *= rs
+        e_ref *= rs
         work = sp.diags(rs) @ work
     assert d.tobytes() == d_ref.tobytes()
-    assert scaled.b.tobytes() == (e * prog.b).tobytes()
-    assert scaled.A.toarray().tobytes() == work.toarray().tobytes()
+    assert e.tobytes() == e_ref.tobytes()
+    assert scaled.toarray().tobytes() == work.toarray().tobytes()
 
 
 def test_dump_load_round_trip():
@@ -722,7 +730,8 @@ def test_flat_cone_operations_match_dense_oracle(sizes, n_nonneg, seed):
 def _random_cone_workspace(rng, sizes, n_nonneg, empty, full):
     """Workspace of a random 9-column program with two equality rows, n_nonneg
     nonneg rows and one soc per size; the cones listed in ``empty`` touch no
-    column, those in ``full`` every column through their head row."""
+    column, those in ``full`` every column through their head row. Returns
+    it with its equilibrated inequality rows, dense."""
     n, n_eq = 9, 2
     m = n_eq + n_nonneg + sum(sizes)
     A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
@@ -733,7 +742,7 @@ def _random_cone_workspace(rng, sizes, n_nonneg, empty, full):
         A[starts[k], :] = rng.standard_normal(n)
     cones = (Cone("zero", n_eq), Cone("nonneg", n_nonneg)) + tuple(Cone("soc", k) for k in sizes)
     ws = _Workspace(ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=np.zeros(m), cones=cones))
-    return ws, A[n_eq:]
+    return ws, ws.A_in.toarray()
 
 
 @pytest.mark.parametrize(
@@ -970,7 +979,6 @@ def test_kkt_solve_matches_the_normal_equations(monkeypatch, sizes, n_nonneg, em
     sc = _NtScaling(ws, _interior(rng, ws), _interior(rng, ws))
     winv2 = _oracle_winv2(ws, sc)
     M = A_in.T @ winv2 @ A_in
-    assert _rel(ws.kkt._normal_diagonal(sc), np.diag(M)) <= 1e-12
     reg_x = 1e-3 * (1.0 + np.diag(M).max())
     f_x, f_z = rng.standard_normal(ws.n), rng.standard_normal(ws.m_in)
     dx = np.linalg.solve(M + reg_x * np.eye(ws.n), f_x + A_in.T @ winv2 @ f_z)
@@ -982,6 +990,25 @@ def test_kkt_solve_matches_the_normal_equations(monkeypatch, sizes, n_nonneg, em
         cols_x, cols_z = kkt_solve(np.stack([f_x, -f_x], 1), np.stack([f_z, -f_z], 1))
         np.testing.assert_allclose(cols_x, np.stack([got_x, -got_x], 1), rtol=1e-12, atol=0)
         np.testing.assert_allclose(cols_z, np.stack([got_z, -got_z], 1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS)
+def test_start_point_fixes_the_regularization_scale(monkeypatch, sizes, n_nonneg, empty, full):
+    # every solve starts at s = z = e, where each NT scaling is W = I: the
+    # scale both paths regularize by is 1 + the normal matrix's largest
+    # diagonal there, whatever W the later iterates reach
+    _force_path(monkeypatch, "dense")
+    ws, A_in = _random_cone_workspace(np.random.default_rng(4), sizes, n_nonneg, empty, full)
+    sc = _NtScaling(ws, ws.e, ws.e)
+    assert np.all(sc.eta == 1.0) and np.array_equal(sc.wbar, ws.e)
+    oracle = A_in.T @ _oracle_winv2(ws, sc) @ A_in
+    assert ws.reg_scale == pytest.approx(1.0 + np.diag(oracle).max(), rel=1e-14)
+    assert ws.reg_scale == pytest.approx(1.0 + np.diag(ws.assemble_normal(sc)).max(), rel=1e-14)
+    # the sparse path's KKT regularizes x by the same scale, from its constructor
+    _force_path(monkeypatch, "sparse")
+    sparse, _ = _random_cone_workspace(np.random.default_rng(4), sizes, n_nonneg, empty, full)
+    assert sparse.reg_scale == ws.reg_scale
+    assert sparse.kkt.reg == (solver.KKT_REG * ws.reg_scale, solver.KKT_REG)
 
 
 @pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS[:3])
@@ -1245,6 +1272,37 @@ def test_the_rule_sends_each_program_to_one_factorization(monkeypatch):
     assert res.status == "optimal"
     assert res.obj == pytest.approx(best, abs=1e-6)
     assert splu_calls and factored and set(factored) == {(1, 1)}
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_no_lowered_program_outlives_the_workspace(monkeypatch, path):
+    # the workspace holds the solve's only scaled copy of the rows: a
+    # program that lowering built is gone before the first factorization
+    _force_path(monkeypatch, path)
+    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    lowered, first_factor = [], []
+
+    def lowering(p):
+        out = lower_program(p)
+        assert out.program is not p
+        lowered.append(weakref.ref(out.program))
+        return out
+
+    def spy(factor):
+        def first(*args, **kwargs):
+            if not first_factor:
+                first_factor.append(lowered[0]() is None)
+            return factor(*args, **kwargs)
+        return first
+
+    monkeypatch.setattr(solver, "lower_program", lowering)
+    if path == "dense":
+        monkeypatch.setattr(solver, "_cholesky", spy(solver._cholesky))
+    else:
+        kkt = solver._QuasiDefiniteKkt
+        monkeypatch.setattr(kkt, "factor", spy(kkt.factor))
+    assert solve(prog).status == "optimal"
+    assert len(lowered) == 1 and first_factor == [True]
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])

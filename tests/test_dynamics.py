@@ -184,7 +184,7 @@ def test_timegrid_validation():
     g = TimeGrid(epochs=(0.0, 0.5, 0.5, 2.0), kinds=("thrust", "ga", "coast", "coast"))
     assert g.n_segments == 3
     assert g.ga_segments == (1,)
-    assert g.dt(1) == 0.0
+    assert g.dts[1] == 0.0
     np.testing.assert_allclose(g.dts, [0.5, 0.0, 1.5])
 
 
