@@ -378,6 +378,7 @@ _E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
 _E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
                 -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
                 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+_E53 = np.stack([_E5, _E3])
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -394,14 +395,14 @@ def _stage_sum(coef: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.einsum("s,srn->rn", coef, K[: coef.size])
 
 
-def _initial_step(fun, rows, y0, f0, span, direction) -> np.ndarray:
+def _initial_step(fun, rows, y0, f0, span) -> np.ndarray:
     """solve_ivp's empirical first step of every row."""
     scale = ATOL + np.abs(y0) * RTOL
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    f1 = fun(rows, y0 + (h0 * direction)[:, None] * f0)
+    f1 = fun(rows, y0 + h0[:, None] * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
@@ -412,7 +413,7 @@ def _initial_step(fun, rows, y0, f0, span, direction) -> np.ndarray:
 
 
 def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
-    """Integrate y' = fun(rows, y) for a stack of rows, each with its own step.
+    """Integrate y' = fun(rows, y) forward for a stack of rows, each with its own step.
 
     Every row runs DOP853 at tolerances RTOL and ATOL with solve_ivp's rules:
     its first-step choice, its error norm, and its accept, reject and
@@ -427,17 +428,22 @@ def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
             y their states. A row whose derivative is undefined (inside the
             singularity radius, say) comes back non-finite.
         y0: initial states, shape (n_rows, n).
-        t0, t1: span of each row, scalars or (n_rows,). t1 < t0 runs
-            backward; t1 == t0 returns the row unchanged.
+        t0, t1: span of each row, scalars or (n_rows,), with t1 >= t0;
+            t1 == t0 returns the row unchanged.
 
     Returns:
         (y1, failures): the final states (n_rows, n), NaN on failed rows,
         and a message for every row index that failed.
+
+    Raises:
+        ValueError: a row has t1 < t0.
     """
     y = np.array(y0, dtype=float)
     n_rows, n = y.shape
     t0 = np.broadcast_to(np.asarray(t0, dtype=float), (n_rows,))
     t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n_rows,))
+    if np.any(t1 < t0):
+        raise ValueError("dop853 integrates forward only: every row needs t1 >= t0")
     failures: dict[int, str] = {}
     rows = np.flatnonzero(t1 != t0)
     if rows.size == 0:
@@ -446,21 +452,18 @@ def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
     pick = slice(None) if rows.size == n_rows else rows
 
     t, t_end = t0[rows], t1[rows]
-    direction = np.sign(t_end - t)
-    toward = direction * np.inf
     yr = y[rows]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = fun(pick, yr)
-        h_abs = _initial_step(fun, pick, yr, f, np.abs(t_end - t), direction)
+        h_abs = _initial_step(fun, pick, yr, f, t_end - t)
         rejected = np.zeros(rows.size, dtype=bool)
         while rows.size:
-            min_step = 10.0 * np.abs(np.nextafter(t, toward) - t)
+            min_step = 10.0 * (np.nextafter(t, np.inf) - t)
             stuck = rejected & (h_abs < min_step)
             h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-            t_new = t + h_abs * direction
-            t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
-            h = (t_new - t)[:, None]
-            h_abs = np.abs(h[:, 0])
+            t_new = np.minimum(t + h_abs, t_end)
+            h_abs = t_new - t
+            h = h_abs[:, None]
 
             K = np.empty((_N_STAGES + 1,) + yr.shape)
             K[0] = f
@@ -470,10 +473,9 @@ def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
             f_new = K[-1] = fun(pick, y_new)
 
             scale = ATOL + np.maximum(np.abs(yr), np.abs(y_new)) * RTOL
-            err5 = _stage_sum(_E5, K) / scale
-            err3 = _stage_sum(_E3, K) / scale
-            e5 = np.einsum("rn,rn->r", err5, err5)
-            denom = e5 + 0.01 * np.einsum("rn,rn->r", err3, err3)
+            err = np.einsum("es,srn->ern", _E53, K) / scale
+            e5, e3 = np.einsum("ern,ern->er", err, err)
+            denom = e5 + 0.01 * e3
             error_norm = np.where(denom == 0.0, 0.0, h_abs * e5 / np.sqrt(denom * n))
             accepted = error_norm < 1.0
             factor = _SAFETY * error_norm**_ERROR_EXPONENT
@@ -483,7 +485,7 @@ def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
             broken = ~np.isfinite(error_norm + np.add.reduce(y_new, axis=1))
             failed = stuck | broken
             accepted &= ~failed
-            done = accepted & (direction * (t_new - t_end) >= 0)
+            done = accepted & (t_new == t_end)
             if accepted.all():
                 t, yr, f = t_new, y_new, f_new
             else:
@@ -503,42 +505,25 @@ def dop853(fun, y0: np.ndarray, t0, t1) -> tuple[np.ndarray, dict[int, str]]:
                         "state or derivative became non-finite (singular radius or overflow)"
                     )
                 keep = ~leaving
-                rows, t, t_end, direction = rows[keep], t[keep], t_end[keep], direction[keep]
-                toward, yr, f = toward[keep], yr[keep], f[keep]
+                rows, t, t_end, yr, f = rows[keep], t[keep], t_end[keep], yr[keep], f[keep]
                 h_abs, rejected = h_abs[keep], rejected[keep]
                 pick = rows
     return y, failures
 
 
-def _gravity(r: np.ndarray, mu: np.ndarray, free, gradient: bool = False):
+def _gravity(r: np.ndarray, mu: float, gradient: bool = False):
     """Point-mass factors k3 = mu/|r|^3 and k5 = 3 mu/|r|^5 of each row.
 
     The acceleration is -k3 r and its gradient k5 r r' - k3 I; k5 is None
-    unless ``gradient``. Rows flagged in ``free`` (mu = 0; None when no row
-    is) get zeros, other rows inside the singularity radius NaN. Called
-    inside :func:`dop853`, which silences the floating-point warnings.
+    unless ``gradient``. Rows inside the singularity radius get NaN. Called
+    with mu != 0 inside :func:`dop853`, which silences the floating-point
+    warnings.
     """
     rn2 = np.einsum("ri,ri->r", r, r)
     k3 = mu / (rn2 * np.sqrt(rn2))
     k3[rn2 < SINGULARITY_RADIUS**2] = np.nan
     k5 = 3.0 * k3 / rn2 if gradient else None
-    if free is not None:
-        k3[free] = 0.0
-        if gradient:
-            k5[free] = 0.0
     return k3, k5
-
-
-def _row_params(n_rows: int, u, mu):
-    """Each row's control and gravitational parameter, and the mu = 0 rows.
-
-    Returns (u, mu, free, field): ``free`` masks the gravity-free rows and
-    is None when there are none; ``field`` is False when every row is free.
-    """
-    u = np.broadcast_to(np.asarray(u, dtype=float), (n_rows, 3))
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_rows,))
-    free = mu == 0.0
-    return u, mu, (free if free.any() else None), not free.all()
 
 
 def propagate_rows(
@@ -549,23 +534,24 @@ def propagate_rows(
     Args:
         x0: initial states, shape (n_rows, 6).
         u: zero-order-hold control of each row, (n_rows, 3) or (3,).
-        t0, t1: span of each row, scalars or (n_rows,); backward allowed.
-        mu: gravitational parameter, scalar or (n_rows,).
+        t0, t1: span of each row, scalars or (n_rows,), with t1 >= t0.
+        mu: gravitational parameter shared by every row, one number.
 
     Returns:
         (x1, failures) as from :func:`dop853`.
     """
     x0 = np.asarray(x0, dtype=float)
-    u, mu, free, field = _row_params(x0.shape[0], u, mu)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (x0.shape[0], 3))
+    mu = float(mu)
 
     def rhs(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         out[:, :3] = x[:, 3:]
-        if field:
-            k3, _ = _gravity(x[:, :3], mu[rows], None if free is None else free[rows])
-            out[:, 3:] = u[rows] - k3[:, None] * x[:, :3]
-        else:
+        if mu == 0.0:
             out[:, 3:] = u[rows]
+        else:
+            k3, _ = _gravity(x[:, :3], mu)
+            out[:, 3:] = u[rows] - k3[:, None] * x[:, :3]
         return out
 
     return dop853(rhs, x0, t0, t1)
@@ -576,8 +562,7 @@ def propagate(
 ) -> np.ndarray:
     """Propagate the controlled two-body flow with zero-order-hold control.
 
-    One row of :func:`propagate_rows`. Backward propagation (t1 < t0) is
-    allowed.
+    One row of :func:`propagate_rows`, over t1 >= t0.
 
     Returns:
         State at t1, shape (6,).
@@ -612,8 +597,8 @@ def linearize_rows(
     Args:
         x_ref: reference states, shape (n_rows, 6).
         u_ref: reference control of each row, (n_rows, 3) or (3,).
-        t0, t1: span of each row, scalars or (n_rows,).
-        mu: gravitational parameter, scalar or (n_rows,).
+        t0, t1: span of each row, scalars or (n_rows,), with t1 >= t0.
+        mu: gravitational parameter shared by every row, one number.
         proc_noise_sqrt: continuous process-noise square root (6, n_w)
             shared by every row, or None.
 
@@ -624,7 +609,8 @@ def linearize_rows(
     """
     x_ref = np.asarray(x_ref, dtype=float)
     n_rows = x_ref.shape[0]
-    u, mu, free, field = _row_params(n_rows, u_ref, mu)
+    u = np.broadcast_to(np.asarray(u_ref, dtype=float), (n_rows, 3))
+    mu = float(mu)
     GGt = None
     width = 9
     if proc_noise_sqrt is not None:
@@ -641,14 +627,14 @@ def linearize_rows(
         out[:, :3] = y[:, 3:6]
         dM = out[:, 6:].reshape(m, 6, width)
         dM[:, :3] = M[:, 3:]
-        if field:
-            k3, k5 = _gravity(r, mu[rows], None if free is None else free[rows], gradient=True)
+        if mu == 0.0:
+            out[:, 3:6] = u[rows]
+            dM[:, 3:] = 0.0
+        else:
+            k3, k5 = _gravity(r, mu, gradient=True)
             out[:, 3:6] = u[rows] - k3[:, None] * r
             rM = np.einsum("ri,rij->rj", r, M[:, :3])
             dM[:, 3:] = (k5[:, None] * r)[:, :, None] * rM[:, None, :] - k3[:, None, None] * M[:, :3]
-        else:
-            out[:, 3:6] = u[rows]
-            dM[:, 3:] = 0.0
         dM[:, 3:, 6:9] += eye3
         if GGt is not None:
             JQ = dM[:, :, 9:]
@@ -713,7 +699,7 @@ def linearize_segment(
     else:
         G_exe = np.zeros((6, 3))
     if Q is not None:
-        G_proc = psd_sqrt(0.5 * (Q[0] + Q[0].T))
+        G_proc = psd_sqrt(Q[0])
     else:
         G_proc = np.zeros((6, 0))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearSegment, require_finite
+from .dynamics import F_THRUST, LinearSegment, require_finite
 
 #: Allowed turn-angle window (radians). The periapsis expression degenerates
 #: at 0 and pi, so references are clamped away from both.
@@ -21,7 +21,7 @@ THETA_MIN = np.deg2rad(1.0)
 THETA_MAX = np.deg2rad(179.0)
 
 #: Velocity-extraction map: v = E_VEL @ x.
-E_VEL = np.hstack([np.zeros((3, 3)), np.eye(3)])
+E_VEL = F_THRUST.T
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from .dynamics import (
     require_positive_semidefinite,
 )
 from .gravity_assist import (
-    E_VEL,
     GaEvent,
     ga_linearize,
     max_v_inf_for_safe_flyby,
@@ -413,8 +412,8 @@ def evaluate_point(
             d_row = d_sqrt[pre]
             est_sqrt = psd_sqrt(schedule.P_post[pre])
             disp = math.hypot(
-                float(np.linalg.norm(E_VEL @ d_row)),
-                float(np.linalg.norm(E_VEL @ est_sqrt)),
+                float(np.linalg.norm(d_row[3:])),
+                float(np.linalg.norm(est_sqrt[3:])),
             )
             disp *= chi2_quantile_sqrt(e.eps, N_U)
         g_ineq.append(v_inf + disp - max_v_inf_for_safe_flyby(t, e.mu_p, e.r_p_min))

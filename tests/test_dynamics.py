@@ -110,14 +110,6 @@ def test_propagate_zero_duration_is_identity():
     np.testing.assert_array_equal(propagate(x0, np.ones(3), 1.5, 1.5), x0)
 
 
-def test_propagate_backward_inverts_forward():
-    x0 = np.array([1.0, 0.1, 0.0, -0.05, 1.02, 0.01])
-    u = np.array([0.01, -0.02, 0.005])
-    xf = propagate(x0, u, 0.0, 1.7)
-    back = propagate(xf, u, 1.7, 0.0)
-    np.testing.assert_allclose(back, x0, atol=1e-10)
-
-
 def test_planet_state_circular_zero_inclination():
     body = BodyEphemeris(name="t", a=2.0, e=0.0, inc=0.0, raan=0.0, argp=0.0,
                          mean_anomaly=0.0, epoch=0.0, mu=1.0)
@@ -257,10 +249,11 @@ def _mixed_rows():
     """Rows that exercise the batched integrator's per-row step control.
 
     Near-circular and e = 0.6 Keplerian arcs, two gravity-free rows, a
-    backward Keplerian span, and an e = 0.7 arc falling from apoapsis whose
-    step control rejects trial steps. (Deeper periapsis passes are too
-    ill-conditioned for a 1e-12 gate: at e = 0.9 one ulp of start state
-    moves solve_ivp's own Q by 3e-11.)
+    Keplerian span starting at t = 0.5, and an e = 0.7 arc falling from
+    apoapsis whose step control rejects trial steps. (Deeper periapsis
+    passes are too ill-conditioned for a 1e-12 gate: at e = 0.9 one ulp of
+    start state moves solve_ivp's own Q by 3e-11.) :data:`_BATCHES` groups
+    the rows by gravitational parameter.
     """
     x0 = np.array([
         [1.0, 0.0, 0.0, 0.0, 1.0, 0.01],
@@ -278,10 +271,14 @@ def _mixed_rows():
         [0.02, 0.0, -0.01],
         [0.0, 0.001, 0.0],
     ])
-    t0 = np.array([0.0, 0.0, 0.0, 0.3, 2.0, 0.0])
-    t1 = np.array([2.0, 3.0, 1.5, 1.0, 0.5, 1.0])
-    mu = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-    return x0, u, t0, t1, mu
+    t0 = np.array([0.0, 0.0, 0.0, 0.3, 0.5, 0.0])
+    t1 = np.array([2.0, 3.0, 1.5, 1.0, 2.0, 1.0])
+    return x0, u, t0, t1
+
+
+#: The rows of :func:`_mixed_rows` in one batch per gravitational parameter:
+#: the Keplerian rows at mu = 1, the gravity-free rows at mu = 0.
+_BATCHES = ((1.0, np.array([0, 1, 4, 5])), (0.0, np.array([2, 3])))
 
 
 def _rel(a, b, scale=None):
@@ -289,70 +286,88 @@ def _rel(a, b, scale=None):
 
 
 def test_batched_propagation_matches_solve_ivp_step_for_step(monkeypatch):
-    x0, u, t0, t1, mu = _mixed_rows()
+    x0, u, t0, t1 = _mixed_rows()
     counts = np.zeros(len(x0), dtype=int)
+    rejected = {}
     real = dynamics.dop853
+    for mu, rows in _BATCHES:
 
-    def counting(fun, y0, s0, s1):
-        def counted(rows, y):
-            np.add.at(counts, np.arange(len(y0))[rows], 1)
-            return fun(rows, y)
+        def counting(fun, y0, s0, s1, rows=rows):
+            def counted(live, y):
+                np.add.at(counts, rows[live], 1)
+                return fun(live, y)
 
-        return real(counted, y0, s0, s1)
+            return real(counted, y0, s0, s1)
 
-    monkeypatch.setattr(dynamics, "dop853", counting)
-    x1, failures = propagate_rows(x0, u, t0, t1, mu)
-    assert failures == {}
-    rejected = []
-    for i in range(len(x0)):
-        ref, nfev, steps = solve_ivp_propagate(x0[i], u[i], t0[i], t1[i], mu[i])
-        assert _rel(x1[i], ref) <= 1e-12
-        # the same trial steps as solve_ivp: 2 start-up evaluations, 12 per trial
-        assert counts[i] == nfev
-        rejected.append((nfev - 2) // 12 - steps)
+        monkeypatch.setattr(dynamics, "dop853", counting)
+        x1, failures = propagate_rows(x0[rows], u[rows], t0[rows], t1[rows], mu)
+        monkeypatch.setattr(dynamics, "dop853", real)
+        assert failures == {}
+        for j, i in enumerate(rows):
+            ref, nfev, steps = solve_ivp_propagate(x0[i], u[i], t0[i], t1[i], mu)
+            assert _rel(x1[j], ref) <= 1e-12
+            # the same trial steps as solve_ivp: 2 start-up evaluations, 12 per trial
+            assert counts[i] == nfev
+            rejected[i] = (nfev - 2) // 12 - steps
+            # each row alone gives the same bits as inside its batch
+            alone, _ = propagate_rows(x0[i : i + 1], u[i], t0[i], t1[i], mu)
+            assert np.array_equal(alone[0], x1[j])
     assert rejected[5] > 0
-
-    # each row alone gives the same bits as inside the batch
-    monkeypatch.setattr(dynamics, "dop853", real)
-    for i in range(len(x0)):
-        alone, _ = propagate_rows(x0[i : i + 1], u[i], t0[i], t1[i], mu[i])
-        assert np.array_equal(alone[0], x1[i])
 
 
 def test_batched_variational_flow_matches_solve_ivp():
-    x0, u, t0, t1, mu = _mixed_rows()
+    x0, u, t0, t1 = _mixed_rows()
     G = np.vstack([np.zeros((3, 3)), 0.05 * np.eye(3)])
-    x1, A, B, Q, failures = linearize_rows(x0, u, t0, t1, mu, proc_noise_sqrt=G)
-    assert failures == {}
-    for i in range(len(x0)):
-        rx, rA, rB, rQ = solve_ivp_variational(x0[i], u[i], t0[i], t1[i], mu[i], G)
-        assert _rel(x1[i], rx) <= 1e-12
-        assert _rel(A[i], rA) <= 1e-12
-        assert _rel(B[i], rB) <= 1e-12
-        assert _rel(Q[i], rQ) <= 1e-12
-        c = x1[i] - A[i] @ x0[i] - B[i] @ u[i]
-        assert _rel(c, rx - rA @ x0[i] - rB @ u[i], scale=rx) <= 1e-12
-        assert np.array_equal(Q[i], Q[i].T)
-    # the single-row form is one row of the batch
-    seg = linearize_segment(2, x0[2], u[2], t0[2], t1[2], mu=0.0, proc_noise_sqrt=G)
-    assert np.array_equal(seg.A, A[2])
-    assert np.array_equal(seg.B, B[2])
+    for mu, rows in _BATCHES:
+        x1, A, B, Q, failures = linearize_rows(
+            x0[rows], u[rows], t0[rows], t1[rows], mu, proc_noise_sqrt=G
+        )
+        assert failures == {}
+        for j, i in enumerate(rows):
+            rx, rA, rB, rQ = solve_ivp_variational(x0[i], u[i], t0[i], t1[i], mu, G)
+            assert _rel(x1[j], rx) <= 1e-12
+            assert _rel(A[j], rA) <= 1e-12
+            assert _rel(B[j], rB) <= 1e-12
+            assert _rel(Q[j], rQ) <= 1e-12
+            c = x1[j] - A[j] @ x0[i] - B[j] @ u[i]
+            assert _rel(c, rx - rA @ x0[i] - rB @ u[i], scale=rx) <= 1e-12
+            assert np.array_equal(Q[j], Q[j].T)
+            # the single-row form is one row of the batch
+            seg = linearize_segment(i, x0[i], u[i], t0[i], t1[i], mu=mu, proc_noise_sqrt=G)
+            assert np.array_equal(seg.A, A[j])
+            assert np.array_equal(seg.B, B[j])
 
 
 def test_failed_row_leaves_the_rest_of_the_batch_alone():
-    x0, u, t0, t1, mu = _mixed_rows()
+    x0, u, t0, t1 = _mixed_rows()
     bad = x0.copy()
     bad[1, :3] = [1e-7, 0.0, 0.0]
     bad[3, 4] = np.nan
-    x1, failures = propagate_rows(bad, u, t0, t1, mu)
-    assert sorted(failures) == [1, 3]
-    assert "singular" in failures[1]
-    assert np.all(np.isnan(x1[[1, 3]]))
-    clean, _ = propagate_rows(x0, u, t0, t1, mu)
-    keep = [0, 2, 4, 5]
-    assert np.array_equal(x1[keep], clean[keep])
-    with pytest.raises(NumericalError, match="propagation failed"):
-        propagate(bad[1], u[1], t0[1], t1[1], mu[1])
+    for (mu, rows), poisoned in zip(_BATCHES, (1, 3)):
+        x1, failures = propagate_rows(bad[rows], u[rows], t0[rows], t1[rows], mu)
+        j = int(np.flatnonzero(rows == poisoned)[0])
+        assert sorted(failures) == [j]
+        assert np.all(np.isnan(x1[j]))
+        clean, _ = propagate_rows(x0[rows], u[rows], t0[rows], t1[rows], mu)
+        keep = np.arange(rows.size) != j
+        assert np.array_equal(x1[keep], clean[keep])
+        if mu != 0.0:
+            assert "singular" in failures[j]
+            with pytest.raises(NumericalError, match="propagation failed"):
+                propagate(bad[poisoned], u[poisoned], t0[poisoned], t1[poisoned], mu)
+
+
+def test_integrators_reject_backward_spans_and_per_row_mu():
+    x0, u, t0, t1 = _mixed_rows()
+    backward = t1.copy()
+    backward[4] = t0[4] - 1.5
+    with pytest.raises(ValueError, match="forward only"):
+        dynamics.dop853(lambda rows, y: np.zeros_like(y), x0, t0, backward)
+    for integrate in (propagate_rows, linearize_rows):
+        with pytest.raises(ValueError, match="forward only"):
+            integrate(x0, u, t0, backward, 1.0)
+        with pytest.raises(TypeError):
+            integrate(x0, u, t0, t1, np.ones(len(x0)))
 
 
 def test_dop853_tableau_equals_scipy_bit_for_bit():
@@ -367,6 +382,7 @@ def test_dop853_tableau_equals_scipy_bit_for_bit():
         (dynamics._B, ref.B),
         (dynamics._E3, ref.E3),
         (dynamics._E5, ref.E5),
+        (dynamics._E53, np.stack([ref.E5, ref.E3])),
     ]:
         assert ours.dtype == np.float64 and ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
