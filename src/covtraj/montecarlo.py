@@ -85,6 +85,9 @@ OD_TOLERANCE = 1e-12
 BOOTSTRAP_CONF = 0.99
 #: Bootstrap indices drawn at once (20 MB of int32); blocks continue one stream.
 BOOTSTRAP_BLOCK = 5_000_000
+#: Largest fraction of a campaign's samples that may fail numerically before
+#: the campaign itself errors out; it always errors out when every one fails.
+MAX_FAILURE_RATE = 0.01
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,7 @@ class McConfig:
     in ``"ekf"`` mode; segments are split into uniform windows no longer
     than this, and ``None`` holds one draw across each whole segment.
     ``bootstrap`` resamples size the confidence interval of the delta-v
-    quantile; ``max_failure_rate`` is the tolerated fraction of samples that
-    may fail numerically before the campaign itself errors out (a campaign
-    in which every sample fails always errors out).
+    quantile.
     """
 
     n_samples: int
@@ -110,7 +111,6 @@ class McConfig:
     mode: str = "ekf"
     dt_wn: float | None = None
     bootstrap: int = 1000
-    max_failure_rate: float = 0.01
 
     def __post_init__(self):
         for name in ("n_samples", "master_seed", "bootstrap"):
@@ -125,8 +125,6 @@ class McConfig:
             raise ValueError("dt_wn must be positive and finite when given")
         if self.bootstrap < 1:
             raise ValueError("need at least one bootstrap resample")
-        if not 0.0 <= self.max_failure_rate <= 1.0:
-            raise ValueError("max_failure_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,7 @@ class McReport:
     figures count per-node orbit-determination errors inside three-sigma,
     and the terminal statistics describe the dispersion of the realized
     final state about the reference (with the closed-form prediction
-    alongside). ``samples`` holds every surviving sample, and ``dv_values``
-    and ``periapses`` (one realized-radius array per gravity-assist event,
-    in event order) are its ``dv`` and the columns of its ``periapses``.
+    alongside). ``samples`` holds every surviving sample.
     """
 
     mode: str
@@ -184,7 +180,6 @@ class McReport:
     failed: tuple[int, ...]
     master_seed: int
     quantile_p: float
-    dv_values: np.ndarray
     dv_nominal: float
     dv_mean: float
     dv_max: float
@@ -198,17 +193,27 @@ class McReport:
     terminal_mean: np.ndarray
     terminal_cov: np.ndarray
     terminal_cov_analytic: np.ndarray
-    periapses: tuple[np.ndarray, ...]
     periapsis_nominal: tuple[float, ...]
     periapsis_min: tuple[float, ...]
     samples: McSamples
 
+    @property
+    def dv_values(self) -> np.ndarray:
+        """Each surviving sample's delta-v, ``samples.dv``."""
+        return self.samples.dv
+
+    @property
+    def periapses(self) -> tuple[np.ndarray, ...]:
+        """One realized-radius array per gravity-assist event, in event
+        order: the columns of ``samples.periapses``."""
+        return tuple(self.samples.periapses.T)
+
     def as_dict(self) -> dict:
         """JSON-ready summary (arrays and tuples as lists; the per-sample
-        ``dv_values``, ``periapses`` and ``samples`` omitted)."""
+        ``samples`` omitted)."""
         out = {}
         for f in fields(self):
-            if f.name in ("dv_values", "periapses", "samples"):
+            if f.name == "samples":
                 continue
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
@@ -597,7 +602,7 @@ def run_campaign(
     non-finite state, an integration step that is too small, a singular
     innovation covariance) are excluded from every statistic and warned
     about in index order; the campaign raises once more than
-    ``max_failure_rate`` of them fail, or when none succeeds.
+    :data:`MAX_FAILURE_RATE` of them fail, or when none succeeds.
     """
     if problem.uncertainty is None:
         raise ConfigError(
@@ -621,10 +626,10 @@ def run_campaign(
     failed = tuple(sorted(failures))
     for i in failed:
         warnings.warn(f"Monte Carlo sample {i} failed and is excluded: {failures[i]}")
-    if len(failed) > cfg.max_failure_rate * cfg.n_samples:
+    if len(failed) > MAX_FAILURE_RATE * cfg.n_samples:
         raise NumericalError(
             f"{len(failed)} of {cfg.n_samples} Monte Carlo samples failed "
-            f"(tolerated fraction {cfg.max_failure_rate:.2%})"
+            f"(tolerated fraction {MAX_FAILURE_RATE:.2%})"
         )
     if len(failed) == cfg.n_samples:
         raise NumericalError(f"all {cfg.n_samples} Monte Carlo samples failed")
@@ -660,7 +665,6 @@ def run_campaign(
     d_sqrt = dispersion_sqrt(point.blocks, point.policy)[-1]
     terminal_cov_analytic = d_sqrt @ d_sqrt.T + point.schedule.P_post[-1]
 
-    periapses = tuple(samples.periapses.T)
     periapsis_nominal = []
     for event, theta in zip(problem.ga_events, point.thetas):
         v_inf_ref = float(
@@ -675,7 +679,6 @@ def run_campaign(
         failed=failed,
         master_seed=cfg.master_seed,
         quantile_p=1.0 - DV99_TAIL,
-        dv_values=dv_values,
         dv_nominal=point.dv_linear,
         dv_mean=float(dv_values.mean()),
         dv_max=float(dv_values.max()),
@@ -689,9 +692,8 @@ def run_campaign(
         terminal_mean=terminal_mean,
         terminal_cov=terminal_cov,
         terminal_cov_analytic=terminal_cov_analytic,
-        periapses=periapses,
         periapsis_nominal=tuple(periapsis_nominal),
-        periapsis_min=tuple(float(p.min()) for p in periapses),
+        periapsis_min=tuple(float(r) for r in samples.periapses.min(axis=0)),
         samples=samples,
     )
 

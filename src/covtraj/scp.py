@@ -5,8 +5,11 @@ solve the convex subproblem (joint mean-control and feedback-gain design),
 score the candidate by the ratio rho of the actual to the predicted reduction
 of the nonlinearly evaluated augmented cost, then accept or reject the step,
 resize the trust region, and update the exact-penalty multipliers on accepted
-steps. A numerical failure of the embedded solver triggers the safeguard:
-shrink the penalty weight and re-solve without touching the reference.
+steps. The schedule is SCvx* (Oguri, 2023). Its penalty weight grows no
+further than ``ScpParams.w_max``, below the weights at which the embedded
+interior-point solver stops resolving the subproblem. A numerical failure
+of that solver triggers the safeguard: shrink the penalty weight and
+re-solve without touching the reference.
 
 The reference iterate is kept single-shooting consistent: its node states are
 the nonlinear flow of (x0, controls), with the flyby map applied at
@@ -21,10 +24,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -103,7 +105,10 @@ MAX_CONSECUTIVE_FAILURES = 8
 
 @dataclass(frozen=True)
 class ScpParams:
-    """Driver tuning: tolerances, acceptance bands, and penalty schedule.
+    """Driver tuning: the trust region's initial radius and its cap.
+
+    ``tr_init`` and ``tr_max`` are the only settings. The rest of the SCvx*
+    schedule is fixed on the class and read like a field (``params.eta0``).
 
     ``eps_opt`` is the relative cost tolerance: an accepted step that
     changes the augmented cost J by at most ``eps_opt * max(1, |J|)`` meets
@@ -114,53 +119,39 @@ class ScpParams:
 
     The acceptance band is ``|rho - 1| <= eta0``; the trust region grows by
     ``alpha2`` inside the tight band ``eta2``, holds inside ``eta1``, and
-    shrinks by ``alpha1`` outside. ``gamma`` gates penalty-weight growth: the
-    weight multiplies by ``beta`` whenever an accepted step fails to shrink
-    the maximum violation below ``gamma`` times its value at the previous
-    multiplier update.
+    shrinks by ``alpha1`` outside, never below ``tr_min``. ``gamma`` gates
+    penalty-weight growth: the weight starts at ``w_init`` and multiplies by
+    ``beta`` whenever an accepted step fails to shrink the maximum violation
+    below ``gamma`` times its value at the previous multiplier update, up to
+    ``w_max``. The run stops after ``max_iters`` iterations.
     """
 
-    eps_opt: float = 1e-6
-    eps_feas: float = 1e-6
-    eta0: float = 1.0
-    eta1: float = 0.5
-    eta2: float = 0.1
-    alpha1: float = 2.0
-    alpha2: float = 3.0
-    beta: float = 2.0
-    gamma: float = 0.95
-    w_init: float = 1e2
-    w_max: float = 1e10
+    eps_opt: ClassVar[float] = 1e-6
+    eps_feas: ClassVar[float] = 1e-6
+    eta0: ClassVar[float] = 1.0
+    eta1: ClassVar[float] = 0.5
+    eta2: ClassVar[float] = 0.1
+    alpha1: ClassVar[float] = 2.0
+    alpha2: ClassVar[float] = 3.0
+    beta: ClassVar[float] = 2.0
+    gamma: ClassVar[float] = 0.95
+    w_init: ClassVar[float] = 1e2
+    # From about 1e6 the subproblems end optimal_inaccurate, and from 1e8
+    # the IPM reports bounded subproblems dual_infeasible.
+    w_max: ClassVar[float] = 1e5
+    tr_min: ClassVar[float] = 1e-8
+    max_iters: ClassVar[int] = 200
+
     tr_init: float = 0.1
-    tr_min: float = 1e-8
     tr_max: float = 1.0
-    max_iters: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", operator.index(self.max_iters))
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0.0 < self.eta2 < self.eta1 < self.eta0 <= 1.0:
-            raise ValueError(
-                f"acceptance bands need 1 >= eta0 > eta1 > eta2 > 0, got "
-                f"({self.eta0}, {self.eta1}, {self.eta2})"
-            )
-        if self.alpha1 <= 1.0 or self.alpha2 <= 1.0:
-            raise ValueError("trust-region factors alpha1, alpha2 must exceed 1")
-        if self.beta <= 1.0:
-            raise ValueError("penalty growth factor beta must exceed 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("violation-reduction factor gamma must lie in (0, 1)")
-        if self.eps_opt <= 0.0 or self.eps_feas <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.w_init <= 0.0 or self.w_max < self.w_init:
-            raise ValueError("need 0 < w_init <= w_max")
-        if not 0.0 < self.tr_min <= self.tr_init <= self.tr_max:
-            raise ValueError("need 0 < tr_min <= tr_init <= tr_max")
-        if self.max_iters < 1:
-            raise ValueError("need at least one iteration")
+        if not self.tr_min <= self.tr_init <= self.tr_max:
+            raise ValueError("need tr_min <= tr_init <= tr_max")
 
 
 @dataclass(frozen=True)
@@ -358,6 +349,8 @@ def evaluate_point(
         policy = None
     elif policy is None:
         policy = FeedbackPolicy.zeros(n_seg)
+    elif policy.n_segments != n_seg:
+        raise ValueError(f"policy covers {policy.n_segments} segments, the grid {n_seg}")
 
     event_at = {e.segment: e for e in problem.ga_events}
     states = np.zeros((n_seg + 1, N_X))
@@ -446,10 +439,7 @@ def nl_augmented_cost(point: ReferencePoint, weights: PenaltyWeights) -> float:
 
 
 def step_ratio(
-    j_ref: float,
-    j_cand_nl: float,
-    j_cand_model: float,
-    eps_opt: float = ScpParams.eps_opt,
+    j_ref: float, j_cand_nl: float, j_cand_model: float
 ) -> tuple[float, float, float, bool]:
     """Reduction ratio rho = (actual decrease) / (predicted decrease).
 
@@ -460,16 +450,16 @@ def step_ratio(
     - a predicted decrease at or below the degeneracy floor: the subproblem
       could not improve on the reference;
     - an actual and a predicted change both within the convergence
-      tolerance ``eps_opt * max(1, |J|)`` of the candidate's cost J: their
-      quotient divides solver-tolerance noise by solver-tolerance noise and
-      says nothing about the model.
+      tolerance ``ScpParams.eps_opt * max(1, |J|)`` of the candidate's cost
+      J: their quotient divides solver-tolerance noise by solver-tolerance
+      noise and says nothing about the model.
 
     A small predicted decrease paired with a larger actual change is scored
     as usual, so a real increase is still rejected.
     """
     d_j = float(j_ref - j_cand_nl)
     d_l = float(j_ref - j_cand_model)
-    floor = eps_opt * max(1.0, abs(j_cand_nl))
+    floor = ScpParams.eps_opt * max(1.0, abs(j_cand_nl))
     if d_l <= DEGENERATE_PREDICTED_REDUCTION or max(abs(d_j), abs(d_l)) <= floor:
         return 1.0, d_j, d_l, True
     return d_j / d_l, d_j, d_l, False
@@ -591,7 +581,7 @@ def run(
         problem: the instance (deterministic when ``uncertainty`` is None).
         guess: initial iterate; a pre-evaluated :class:`ReferencePoint` from
             a previous run is accepted and re-evaluated against ``problem``.
-        params: driver tuning; defaults to :class:`ScpParams()`.
+        params: trust-region settings; defaults to :class:`ScpParams()`.
         solver_tol / solver_iters: embedded conic-solver settings.
 
     Returns:
@@ -671,9 +661,7 @@ def run(
             j_cand_nl = nl_augmented_cost(cand, weights)
             dv_model = float(dts @ sol.dv_linear + DV99_MULTIPLIER * (dts @ sol.dv_feedback))
             j_cand_model = augmented_cost(dv_model, sol.xi, sol.zetas, weights)
-            rho, d_j, d_l, degenerate = step_ratio(
-                j_ref, j_cand_nl, j_cand_model, params.eps_opt
-            )
+            rho, d_j, d_l, degenerate = step_ratio(j_ref, j_cand_nl, j_cand_model)
             accepted, tr_radius = accept_and_update(rho, tr_radius, params)
             if accepted:
                 ref = cand

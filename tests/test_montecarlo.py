@@ -74,8 +74,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_samples=10, bootstrap=0)
     with pytest.raises(ValueError):
-        McConfig(n_samples=10, max_failure_rate=1.5)
-    with pytest.raises(ValueError):
         McConfig(n_samples=10, master_seed=-1)
     with pytest.raises(TypeError):
         McConfig(n_samples=10, master_seed=2.5)
@@ -357,7 +355,7 @@ def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
         monkeypatch.setattr(mc_mod, "_draw_noise", real)
         clean = run_campaign(prob, point, cfg)
         monkeypatch.setattr(mc_mod, "_draw_noise", poisoned)
-        cfg = dataclasses.replace(cfg, max_failure_rate=0.1)
+        monkeypatch.setattr(mc_mod, "MAX_FAILURE_RATE", 0.1)
         with pytest.warns(UserWarning, match="sample 2 failed"):
             rep = run_campaign(prob, point, cfg)
         assert rep.n_failed == 1
@@ -366,10 +364,10 @@ def test_failed_samples_warned_excluded_and_capped(solved, monkeypatch):
         assert rep.samples.index.tolist() == [i for i in range(20) if i != 2]
         _same_samples(rep.samples, clean.samples.take(clean.samples.index != 2))
 
-        strict = dataclasses.replace(cfg, max_failure_rate=0.01)
+        monkeypatch.setattr(mc_mod, "MAX_FAILURE_RATE", 0.01)
         with pytest.warns(UserWarning, match="sample 2 failed"):
             with pytest.raises(NumericalError, match="1 of 20"):
-                run_campaign(prob, point, strict)
+                run_campaign(prob, point, cfg)
 
 
 def test_campaign_with_no_surviving_sample_raises(solved, monkeypatch):
@@ -377,7 +375,8 @@ def test_campaign_with_no_surviving_sample_raises(solved, monkeypatch):
     monkeypatch.setattr(
         mc_mod, "_draw_noise", lambda master_seed, n, size: np.full((n, size), np.nan)
     )
-    cfg = McConfig(n_samples=4, mode="linear", bootstrap=10, max_failure_rate=1.0)
+    monkeypatch.setattr(mc_mod, "MAX_FAILURE_RATE", 1.0)
+    cfg = McConfig(n_samples=4, mode="linear", bootstrap=10)
     with pytest.warns(UserWarning, match="failed"):
         with pytest.raises(NumericalError, match="all 4 Monte Carlo samples failed"):
             run_campaign(prob, point, cfg)

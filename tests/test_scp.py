@@ -66,41 +66,41 @@ def _check_records(res, params):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ScpParams(eta1=1.5)  # band ordering broken
-    with pytest.raises(ValueError):
-        ScpParams(eta2=0.7)
-    with pytest.raises(ValueError):
-        ScpParams(alpha1=1.0)
-    with pytest.raises(ValueError):
-        ScpParams(beta=0.5)
-    with pytest.raises(ValueError):
-        ScpParams(gamma=1.0)
-    with pytest.raises(ValueError):
         ScpParams(tr_init=2.0)  # above tr_max
-    with pytest.raises(ValueError):
-        ScpParams(w_init=1e11)  # above w_max
-    with pytest.raises(ValueError):
-        ScpParams(max_iters=0)
+
+
+FIXED_PARAMS = {
+    "eps_opt": 1e-6,
+    "eps_feas": 1e-6,
+    "eta0": 1.0,
+    "eta1": 0.5,
+    "eta2": 0.1,
+    "alpha1": 2.0,
+    "alpha2": 3.0,
+    "beta": 2.0,
+    "gamma": 0.95,
+    "w_init": 1e2,
+    "w_max": 1e5,
+    "tr_min": 1e-8,
+    "max_iters": 200,
+}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "field",
-    [f.name for f in dataclasses.fields(ScpParams) if isinstance(f.default, float)],
-)
+@pytest.mark.parametrize("field", ["tr_init", "tr_max", *FIXED_PARAMS])
 def test_params_reject_nan_and_inf(field, bad):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    # the two settings check finiteness; the fixed values take no argument
+    error = ValueError if field in ("tr_init", "tr_max") else TypeError
+    with pytest.raises(error, match=field):
         ScpParams(**{field: bad})
 
 
-@pytest.mark.parametrize("bad", [10.5, 2.5, np.inf])
-def test_params_iteration_cap_must_be_an_integer(bad):
+@pytest.mark.parametrize("name, value", FIXED_PARAMS.items())
+def test_params_fix_all_but_the_trust_region(name, value):
+    assert [f.name for f in dataclasses.fields(ScpParams)] == ["tr_init", "tr_max"]
     with pytest.raises(TypeError):
-        ScpParams(max_iters=bad)
-
-
-def test_params_iteration_cap_accepts_numpy_integers():
-    assert type(ScpParams(max_iters=np.int64(7)).max_iters) is int
+        ScpParams(**{name: value})
+    assert getattr(ScpParams(), name) == value
 
 
 def test_problem_validation():
@@ -190,24 +190,23 @@ def test_step_ratio_sub_tolerance_floor():
     # both changes within eps_opt * max(1, |J|): the quotient divides solver
     # noise by solver noise (these are design_n6's stochastic iteration 4,
     # which scored rho = 4 and was rejected), so rho is pinned and accepted
-    eps_opt = ScpParams().eps_opt
     j_ref = 0.5
-    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref - 1.68e-7, j_ref - 4.2e-8, eps_opt)
+    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref - 1.68e-7, j_ref - 4.2e-8)
     assert degen and rho == 1.0
     assert d_j == pytest.approx(1.68e-7, rel=1e-6)
     assert d_l == pytest.approx(4.2e-8, rel=1e-6)
     assert accept_and_update(rho, 1.0, ScpParams())[0]
     # the floor scales with |J| above one: 3e-5 is within 1e-6 * 50
-    rho, _, _, degen = step_ratio(50.0, 50.0 - 3e-5, 50.0 - 1e-5, eps_opt)
+    rho, _, _, degen = step_ratio(50.0, 50.0 - 3e-5, 50.0 - 1e-5)
     assert degen and rho == 1.0
     # a tiny predicted decrease with a larger actual increase is scored and
     # rejected: only one of the two changes is within the floor
-    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref + 1e-4, j_ref - 4.2e-8, eps_opt)
+    rho, d_j, d_l, degen = step_ratio(j_ref, j_ref + 1e-4, j_ref - 4.2e-8)
     assert not degen
     assert rho == pytest.approx(d_j / d_l) and rho < -1e3
     assert not accept_and_update(rho, 1.0, ScpParams())[0]
     # and a decrease above the floor is scored as usual
-    rho, _, _, degen = step_ratio(j_ref, j_ref - 2e-6, j_ref - 1e-6, eps_opt)
+    rho, _, _, degen = step_ratio(j_ref, j_ref - 2e-6, j_ref - 1e-6)
     assert not degen and rho == pytest.approx(2.0)
 
 
@@ -625,6 +624,14 @@ def test_flyby_chance_constraint_binds_under_dispersion():
     assert sto.point.j_ub > 1.2 * det.point.j_ub
 
 
+@pytest.mark.parametrize("n_policy", [5, 7])
+def test_evaluate_point_rejects_a_policy_of_another_length(n_policy):
+    prob, x0, _ = _stochastic_scp_problem()
+    controls = np.zeros((prob.grid.n_segments, 3))
+    with pytest.raises(ValueError, match="policy covers"):
+        evaluate_point(prob, x0, controls, policy=FeedbackPolicy.zeros(n_policy))
+
+
 def test_zero_noise_stochastic_matches_deterministic():
     # with every noise source off the closed-loop design must collapse to
     # the mean-only one: same cost, same controls, no feedback effort
@@ -690,6 +697,17 @@ def test_safeguard_shrinks_weight_without_moving_reference(monkeypatch):
     # the run recovers and still converges
     assert res.converged
     assert res.point.max_violation <= 1e-6
+
+
+def test_penalty_weight_stops_at_the_cap(monkeypatch):
+    # the target is out of reach at u_max = 0.01, so the violation never
+    # shrinks and the gamma rule doubles the weight every accepted step;
+    # from w = 1e8 on the IPM reports these bounded subproblems dual_infeasible
+    monkeypatch.setattr(ScpParams, "max_iters", 30)
+    prob, guess = _reach_problem()
+    res = run(dataclasses.replace(prob, u_max=0.01), guess, ScpParams())
+    assert max(rec.weight for rec in res.records) == ScpParams.w_max
+    assert {rec.status for rec in res.records} <= {"optimal", "optimal_inaccurate"}
 
 
 def test_persistent_solver_failure_returns_best_iterate(monkeypatch):
