@@ -8,15 +8,15 @@ the chain by one sweep: :func:`pull_back` goes back from a node to x0, the
 controls and the drift; :func:`dispersion_sqrt` carries the gains forward.
 
 The filter itself is two steps on a stack of covariances,
-:func:`measurement_update` and :func:`time_update`. The design schedule
-runs them on one row; the Monte Carlo navigators run the same steps on one
-covariance shared by every sample (linear playback) or on one per sample
-(EKF playback).
+:func:`measurement_update` by a full-state fix y = x + D w and
+:func:`time_update`. The design schedule runs them on one row; the Monte
+Carlo navigators run the same steps on one covariance shared by every
+sample (linear playback) or on one per sample (EKF playback).
 
 The wide square root S_sqrt of the innovation-state covariance is built by a
-forward recursion (row_{k+1} = A_k row_k, then the node's own gain column is
-inserted): block row k is the uncontrolled estimate deviation at node k as a
-map of the whitened initial dispersion and innovations.
+forward recursion (row_{k+1} = A_k row_k, then the node's own six innovation
+columns are inserted): block row k is the uncontrolled estimate deviation at
+node k as a map of the whitened initial dispersion and innovations.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class KalmanSchedule:
 
     P_prior[k] / P_post[k] are the estimate-error covariances before/after the
     node-k measurement (equal where no measurement exists). gains[k] is the
-    Kalman gain L_k (6, m_k) or None, innov_sqrt[k] the Cholesky factor of the
-    innovation covariance C P- C' + D D' or None.
+    Kalman gain L_k (6, 6) or None, innov_sqrt[k] the Cholesky factor of the
+    innovation covariance P- + D D' or None.
     """
 
     P_prior: np.ndarray
@@ -60,40 +60,39 @@ def _t(M: np.ndarray) -> np.ndarray:
 
 
 def measurement_update(
-    P: np.ndarray, C: np.ndarray, D: np.ndarray
+    P: np.ndarray, D: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """Kalman measurement update of every covariance of a stack.
+    """Kalman update of every covariance of a stack by a full-state fix.
 
-    Forms the innovation covariance S = C P C' + D D' (symmetrized), solves
-    S L' = C P for the gain L and returns the symmetrized Joseph posterior
-    (I - L C) P (I - L C)' + L D D' L', which stays PSD even with strong
-    fixes. A row whose S is singular gets a NaN gain and posterior and a
-    failure message; the other rows are computed as if alone.
+    The fix is y = x + D w. Forms the innovation covariance S = P + D D'
+    (symmetrized), solves S L' = P for the gain L and returns the
+    symmetrized Joseph posterior (I - L) P (I - L)' + L D D' L', which
+    stays PSD even with strong fixes. A row whose S is singular gets a NaN
+    gain and posterior and a failure message; the other rows are computed
+    as if alone.
 
     Args:
         P: prior covariances, (r, 6, 6).
-        C: observation matrix shared by every row, (m, 6).
-        D: measurement-noise square root shared by every row, (m, m_D).
+        D: measurement-noise square root shared by every row, (6, 6).
 
     Returns:
-        (P_post, L, S, failures): posteriors (r, 6, 6), gains (r, 6, m),
-        innovation covariances (r, m, m) and a message per failed row.
+        (P_post, L, S, failures): posteriors (r, 6, 6), gains (r, 6, 6),
+        innovation covariances (r, 6, 6) and a message per failed row.
     """
     DDt = D @ D.T
-    CP = C @ P
-    S = CP @ C.T + DDt
+    S = P + DDt
     S = 0.5 * (S + _t(S))
     failures: dict[int, str] = {}
     try:
-        L = _t(np.linalg.solve(S, CP))
+        L = _t(np.linalg.solve(S, P))
     except np.linalg.LinAlgError:
-        L = np.full(_t(CP).shape, np.nan)
+        L = np.full(P.shape, np.nan)
         for i in range(S.shape[0]):
             try:
-                L[i] = np.linalg.solve(S[i], CP[i]).T
+                L[i] = np.linalg.solve(S[i], P[i]).T
             except np.linalg.LinAlgError as exc:
                 failures[i] = f"innovation covariance: {exc}"
-    closed = np.eye(N_X) - L @ C
+    closed = np.eye(N_X) - L
     P_post = closed @ P @ _t(closed) + L @ DDt @ _t(L)
     return 0.5 * (P_post + _t(P_post)), L, S, failures
 
@@ -125,7 +124,7 @@ def kalman_precompute(
 
     Args:
         segments: N linearized segments (GA segments carry zero noise).
-        obs: measurement flags/matrices over the N+1 nodes.
+        obs: measurement flags and noise roots over the N+1 nodes.
         P_tilde0_prior: a-priori estimate-error covariance at node 0, (6, 6).
 
     Returns:
@@ -147,9 +146,8 @@ def kalman_precompute(
     for k in range(n_seg + 1):
         P_prior[k] = P[0]
         if obs.has_measurement[k]:
-            C = np.asarray(obs.obs_matrix[k], dtype=float)
             D = np.asarray(obs.sqrt_noise[k], dtype=float)
-            P, L, S, failures = measurement_update(P, C, D)
+            P, L, S, failures = measurement_update(P, D)
             if failures:
                 raise NumericalError(f"Kalman update at node {k}: {failures[0]}")
             gains.append(L[0])
@@ -176,7 +174,7 @@ class BlockSystem:
     S_sqrt is the wide square root of the innovation-state covariance: its
     block row k (rows 6k..6k+6) gives the dispersion square root of the
     *uncontrolled* estimate at node k. meas_col maps a measured node index
-    to its column offset inside S_sqrt.
+    to the (start, stop) of its six innovation columns inside S_sqrt.
     """
 
     segments: tuple[LinearSegment, ...] = field(repr=False)
@@ -232,20 +230,16 @@ def build_block_system(
         P_hat0: initial estimate-dispersion covariance, (6, 6).
 
     Returns:
-        BlockSystem with S_sqrt of width 6 + sum of measured innovation dims.
+        BlockSystem with S_sqrt of width 6 (the initial dispersion) plus six
+        innovation columns per measured node.
     """
     n = len(segments)
     if schedule.n_nodes != n + 1:
         raise ValueError("schedule does not match segment count")
 
-    meas_col: dict[int, tuple[int, int]] = {}
-    width = N_X
-    for k in range(n + 1):
-        L = schedule.gains[k]
-        if L is not None:
-            m = L.shape[1]
-            meas_col[k] = (width, width + m)
-            width += m
+    measured = [k for k, L in enumerate(schedule.gains) if L is not None]
+    meas_col = {k: (N_X * (j + 1), N_X * (j + 2)) for j, k in enumerate(measured)}
+    width = N_X * (len(measured) + 1)
 
     S_sqrt = np.zeros(((n + 1) * N_X, width))
     row = S_sqrt[0:N_X]

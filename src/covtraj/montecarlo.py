@@ -22,6 +22,8 @@ Two truth models are available:
 
 Both modes use :func:`covtraj.covsteer.measurement_update` and
 :func:`covtraj.covsteer.time_update`, the steps of the design schedule.
+Each measured node takes a full-state fix y = x + D w, and the estimate
+moves by the gain times the innovation y - xhat-.
 
 The flown control is the optimized policy as designed: the gains K of
 :class:`covtraj.covsteer.FeedbackPolicy` act on the uncontrolled estimate
@@ -70,7 +72,7 @@ from .covsteer import N_U, N_X, dispersion_sqrt, measurement_update, time_update
 from .dynamics import linearize_rows, propagate_rows, psd_sqrt
 from .dynamics import linearize_segment, propagate  # noqa: F401  (see _simulate)
 from .errors import ConfigError, NumericalError
-from .gravity_assist import cayley_rotation, ga_map, periapsis_radius
+from .gravity_assist import ga_map, periapsis_radius
 from .scp import ReferencePoint, ScpProblem
 from .subproblem import DV99_TAIL
 from .uncertainty import gates_matrix
@@ -298,7 +300,7 @@ def _noise_slots(
     """Where each noise vector sits in a sample's one standard-normal draw.
 
     The order is fixed: initial estimate deviation (6), initial estimation
-    error (6); then per node a measurement noise vector where one is taken;
+    error (6); then per node a measurement noise vector (6) where one is taken;
     then per segment the execution-error vector (thrust only) followed by
     the process noise: one vector per segment in linear mode, one per
     sub-window in EKF mode. Gravity-assist segments draw nothing. The sizes
@@ -322,7 +324,7 @@ def _noise_slots(
     take("til0", N_X)
     for k in range(grid.n_segments + 1):
         if unc.obs.has_measurement[k]:
-            take(("meas", k), unc.obs.sqrt_noise[k].shape[0])
+            take(("meas", k), N_X)
         if k == grid.n_segments:
             break
         if grid.is_ga(k):
@@ -473,12 +475,11 @@ def _play_back(
 
     for k in range(n_seg + 1):
         if obs.has_measurement[k]:
-            C = obs.obs_matrix[k]
             D = obs.sqrt_noise[k]
-            y = _mv(C, x) + _mv(D, z[:, slots[("meas", k)]])
-            p, gain, _, found = measurement_update(p, C, D)
+            y = x + _mv(D, z[:, slots[("meas", k)]])
+            p, gain, _, found = measurement_update(p, D)
             fail(found, x)
-            xhat = xhat_minus + _mv(gain, y - _mv(C, xhat_minus))
+            xhat = xhat_minus + _mv(gain, y - xhat_minus)
         else:
             xhat = xhat_minus
 
@@ -521,9 +522,9 @@ def _play_back(
             executed[:, k] = u
             x = ga_map(x, u, event.v_planet)
             xhat_minus = ga_map(xhat, u, event.v_planet)
-            A_ga = np.tile(np.eye(N_X), (n, 1, 1))
-            A_ga[:, 3:, 3:] = cayley_rotation(u)
-            p = time_update(p, A_ga)
+            # the flyby's state Jacobian depends on u alone, and u is ubar
+            # here (no gain correction), so the reference map is exact
+            p = time_update(p, seg.A)
             continue
 
         u_exec = u

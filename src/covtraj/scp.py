@@ -526,7 +526,12 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class ScpResult:
-    """Driver outcome: the returned iterate plus the full iteration log."""
+    """Driver outcome: the returned iterate plus the full iteration log.
+
+    ``status`` is "converged", "iteration_cap", "infeasible" (stationary
+    with its violation above tolerance at the weight cap) or
+    "solver_failure"; see :func:`run`.
+    """
 
     status: str
     point: ReferencePoint
@@ -574,8 +579,11 @@ def run(
     eps_feas, evaluated at an accepted candidate. A step whose actual and
     predicted changes both lie within that same tolerance is not scored by
     their quotient, which is noise: :func:`step_ratio` pins rho to one, the
-    step is accepted, and the convergence test decides. On iteration cap
-    the best accepted iterate is returned (feasibility first, then cost).
+    step is accepted, and the convergence test decides. An accepted step
+    that stalls with the weight already at ``w_max`` and its violation above
+    both eps_feas and gamma times the violation marker is stationary
+    infeasible and ends the run. Unless converged, the run returns the best
+    accepted iterate (feasibility first, then cost).
 
     Args:
         problem: the instance (deterministic when ``uncertainty`` is None).
@@ -585,11 +593,11 @@ def run(
         solver_tol / solver_iters: embedded conic-solver settings.
 
     Returns:
-        ScpResult with status "converged", "iteration_cap", or
-        "solver_failure" (the subproblem failed
-        :data:`MAX_CONSECUTIVE_FAILURES` times in a row despite the
-        weight-reduction safeguard); the last two carry the best accepted
-        iterate.
+        ScpResult with status "converged", "iteration_cap", "infeasible"
+        (stationary and infeasible at the weight cap), or "solver_failure"
+        (the subproblem failed :data:`MAX_CONSECUTIVE_FAILURES` times in a
+        row despite the weight-reduction safeguard); the last three carry
+        the best accepted iterate.
     """
     params = params or ScpParams()
     if isinstance(guess, ReferencePoint):
@@ -614,7 +622,7 @@ def run(
     best = ref
     best_key = rank_key(ref)
     records: list[IterationRecord] = []
-    status = "iteration_cap"
+    status: str | None = None
     failures_in_a_row = 0
 
     for it in range(1, params.max_iters + 1):
@@ -646,12 +654,14 @@ def run(
         )
         sol = solve_subproblem(layout, tol=solver_tol, max_iters=solver_iters)
 
-        converged = degenerate = False
+        degenerate = False
         if not sol.ok:
             # safeguard: large weights breed ill-conditioning; back the
             # weight off and retry from the same reference
             weights = replace(weights, weight=weights.weight / params.beta)
             failures_in_a_row += 1
+            if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
+                status = "solver_failure"
             rho = d_j = d_l = math.nan
             accepted = False
             reported = ref
@@ -665,10 +675,16 @@ def run(
             accepted, tr_radius = accept_and_update(rho, tr_radius, params)
             if accepted:
                 ref = cand
-                converged = (
-                    abs(d_j) <= params.eps_opt * max(1.0, abs(j_cand_nl))
-                    and cand.max_violation <= params.eps_feas
-                )
+                if abs(d_j) <= params.eps_opt * max(1.0, abs(j_cand_nl)):
+                    if cand.max_violation <= params.eps_feas:
+                        status = "converged"
+                    # the violation does not fall by gamma, and the weight
+                    # has no growth left to trade cost for feasibility
+                    elif (
+                        weights.weight >= params.w_max
+                        and cand.max_violation > params.gamma * viol_marker
+                    ):
+                        status = "infeasible"
                 weights = updated_multipliers(weights, cand)
                 if cand.max_violation > params.gamma * viol_marker:
                     weights = replace(
@@ -695,15 +711,11 @@ def run(
         )
         records.append(record)
         logger.log(logging.INFO if sol.ok else logging.WARNING, "%s", record)
-        if converged:
-            status = "converged"
-            break
-        if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
-            status = "solver_failure"
+        if status is not None:
             break
 
     return ScpResult(
-        status=status,
+        status=status or "iteration_cap",
         point=ref if status == "converged" else best,
         weights=weights,
         tr_radius=tr_radius,

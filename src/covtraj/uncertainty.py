@@ -3,8 +3,8 @@
 The execution-error model is the classic Gates formulation: fixed and
 proportional magnitude error along the thrust direction, fixed and
 proportional pointing error across it. Process noise is white in
-acceleration. Measurements are full-state position/velocity fixes whose
-noise level is set per mission phase.
+acceleration. Every measurement is a full-state position/velocity fix,
+y = x + D w, whose noise root D is set per mission phase.
 """
 
 from __future__ import annotations
@@ -122,41 +122,26 @@ class PhaseSpec:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Per-node measurement flags, matrices, and noise square roots.
+    """Per-node measurement flags and noise square roots.
 
     Nodes with ``has_measurement[k]`` False carry no update (the filter's
-    posterior equals its prior there). Measured nodes get
-    y = C x + D w with w ~ N(0, I), C = obs_matrix[k] (m, 6) and
-    D = sqrt_noise[k] (m, m); the schedule builder emits full-state fixes
-    (C = I6).
+    posterior equals its prior there). Every measured node takes a
+    full-state fix y = x + D w with w ~ N(0, I6) and D = sqrt_noise[k]
+    (6, 6), so each measurement adds one 6-column innovation block.
     """
 
     has_measurement: tuple[bool, ...]
     sqrt_noise: tuple[np.ndarray | None, ...] = field(repr=False)
-    obs_matrix: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
-    phase_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.has_measurement) != len(self.sqrt_noise):
             raise ValueError("flag and noise lists must align")
-        if not self.obs_matrix:
-            object.__setattr__(
-                self,
-                "obs_matrix",
-                tuple(np.eye(6) if f else None for f in self.has_measurement),
-            )
-        if len(self.obs_matrix) != len(self.has_measurement):
-            raise ValueError("flag and matrix lists must align")
         for k, flag in enumerate(self.has_measurement):
             if not flag:
                 continue
-            C, D = self.obs_matrix[k], self.sqrt_noise[k]
-            if C is None or np.asarray(C).ndim != 2 or np.asarray(C).shape[1] != 6:
-                raise ValueError(f"node {k}: measured nodes need an (m, 6) matrix")
-            m = np.asarray(C).shape[0]
-            if D is None or np.asarray(D).shape != (m, m):
-                raise ValueError(f"node {k}: noise sqrt must be ({m}, {m})")
-            require_finite(f"node {k}: the measurement matrix", C)
+            D = self.sqrt_noise[k]
+            if D is None or np.shape(D) != (6, 6):
+                raise ValueError(f"node {k}: noise sqrt must be (6, 6)")
             require_finite(f"node {k}: the measurement noise sqrt", D)
             if not np.any(D):
                 raise ValueError(f"node {k}: measurement noise sqrt must be nonzero")
@@ -164,10 +149,6 @@ class ObservationModel:
     @property
     def n_nodes(self) -> int:
         return len(self.has_measurement)
-
-    @property
-    def measured_nodes(self) -> tuple[int, ...]:
-        return tuple(k for k, f in enumerate(self.has_measurement) if f)
 
 
 def observation_schedule(grid: TimeGrid, phases: list[PhaseSpec]) -> ObservationModel:
@@ -213,8 +194,4 @@ def observation_schedule(grid: TimeGrid, phases: list[PhaseSpec]) -> Observation
         ph = by_name[owner[k]]
         flags.append(True)
         noises.append(np.diag([ph.sigma_r] * 3 + [ph.sigma_v] * 3).astype(float))
-    return ObservationModel(
-        has_measurement=tuple(flags),
-        sqrt_noise=tuple(noises),
-        phase_names=tuple(owner),  # type: ignore[arg-type]
-    )
+    return ObservationModel(has_measurement=tuple(flags), sqrt_noise=tuple(noises))

@@ -220,6 +220,9 @@ def recursive_filter(
 ) -> tuple[np.ndarray, np.ndarray, list, list]:
     """Textbook Kalman recursion: P+ = (I - L C) P-, no Joseph form.
 
+    Every fix is full-state; C = I is written out so that the recursion
+    stays the general textbook one.
+
     Returns:
         (P_prior (N+1,6,6), P_post (N+1,6,6), gains list, innov_cov list).
     """
@@ -232,7 +235,7 @@ def recursive_filter(
     for k in range(n + 1):
         P_prior[k] = Pm
         if obs.has_measurement[k]:
-            C = obs.obs_matrix[k]
+            C = np.eye(N_X)
             D = obs.sqrt_noise[k]
             S = C @ Pm @ C.T + D @ D.T
             L = Pm @ C.T @ np.linalg.inv(S)
@@ -358,7 +361,7 @@ def simulate_closed_loop_paths(
 
         z = xhat - xbar[0]
         if gains[0] is not None:
-            C, D = obs.obs_matrix[0], obs.sqrt_noise[0]
+            C, D = np.eye(N_X), obs.sqrt_noise[0]
             y = C @ x + D @ rng.standard_normal(D.shape[0])
             nu = y - C @ xhat
             xhat = xhat + gains[0] @ nu
@@ -381,7 +384,7 @@ def simulate_closed_loop_paths(
             xhat = s.A @ xhat + s.B @ u + s.c
             z = s.A @ z
             if gains[k + 1] is not None:
-                C, D = obs.obs_matrix[k + 1], obs.sqrt_noise[k + 1]
+                C, D = np.eye(N_X), obs.sqrt_noise[k + 1]
                 y = C @ x + D @ rng.standard_normal(D.shape[0])
                 nu = y - C @ xhat
                 xhat = xhat + gains[k + 1] @ nu

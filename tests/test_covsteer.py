@@ -77,13 +77,12 @@ def test_measurement_update_fails_only_the_singular_row():
     rng = np.random.default_rng(6)
     G = rng.standard_normal((6, 6))
     P = np.stack([G @ G.T, np.zeros((6, 6)), np.eye(6)])
-    C = np.eye(6)
     D = np.diag([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
-    P_post, L, S, failures = measurement_update(P, C, D)
+    P_post, L, S, failures = measurement_update(P, D)
     assert list(failures) == [1]
     assert np.isnan(P_post[1]).all() and np.isnan(L[1]).all()
     for i in (0, 2):
-        P_alone, L_alone, S_alone, alone_failures = measurement_update(P[i : i + 1], C, D)
+        P_alone, L_alone, S_alone, alone_failures = measurement_update(P[i : i + 1], D)
         assert not alone_failures
         np.testing.assert_array_equal(P_post[i], P_alone[0])
         np.testing.assert_array_equal(L[i], L_alone[0])

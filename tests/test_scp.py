@@ -710,6 +710,25 @@ def test_penalty_weight_stops_at_the_cap(monkeypatch):
     assert {rec.status for rec in res.records} <= {"optimal", "optimal_inaccurate"}
 
 
+def test_stationary_infeasible_run_stops(monkeypatch):
+    # out of reach at u_max = 0.01: the weight reaches w_max at iteration 11,
+    # after which a stalled step with the violation stuck ends the run
+    monkeypatch.setattr(ScpParams, "max_iters", 30)
+    prob, guess = _reach_problem()
+    res = run(dataclasses.replace(prob, u_max=0.01), guess, ScpParams())
+    assert res.status == "infeasible"
+    assert not res.converged
+    assert res.iterations <= 20
+    last = res.records[-1]
+    assert last.accepted and last.violation > ScpParams.eps_feas
+    # the returned point is the best accepted one: feasibility first, then cost
+    def rank(violation, j_ub):
+        return max(violation, ScpParams.eps_feas), j_ub
+
+    best = min(rank(rec.violation, rec.j_ub) for rec in res.records if rec.accepted)
+    assert rank(res.point.max_violation, res.point.j_ub) == best
+
+
 def test_persistent_solver_failure_returns_best_iterate(monkeypatch):
     monkeypatch.setattr(
         scp_mod,

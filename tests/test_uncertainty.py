@@ -154,13 +154,13 @@ def test_observation_schedule_partition():
     obs = observation_schedule(grid, phases)
     assert obs.n_nodes == 6
     # GA node 2 is forced measurement-free
-    assert obs.measured_nodes == (0, 1, 3, 4, 5)
-    np.testing.assert_allclose(obs.sqrt_noise[0], np.diag([1.0] * 3 + [0.1] * 3))
-    np.testing.assert_allclose(obs.sqrt_noise[3], np.diag([2.0] * 3 + [0.2] * 3))
-    assert obs.phase_names == ("early", "early", "mid", "mid", "late", "late")
-    # measured nodes default to full-state C
-    np.testing.assert_array_equal(obs.obs_matrix[0], np.eye(6))
-    assert obs.obs_matrix[2] is None
+    assert obs.has_measurement == (True, True, False, True, True, True)
+    assert obs.sqrt_noise[2] is None
+    # every other node carries its own phase's noise root
+    for k, (sigma_r, sigma_v) in {
+        0: (1.0, 0.1), 1: (1.0, 0.1), 3: (2.0, 0.2), 4: (0.5, 0.05), 5: (0.5, 0.05),
+    }.items():
+        np.testing.assert_array_equal(obs.sqrt_noise[k], np.diag([sigma_r] * 3 + [sigma_v] * 3))
 
 
 def test_observation_schedule_gap_and_overlap_rejected():
@@ -179,19 +179,19 @@ def test_observation_schedule_gap_and_overlap_rejected():
 def test_observation_model_validation():
     with pytest.raises(ValueError):
         ObservationModel(has_measurement=(True,), sqrt_noise=(np.zeros((6, 6)),))
-    m = ObservationModel(has_measurement=(True, False),
-                         sqrt_noise=(np.eye(6), None))
-    assert m.measured_nodes == (0,)
-    np.testing.assert_array_equal(m.obs_matrix[0], np.eye(6))
+    ObservationModel(has_measurement=(True, False), sqrt_noise=(np.eye(6), None))
+    # every fix is full-state: a position-only noise root does not fit
+    with pytest.raises(ValueError, match=r"\(6, 6\)"):
+        ObservationModel(has_measurement=(True,), sqrt_noise=(np.eye(3),))
+    with pytest.raises(TypeError):
+        ObservationModel(has_measurement=(True,), sqrt_noise=(np.eye(6),),
+                         obs_matrix=(np.eye(6),))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["sqrt_noise", "obs_matrix"])
-def test_observation_model_rejects_nan_and_inf(field, bad):
-    mats = {"sqrt_noise": np.eye(6), "obs_matrix": np.eye(6)}
-    ObservationModel(has_measurement=(True,), sqrt_noise=(mats["sqrt_noise"],),
-                     obs_matrix=(mats["obs_matrix"],))
-    mats[field][2, 2] = bad
+def test_observation_model_rejects_nan_and_inf(bad):
+    D = np.eye(6)
+    ObservationModel(has_measurement=(True,), sqrt_noise=(D,))
+    D[2, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        ObservationModel(has_measurement=(True,), sqrt_noise=(mats["sqrt_noise"],),
-                         obs_matrix=(mats["obs_matrix"],))
+        ObservationModel(has_measurement=(True,), sqrt_noise=(D,))
