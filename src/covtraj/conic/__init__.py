@@ -2,7 +2,7 @@
 
 from .lowering import LoweredProgram, lower_program
 from .program import Cone, ConicProgram, ProgramBuilder
-from .solver import SolveResult, solve
+from .solver import SolveResult, SolveStructure, solve
 
 __all__ = [
     "Cone",
@@ -11,5 +11,6 @@ __all__ = [
     "LoweredProgram",
     "lower_program",
     "SolveResult",
+    "SolveStructure",
     "solve",
 ]

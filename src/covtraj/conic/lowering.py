@@ -6,7 +6,9 @@ of its tower and keeps every other cone, so a program in class order
 builds one sparse row map ``L`` from original rows to lowered rows and one
 block ``V`` of auxiliary columns; the lowered program is ``A' = [L A | -V]``,
 ``b' = L b``, so its slack is ``L s + V t`` for the original slack
-``s = b - A x`` and the auxiliaries ``t``.
+``s = b - A x`` and the auxiliaries ``t``. L, V and the lowered cones read
+only the program's size and cones: :class:`Lowering` holds them, so every
+program of one size and cone list lowers through one map.
 
 A three-row power cone s0^alpha s1^(1-alpha) >= |s2| with rational
 alpha = p/q becomes a balanced binary tree of geometric-mean cells: pad the
@@ -46,11 +48,13 @@ class LoweredProgram:
     """A canonical-form equivalent program plus the original variable count.
 
     The first ``n_orig`` columns of the lowered program are the original
-    variables; the rest are tower auxiliaries with zero cost.
+    variables; the rest are tower auxiliaries with zero cost. ``lowering``
+    is the map that built it (None for a program returned as it is).
     """
 
     program: ConicProgram
     n_orig: int
+    lowering: Lowering | None = None
 
 
 def _snap_alpha(alpha: float) -> Fraction:
@@ -102,6 +106,63 @@ def _pow3_tower(r0: int, alpha: float, new_aux) -> list[list[dict]]:
     return cones
 
 
+class Lowering:
+    """What lowering reads of a program: its size and cones, never A's entries.
+
+    It holds the row map ``row_map`` (``L``), the auxiliary block ``-V``
+    and the lowered cones, so :meth:`apply` lowers every program of one
+    size and cone list with two sparse products and no tower building.
+    """
+
+    def __init__(self, prog: ConicProgram):
+        m = prog.n_rows
+        n_aux = 0
+
+        def new_aux() -> dict:
+            nonlocal n_aux
+            n_aux += 1
+            return {m + n_aux - 1: 1.0}
+
+        # lowered cones as (cone, local rows, sources, coefficients); a source
+        # below m is an original row, source m + j auxiliary column j
+        lowered = []
+        for cone, sl in prog.cone_slices():
+            if cone.kind != "pow3":
+                local = np.arange(cone.dim)
+                lowered.append((cone, local, sl.start + local, np.ones(cone.dim)))
+                continue
+            for rows in _pow3_tower(sl.start, cone.alpha, new_aux):
+                lowered.append((
+                    Cone("soc", len(rows)),
+                    np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+                    np.array([k for r in rows for k in r]),
+                    np.array([v for r in rows for v in r.values()]),
+                ))
+
+        cones, local_rows, sources, coefs = zip(*lowered)
+        dims = np.array([cone.dim for cone in cones], dtype=int)
+        rows = np.concatenate([r + off for r, off in zip(local_rows, np.cumsum(dims) - dims)])
+        T = sp.csr_matrix(
+            (np.concatenate(coefs), (rows, np.concatenate(sources))),
+            shape=(int(dims.sum()), m + n_aux),
+        )
+        self.row_map, self._minus_v = T[:, :m], -T[:, m:]
+        self.cones, self.n_aux = cones, n_aux
+
+    def apply(self, prog: ConicProgram) -> ConicProgram:
+        """The lowered program of prog, whose size and cones this map was built from."""
+        A = sp.hstack([self.row_map @ prog.A.tocsr(), self._minus_v], format="csr")
+        A.sort_indices()
+        return ConicProgram(
+            c=np.concatenate([prog.c, np.zeros(self.n_aux)]),
+            A=A,
+            b=self.row_map @ prog.b,
+            cones=self.cones,
+            var_blocks=dict(prog.var_blocks),
+            name=prog.name,
+        )
+
+
 def lower_program(prog: ConicProgram) -> LoweredProgram:
     """Replace each pow3 cone with its soc tower, in place (see module docstring).
 
@@ -110,47 +171,5 @@ def lower_program(prog: ConicProgram) -> LoweredProgram:
     """
     if is_canonical(prog.cones):
         return LoweredProgram(program=prog, n_orig=prog.n_vars)
-
-    m, n = prog.n_rows, prog.n_vars
-    n_aux = 0
-
-    def new_aux() -> dict:
-        nonlocal n_aux
-        n_aux += 1
-        return {m + n_aux - 1: 1.0}
-
-    # lowered cones as (cone, local rows, sources, coefficients); a source
-    # below m is an original row, source m + j auxiliary column j
-    lowered = []
-    for cone, sl in prog.cone_slices():
-        if cone.kind != "pow3":
-            local = np.arange(cone.dim)
-            lowered.append((cone, local, sl.start + local, np.ones(cone.dim)))
-            continue
-        for rows in _pow3_tower(sl.start, cone.alpha, new_aux):
-            lowered.append((
-                Cone("soc", len(rows)),
-                np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
-                np.array([k for r in rows for k in r]),
-                np.array([v for r in rows for v in r.values()]),
-            ))
-
-    cones, local_rows, sources, coefs = zip(*lowered)
-    dims = np.array([cone.dim for cone in cones], dtype=int)
-    rows = np.concatenate([r + off for r, off in zip(local_rows, np.cumsum(dims) - dims)])
-    T = sp.csr_matrix(
-        (np.concatenate(coefs), (rows, np.concatenate(sources))),
-        shape=(int(dims.sum()), m + n_aux),
-    )
-    L, V = T[:, :m], T[:, m:]
-    A_new = sp.hstack([L @ prog.A.tocsr(), -V], format="csr")
-    A_new.sort_indices()
-    program = ConicProgram(
-        c=np.concatenate([prog.c, np.zeros(n_aux)]),
-        A=A_new,
-        b=L @ prog.b,
-        cones=cones,
-        var_blocks=dict(prog.var_blocks),
-        name=prog.name,
-    )
-    return LoweredProgram(program=program, n_orig=n)
+    lowering = Lowering(prog)
+    return LoweredProgram(program=lowering.apply(prog), n_orig=prog.n_vars, lowering=lowering)

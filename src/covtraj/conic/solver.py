@@ -71,6 +71,18 @@ per-cone dot products are ``np.add.reduceat`` sums, per-cone scalars are
 broadcast back through the cone id. No triangular solve scans for NaNs:
 the dense factors' diagonals, the equality rows and each direction are
 checked finite instead.
+The work comes at three rates. Per pattern (a program's size, cones and
+A's ``indptr``/``indices``), a :class:`SolveStructure` holds what reads no
+value: lowering's row map and towers, the cone indexing and row groups, the
+equilibration's column order, the Gram stack's lifted index and the scatter
+of F; SCP passes one per phase, since a phase's subproblems share their
+pattern, and a solve without one builds its own. Per solve, the workspace
+lowers and equilibrates the values, forms A_eq, A_in and A_in' and the Gram
+stack, and the sparse path orders K once (module docstring's KKT). Per
+iteration, the NT scaling, the normal matrix (F is one ``np.bincount``) or
+K's variable entries, one factorization and its solves. Every answer is the
+one a fresh solve gives, bit for bit.
+
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
 
@@ -211,21 +223,18 @@ class _NtScaling:
         return out
 
 
-def _gram_stack(A: sp.csr_matrix, group: np.ndarray, sign: np.ndarray, n_groups: int):
+def _gram_stack(A: sp.csr_matrix, lifted: np.ndarray, sign: np.ndarray, n_groups: int):
     """Sparse (n*n) x n_groups matrix whose column g is one triangle of A_g' S_g A_g.
 
-    Row r of A is in group ``group[r]`` and S = diag(``sign``). Shifting each
-    row into its group's block of n columns, one sparse product stacks every
-    Gram block (row g*n + i, column j). Only the entries with i <= j are
-    kept, at position i*n + j: read in Fortran order, a weighted sum of the
-    columns is the lower triangle of the weighted sum of the blocks.
+    Row r of A is in group g_r and S = diag(s_r); entry k of A, in row r,
+    has ``lifted[k]`` = its column + n g_r and ``sign[k]`` = s_r. Shifting
+    each row into its group's block of n columns, one sparse product stacks
+    every Gram block (row g*n + i, column j). Only the entries with i <= j
+    are kept, at position i*n + j: read in Fortran order, a weighted sum of
+    the columns is the lower triangle of the weighted sum of the blocks.
     """
     m, n = A.shape
-    row = np.repeat(np.arange(m), np.diff(A.indptr))
-    lifted = sp.csr_matrix(
-        (sign[row] * A.data, A.indices + n * group[row], A.indptr),
-        shape=(m, n_groups * n),
-    )
+    lifted = sp.csr_matrix((sign * A.data, lifted, A.indptr), shape=(m, n_groups * n))
     blocks = (lifted.T @ A).tocsr()
     gi = np.repeat(np.arange(n_groups * n), np.diff(blocks.indptr))
     keep = gi % n <= blocks.indices
@@ -261,9 +270,13 @@ class _QuasiDefiniteKkt:
     """The sparse path's KKT over (x, z, two columns per soc cone), built once per solve.
 
     Its variable entries, the diagonal and the v and u columns, move with the
-    scaling; A_in's stay. The first factorization builds K[q][:, q], q =
-    argsort(perm_c) of its own order, and each later one writes only the
-    variable entries, through ``_slot``.
+    scaling; A_in's stay. Each solve's first factorization factors K in its
+    natural order under SuperLU's minimum-degree order q (K's entry arrays
+    are gone by then) and builds K[q][:, q] once; each later one writes only
+    the variable entries, through ``_slot``, and factors K[q][:, q] as it
+    stands. No other order of that first factorization gives its result
+    bit for bit, so every solve orders K, also one whose pattern was solved
+    before.
     """
 
     def __init__(self, ws: _Workspace):
@@ -273,20 +286,20 @@ class _QuasiDefiniteKkt:
         self.reg = (KKT_REG * ws.reg_scale, KKT_REG)  # on x, on every other diagonal
         self._ordered = None
 
-    def entries(self, ws: _Workspace, variable: np.ndarray):
-        """K's int32 (rows, cols) and values: the variable entries (the
+    def pattern(self, ws: _Workspace):
+        """K's entries as int32 (rows, cols): the variable entries (the
         diagonal, one entry of each symmetric pair of the v and u columns,
-        its mirror), valued ``variable``, then A_in and its mirror."""
+        its mirror), then A_in and its mirror."""
         n, A = ws.n, ws.A_in.tocoo()
         col_v = n + ws.m_in + ws.curved_cone
         aux_r, aux_c = np.tile(n + ws.curved_rows, 2), np.r_[col_v, col_v + ws.n_curved]
         diag = np.arange(self.size)
         rows = np.concatenate([diag, aux_r, aux_c, n + A.row, A.col], dtype=np.int32)
         cols = np.concatenate([diag, aux_c, aux_r, A.col, n + A.row], dtype=np.int32)
-        return rows, cols, np.concatenate([variable, A.data, A.data])
+        return rows, cols
 
     def variable(self, sc: _NtScaling, bump: float) -> np.ndarray:
-        """K's variable entries at the scaling sc, in :meth:`entries`' order."""
+        """K's variable entries at the scaling sc, in :meth:`pattern`'s order."""
         ws = sc.ws
         h, cid, curved = ws.heads, ws.cone_id, ws.sizes > 1
         omega2 = ws.tail_dot(sc.wbar, sc.wbar)
@@ -307,6 +320,32 @@ class _QuasiDefiniteKkt:
         pair = np.concatenate([v[ws.curved_rows], u[ws.curved_rows]])
         return np.concatenate([diag, pair, pair])
 
+    def _natural(self, ws: _Workspace, values: np.ndarray) -> sp.csc_matrix:
+        """K in its natural order; its entry arrays are gone when it returns."""
+        rows, cols = self.pattern(ws)
+        data = np.concatenate([values, ws.A_in.data, ws.A_in.data])
+        return sp.csc_matrix((data, (rows, cols)), shape=(self.size,) * 2)
+
+    def _permuted(self, ws: _Workspace, values: np.ndarray, perm: np.ndarray):
+        """K[q][:, q], q = argsort(perm), and the slot of each variable entry in it.
+
+        It holds K's entries sorted by permuted column, then row; the entry
+        arrays are built again here, after the first factorization, and each
+        goes once read.
+        """
+        rows, cols = self.pattern(ws)
+        rows = perm[rows]
+        cols = perm[cols]
+        at = np.lexsort((rows, cols))
+        indices = rows[at]
+        del rows
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.size))])
+        del cols
+        data = np.concatenate([values, ws.A_in.data, ws.A_in.data])[at]
+        slot = np.flatnonzero(at < values.size)
+        ordered = sp.csc_matrix((data, indices, indptr), shape=(self.size,) * 2)
+        return ordered, slot[np.argsort(at[slot])]
+
     def factor(self, sc: _NtScaling, bump: float):
         """The solve (f_x, f_z) -> (dx, dz) of one factorization of K at sc.
 
@@ -318,19 +357,8 @@ class _QuasiDefiniteKkt:
         values = self.variable(sc, bump)
         options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         if self._ordered is None:
-            rows, cols, data = self.entries(sc.ws, values)
-            K = sp.csc_matrix((data, (rows, cols)), shape=(self.size,) * 2)
-            lu = splu(K, permc_spec="MMD_AT_PLUS_A", **options)
-            # K[q][:, q] holds K's entries sorted by permuted column, then
-            # row. Each array goes once read: this is the solve's memory peak
-            del K
-            rows, cols = lu.perm_c[rows], lu.perm_c[cols]
-            at = np.lexsort((rows, cols))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.size))])
-            del cols
-            self._ordered = sp.csc_matrix((data[at], rows[at], indptr), shape=(self.size,) * 2)
-            slot = np.flatnonzero(at < values.size)
-            self._slot = slot[np.argsort(at[slot])]
+            lu = splu(self._natural(sc.ws, values), permc_spec="MMD_AT_PLUS_A", **options)
+            self._ordered, self._slot = self._permuted(sc.ws, values, lu.perm_c)
             self._order = np.argsort(lu.perm_c)
             q = slice(None)  # this factor applies its own order
         else:
@@ -372,15 +400,143 @@ def _polish(d, residuals, correction, target: float, passes: int):
     return d
 
 
+class _Pattern:
+    """Everything a solve needs of one canonical program but its values.
+
+    Built from the program's cones and A's pattern (``indptr``, ``indices``,
+    copied), once per pattern; a solve of any program with that pattern and
+    cones reads it (``SolveStructure``). It holds:
+
+    - the cone indexing of the :class:`_Workspace` docstring and the row
+      groups of :func:`_row_groups` (``groups``);
+    - the equilibration's orders: ``col_order`` lists A's entries column by
+      column from the starts ``col_starts`` of the columns ``col_live``
+      that have entries, and ``group_nnz`` counts each group's entries,
+      whose starts ``group_starts`` (of the groups ``group_live``) delimit
+      them in A's own order;
+    - the equality rows' flat positions ``eq_flat`` in a dense n_eq x n
+      array and the inequality rows' pattern (``in_indptr``,
+      ``in_indices``);
+    - the path: ``sparse`` is the factorization rule's choice. The dense
+      path's Gram stack takes its lifted column index and sign per A_in
+      entry (``g_lifted``, ``g_sign``, see :func:`_gram_stack`), and F its
+      scatter: A_in's entry ``f_src[t]``, times the weight of curved row
+      ``f_row[t]``, adds into slot ``f_dest[t]`` of F in Fortran order, the
+      terms in row order, as the sparse product A_in' C with a cone map C
+      adds them.
+    """
+
+    def __init__(self, prog: ConicProgram):
+        if not is_canonical(prog.cones):
+            raise ValueError(
+                "the solver takes zero, then nonneg, then soc cones; "
+                "lower the program first"
+            )
+        A = prog.A.tocsr()
+        m, n = A.shape
+        self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
+        self.groups = _row_groups(prog.cones)
+        self.m, self.n = m, n
+        self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
+        self.m_in = m - self.n_eq
+        #: rows of each cone: a 1 for each nonneg row, then each soc dim
+        self.sizes = self.groups[self.n_eq:]
+        self.heads = np.cumsum(self.sizes) - self.sizes
+        self.cone_id = np.repeat(np.arange(self.sizes.size), self.sizes)
+        self.jsign = -np.ones(self.m_in)
+        self.jsign[self.heads] = 1.0
+        #: identity element of the cone product: 1 on every head
+        self.e = np.zeros(self.m_in)
+        self.e[self.heads] = 1.0
+        self.degree = self.sizes.size
+        curved = self.sizes > 1
+        self.n_curved = int(curved.sum())
+        #: the rows of the cones of more than one row, and each one's cone
+        #: among those: its column of F, or of the v and u columns of K
+        self.curved_rows = np.flatnonzero(curved[self.cone_id])
+        self.curved_cone = (np.cumsum(curved) - 1)[self.cone_id[self.curved_rows]]
+
+        width = np.diff(self.indptr)
+        count = np.bincount(self.indices, minlength=n)
+        self.col_order = np.argsort(self.indices, kind="stable").astype(self.indices.dtype)
+        self.col_live = np.flatnonzero(count)
+        self.col_starts = (np.cumsum(count) - count)[self.col_live]
+        self.group_nnz = np.add.reduceat(width, np.cumsum(self.groups) - self.groups)
+        self.group_live = np.flatnonzero(self.group_nnz)
+        self.group_starts = (np.cumsum(self.group_nnz) - self.group_nnz)[self.group_live]
+
+        k = self.nnz_eq = int(self.indptr[self.n_eq])
+        self.eq_flat = np.repeat(np.arange(self.n_eq) * n, width[: self.n_eq]) + self.indices[:k]
+        self.in_indptr = self.indptr[self.n_eq:] - k
+        self.in_indices = self.indices[k:]
+
+        # K's nonzeros: its diagonal, A_in and two columns per soc cone, twice
+        kkt_nnz = n + self.m_in + 2 * self.in_indices.size + int((4 * self.sizes[curved] + 2).sum())
+        self.sparse = n**3 / 3.0 > SPARSE_KKT_RATIO * kkt_nnz
+        if self.sparse:
+            return
+        in_curved = curved[self.cone_id]
+        in_row = np.repeat(np.arange(self.m_in), width[self.n_eq:])
+        #: each A_in entry's column in its cone's block, and its Gram sign
+        self.g_lifted = self.in_indices + n * self.cone_id[in_row]
+        self.g_sign = np.where(in_curved, -self.jsign, 1.0)[in_row]
+        self.f_src = np.flatnonzero(in_curved[in_row])
+        self.f_row = (np.cumsum(in_curved) - 1)[in_row[self.f_src]]
+        self.f_dest = self.in_indices[self.f_src] + n * self.curved_cone[self.f_row]
+
+
+class SolveStructure:
+    """What the solves of one pattern share: every map that reads no value.
+
+    ``solve(prog, structure=s)`` lowers prog through the lowering map
+    (:class:`~covtraj.conic.lowering.Lowering`) s holds while prog has the
+    size and cones s last saw, and reads the analysis of the lowered
+    pattern (``_Pattern``) from s while the lowered A has the shape,
+    ``indptr`` and ``indices`` it was built from; anything else is built
+    afresh into s. So one structure serves an SCP phase, whose subproblems
+    share one pattern, and every answer is a fresh solve's. It holds no
+    program and no value of one, and nothing of the sparse path's K.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._lowering = None
+        self._pattern = None
+
+    def canonical(self, prog: ConicProgram) -> ConicProgram:
+        """prog in the solver's form, its pattern analysed into this structure."""
+        key = (prog.A.shape, prog.cones)
+        if key != self._key:
+            lowered = lower_program(prog)
+            self._key, self._lowering, self._pattern = key, lowered.lowering, None
+            canonical = lowered.program
+        else:
+            canonical = prog if self._lowering is None else self._lowering.apply(prog)
+        A, pat = canonical.A.tocsr(), self._pattern
+        if pat is None or not (
+            A.shape == (pat.m, pat.n)
+            and np.array_equal(A.indptr, pat.indptr)
+            and np.array_equal(A.indices, pat.indices)
+        ):
+            self._pattern = _Pattern(canonical)
+        return canonical
+
+
 class _Workspace:
     """A solve's whole set-up: the scaled rows, cone indexing, regularization scale.
 
+    The work comes at three rates. Per pattern, :class:`_Pattern` holds the
+    value-independent maps: the cone indexing, the equilibration's orders,
+    the Gram stack's lifted index and F's scatter. Per solve, this workspace
+    copies A's values once and equilibrates them in place, so ``A_eq``,
+    ``A_in``, ``A_in_t``, ``b_*`` and ``c`` are scaled, ``col_scale`` maps x
+    back, and the program is not read again; ``reg_scale`` is the module
+    docstring's, and the Gram stack is one sparse product. Per iteration,
+    :meth:`assemble_normal` or the KKT's factorization reads the scaling.
+
     The program must be in canonical form (``program.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
-    rows. Its A is copied once and equilibrated in place, so ``A_eq``,
-    ``A_in``, ``b_*`` and ``c`` are scaled, ``col_scale`` maps x back, and
-    the program is not read again; ``reg_scale`` is the module docstring's.
-    Every inequality row belongs to one second-order cone of that flat
+    rows. Every inequality row belongs to one second-order cone of that flat
     region: each nonneg row is a one-row cone s0 >= 0, followed by the soc
     cones. Cone k starts at row ``heads[k]``; ``cone_id`` gives each row's
     cone and ``jsign`` is the diagonal of J = diag(1, -1, ..., -1) (+1 on a
@@ -394,62 +550,41 @@ class _Workspace:
     each of which has a column of F in :meth:`assemble_normal`.
     """
 
-    def __init__(self, prog: ConicProgram):
-        if not is_canonical(prog.cones):
-            raise ValueError(
-                "the solver takes zero, then nonneg, then soc cones; "
-                "lower the program first"
-            )
-        A = sp.csr_matrix(prog.A, dtype=float, copy=True)
-        groups = _row_groups(prog.cones)
-        row_scale, self.col_scale = _equilibrate(A, groups)
+    def __init__(self, prog: ConicProgram, pattern: _Pattern | None = None):
+        """``pattern`` is prog's own, analysed here when not given."""
+        pat = self.pattern = _Pattern(prog) if pattern is None else pattern
+        self.n, self.n_eq, self.m_in, self.degree = pat.n, pat.n_eq, pat.m_in, pat.degree
+        self.sizes, self.heads, self.cone_id = pat.sizes, pat.heads, pat.cone_id
+        self.jsign, self.e = pat.jsign, pat.e
+        self.n_curved, self.curved_rows, self.curved_cone = (
+            pat.n_curved, pat.curved_rows, pat.curved_cone
+        )
+        n, k = self.n, pat.nnz_eq
 
-        self.n = prog.n_vars
-        self.n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
-        self.m_in = prog.n_rows - self.n_eq
-        #: rows of each cone: a 1 for each nonneg row, then each soc dim
-        self.sizes = groups[self.n_eq:]
-        self.heads = np.cumsum(self.sizes) - self.sizes
-        self.cone_id = np.repeat(np.arange(self.sizes.size), self.sizes)
-        self.jsign = -np.ones(self.m_in)
-        self.jsign[self.heads] = 1.0
-        #: identity element of the cone product: 1 on every head
-        self.e = np.zeros(self.m_in)
-        self.e[self.heads] = 1.0
-        self.degree = self.sizes.size
-
-        self.A_eq = A[: self.n_eq].toarray()
+        data = np.array(prog.A.tocsr().data, dtype=float)
+        row_scale, self.col_scale = _equilibrate(data, pat)
+        self.A_eq = np.bincount(pat.eq_flat, data[:k], minlength=self.n_eq * n).reshape(
+            self.n_eq, n
+        )
         # the right-hand side of every solve with A_eq', checked once here
         if not np.isfinite(self.A_eq).all():
             raise NumericalError("equality rows are not finite")
         b = row_scale * prog.b
         self.b_eq = b[: self.n_eq]
-        self.A_in = A[self.n_eq:]
-        del A  # only the A_eq and A_in copies stay
+        self.A_in = sp.csr_matrix((data[k:], pat.in_indices, pat.in_indptr), shape=(self.m_in, n))
         #: A_in' built once: its products sum in the same order as A_in.T's
         self.A_in_t = self.A_in.T.tocsr()
         self.b_in = b[self.n_eq:]
         self.c = self.col_scale * prog.c
-        squares = np.bincount(self.A_in.indices, self.A_in.data**2, minlength=self.n)
+        squares = np.bincount(pat.in_indices, self.A_in.data**2, minlength=n)
         self.reg_scale = 1.0 + float(squares.max(initial=0.0))
 
-        curved = self.sizes > 1
-        self.n_curved = int(curved.sum())
-        #: the rows of the cones of more than one row, and each one's cone
-        #: among those: its column of F, or of the v and u columns of K
-        self.curved_rows = np.flatnonzero(curved[self.cone_id])
-        self.curved_cone = (np.cumsum(curved) - 1)[self.cone_id[self.curved_rows]]
-        # K's nonzeros: its diagonal, A_in and two columns per soc cone, twice
-        kkt_nnz = self.n + self.m_in + 2 * self.A_in.nnz + int((4 * self.sizes[curved] + 2).sum())
         self.kkt = None
-        if self.n**3 / 3.0 > SPARSE_KKT_RATIO * kkt_nnz:
+        if pat.sparse:
             self.kkt = _QuasiDefiniteKkt(self)
             return
-        in_curved = curved[self.cone_id]
-        self.gram_stack = _gram_stack(
-            self.A_in, self.cone_id, np.where(in_curved, -self.jsign, 1.0), self.degree
-        )
-        self._f_ptr = np.concatenate([[0], np.cumsum(in_curved)])
+        self.gram_stack = _gram_stack(self.A_in, pat.g_lifted, pat.g_sign, self.degree)
+        self._f_vals = self.A_in.data[pat.f_src]
 
     def assemble_normal(self, sc: _NtScaling) -> np.ndarray:
         """The lower triangle of A_in' W^-2 A_in at the scaling sc, in Fortran order.
@@ -460,16 +595,16 @@ class _Workspace:
         W^-2 = 1/eta^2 is that weight alone; on each larger cone the rank-one
         part, 2 F F' with a column of F equal to A_k' J wbar_k / eta_k, is
         added into the buffer by one ``dsyrk``, skipped when there is no such
-        cone. The strict upper triangle is left zero.
+        cone. F is one ``np.bincount`` through the pattern's scatter. The
+        strict upper triangle is left zero.
         """
         M = (self.gram_stack @ (1.0 / sc.eta**2)).reshape(self.n, self.n, order="F")
         if not self.n_curved:
             return M
+        pat = self.pattern
         v = (self.jsign * sc.wbar / sc.eta[self.cone_id])[self.curved_rows]
-        cone_map = sp.csr_matrix(
-            (v, self.curved_cone, self._f_ptr), shape=(self.m_in, self.n_curved)
-        )
-        F = (self.A_in_t @ cone_map).toarray(order="F")
+        F = np.bincount(pat.f_dest, self._f_vals * v[pat.f_row], minlength=self.n * self.n_curved)
+        F = F.reshape(self.n, self.n_curved, order="F")
         return dsyrk(2.0, F, beta=1.0, c=M, lower=1, overwrite_c=1)
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -535,39 +670,39 @@ class _Workspace:
         return float(self.cone_steps(u, d).min(initial=np.inf))
 
 
-def _equilibrate(A: sp.csr_matrix, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ruiz-style scaling of the float CSR matrix A in place, with cone-uniform row factors.
+def _equilibrate(data: np.ndarray, pat: _Pattern) -> tuple[np.ndarray, np.ndarray]:
+    """Ruiz-style scaling of the values ``data`` of A, in place, with cone-uniform row factors.
 
-    A becomes E A D; returns the row and column scales (e, d) = (diag E,
-    diag D), with which b' = E b and c' = D c. ``sizes`` holds the row count
-    of each group of :func:`_row_groups`, in row order; each group shares
-    one factor, taken from its largest entry (``np.maximum.reduceat`` over
-    the group starts): zero and nonneg rows scale one by one, and the rows
-    of one soc cone together, so the cone geometry is preserved.
+    A (pattern ``pat``) becomes E A D; returns the row and column scales
+    (e, d) = (diag E, diag D), with which b' = E b and c' = D c. Each group
+    of :func:`_row_groups` shares one factor, taken from its largest entry:
+    zero and nonneg rows scale one by one, and the rows of one soc cone
+    together, so the cone geometry is preserved. Each pass takes its maxima
+    with ``np.maximum.reduceat`` over the pattern's fixed orders, the
+    columns' through ``col_order`` and the groups' in A's own order.
     """
-    m, n = A.shape
-    e = np.ones(m)
-    d = np.ones(n)
-    starts = np.cumsum(sizes) - sizes
-    row = np.repeat(np.arange(m), np.diff(A.indptr))
+    e = np.ones(pat.groups.sum())
+    d = np.ones(pat.n)
+    cmax = np.zeros(pat.n)
+    top = np.zeros(pat.groups.size)
 
     # the scales multiply the stored entries in place, so the pattern is fixed
     for _ in range(EQUILIBRATION_PASSES):
         # column pass
-        cmax = abs(A).max(axis=0).toarray().ravel()
+        if pat.col_live.size:
+            cmax[pat.col_live] = np.maximum.reduceat(np.abs(data)[pat.col_order], pat.col_starts)
         cs = 1.0 / np.sqrt(np.maximum(cmax, 1e-12))
         cs[cmax == 0.0] = 1.0
         d *= cs
-        A.data *= cs[A.indices]
+        data *= cs[pat.indices]
         # row pass (uniform inside each cone)
-        rmax = abs(A).max(axis=1).toarray().ravel()
-        top = np.maximum.reduceat(rmax, starts)
-        gs = np.ones(starts.size)
+        if pat.group_live.size:
+            top[pat.group_live] = np.maximum.reduceat(np.abs(data), pat.group_starts)
+        gs = np.ones(top.size)
         live = top > 0.0
         gs[live] = 1.0 / np.sqrt(top[live])
-        rs = np.repeat(gs, sizes)
-        e *= rs
-        A.data *= rs[row]
+        e *= np.repeat(gs, pat.groups)
+        data *= np.repeat(gs, pat.group_nnz)
     return e, d
 
 
@@ -575,11 +710,13 @@ def solve(
     prog: ConicProgram,
     tol: float = 1e-8,
     max_iters: int = 100,
+    structure: SolveStructure | None = None,
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
 
     The program's pow3 cones are lowered to soc cones and the workspace
-    equilibrates its own copy of the rows; each interior-point iteration then
+    equilibrates its own copy of the rows, both through the pattern's
+    maps in ``structure``; each interior-point iteration then
     factors the Newton system once, solves the equality rows through their
     Schur complement, and polishes the combined direction against the full
     Newton system: at most ``POLISH_PASSES`` residual-correction passes,
@@ -594,6 +731,9 @@ def solve(
         prog: program with zero, nonneg, soc and pow3 cones, in class order.
         tol: relative primal/dual/gap tolerance for the ``optimal`` status.
         max_iters: interior-point iteration cap.
+        structure: the value-independent maps of prog's pattern, reused
+            while they are prog's and rebuilt in place otherwise; a solve
+            without one builds its own. The answer is the same either way.
 
     Returns:
         SolveResult; ``x`` is in the original (pre-lowering) variables. A
@@ -604,11 +744,12 @@ def solve(
     Raises:
         NumericalError: the lowered program's equality rows are not finite.
     """
-    lowered = lower_program(prog)
-    ws = _Workspace(lowered.program)
-    # the answer reads the lowered cost and size; its rows go with it here
-    cost, n_orig = lowered.program.c, lowered.n_orig
-    del lowered
+    structure = SolveStructure() if structure is None else structure
+    canonical = structure.canonical(prog)
+    ws = _Workspace(canonical, structure._pattern)
+    # the answer reads the lowered cost; its rows go with it here
+    cost, n_orig = canonical.c, prog.n_vars
+    del canonical
 
     n, n_eq = ws.n, ws.n_eq
     x = np.zeros(n)

@@ -30,6 +30,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .conic import SolveStructure
 from .covsteer import (
     N_U,
     N_X,
@@ -619,6 +620,8 @@ def run(
         # feasibility first: points inside tolerance tie, then cost decides
         return (max(point.max_violation, params.eps_feas), point.j_ub)
 
+    # the phase's subproblems share one pattern, analysed once
+    structure = SolveStructure()
     best = ref
     best_key = rank_key(ref)
     records: list[IterationRecord] = []
@@ -652,7 +655,9 @@ def run(
                 )
             ),
         )
-        sol = solve_subproblem(layout, tol=solver_tol, max_iters=solver_iters)
+        sol = solve_subproblem(
+            layout, tol=solver_tol, max_iters=solver_iters, structure=structure
+        )
 
         degenerate = False
         if not sol.ok:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammainccinv
 
-from .conic import ConicProgram, ProgramBuilder, SolveResult, solve
+from .conic import ConicProgram, ProgramBuilder, SolveResult, SolveStructure, solve
 from .covsteer import BlockSystem, FeedbackPolicy, KalmanSchedule, N_U, N_X, pull_back
 from .dynamics import LinearSegment, TimeGrid, psd_sqrt, require_finite, require_positive_definite
 from .errors import ConfigError
@@ -654,10 +654,19 @@ def extract_solution(layout: SubproblemLayout, result: SolveResult) -> Subproble
 
 
 def solve_subproblem(
-    layout: SubproblemLayout, tol: float = 1e-8, max_iters: int = 100
+    layout: SubproblemLayout,
+    tol: float = 1e-8,
+    max_iters: int = 100,
+    structure: SolveStructure | None = None,
 ) -> SubproblemSolution:
-    """Solve a built subproblem and extract the decision variables."""
-    return extract_solution(layout, solve(layout.program, tol=tol, max_iters=max_iters))
+    """Solve a built subproblem and extract the decision variables.
+
+    ``structure`` is passed to :func:`~covtraj.conic.solve`: the subproblems
+    of one SCP phase share one, since they share a pattern.
+    """
+    return extract_solution(
+        layout, solve(layout.program, tol=tol, max_iters=max_iters, structure=structure)
+    )
 
 
 def augmented_cost(

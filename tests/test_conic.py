@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from oracles import arrow_matrix, nt_scaling_matrix, pow3_tower_slack, program_digest
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
+from covtraj.conic.lowering import Lowering
 from covtraj.conic.solver import (
     POLISH_STOP_RATIO,
     _equilibrate,
     _NtScaling,
+    _Pattern,
     _polish,
-    _row_groups,
     _Workspace,
 )
 from covtraj.errors import ConfigError, NumericalError
@@ -304,7 +305,8 @@ def test_builder_stores_no_explicit_zeros():
 
 
 def test_equilibration_matches_per_group_loop():
-    # the reduceat row scales equal the per-cone loop they replaced, bit for bit
+    # the reduceat maxima over the pattern's fixed orders equal scipy's
+    # column maxima and the per-cone row loop they replaced, bit for bit
     rng = np.random.default_rng(11)
     cones = (Cone("zero", 2), Cone("nonneg", 3), Cone("soc", 4), Cone("soc", 2))
     m, n = 11, 5
@@ -313,7 +315,8 @@ def test_equilibration_matches_per_group_loop():
     dense[4] = 0.0  # an all-zero row keeps the scale 1
     A = sp.csr_matrix(dense)
     scaled = A.copy()
-    e, d = _equilibrate(scaled, _row_groups(cones))
+    pattern = _Pattern(ConicProgram(c=np.zeros(n), A=A, b=np.zeros(m), cones=cones))
+    e, d = _equilibrate(scaled.data, pattern)
 
     groups = [np.array([r]) for r in range(5)] + [np.arange(5, 9), np.arange(9, 11)]
     work, e_ref, d_ref = A.copy(), np.ones(m), np.ones(n)
@@ -948,10 +951,8 @@ def _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed):
 
 
 def _natural_kkt(ws, sc):
-    """K at sc in natural order, from the KKT's own entries through scipy's
-    COO-to-CSC conversion, as the first factorization builds it."""
-    rows, cols, values = ws.kkt.entries(ws, ws.kkt.variable(sc, 0.0))
-    return sp.csc_matrix((values, (rows, cols)), shape=(ws.kkt.size,) * 2)
+    """K at sc in natural order, as the first factorization builds it."""
+    return ws.kkt._natural(ws, ws.kkt.variable(sc, 0.0))
 
 
 def _kkt_solves(ws, sc, reg_x):
@@ -1075,7 +1076,8 @@ def test_kkt_factors_k_in_its_first_factorizations_order(monkeypatch, sizes, n_n
         kkt.factor(sc, bump)
     p, shape = perm_c[0], (kkt.size,) * 2
     for k, ((sc, bump), matrix) in enumerate(zip(calls, got)):
-        rows, cols, values = kkt.entries(ws, kkt.variable(sc, bump))
+        rows, cols = kkt.pattern(ws)
+        values = np.concatenate([kkt.variable(sc, bump), ws.A_in.data, ws.A_in.data])
         shuffle = rng.permutation(values.size)
         natural = sp.csc_matrix((values[shuffle], (rows[shuffle], cols[shuffle])), shape=shape)
         if k == 0:
@@ -1277,49 +1279,128 @@ def test_the_rule_sends_each_program_to_one_factorization(monkeypatch):
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_no_lowered_program_outlives_the_workspace(monkeypatch, path):
     # the workspace holds the solve's only scaled copy of the rows: a
-    # program that lowering built is gone before the first factorization
+    # program that lowering built is gone before the solve's first
+    # factorization, for two fresh solves and for two through one held
+    # structure, whose second lowers through the map it kept
     _force_path(monkeypatch, path)
     prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
-    lowered, first_factor = [], []
+    lowered, dead_at_first_factor, maps = [], [], []
+    apply = Lowering.apply
 
-    def lowering(p):
-        out = lower_program(p)
-        assert out.program is not p
-        lowered.append(weakref.ref(out.program))
+    def lowering(self, p):
+        out = apply(self, p)
+        assert out is not p
+        lowered.append(weakref.ref(out))
         return out
 
     def spy(factor):
         def first(*args, **kwargs):
-            if not first_factor:
-                first_factor.append(lowered[0]() is None)
+            if len(dead_at_first_factor) < len(lowered):
+                dead_at_first_factor.append(lowered[-1]() is None)
             return factor(*args, **kwargs)
         return first
 
-    monkeypatch.setattr(solver, "lower_program", lowering)
+    monkeypatch.setattr(Lowering, "apply", lowering)
+    lower = solver.lower_program
+    monkeypatch.setattr(solver, "lower_program", lambda p: maps.append(p) or lower(p))
     if path == "dense":
         monkeypatch.setattr(solver, "_cholesky", spy(solver._cholesky))
     else:
         kkt = solver._QuasiDefiniteKkt
         monkeypatch.setattr(kkt, "factor", spy(kkt.factor))
-    assert solve(prog).status == "optimal"
-    assert len(lowered) == 1 and first_factor == [True]
+    for structure in (None, None, solver.SolveStructure()):
+        assert solve(prog, structure=structure).status == "optimal"
+    assert solve(prog, structure=structure).status == "optimal"
+    assert len(lowered) == 4 and dead_at_first_factor == [True] * 4
+    # the held structure built its lowering map once
+    assert len(maps) == 3
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_solve_leaves_no_reference_cycle(monkeypatch, path):
     # the workspace, and on the sparse path its KKT and factor, go with the
     # solve's last reference; a cycle among them held an N=24 solve's 21 MB
-    # until a cyclic collection, so repeated solves piled up
+    # until a cyclic collection, so repeated solves piled up. A held
+    # structure's second solve, which reuses its maps, leaves none either
     _force_path(monkeypatch, path)
     prog = _small_socp()
-    solve(prog)
-    gc.collect()
-    gc.disable()
-    try:
-        solve(prog)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for structure in (None, solver.SolveStructure()):
+        solve(prog, structure=structure)
+        gc.collect()
+        gc.disable()
+        try:
+            solve(prog, structure=structure)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _same_answer(a, b):
+    """Two solve results equal bit for bit."""
+    x = (a.x is None and b.x is None) or (
+        a.x is not None and b.x is not None and a.x.tobytes() == b.x.tobytes()
+    )
+    fields = ("status", "obj", "iterations", "pres", "dres", "gap")
+    return x and all(getattr(a, f) == getattr(b, f) for f in fields)
+
+
+@pytest.mark.parametrize("lowered", [True, False], ids=["lowered", "canonical"])
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_structure_answers_as_a_fresh_solve_when_the_pattern_changes(monkeypatch, path, lowered):
+    # one structure solves a program, the same pattern with other values,
+    # the pattern with one entry dropped, and the first program again: each
+    # answer is a fresh solve's, bit for bit. The analysis is reused only
+    # while the pattern holds, the lowering map while the cones do, and
+    # neither keeps a program alive
+    _force_path(monkeypatch, path)
+    first = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    if not lowered:
+        first = lower_program(first).program
+    rescaled = ConicProgram(
+        c=first.c, A=first.A * 1.25, b=first.b, cones=first.cones, var_blocks=first.var_blocks
+    )
+    A = first.A.copy()
+    A.data[np.flatnonzero(A.indices == 3)[-1]] = 0.0  # the soc cone's x3 entry
+    A.eliminate_zeros()
+    dropped = ConicProgram(c=first.c, A=A, b=first.b, cones=first.cones, var_blocks=first.var_blocks)
+    assert dropped.A.nnz == first.A.nnz - 1
+
+    structure = solver.SolveStructure()
+    analyses = []
+    for prog in (first, rescaled, dropped, first):
+        held = solve(prog, structure=structure)
+        assert _same_answer(held, solve(prog))
+        analyses.append(structure._pattern)
+    assert held.status == "optimal"
+    assert analyses[1] is analyses[0]
+    assert analyses[2] is not analyses[1] and analyses[3] is not analyses[2]
+
+    gone = ConicProgram(c=first.c, A=first.A.copy(), b=first.b, cones=first.cones)
+    ref = weakref.ref(gone)
+    solve(gone, structure=structure)
+    del gone
+    assert ref() is None
+
+
+def test_held_sparse_structure_orders_k_once_per_solve(monkeypatch):
+    # a solve through a held structure still factors K under the
+    # minimum-degree order once, since no other order gives that
+    # factorization bit for bit, and then only in the order it found
+    _force_path(monkeypatch, "sparse")
+    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    specs, splu = [], spla.splu
+
+    def spy(K, *args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    structure = solver.SolveStructure()
+    for _ in range(2):
+        specs.clear()
+        assert solve(prog, structure=structure).status == "optimal"
+        assert specs[0] == "MMD_AT_PLUS_A" and len(specs) > 2
+        assert set(specs[1:]) == {"NATURAL"}
 
 
 # ------------------------------------------------ numerical_error exits

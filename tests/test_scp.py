@@ -557,6 +557,25 @@ def test_sparse_kkt_keeps_the_stochastic_design_subproblems_optimal(monkeypatch,
         assert abs(a - b) <= 2
 
 
+def test_an_scp_phase_analyses_its_pattern_once(monkeypatch, stochastic_runs):
+    # the subproblems of one phase share a pattern: the run lowers it and
+    # analyses it once, and its records equal, bit for bit, those of a run
+    # whose every subproblem is a fresh solve
+    prob, params, _, _, det, _ = stochastic_runs
+    lower, pattern, solve = solver.lower_program, solver._Pattern, subproblem_mod.solve
+    lowered, analysed = [], []
+    monkeypatch.setattr(solver, "lower_program", lambda p: lowered.append(1) or lower(p))
+    monkeypatch.setattr(solver, "_Pattern", lambda p: analysed.append(1) or pattern(p))
+    held = run(prob, det.point, params)
+    assert held.iterations >= 3 and len(lowered) == len(analysed) == 1
+    monkeypatch.setattr(
+        subproblem_mod, "solve", lambda prog, structure=None, **kwargs: solve(prog, **kwargs)
+    )
+    fresh = run(prob, det.point, params)
+    assert len(analysed) == 1 + fresh.iterations
+    assert held.records == fresh.records and held.point.j_ub == fresh.point.j_ub
+
+
 def _flyby_problem(r_p_min=0.01):
     """Thrust, flyby, thrust under dispersion, and its open-loop guess.
 
