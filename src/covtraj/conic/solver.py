@@ -49,10 +49,16 @@ nonzeros of the sparse KKT, the dense path otherwise.
   in it once; later ones write only the diagonal and expansion columns (5%
   of K at N=24). No n x n matrix and no Gram stack is built.
 
-Both paths regularize x relative to ``reg_scale`` = 1 + max diag M at the
-start s = z = e, where every W = I and diag M is A_in's squared column
-norms. It stays fixed: the cone weights diverge as the gap closes, and a
-regularization tracking them would bias the dual residual by reg |dx|.
+Every solve starts as CVXOPT and Clarabel do (Vandenberghe 2010; Goulart &
+Chen, arXiv:2405.12762): one factorization of the Newton system at W = I
+(s = z = e) gives the least-norm slack s = b_in - A_in x with A_eq x = b_eq
+and the least-norm (z, y) with A_in' z + A_eq' y = -c; s and z are each
+moved into their cones along e, and tau = kappa = 1. If it fails, the solve
+ends ``numerical_error`` after 0 iterations. Both paths regularize x
+relative to ``reg_scale`` = 1 + max diag M at W = I, where diag M is A_in's
+squared column norms. It stays fixed: the cone weights diverge as the gap
+closes, and a regularization tracking them would bias the dual residual by
+reg |dx|.
 
 The embedding's tau/kappa pair classifies the outcome (optimal / primal
 infeasible / dual infeasible); variables that appear in no inequality row need
@@ -78,10 +84,10 @@ equilibration's column order, the Gram stack's lifted index and the scatter
 of F; SCP passes one per phase, since a phase's subproblems share their
 pattern, and a solve without one builds its own. Per solve, the workspace
 lowers and equilibrates the values, forms A_eq, A_in and A_in' and the Gram
-stack, and the sparse path orders K once (module docstring's KKT). Per
-iteration, the NT scaling, the normal matrix (F is one ``np.bincount``) or
-K's variable entries, one factorization and its solves. Every answer is the
-one a fresh solve gives, bit for bit.
+stack, and factors the start's Newton system, which on the sparse path
+orders K (module docstring's KKT). Per iteration, the NT scaling, the
+normal matrix (F is one ``np.bincount``) or K's variable entries, one
+factorization and its solves. Every answer is a fresh solve's, bit for bit.
 
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
@@ -321,10 +327,33 @@ class _QuasiDefiniteKkt:
         return np.concatenate([diag, pair, pair])
 
     def _natural(self, ws: _Workspace, values: np.ndarray) -> sp.csc_matrix:
-        """K in its natural order; its entry arrays are gone when it returns."""
-        rows, cols = self.pattern(ws)
-        data = np.concatenate([values, ws.A_in.data, ws.A_in.data])
-        return sp.csc_matrix((data, (rows, cols)), shape=(self.size,) * 2)
+        """K in its natural order, each column's rows ascending, laid out from
+        A_in's CSC (``A_in_t``) and CSR patterns with no sort: an x column is
+        its diagonal over A_in's column; a z column A_in's row, its diagonal,
+        its v and u entries; a v or u column its cone's z rows, its diagonal."""
+        n, m, nc, rows = ws.n, ws.m_in, ws.n_curved, ws.curved_rows
+        A, At, size = ws.A_in, ws.A_in_t, self.size
+        dims = np.bincount(ws.curved_cone, minlength=nc)
+        in_cone = np.arange(rows.size) - (np.cumsum(dims) - dims)[ws.curved_cone]
+        above = np.concatenate([np.zeros(n, dtype=int), np.diff(A.indptr), dims, dims])
+        below = np.r_[np.diff(At.indptr), 2 * (ws.sizes[ws.cone_id] > 1), np.zeros(2 * nc, int)]
+        def spread(B, first):  # the slots of B's entries, row r's from first[r] on
+            return np.arange(B.nnz) + np.repeat(first - B.indptr[:-1], np.diff(B.indptr))
+        indptr = np.concatenate([[0], np.cumsum(above + 1 + below)]).astype(np.int32)
+        diag = indptr[:-1] + above
+        aux, pair = n + m + ws.curved_cone, values[size: size + 2 * rows.size]
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        pieces = (
+            (diag, np.arange(size), values[:size]),
+            (np.r_[indptr[aux] + in_cone, indptr[aux + nc] + in_cone], np.tile(n + rows, 2), pair),
+            (np.r_[diag[n + rows] + 1, diag[n + rows] + 2], np.r_[aux, aux + nc], pair),
+            (spread(At, diag[:n] + 1), n + At.indices, At.data),
+            (spread(A, indptr[n: n + m]), A.indices, A.data),
+        )
+        for at, index, value in pieces:
+            indices[at] = index
+            data[at] = value
+        return sp.csc_matrix((data, indices, indptr), shape=(size,) * 2)
 
     def _permuted(self, ws: _Workspace, values: np.ndarray, perm: np.ndarray):
         """K[q][:, q], q = argsort(perm), and the slot of each variable entry in it.
@@ -706,6 +735,12 @@ def _equilibrate(data: np.ndarray, pat: _Pattern) -> tuple[np.ndarray, np.ndarra
     return e, d
 
 
+def _into_cone(ws: _Workspace, u: np.ndarray) -> np.ndarray:
+    """u if inside every cone, else u + (1 + alpha) e, alpha = max_k |u_k tail| - u_k head."""
+    alpha = np.max(np.sqrt(ws.tail_dot(u, u)) - u[ws.heads], initial=-np.inf)
+    return u if alpha < 0.0 else u + (1.0 + alpha) * ws.e
+
+
 def solve(
     prog: ConicProgram,
     tol: float = 1e-8,
@@ -716,7 +751,9 @@ def solve(
 
     The program's pow3 cones are lowered to soc cones and the workspace
     equilibrates its own copy of the rows, both through the pattern's
-    maps in ``structure``; each interior-point iteration then
+    maps in ``structure``. It starts from the least-norm slack and dual
+    point moved into their cones (module docstring); each interior-point
+    iteration then
     factors the Newton system once, solves the equality rows through their
     Schur complement, and polishes the combined direction against the full
     Newton system: at most ``POLISH_PASSES`` residual-correction passes,
@@ -739,7 +776,8 @@ def solve(
         SolveResult; ``x`` is in the original (pre-lowering) variables. A
         solve that ends neither optimal nor with an infeasibility
         certificate reports its best measured iterate and that iterate's
-        residuals.
+        residuals; one whose start fails ends ``numerical_error`` with
+        ``iterations == 0`` and no iterate.
 
     Raises:
         NumericalError: the lowered program's equality rows are not finite.
@@ -752,10 +790,6 @@ def solve(
     del canonical
 
     n, n_eq = ws.n, ws.n_eq
-    x = np.zeros(n)
-    y = np.zeros(n_eq)
-    s = ws.e.copy()
-    z = ws.e.copy()
     tau, kappa = 1.0, 1.0
 
     norm_b = 1.0 + np.sqrt(ws.b_in @ ws.b_in + ws.b_eq @ ws.b_eq)
@@ -823,6 +857,15 @@ def solve(
     status = "max_iterations"
     it = 0
     pres = dres = gap_rel = np.inf
+    try:
+        # the least-norm slack and the least-norm dual point, from the Newton
+        # system at W = I, each moved into its cone (CVXOPT's start)
+        saddle = factor(_NtScaling(ws, ws.e, ws.e))
+        x, _, s, _ = saddle(np.zeros(n), ws.b_in, ws.b_eq)
+        _, y, z, _ = saddle(-ws.c, np.zeros(ws.m_in), np.zeros(n_eq))
+        s, z = _into_cone(ws, -s), _into_cone(ws, z)
+    except (NumericalError, np.linalg.LinAlgError):
+        status, max_iters = "numerical_error", 0  # no iteration runs
 
     for it in range(1, max_iters + 1):
         # residuals of the embedding
@@ -971,9 +1014,6 @@ def solve(
         s += alpha * ds
         tau += alpha * dtau
         kappa += alpha * dkappa
-
-    else:
-        it = max_iters
 
     # every iteration steps after it is measured, so only the best measured
     # iterate carries the residuals that are reported with it

@@ -406,8 +406,10 @@ def test_solver_deterministic():
 def test_capped_solve_reports_the_residuals_of_the_iterate_it_returns():
     # each IPM iteration measures its iterate and then steps, so a solve
     # stopped by the cap must return a measured iterate with its own
-    # residuals: two results share x exactly when they share residuals
-    prog = _small_socp()
+    # residuals: two results share x exactly when they share residuals. The
+    # interleaved program runs enough iterations (11) that three capped
+    # solves already return an iterate within 1e2 * tol
+    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
     full = solve(prog)
     assert full.status == "optimal"
     results = [solve(prog, max_iters=j) for j in range(1, full.iterations)] + [full]
@@ -461,41 +463,44 @@ def _spy_cho_factor(monkeypatch, order, fail=()):
 
 
 def test_factor_retry_scales_the_diagonal(monkeypatch):
-    # the first attempt of the third iteration fails; the retry factors the
-    # same matrix with its diagonal scaled by 1 + 1e4 * STATIC_REG
+    # the first attempt of the third iteration (the fourth factorization,
+    # after the start's) fails; the retry factors the same matrix with its
+    # diagonal scaled by 1 + 1e4 * STATIC_REG
     prog = _small_socp()
-    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(3,))
+    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(4,))
     res = solve(prog)
     assert res.status == "optimal"
-    np.testing.assert_array_equal(seen[3], seen[2] * (1.0 + 1e4 * solver.STATIC_REG))
+    np.testing.assert_array_equal(seen[4], seen[3] * (1.0 + 1e4 * solver.STATIC_REG))
 
 
 def test_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
     prog = _small_socp()
-    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(3, 4, 5))
+    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(4, 5, 6))
     res = solve(prog)
     assert res.status == "numerical_error"
-    assert len(seen) == 5
+    assert len(seen) == 6 and res.iterations == 3
 
 
 def test_failing_equality_factor_ends_numerical_error(monkeypatch):
     prog = _small_socp()
     n_eq = sum(c.dim for c in lower_program(prog).program.cones if c.kind == "zero")
-    _spy_cho_factor(monkeypatch, n_eq, fail=(2,))
+    # the start factors E first, then each iteration once: call 3 is iteration 2's
+    _spy_cho_factor(monkeypatch, n_eq, fail=(3,))
     res = solve(prog)
     assert res.status == "numerical_error"
     assert res.iterations == 2
 
 
 def test_nan_in_the_factored_triangle_ends_numerical_error(monkeypatch):
-    # from the third iteration on, one entry of the lower triangle is NaN
+    # from the third iteration on (the fourth assembly, after the start's),
+    # one entry of the lower triangle is NaN
     assemble = _Workspace.assemble_normal
     calls = []
 
     def poisoned(self, sc):
         M = assemble(self, sc)
         calls.append(1)
-        if len(calls) >= 3:
+        if len(calls) >= 4:
             M[2, 1] = np.nan
         return M
 
@@ -506,7 +511,8 @@ def test_nan_in_the_factored_triangle_ends_numerical_error(monkeypatch):
 
 
 def test_non_finite_saddle_right_hand_side_ends_numerical_error(monkeypatch):
-    # system 1 of the second iteration gets a NaN right-hand side
+    # system 1 of the second iteration gets a NaN right-hand side; the
+    # start's primal solve is the first with b_in on the right
     mul_winv2 = _NtScaling.mul_winv2
     calls = []
 
@@ -514,7 +520,7 @@ def test_non_finite_saddle_right_hand_side_ends_numerical_error(monkeypatch):
         out = mul_winv2(self, u)
         if u is self.ws.b_in:
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 out[0] = np.nan
         return out
 
@@ -995,9 +1001,9 @@ def test_kkt_solve_matches_the_normal_equations(monkeypatch, sizes, n_nonneg, em
 
 @pytest.mark.parametrize("sizes, n_nonneg, empty, full", KKT_CONE_SETS)
 def test_start_point_fixes_the_regularization_scale(monkeypatch, sizes, n_nonneg, empty, full):
-    # every solve starts at s = z = e, where each NT scaling is W = I: the
-    # scale both paths regularize by is 1 + the normal matrix's largest
-    # diagonal there, whatever W the later iterates reach
+    # at s = z = e each NT scaling is W = I, the scaling of the start's
+    # Newton system: the scale both paths regularize by is 1 + the normal
+    # matrix's largest diagonal there, whatever W the later iterates reach
     _force_path(monkeypatch, "dense")
     ws, A_in = _random_cone_workspace(np.random.default_rng(4), sizes, n_nonneg, empty, full)
     sc = _NtScaling(ws, ws.e, ws.e)
@@ -1192,18 +1198,18 @@ def _spy_splu(monkeypatch, fail=()):
 
 def test_kkt_factor_retry_scales_the_diagonal(monkeypatch):
     _force_path(monkeypatch, "sparse")
-    seen = _spy_splu(monkeypatch, fail=(3,))
+    seen = _spy_splu(monkeypatch, fail=(4,))
     res = solve(_small_socp())
     assert res.status == "optimal"
-    np.testing.assert_array_equal(seen[3], seen[2] * (1.0 + 1e4 * solver.STATIC_REG))
+    np.testing.assert_array_equal(seen[4], seen[3] * (1.0 + 1e4 * solver.STATIC_REG))
 
 
 def test_kkt_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
     _force_path(monkeypatch, "sparse")
-    seen = _spy_splu(monkeypatch, fail=(3, 4, 5))
+    seen = _spy_splu(monkeypatch, fail=(4, 5, 6))
     res = solve(_small_socp())
     assert res.status == "numerical_error"
-    assert len(seen) == 5
+    assert len(seen) == 6 and res.iterations == 3
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -1455,6 +1461,112 @@ def test_numerical_error_exits_report_the_best_measured_iterate(monkeypatch, pat
     assert (res.x is None) == (not late) and (capped.x is None) == (not late)
     if late:
         assert np.array_equal(res.x, capped.x) and res.obj == capped.obj
+
+
+# ------------------------------------------------ the start
+def _spy_into_cone(monkeypatch):
+    """Record (ws, u, moved) of each point the solve moves into its cone."""
+    into_cone, seen = solver._into_cone, []
+
+    def spy(ws, u):
+        moved = into_cone(ws, u)
+        seen.append((ws, u.copy(), moved.copy()))
+        return moved
+
+    monkeypatch.setattr(solver, "_into_cone", spy)
+    return seen
+
+
+def _margins(ws, u):
+    """head - |tail| of every inequality cone at u."""
+    return u[ws.heads] - np.sqrt(ws.tail_dot(u, u))
+
+
+START_PROGRAMS = {
+    "small_socp": _small_socp,
+    "interleaved": lambda: _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"]),
+    "box_lp": lambda: _box_lp(30, 7)[0],
+}
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("make", START_PROGRAMS.values(), ids=START_PROGRAMS.keys())
+def test_start_is_strictly_inside_every_cone(monkeypatch, path, make):
+    # s, then z: each least-norm point is kept when it is strictly interior,
+    # or moved along e until its worst cone's head is 1 above its tail's norm
+    _force_path(monkeypatch, path)
+    seen = _spy_into_cone(monkeypatch)
+    assert solve(make()).status == "optimal"
+    assert len(seen) == 2
+    for ws, u, moved in seen:
+        assert _margins(ws, moved).min() > 0.0
+        shift = moved - u
+        if _margins(ws, u).min() > 0.0:
+            assert not shift.any()
+        else:
+            t = shift[ws.heads[0]]
+            assert t >= 1.0 and np.array_equal(shift, t * ws.e)
+            assert _margins(ws, moved).min() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_interior_least_norm_slack_is_kept_unshifted(monkeypatch):
+    # min x s.t. -1 <= x <= 1: the least-norm slack of x + s1 = 1, -x + s2 =
+    # 1 is s = (1, 1) at x = 0, already interior, so it is the start as it
+    # stands; the least-norm z of z1 - z2 = -1 is (-1/2, 1/2), which moves
+    seen = _spy_into_cone(monkeypatch)
+    pb = ProgramBuilder("interval")
+    x = pb.var_block("x", 1)[0]
+    pb.cost(x, 1.0)
+    _var_cone(pb, "nonneg", [(0, x, 1.0), (1, x, -1.0)], [1.0, 1.0])
+    res = solve(pb.build())
+    assert res.status == "optimal" and res.x[0] == pytest.approx(-1.0, abs=1e-7)
+    (_, s, s_start), (ws, z, z_start) = seen
+    # both up to the regularization's bias, about 1e-12 here
+    np.testing.assert_allclose(s, [1.0, 1.0], rtol=1e-9)
+    assert np.array_equal(s_start, s)
+    np.testing.assert_allclose(z, [-0.5, 0.5], rtol=1e-9)
+    np.testing.assert_allclose(z_start, z + 1.5 * ws.e, rtol=1e-12)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_start_whose_factorization_fails_ends_numerical_error(monkeypatch, path):
+    # the start goes through the bump ladder of an iteration's factorization;
+    # when all three attempts fail, no iteration runs and nothing is returned
+    _force_path(monkeypatch, path)
+    prog = _small_socp()
+    if path == "dense":
+        seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(1, 2, 3))
+    else:
+        seen = _spy_splu(monkeypatch, fail=(1, 2, 3))
+    res = solve(prog)
+    assert res.status == "numerical_error" and res.iterations == 0
+    assert len(seen) == 3 and res.x is None and res.obj is None
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_programs_without_inequality_or_equality_rows_solve(monkeypatch, path):
+    _force_path(monkeypatch, path)
+    # no inequality rows: min x0 + x1 s.t. x0 + x1 = 2, x0 - x1 = 0
+    pb = ProgramBuilder("equalities")
+    x = pb.var_block("x", 2)
+    pb.cost(x, [1.0, 1.0])
+    _var_cone(pb, "zero", [(0, x[0], 1.0), (0, x[1], 1.0), (1, x[0], 1.0), (1, x[1], -1.0)],
+              [2.0, 0.0])
+    res = solve(pb.build())
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-7)
+    # no equality rows: min t s.t. t >= |x - (1, 1)|, x <= 0.5 componentwise
+    pb = ProgramBuilder("inequalities")
+    x = pb.var_block("x", 2)
+    t = pb.var_block("t", 1)[0]
+    pb.cost(t, 1.0)
+    _var_cone(pb, "nonneg", [(0, x[0], 1.0), (1, x[1], 1.0)], [0.5, 0.5])
+    _var_cone(pb, "soc", [(0, t, -1.0), (1, x[0], -1.0), (2, x[1], -1.0)], [0.0, -1.0, -1.0])
+    prog = pb.build()
+    assert not any(c.kind == "zero" for c in prog.cones)
+    res = solve(prog)
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.x, [0.5, 0.5, np.sqrt(0.5)], atol=1e-7)
 
 
 @pytest.mark.parametrize(
