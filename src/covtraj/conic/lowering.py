@@ -45,15 +45,14 @@ SNAP_WARN = 1e-12
 
 @dataclass(frozen=True)
 class LoweredProgram:
-    """A canonical-form equivalent program plus the original variable count.
+    """A canonical-form equivalent program and the map that built it.
 
-    The first ``n_orig`` columns of the lowered program are the original
-    variables; the rest are tower auxiliaries with zero cost. ``lowering``
-    is the map that built it (None for a program returned as it is).
+    The first columns of the lowered program are the original variables;
+    the rest are tower auxiliaries with zero cost. ``lowering`` is the map
+    that built it (None for a program returned as it is).
     """
 
     program: ConicProgram
-    n_orig: int
     lowering: Lowering | None = None
 
 
@@ -170,6 +169,6 @@ def lower_program(prog: ConicProgram) -> LoweredProgram:
     original columns is unchanged; auxiliary columns carry zero cost.
     """
     if is_canonical(prog.cones):
-        return LoweredProgram(program=prog, n_orig=prog.n_vars)
+        return LoweredProgram(program=prog)
     lowering = Lowering(prog)
-    return LoweredProgram(program=lowering.apply(prog), n_orig=prog.n_vars, lowering=lowering)
+    return LoweredProgram(program=lowering.apply(prog), lowering=lowering)

@@ -45,9 +45,9 @@ nonzeros of the sparse KKT, the dense path otherwise.
   every diagonal with its quasi-definite sign, + on x and the u columns and
   - on z and the v columns: KKT_REG ``reg_scale`` on x, ``KKT_REG``
   elsewhere. So K factors without pivoting in any order: the first
-  factorization takes SuperLU's minimum-degree order of K + K' and builds K
-  in it once; later ones write only the diagonal and expansion columns (5%
-  of K at N=24). No n x n matrix and no Gram stack is built.
+  factorization takes SuperLU's minimum-degree order of K + K' and permutes
+  K into it once; later ones write only the diagonal and expansion columns
+  (5% of K at N=24). No n x n matrix and no Gram stack is built.
 
 Every solve starts as CVXOPT and Clarabel do (Vandenberghe 2010; Goulart &
 Chen, arXiv:2405.12762): one factorization of the Newton system at W = I
@@ -85,9 +85,10 @@ of F; SCP passes one per phase, since a phase's subproblems share their
 pattern, and a solve without one builds its own. Per solve, the workspace
 lowers and equilibrates the values, forms A_eq, A_in and A_in' and the Gram
 stack, and factors the start's Newton system, which on the sparse path
-orders K (module docstring's KKT). Per iteration, the NT scaling, the
-normal matrix (F is one ``np.bincount``) or K's variable entries, one
-factorization and its solves. Every answer is a fresh solve's, bit for bit.
+lays K out, orders it and permutes it into that order (Sparse, above). Per
+iteration, the NT scaling, the normal matrix (F is one ``np.bincount``) or
+K's variable entries, one factorization and its solves. Every answer is a
+fresh solve's, bit for bit.
 
 Everything is deterministic: no randomness, no iteration-order ambiguity.
 """
@@ -276,13 +277,13 @@ class _QuasiDefiniteKkt:
     """The sparse path's KKT over (x, z, two columns per soc cone), built once per solve.
 
     Its variable entries, the diagonal and the v and u columns, move with the
-    scaling; A_in's stay. Each solve's first factorization factors K in its
-    natural order under SuperLU's minimum-degree order q (K's entry arrays
-    are gone by then) and builds K[q][:, q] once; each later one writes only
-    the variable entries, through ``_slot``, and factors K[q][:, q] as it
-    stands. No other order of that first factorization gives its result
-    bit for bit, so every solve orders K, also one whose pattern was solved
-    before.
+    scaling; A_in's stay. :meth:`_natural` is the one place that lays K out.
+    Each solve's first factorization factors that natural K under SuperLU's
+    minimum-degree order q and permutes it into K[q][:, q] once; each later
+    one writes only the variable entries, through ``_slot``, and factors
+    K[q][:, q] as it stands. No other order of that first factorization
+    gives its result bit for bit, so every solve orders K, also one whose
+    pattern was solved before.
     """
 
     def __init__(self, ws: _Workspace):
@@ -292,20 +293,10 @@ class _QuasiDefiniteKkt:
         self.reg = (KKT_REG * ws.reg_scale, KKT_REG)  # on x, on every other diagonal
         self._ordered = None
 
-    def pattern(self, ws: _Workspace):
-        """K's entries as int32 (rows, cols): the variable entries (the
-        diagonal, one entry of each symmetric pair of the v and u columns,
-        its mirror), then A_in and its mirror."""
-        n, A = ws.n, ws.A_in.tocoo()
-        col_v = n + ws.m_in + ws.curved_cone
-        aux_r, aux_c = np.tile(n + ws.curved_rows, 2), np.r_[col_v, col_v + ws.n_curved]
-        diag = np.arange(self.size)
-        rows = np.concatenate([diag, aux_r, aux_c, n + A.row, A.col], dtype=np.int32)
-        cols = np.concatenate([diag, aux_c, aux_r, A.col, n + A.row], dtype=np.int32)
-        return rows, cols
-
     def variable(self, sc: _NtScaling, bump: float) -> np.ndarray:
-        """K's variable entries at the scaling sc, in :meth:`pattern`'s order."""
+        """K's variable entries at the scaling sc: the diagonal, one entry of
+        each symmetric pair of the v and u columns, then its mirror, in the
+        order of the slots :meth:`_natural` returns."""
         ws = sc.ws
         h, cid, curved = ws.heads, ws.cone_id, ws.sizes > 1
         omega2 = ws.tail_dot(sc.wbar, sc.wbar)
@@ -326,11 +317,15 @@ class _QuasiDefiniteKkt:
         pair = np.concatenate([v[ws.curved_rows], u[ws.curved_rows]])
         return np.concatenate([diag, pair, pair])
 
-    def _natural(self, ws: _Workspace, values: np.ndarray) -> sp.csc_matrix:
-        """K in its natural order, each column's rows ascending, laid out from
-        A_in's CSC (``A_in_t``) and CSR patterns with no sort: an x column is
-        its diagonal over A_in's column; a z column A_in's row, its diagonal,
-        its v and u entries; a v or u column its cone's z rows, its diagonal."""
+    def _natural(self, ws: _Workspace, values: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+        """K in its natural order, and the slot of each of ``values`` (the
+        :meth:`variable` entries) in it.
+
+        Each column's rows ascend, laid out from A_in's CSC (``A_in_t``) and
+        CSR patterns with no sort: an x column is its diagonal over A_in's
+        column; a z column A_in's row, its diagonal, its v and u entries; a
+        v or u column its cone's z rows, its diagonal.
+        """
         n, m, nc, rows = ws.n, ws.m_in, ws.n_curved, ws.curved_rows
         A, At, size = ws.A_in, ws.A_in_t, self.size
         dims = np.bincount(ws.curved_cone, minlength=nc)
@@ -353,27 +348,24 @@ class _QuasiDefiniteKkt:
         for at, index, value in pieces:
             indices[at] = index
             data[at] = value
-        return sp.csc_matrix((data, indices, indptr), shape=(size,) * 2)
+        slot = np.concatenate([at for at, _, _ in pieces[:3]])
+        return sp.csc_matrix((data, indices, indptr), shape=(size,) * 2), slot
 
-    def _permuted(self, ws: _Workspace, values: np.ndarray, perm: np.ndarray):
-        """K[q][:, q], q = argsort(perm), and the slot of each variable entry in it.
+    @staticmethod
+    def _permuted(K: sp.csc_matrix, slot: np.ndarray, q: np.ndarray):
+        """K[q][:, q], and the slots in it of the entries at ``slot`` in K.
 
-        It holds K's entries sorted by permuted column, then row; the entry
-        arrays are built again here, after the first factorization, and each
-        goes once read.
+        Each entry of K is tagged with its position in int32, and the tags
+        go through the permutation and the sort of each column's rows; they
+        pick each entry's value and say where each slot went.
         """
-        rows, cols = self.pattern(ws)
-        rows = perm[rows]
-        cols = perm[cols]
-        at = np.lexsort((rows, cols))
-        indices = rows[at]
-        del rows
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.size))])
-        del cols
-        data = np.concatenate([values, ws.A_in.data, ws.A_in.data])[at]
-        slot = np.flatnonzero(at < values.size)
-        ordered = sp.csc_matrix((data, indices, indptr), shape=(self.size,) * 2)
-        return ordered, slot[np.argsort(at[slot])]
+        tags = sp.csc_matrix((np.arange(K.nnz, dtype=np.int32), K.indices, K.indptr), shape=K.shape)
+        tags = tags[q][:, q]
+        tags.sort_indices()
+        ordered = sp.csc_matrix((K.data[tags.data], tags.indices, tags.indptr), shape=K.shape)
+        where = np.empty_like(tags.data)
+        where[tags.data] = np.arange(tags.nnz, dtype=np.int32)
+        return ordered, where[slot]
 
     def factor(self, sc: _NtScaling, bump: float):
         """The solve (f_x, f_z) -> (dx, dz) of one factorization of K at sc.
@@ -386,9 +378,10 @@ class _QuasiDefiniteKkt:
         values = self.variable(sc, bump)
         options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         if self._ordered is None:
-            lu = splu(self._natural(sc.ws, values), permc_spec="MMD_AT_PLUS_A", **options)
-            self._ordered, self._slot = self._permuted(sc.ws, values, lu.perm_c)
+            K, slot = self._natural(sc.ws, values)
+            lu = splu(K, permc_spec="MMD_AT_PLUS_A", **options)
             self._order = np.argsort(lu.perm_c)
+            self._ordered, self._slot = self._permuted(K, slot, self._order)
             q = slice(None)  # this factor applies its own order
         else:
             self._ordered.data[self._slot] = values
@@ -532,8 +525,8 @@ class SolveStructure:
         self._lowering = None
         self._pattern = None
 
-    def canonical(self, prog: ConicProgram) -> ConicProgram:
-        """prog in the solver's form, its pattern analysed into this structure."""
+    def canonical(self, prog: ConicProgram) -> tuple[ConicProgram, _Pattern]:
+        """prog in the solver's form and the analysis of its pattern, held here."""
         key = (prog.A.shape, prog.cones)
         if key != self._key:
             lowered = lower_program(prog)
@@ -548,20 +541,18 @@ class SolveStructure:
             and np.array_equal(A.indices, pat.indices)
         ):
             self._pattern = _Pattern(canonical)
-        return canonical
+        return canonical, self._pattern
 
 
 class _Workspace:
     """A solve's whole set-up: the scaled rows, cone indexing, regularization scale.
 
-    The work comes at three rates. Per pattern, :class:`_Pattern` holds the
-    value-independent maps: the cone indexing, the equilibration's orders,
-    the Gram stack's lifted index and F's scatter. Per solve, this workspace
-    copies A's values once and equilibrates them in place, so ``A_eq``,
-    ``A_in``, ``A_in_t``, ``b_*`` and ``c`` are scaled, ``col_scale`` maps x
-    back, and the program is not read again; ``reg_scale`` is the module
-    docstring's, and the Gram stack is one sparse product. Per iteration,
-    :meth:`assemble_normal` or the KKT's factorization reads the scaling.
+    It is the per-solve work of the module docstring's three rates, on the
+    maps of its :class:`_Pattern`: it copies A's values once and
+    equilibrates them in place, so ``A_eq``, ``A_in``, ``A_in_t``, ``b_*``
+    and ``c`` are scaled, ``col_scale`` maps x back, and the program is not
+    read again; ``reg_scale`` is the module docstring's, and the Gram stack
+    is one sparse product.
 
     The program must be in canonical form (``program.is_canonical``): its
     first ``n_eq`` rows are the equality rows and the rest are the inequality
@@ -783,8 +774,8 @@ def solve(
         NumericalError: the lowered program's equality rows are not finite.
     """
     structure = SolveStructure() if structure is None else structure
-    canonical = structure.canonical(prog)
-    ws = _Workspace(canonical, structure._pattern)
+    canonical, pattern = structure.canonical(prog)
+    ws = _Workspace(canonical, pattern)
     # the answer reads the lowered cost; its rows go with it here
     cost, n_orig = canonical.c, prog.n_vars
     del canonical

@@ -423,6 +423,26 @@ def arrow_matrix(lam: np.ndarray) -> np.ndarray:
     return L
 
 
+def kkt_entries(ws) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse path's KKT entries as int32 (rows, cols), one by one.
+
+    K over (x, z, a v and a u column per soc cone) is [[reg_x I, A_in'],
+    [A_in, -W^2]] with W^2 expanded into its cones' v and u columns (the
+    solver's module docstring). Listed here as an entry list rather than the
+    solver's column-by-column layout: the variable entries first, in the
+    order of ``_QuasiDefiniteKkt.variable`` (the diagonal, one entry of each
+    symmetric pair of the v and u columns, its mirror), then A_in and its
+    mirror. ``ws`` is a sparse-path ``_Workspace``.
+    """
+    n, A = ws.n, ws.A_in.tocoo()
+    col_v = n + ws.m_in + ws.curved_cone
+    aux_r, aux_c = np.tile(n + ws.curved_rows, 2), np.r_[col_v, col_v + ws.n_curved]
+    diag = np.arange(ws.kkt.size)
+    rows = np.concatenate([diag, aux_r, aux_c, n + A.row, A.col], dtype=np.int32)
+    cols = np.concatenate([diag, aux_c, aux_r, A.col, n + A.row], dtype=np.int32)
+    return rows, cols
+
+
 def program_digest(prog) -> str:
     """sha256 of a program's A (data, indices and indptr), b, c and cones.
 

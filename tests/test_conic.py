@@ -11,7 +11,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import arrow_matrix, nt_scaling_matrix, pow3_tower_slack, program_digest
+from oracles import (
+    arrow_matrix,
+    kkt_entries,
+    nt_scaling_matrix,
+    pow3_tower_slack,
+    program_digest,
+)
 
 from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
 from covtraj.conic.lowering import Lowering
@@ -176,7 +182,7 @@ def test_lowering_preserves_soc_only_program():
     prog = pb.build()
     low = lower_program(prog)
     assert low.program is prog
-    assert low.n_orig == 2
+    assert low.program.n_vars == prog.n_vars == 2
 
 
 @pytest.mark.parametrize("alpha", [10.0 / 11.0, 0.3, 0.5])
@@ -958,7 +964,7 @@ def _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, seed):
 
 def _natural_kkt(ws, sc):
     """K at sc in natural order, as the first factorization builds it."""
-    return ws.kkt._natural(ws, ws.kkt.variable(sc, 0.0))
+    return ws.kkt._natural(ws, ws.kkt.variable(sc, 0.0))[0]
 
 
 def _kkt_solves(ws, sc, reg_x):
@@ -1062,9 +1068,11 @@ def test_kkt_expansion_holds_near_a_cone_boundary(monkeypatch, sizes, n_nonneg, 
 def test_kkt_factors_k_in_its_first_factorizations_order(monkeypatch, sizes, n_nonneg, empty, full):
     # SuperLU gets K first, then K[q][:, q], q = argsort(perm_c) of that
     # first factorization, at a later scaling and at a bump retry of it,
-    # byte for byte as the construction the permuted matrix replaced builds
-    # them: K from its entries in any order, and K[q][:, q] from entries
-    # tagged by their position, whose tags give each value its slot
+    # byte for byte as an entry list (oracles.kkt_entries) builds them: K
+    # from its entries in any order, and K[q][:, q] from entries tagged by
+    # their position, whose tags give each value its slot. The slots the
+    # KKT writes, in K and in K[q][:, q], hold exactly variable()'s values
+    # at their entries' (row, col)
     rng, ws, _ = _kkt_case(monkeypatch, sizes, n_nonneg, empty, full, 0)
     kkt, splu = ws.kkt, spla.splu
     got, perm_c = [], []
@@ -1075,14 +1083,27 @@ def test_kkt_factors_k_in_its_first_factorizations_order(monkeypatch, sizes, n_n
         perm_c.append(lu.perm_c)
         return lu
 
+    def entry_cols(K):
+        return np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+
     monkeypatch.setattr(spla, "splu", spy)
+    rows, cols = kkt_entries(ws)
     first, later = (_NtScaling(ws, _interior(rng, ws), _interior(rng, ws)) for _ in range(2))
     calls = [(first, 0.0), (later, 0.0), (later, 1e4)]
+    variable = kkt.variable(first, 0.0)
+    var_rows, var_cols = rows[: variable.size], cols[: variable.size]
+    K, slot = kkt._natural(ws, variable)
+    assert K.data[slot].tobytes() == variable.tobytes()
+    assert np.array_equal(K.indices[slot], var_rows)
+    assert np.array_equal(entry_cols(K)[slot], var_cols)
     for sc, bump in calls:
         kkt.factor(sc, bump)
-    p, shape = perm_c[0], (kkt.size,) * 2
+        p, ordered = perm_c[0], kkt._ordered
+        assert ordered.data[kkt._slot].tobytes() == kkt.variable(sc, bump).tobytes()
+        assert np.array_equal(ordered.indices[kkt._slot], p[var_rows])
+        assert np.array_equal(entry_cols(ordered)[kkt._slot], p[var_cols])
+    shape = (kkt.size,) * 2
     for k, ((sc, bump), matrix) in enumerate(zip(calls, got)):
-        rows, cols = kkt.pattern(ws)
         values = np.concatenate([kkt.variable(sc, bump), ws.A_in.data, ws.A_in.data])
         shuffle = rng.permutation(values.size)
         natural = sp.csc_matrix((values[shuffle], (rows[shuffle], cols[shuffle])), shape=shape)
@@ -1091,9 +1112,9 @@ def test_kkt_factors_k_in_its_first_factorizations_order(monkeypatch, sizes, n_n
         else:
             tags = np.arange(1.0, values.size + 1.0)
             want = sp.csc_matrix((tags, (p[rows], p[cols])), shape=shape)
-            slot = np.empty(values.size, dtype=int)
-            slot[want.data.astype(int) - 1] = np.arange(values.size)
-            want.data[slot] = values
+            at = np.empty(values.size, dtype=int)
+            at[want.data.astype(int) - 1] = np.arange(values.size)
+            want.data[at] = values
             q = np.argsort(p)
             permuted = natural[q][:, q]
             permuted.sort_indices()
@@ -1118,9 +1139,10 @@ def _banded_socp(n, dim, width):
 
 def test_sparse_path_allocates_few_bytes_per_kkt_entry(monkeypatch):
     # the workspace and two factorizations of a 52k-entry K allocate at most
-    # 70 bytes per entry of K at their peak, SuperLU's own memory aside: 55
-    # with K's pattern in int32 and slots only for the entries that change,
-    # 86 with the pattern kept in int64 and a slot for every entry
+    # 70 bytes per entry of K at their peak, SuperLU's own memory aside: 59
+    # with the natural K alive while int32 tags carry its entries into
+    # K[q][:, q] and slots only for the entries that change, 67 with
+    # float64 tags, 86 with the pattern in int64 and a slot for every entry
     _force_path(monkeypatch, "sparse")
     prog = _banded_socp(600, 4, 8)
     rng = np.random.default_rng(0)
@@ -1376,7 +1398,7 @@ def test_structure_answers_as_a_fresh_solve_when_the_pattern_changes(monkeypatch
     for prog in (first, rescaled, dropped, first):
         held = solve(prog, structure=structure)
         assert _same_answer(held, solve(prog))
-        analyses.append(structure._pattern)
+        analyses.append(structure.canonical(prog)[1])
     assert held.status == "optimal"
     assert analyses[1] is analyses[0]
     assert analyses[2] is not analyses[1] and analyses[3] is not analyses[2]
