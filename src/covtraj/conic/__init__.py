@@ -1,6 +1,5 @@
-"""Embedded conic programming layer: program container, pow3 lowering, solver."""
+"""Embedded conic programming layer: program container and builder, solver."""
 
-from .lowering import LoweredProgram, lower_program
 from .program import Cone, ConicProgram, ProgramBuilder
 from .solver import SolveResult, SolveStructure, solve
 
@@ -8,8 +7,6 @@ __all__ = [
     "Cone",
     "ConicProgram",
     "ProgramBuilder",
-    "LoweredProgram",
-    "lower_program",
     "SolveResult",
     "SolveStructure",
     "solve",

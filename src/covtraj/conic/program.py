@@ -2,16 +2,17 @@
 
 Standard form: minimize c'x subject to b - A x in K, where K is a product of
 cones listed in row order and in class order: the zero cones, then the
-nonneg cones, then the soc and pow3 cones in the order they were added.
-Supported kinds:
+nonneg cones, then the soc and declared cones in the order they were added.
+Kinds:
 
 - ``zero``: s = 0 (equality rows).
 - ``nonneg``: s >= 0 elementwise.
 - ``soc``: s_0 >= ||s_1:||_2.
 - ``pow3``: s_0^alpha s_1^(1-alpha) >= |s_2|, s_0, s_1 >= 0 (dim == 3,
-  0 < alpha < 1); ``lowering`` replaces it with soc cones for the solver.
-- ``rsoc``: 2 s_0 s_1 >= ||s_2:||^2, declared only for covbench's
-  cone-violation test: nothing builds it and the solver rejects it.
+  0 < alpha < 1), and ``rsoc``: 2 s_0 s_1 >= ||s_2:||^2, declared only for
+  covbench's cone-violation test: nothing builds them and the solver
+  rejects both. :meth:`ProgramBuilder.power_cone` writes a power cone with
+  a rational exponent as soc cones.
 
 The builder allocates named variable blocks, accumulates sparse rows in
 triplet form, and produces an immutable :class:`ConicProgram`, its cones in
@@ -21,6 +22,7 @@ hex floats so dumps are byte-exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +186,60 @@ class ConicProgram:
             raise ConfigError(f"malformed conic program document: {exc}") from None
 
 
+def _triplets(rows, cols, vals, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One cone's (local row, column, value) arrays, checked against its dim rows."""
+    rows = np.atleast_1d(np.asarray(rows, dtype=int))
+    cols = np.atleast_1d(np.asarray(cols, dtype=int))
+    vals = np.atleast_1d(np.asarray(vals, dtype=float))
+    if not (rows.shape == cols.shape == vals.shape):
+        raise ValueError("triplet arrays must have identical shapes")
+    if rows.size and (rows.min() < 0 or rows.max() >= dim):
+        raise ValueError("local row index out of cone range")
+    return rows, cols, vals
+
+
+@functools.lru_cache(maxsize=None)
+def _power_tower(p: int, q: int):
+    """The soc tower of s0^(p/q) s1^(1-p/q) >= |s2|, which reads only p and q.
+
+    It is the geometric-mean tower of Ben-Tal & Nemirovski (*Lectures on
+    Modern Convex Optimization*, 2001, s3.3): the cone (t, s2), then level
+    by level one cell (a+b, a-b, 2w) certifying w <= sqrt(a b) per pair of
+    differing leaves, and last the cell of the final pair, certifying t. The
+    leaves are p copies of s0, q-p of s1 and copies of t up to the next
+    power of two; t and each w are new columns. Returns the cones, each
+    tower row's coefficients on (s0, s1, s2), the A entries (row, new
+    column, value) of the new columns, and their number. Read-only.
+    """
+    width = 1 << (q - 1).bit_length()
+    # every symbol is a row over (s0, s1, s2, t, then each w)
+    unit = iter(np.eye(3 + width))
+    s0, s1, s2, t = (next(unit) for _ in range(4))
+    rows, dims = [t, s2], [2]
+    level = [s0] * p + [s1] * (q - p) + [t] * (width - q)
+    while len(level) > 2:
+        nxt = []
+        for lo, hi in zip(level[::2], level[1::2]):
+            if lo is not hi:
+                w = next(unit)
+                rows += [lo + hi, lo - hi, 2.0 * w]
+                dims.append(3)
+                lo = w
+            nxt.append(lo)
+        level = nxt
+    lo, hi = level
+    rows += [lo + hi, lo - hi, 2.0 * t]
+    dims.append(3)
+    n_new = len(dims) - 1  # t, and a w for every cell but the last
+    tower = np.array(rows)[:, : 3 + n_new]
+    new_row, new_col = np.nonzero(tower[:, 3:])
+    # a slack term +c w is the entry -c of A
+    return (
+        tuple(Cone("soc", d) for d in dims), tower[:, :3],
+        new_row, new_col, -tower[new_row, 3 + new_col], n_new,
+    )
+
+
 class ProgramBuilder:
     """Accumulates variable blocks, cost terms, and cone rows.
 
@@ -199,7 +255,7 @@ class ProgramBuilder:
         self._n = 0
         self._blocks: dict[str, slice] = {}
         self._cost: dict[int, float] = {}
-        self._cones: list[Cone] = []
+        self._cones: list[tuple[Cone, ...]] = []  # the cones of each call
         self._bs: list[np.ndarray] = []
         self._ri: list[np.ndarray] = []
         self._rj: list[np.ndarray] = []
@@ -244,18 +300,41 @@ class ProgramBuilder:
         """
         b = np.atleast_1d(np.asarray(b, dtype=float))
         cone = Cone(kind=kind, dim=b.shape[0], alpha=alpha)
-        rows = np.atleast_1d(np.asarray(rows, dtype=int))
-        cols = np.atleast_1d(np.asarray(cols, dtype=int))
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("triplet arrays must have identical shapes")
-        if rows.size and (rows.min() < 0 or rows.max() >= cone.dim):
-            raise ValueError("local row index out of cone range")
-        self._cones.append(cone)
+        rows, cols, vals = _triplets(rows, cols, vals, cone.dim)
+        self._cones.append((cone,))
         self._bs.append(b)
         self._ri.append(rows)
         self._rj.append(cols)
         self._rv.append(vals)
+
+    def power_cone(
+        self, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int, q: int
+    ) -> None:
+        """Append s0^(p/q) s1^(1-p/q) >= |s2|, s0, s1 >= 0, as soc cones.
+
+        The slack s = b - A x is given as for :meth:`cone`, the exponent by
+        integers 0 < p < q. The cones are the tower of :func:`_power_tower`;
+        its columns come after the columns allocated so far and belong to no
+        variable block.
+        """
+        if not 0 < p < q:
+            raise ValueError(f"power-cone exponent {p}/{q} is not inside (0, 1)")
+        b = np.asarray(b, dtype=float)
+        if b.shape != (3,):
+            raise ValueError("a power cone has exactly 3 rows")
+        rows, cols, vals = _triplets(rows, cols, vals, 3)
+        cones, coef, new_row, new_col, new_val, n_new = _power_tower(p, q)
+        # tower row i takes coef[i, r] times slack row r: its constant and entries
+        i, r = np.nonzero(coef)
+        on = [np.flatnonzero(rows == k) for k in range(3)]
+        take = np.concatenate([on[k] for k in r])
+        count = np.array([on[k].size for k in r])
+        self._cones.append(cones)
+        self._bs.append(np.bincount(i, coef[i, r] * b[r], len(coef)))
+        self._ri.append(np.concatenate([np.repeat(i, count), new_row]))
+        self._rj.append(np.concatenate([cols[take], self._n + new_col]))
+        self._rv.append(np.concatenate([np.repeat(coef[i, r], count) * vals[take], new_val]))
+        self._n += n_new
 
     def build(self) -> ConicProgram:
         c = np.zeros(self._n)
@@ -263,10 +342,11 @@ class ProgramBuilder:
             if i < 0 or i >= self._n:
                 raise ValueError(f"cost index {i} out of range")
             c[i] = v
-        order = sorted(range(len(self._cones)), key=lambda k: _CLASS[self._cones[k].kind])
-        cones = tuple(self._cones[k] for k in order)
-        dims = np.array([cone.dim for cone in cones], dtype=int)
-        start = np.zeros(len(cones), dtype=int)  # first row of each cone, by call
+        # a call's cones are of one class (a power cone's are soc cones)
+        order = sorted(range(len(self._cones)), key=lambda k: _CLASS[self._cones[k][0].kind])
+        cones = tuple(cone for k in order for cone in self._cones[k])
+        dims = np.array([sum(cone.dim for cone in self._cones[k]) for k in order], dtype=int)
+        start = np.zeros(len(order), dtype=int)  # first row of each call
         start[order] = np.cumsum(dims) - dims
         ri = np.concatenate([np.zeros(0, dtype=int), *(r + s for r, s in zip(self._ri, start))])
         rj = np.concatenate([np.zeros(0, dtype=int), *self._rj])

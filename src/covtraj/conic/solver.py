@@ -2,8 +2,9 @@
 
 Takes programs in canonical form (``program.is_canonical``), the class
 order every program has from the builder on: the equality (zero) rows, then
-the nonneg rows, then the second-order cones' rows (``lowering`` replaces
-each power cone with some), so the solver keeps no row lists.
+the nonneg rows, then the second-order cones' rows (the builder writes a
+power cone as soc cones), so the solver keeps no row lists. It rejects the
+declared ``pow3`` and ``rsoc`` kinds.
 The algorithm is the standard Nesterov-Todd scaled predictor-corrector with
 one linear-solve path per iteration:
 
@@ -79,11 +80,11 @@ the dense factors' diagonals, the equality rows and each direction are
 checked finite instead.
 The work comes at three rates. Per pattern (a program's size, cones and
 A's ``indptr``/``indices``), a :class:`SolveStructure` holds what reads no
-value: lowering's row map and towers, the cone indexing and row groups, the
-equilibration's column order, the Gram stack's lifted index and the scatter
-of F; SCP passes one per phase, since a phase's subproblems share their
-pattern, and a solve without one builds its own. Per solve, the workspace
-lowers and equilibrates the values, forms A_eq, A_in and A_in' and the Gram
+value: the cone indexing and row groups, the equilibration's column order,
+the Gram stack's lifted index and the scatter of F; SCP passes one per
+phase, since a phase's subproblems share their pattern, and a solve without
+one builds its own. Per solve, the workspace copies and equilibrates the
+values, forms A_eq, A_in and A_in' and the Gram
 stack, and factors the start's Newton system, which on the sparse path
 lays K out, orders it and permutes it into that order (Sparse, above). Per
 iteration, the NT scaling, the normal matrix (F is one ``np.bincount``) or
@@ -104,7 +105,6 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsyrk
 
 from ..errors import NumericalError
-from .lowering import lower_program
 from .program import ConicProgram, is_canonical
 
 logger = logging.getLogger(__name__)
@@ -427,7 +427,7 @@ class _Pattern:
 
     Built from the program's cones and A's pattern (``indptr``, ``indices``,
     copied), once per pattern; a solve of any program with that pattern and
-    cones reads it (``SolveStructure``). It holds:
+    those ``cones`` reads it (``SolveStructure``). It holds:
 
     - the cone indexing of the :class:`_Workspace` docstring and the row
       groups of :func:`_row_groups` (``groups``);
@@ -450,12 +450,10 @@ class _Pattern:
 
     def __init__(self, prog: ConicProgram):
         if not is_canonical(prog.cones):
-            raise ValueError(
-                "the solver takes zero, then nonneg, then soc cones; "
-                "lower the program first"
-            )
+            raise ValueError("the solver takes zero, then nonneg, then soc cones")
         A = prog.A.tocsr()
         m, n = A.shape
+        self.cones = prog.cones
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
         self.groups = _row_groups(prog.cones)
         self.m, self.n = m, n
@@ -510,38 +508,35 @@ class _Pattern:
 class SolveStructure:
     """What the solves of one pattern share: every map that reads no value.
 
-    ``solve(prog, structure=s)`` lowers prog through the lowering map
-    (:class:`~covtraj.conic.lowering.Lowering`) s holds while prog has the
-    size and cones s last saw, and reads the analysis of the lowered
-    pattern (``_Pattern``) from s while the lowered A has the shape,
-    ``indptr`` and ``indices`` it was built from; anything else is built
-    afresh into s. So one structure serves an SCP phase, whose subproblems
-    share one pattern, and every answer is a fresh solve's. It holds no
-    program and no value of one, and nothing of the sparse path's K.
+    ``solve(prog, structure=s)`` reads the analysis of prog's pattern
+    (``_Pattern``) from s while prog has the cones, and its A the shape,
+    ``indptr`` and ``indices``, that analysis was built from; otherwise it
+    is built afresh into s. So one structure serves an SCP phase, whose
+    subproblems share one pattern (the penalty's power-cone towers
+    included), and every answer is a fresh solve's. It holds no program and
+    no value of one, and nothing of the sparse path's K.
     """
 
     def __init__(self):
-        self._key = None
-        self._lowering = None
         self._pattern = None
 
-    def canonical(self, prog: ConicProgram) -> tuple[ConicProgram, _Pattern]:
-        """prog in the solver's form and the analysis of its pattern, held here."""
-        key = (prog.A.shape, prog.cones)
-        if key != self._key:
-            lowered = lower_program(prog)
-            self._key, self._lowering, self._pattern = key, lowered.lowering, None
-            canonical = lowered.program
-        else:
-            canonical = prog if self._lowering is None else self._lowering.apply(prog)
-        A, pat = canonical.A.tocsr(), self._pattern
+    def pattern(self, prog: ConicProgram) -> _Pattern:
+        """The analysis of prog's pattern, held here."""
+        A, pat = prog.A.tocsr(), self._pattern
         if pat is None or not (
             A.shape == (pat.m, pat.n)
+            and prog.cones == pat.cones
             and np.array_equal(A.indptr, pat.indptr)
             and np.array_equal(A.indices, pat.indices)
         ):
-            self._pattern = _Pattern(canonical)
-        return canonical, self._pattern
+            self._pattern = _Pattern(prog)
+        return self._pattern
+
+
+def lower_program(*_args, **_kwargs):
+    """Retired, as the builder writes power cones as soc cones; the name stays
+    while covbench traces it, and nothing calls it."""
+    raise NotImplementedError("programs are built in the solver's form; call solve")
 
 
 class _Workspace:
@@ -740,9 +735,8 @@ def solve(
 ) -> SolveResult:
     """Solve a conic program to the requested relative tolerance.
 
-    The program's pow3 cones are lowered to soc cones and the workspace
-    equilibrates its own copy of the rows, both through the pattern's
-    maps in ``structure``. It starts from the least-norm slack and dual
+    The workspace equilibrates its own copy of the rows through the
+    pattern's maps in ``structure``. It starts from the least-norm slack and dual
     point moved into their cones (module docstring); each interior-point
     iteration then
     factors the Newton system once, solves the equality rows through their
@@ -756,7 +750,8 @@ def solve(
     at DEBUG level.
 
     Args:
-        prog: program with zero, nonneg, soc and pow3 cones, in class order.
+        prog: program with zero, nonneg and soc cones, in class order; a
+            ``pow3`` or ``rsoc`` cone raises ValueError.
         tol: relative primal/dual/gap tolerance for the ``optimal`` status.
         max_iters: interior-point iteration cap.
         structure: the value-independent maps of prog's pattern, reused
@@ -764,21 +759,18 @@ def solve(
             without one builds its own. The answer is the same either way.
 
     Returns:
-        SolveResult; ``x`` is in the original (pre-lowering) variables. A
+        SolveResult; ``x`` holds every column of prog. A
         solve that ends neither optimal nor with an infeasibility
         certificate reports its best measured iterate and that iterate's
         residuals; one whose start fails ends ``numerical_error`` with
         ``iterations == 0`` and no iterate.
 
     Raises:
-        NumericalError: the lowered program's equality rows are not finite.
+        NumericalError: the program's equality rows are not finite.
+        ValueError: prog holds a cone kind the solver does not take.
     """
     structure = SolveStructure() if structure is None else structure
-    canonical, pattern = structure.canonical(prog)
-    ws = _Workspace(canonical, pattern)
-    # the answer reads the lowered cost; its rows go with it here
-    cost, n_orig = canonical.c, prog.n_vars
-    del canonical
+    ws = _Workspace(prog, structure.pattern(prog))
 
     n, n_eq = ws.n, ws.n_eq
     tau, kappa = 1.0, 1.0
@@ -1025,8 +1017,8 @@ def solve(
         x_full = ws.col_scale * (x / tau)
         return SolveResult(
             status=status,
-            x=x_full[:n_orig],
-            obj=float(cost @ x_full),
+            x=x_full,
+            obj=float(prog.c @ x_full),
             iterations=it,
             pres=pres,
             dres=dres,

@@ -5,11 +5,14 @@ solve the convex subproblem (joint mean-control and feedback-gain design),
 score the candidate by the ratio rho of the actual to the predicted reduction
 of the nonlinearly evaluated augmented cost, then accept or reject the step,
 resize the trust region, and update the exact-penalty multipliers on accepted
-steps. The schedule is SCvx* (Oguri, 2023). Its penalty weight grows no
-further than ``ScpParams.w_max``, below the weights at which the embedded
-interior-point solver stops resolving the subproblem. A numerical failure
-of that solver triggers the safeguard: shrink the penalty weight and
-re-solve without touching the reference.
+steps. The schedule departs from SCvx* (Oguri, CDC 2023) in three places:
+the penalty phi(y) = |y|^1.1 / 1.1 + y^2 / 2; multipliers and weight updated
+on every accepted step, the weight under the gamma rule; and acceptance
+inside the band |rho - 1| <= eta0. The penalty weight grows no further than
+``ScpParams.w_max``, below the weights at which the embedded interior-point
+solver stops resolving the subproblem. A numerical failure of that solver
+triggers the safeguard: shrink the penalty weight and re-solve without
+touching the reference.
 
 The reference iterate is kept single-shooting consistent: its node states are
 the nonlinear flow of (x0, controls), with the flyby map applied at
@@ -73,6 +76,7 @@ from .subproblem import (
 from .uncertainty import GatesParams, ObservationModel, gates_matrix
 
 __all__ = [
+    "BoundFloor",
     "GaEvent",
     "IterationRecord",
     "ReferencePoint",
@@ -108,7 +112,7 @@ MAX_CONSECUTIVE_FAILURES = 8
 class ScpParams:
     """Driver tuning: the trust region's initial radius and its cap.
 
-    ``tr_init`` and ``tr_max`` are the only settings. The rest of the SCvx*
+    ``tr_init`` and ``tr_max`` are the only settings. The rest of the
     schedule is fixed on the class and read like a field (``params.eta0``).
 
     ``eps_opt`` is the relative cost tolerance: an accepted step that
@@ -526,12 +530,21 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class BoundFloor:
+    """A bound that needs its ``floor``, the least value its left side takes
+    at a reference whatever the decision variables, to be at most 1."""
+
+    bound: str
+    floor: float
+
+
+@dataclass(frozen=True)
 class ScpResult:
     """Driver outcome: the returned iterate plus the full iteration log.
 
-    ``status`` is "converged", "iteration_cap", "infeasible" (stationary
-    with its violation above tolerance at the weight cap) or
-    "solver_failure"; see :func:`run`.
+    ``status`` is "converged", "iteration_cap", "infeasible" or
+    "solver_failure"; see :func:`run`. ``unmet`` names the bound whose
+    floor ended an infeasible run before a solve, and is None otherwise.
     """
 
     status: str
@@ -539,6 +552,7 @@ class ScpResult:
     weights: PenaltyWeights
     tr_radius: float
     records: tuple[IterationRecord, ...]
+    unmet: BoundFloor | None = None
 
     @property
     def converged(self) -> bool:
@@ -583,8 +597,10 @@ def run(
     step is accepted, and the convergence test decides. An accepted step
     that stalls with the weight already at ``w_max`` and its violation above
     both eps_feas and gamma times the violation marker is stationary
-    infeasible and ends the run. Unless converged, the run returns the best
-    accepted iterate (feasibility first, then cost).
+    infeasible and ends the run. So does, before a subproblem is built, a
+    stochastic reference whose terminal estimation error alone breaks the
+    terminal bound: tr(P_f^-1 P_tilde_N) > 1. Unless converged, the run
+    returns the best accepted iterate (feasibility first, then cost).
 
     Args:
         problem: the instance (deterministic when ``uncertainty`` is None).
@@ -595,7 +611,8 @@ def run(
 
     Returns:
         ScpResult with status "converged", "iteration_cap", "infeasible"
-        (stationary and infeasible at the weight cap), or "solver_failure"
+        (stationary and infeasible at the weight cap, or the floor named in
+        ``unmet``), or "solver_failure"
         (the subproblem failed :data:`MAX_CONSECUTIVE_FAILURES` times in a
         row despite the weight-reduction safeguard); the last three carry
         the best accepted iterate.
@@ -626,9 +643,18 @@ def run(
     best_key = rank_key(ref)
     records: list[IterationRecord] = []
     status: str | None = None
+    unmet = None
     failures_in_a_row = 0
 
     for it in range(1, params.max_iters + 1):
+        if problem.uncertainty is not None:
+            # the terminal cone ||P_f^-1/2 [Dhat_N, P_tilde_N^1/2]||_F <= 1 needs
+            # tr(P_f^-1 P_tilde_N) <= 1 whatever the gains; no subproblem moves it
+            p_f = problem.uncertainty.p_f
+            floor = float(np.trace(np.linalg.solve(p_f, ref.schedule.P_post[-1])))
+            if floor > 1.0:
+                status, unmet = "infeasible", BoundFloor("terminal_dispersion", floor)
+                break
         j_ref = nl_augmented_cost(ref, weights)
         layout = build_subproblem(
             problem.grid,
@@ -725,4 +751,5 @@ def run(
         weights=weights,
         tr_radius=tr_radius,
         records=tuple(records),
+        unmet=unmet,
     )

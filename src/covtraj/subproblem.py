@@ -87,9 +87,10 @@ def chi2_quantile_sqrt(eps: float, dim: int) -> float:
 DV99_TAIL = 1e-2
 DV99_MULTIPLIER = chi2_quantile_sqrt(DV99_TAIL, N_U)
 
-#: Exponent tau of the exact penalty phi(y) = |y|^tau / tau + y^2 / 2; the
-#: subproblem models the |y|^tau term with a pow3 cone of exponent 1 / tau.
-PENALTY_TAU = 1.1
+#: Exponent tau = 11/10 of the exact penalty phi(y) = |y|^tau / tau + y^2 / 2;
+#: the subproblem models the |y|^tau term with the soc tower of a power cone
+#: of exponent 1 / tau = 10/11 (``ProgramBuilder.power_cone``).
+PENALTY_TAU = 11 / 10
 
 
 def penalty_value(z: float, weight: float) -> float:
@@ -213,8 +214,9 @@ class SubproblemLayout:
     - ``assist`` (n_assist, 2 or 3): per assist, the safety slack zeta, the
       mean v-infinity epigraph c1 and (stochastic only) the dispersion one c2
     - ``penalty`` (6 + n_assist, 2): per relaxed row, ``xi`` then each zeta,
-      the penalty epigraphs pa (a pow3 cone, |w z|^tau) and pq (a soc,
-      z^2)
+      the penalty epigraphs pa (of |w z|^tau) and pq (of z^2, one soc);
+      after every block come the 4 columns of each one's pa power cone
+      tower (``ProgramBuilder.power_cone``), in the same order, in no block
 
     ``gain_pairs`` (n_gain, 2) lists the (segment k, node i) of every
     designed gain block K_{k,i}, by thrust segment and then feedback node;
@@ -290,11 +292,14 @@ class _ConeRows:
     def entry(self, row: int, col: int, val: float):
         self.add([row], [col], [val])
 
-    def emit(self, pb: ProgramBuilder, kind: str, alpha: float | None = None):
+    def triplets(self):
         rows = np.concatenate(self.rows) if self.rows else np.zeros(0, dtype=int)
         cols = np.concatenate(self.cols) if self.cols else np.zeros(0, dtype=int)
         vals = np.concatenate(self.vals) if self.vals else np.zeros(0)
-        pb.cone(kind, self.b, rows, cols, vals, alpha=alpha)
+        return rows, cols, vals
+
+    def emit(self, pb: ProgramBuilder, kind: str):
+        pb.cone(kind, self.b, *self.triplets())
 
 
 def build_subproblem(
@@ -566,13 +571,14 @@ def build_subproblem(
         cone.entry(0, zeta[a_i], -1.0)
         cone.emit(pb, "nonneg")
 
-    # penalty epigraphs per relaxed row
+    # penalty epigraphs per relaxed row; pa_j^(1/tau) >= |w var| is the
+    # power cone of exponent 10/11 on the slack (pa_j, 1, w var)
     for var, pa_j, pq_j in zip(relaxed, pa, pq):
         cone = _ConeRows(3)
         cone.entry(0, pa_j, -1.0)
         cone.b[1] = 1.0
         cone.entry(2, var, -w)
-        cone.emit(pb, "pow3", alpha=1.0 / PENALTY_TAU)
+        pb.power_cone(cone.b, *cone.triplets(), 10, 11)
         # pq >= var^2 as the soc (pq + 1/2, pq - 1/2, sqrt(2) var)
         cone = _ConeRows(3)
         cone.entry(0, pq_j, -1.0)

@@ -11,7 +11,6 @@ cone matrices instead of the solver's flat-array cone operations.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -457,18 +456,17 @@ def program_digest(prog) -> str:
     return h.hexdigest()
 
 
-def pow3_tower_slack(s: np.ndarray, aux: np.ndarray, alpha: float) -> np.ndarray:
-    """Lowered soc slacks of one pow3 cone, from its original slack.
+def pow3_tower_slack(s: np.ndarray, aux: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The soc slacks of the tower of one power cone of exponent p/q.
 
-    With alpha = p/q: the cone (t, s2), then one cell (a+b, a-b, 2w) for
-    each pair of differing leaves of the geometric-mean tree, level by level
-    and left to right, closing with (a+b, a-b, 2t). The leaves are p copies
-    of s0, q-p of s1 and t up to the next power of two; t = aux[0] and the
-    cells' w take aux[1:] in order. This acts on slack values, where the
-    lowering builds a row map.
+    s0^(p/q) s1^(1-p/q) >= |s2| for the cone's slack s: the cone (t, s2),
+    then one cell (a+b, a-b, 2w) for each pair of differing leaves of the
+    geometric-mean tree, level by level and left to right, closing with
+    (a+b, a-b, 2t). The leaves are p copies of s0, q-p of s1 and t up to
+    the next power of two; t = aux[0] and the cells' w take aux[1:] in
+    order. This acts on slack values, where ``ProgramBuilder.power_cone``
+    writes rows.
     """
-    frac = Fraction(alpha).limit_denominator(64)
-    p, q = frac.numerator, frac.denominator
     width = 1 << (q - 1).bit_length()
     t, ws = aux[0], iter(aux[1:])
     out = [t, s[2]]
@@ -520,7 +518,8 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
     controls, turn angles, gain blocks, epigraphs, relaxation slacks, and
     penalty auxiliaries. The program's variable blocks must be exactly the
     documented kinds, in the documented order, tiling the columns with the
-    sizes the breakdown predicts.
+    sizes the breakdown predicts, and then the 4 columns of each relaxed
+    row's power-cone tower (exponent 10/11), which belong to no block.
     """
     stochastic = layout.stochastic is not None
     n_thrust = len(layout.grid.thrust_segments)
@@ -538,6 +537,7 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
         "impact_epigraphs": (2 if stochastic else 1) * n_assist,
         "relaxation_slacks": n_relaxed,
         "penalty_epigraphs": 2 * n_relaxed,
+        "penalty_towers": 4 * n_relaxed,
     }
     counts["total"] = sum(v for k, v in counts.items() if k != "total")
     assert counts["total"] == layout.program.n_vars
@@ -560,7 +560,7 @@ def layout_audit(layout: SubproblemLayout) -> dict[str, int]:
     for name, sl in blocks.items():
         assert (sl.start, sl.stop) == (start, start + sizes[name]), name
         start = sl.stop
-    assert start == layout.program.n_vars
+    assert start + counts["penalty_towers"] == layout.program.n_vars
     return counts
 
 

@@ -1,4 +1,4 @@
-"""Conic layer: analytic-solution problems, lowering, certificates, dumps."""
+"""Conic layer: analytic-solution problems, power-cone towers, certificates, dumps."""
 
 import gc
 import itertools
@@ -19,8 +19,7 @@ from oracles import (
     program_digest,
 )
 
-from covtraj.conic import Cone, ConicProgram, ProgramBuilder, lower_program, solve, solver
-from covtraj.conic.lowering import Lowering
+from covtraj.conic import Cone, ConicProgram, ProgramBuilder, solve, solver
 from covtraj.conic.solver import (
     POLISH_STOP_RATIO,
     _equilibrate,
@@ -32,12 +31,22 @@ from covtraj.conic.solver import (
 from covtraj.errors import ConfigError, NumericalError
 
 
-def _var_cone(pb, kind, entries, b, alpha=None):
-    """Cone rows from (local_row, col, val) triplets."""
+def _triplets(entries):
+    """(rows, cols, vals) arrays of (local_row, col, val) triplets."""
     rows = np.array([e[0] for e in entries], dtype=int)
     cols = np.array([e[1] for e in entries], dtype=int)
     vals = np.array([e[2] for e in entries], dtype=float)
-    return pb.cone(kind, np.asarray(b, dtype=float), rows, cols, vals, alpha=alpha)
+    return rows, cols, vals
+
+
+def _var_cone(pb, kind, entries, b, alpha=None):
+    """Cone rows from (local_row, col, val) triplets."""
+    return pb.cone(kind, np.asarray(b, dtype=float), *_triplets(entries), alpha=alpha)
+
+
+def _power_cone(pb, entries, b, p, q):
+    """The soc tower of a power cone of exponent p/q, from its slack's triplets."""
+    return pb.power_cone(np.asarray(b, dtype=float), *_triplets(entries), p, q)
 
 
 def test_lp_unique_vertex():
@@ -117,12 +126,7 @@ def test_pow3_epigraph_of_tau_power():
     pb = ProgramBuilder()
     a = pb.var_block("a", 1)[0]
     pb.cost(a, 1.0)
-    _var_cone(
-        pb, "pow3",
-        [(0, a, -1.0)],
-        [0.0, 1.0, 2.0],
-        alpha=10.0 / 11.0,
-    )
+    _power_cone(pb, [(0, a, -1.0)], [0.0, 1.0, 2.0], 10, 11)
     res = solve(pb.build())
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.0 ** 1.1, abs=1e-6)
@@ -133,12 +137,7 @@ def test_pow3_general_exponent():
     pb = ProgramBuilder()
     x = pb.var_block("x", 1)[0]
     pb.cost(x, 1.0)
-    _var_cone(
-        pb, "pow3",
-        [(0, x, -1.0)],
-        [0.0, 8.0, 3.0],
-        alpha=2.0 / 3.0,
-    )
+    _power_cone(pb, [(0, x, -1.0)], [0.0, 8.0, 3.0], 2, 3)
     res = solve(pb.build())
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.5 ** 1.5, abs=1e-6)
@@ -149,7 +148,7 @@ def test_pow3_sqrt_case():
     pb = ProgramBuilder()
     x = pb.var_block("x", 1)[0]
     pb.cost(x, 1.0)
-    _var_cone(pb, "pow3", [(0, x, -1.0)], [0.0, 4.0, 3.0], alpha=0.5)
+    _power_cone(pb, [(0, x, -1.0)], [0.0, 4.0, 3.0], 1, 2)
     res = solve(pb.build())
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(2.25, abs=1e-6)
@@ -164,8 +163,7 @@ def test_penalty_shaped_composite():
     q = pb.var_block("q", 1)[0]
     pb.cost([a, q], [1.0, 1.0])
     _var_cone(pb, "zero", [(0, xi, 1.0)], [0.7])
-    _var_cone(pb, "pow3", [(0, a, -1.0), (2, xi, -1.0)], [0.0, 1.0, 0.0],
-              alpha=10.0 / 11.0)
+    _power_cone(pb, [(0, a, -1.0), (2, xi, -1.0)], [0.0, 1.0, 0.0], 10, 11)
     _var_cone(pb, "soc", [(0, q, -1.0), (1, q, -1.0), (2, xi, -np.sqrt(2.0))],
               [0.5, -0.5, 0.0])
     res = solve(pb.build())
@@ -174,36 +172,38 @@ def test_penalty_shaped_composite():
     assert res.x[2] == pytest.approx(0.49, abs=1e-6)
 
 
-def test_lowering_preserves_soc_only_program():
-    pb = ProgramBuilder()
-    x = pb.var_block("x", 2)
-    pb.cost(x, [1.0, 1.0])
-    _var_cone(pb, "soc", [(1, x[0], -1.0), (2, x[1], -1.0)], [1.0, 0.0, 0.0])
-    prog = pb.build()
-    low = lower_program(prog)
-    assert low.program is prog
-    assert low.program.n_vars == prog.n_vars == 2
-
-
-@pytest.mark.parametrize("alpha", [10.0 / 11.0, 0.3, 0.5])
-def test_lowered_rows_match_dense_slack_oracle(alpha):
-    # b' - A' [x; aux] of the lowered program is the documented transform of
-    # the original slack b - A x, cone by cone, for any x and aux
+@pytest.mark.parametrize(
+    "p, q, n_aux, dims",
+    [(10, 11, 4, [2, 3, 3, 3, 3]), (3, 10, 6, [2, 3, 3, 3, 3, 3, 3]), (1, 2, 1, [2, 3])],
+    ids=["10-11", "3-10", "1-2"],
+)
+def test_power_cone_rows_match_dense_slack_oracle(p, q, n_aux, dims):
+    # b - A [x; aux] of the built program is the documented tower of the
+    # power cone's slack b_p - A_p x, for any x and aux; the soc cone added
+    # first keeps its slack, and the tower's columns come after the block
     rng = np.random.default_rng(7)
     n = 4
     pb = ProgramBuilder()
     pb.var_block("x", n)
-    for kind, dim, a in (("soc", 5, None), ("pow3", 3, alpha)):
+    slacks = []
+    for dim in (5, 3):
         local, cols = np.divmod(np.arange(dim * n), n)
-        pb.cone(kind, rng.standard_normal(dim), local, cols, rng.standard_normal(dim * n), alpha=a)
+        b, vals = rng.standard_normal(dim), rng.standard_normal(dim * n)
+        if dim == 5:
+            pb.cone("soc", b, local, cols, vals)
+        else:
+            pb.power_cone(b, local, cols, vals, p, q)
+        slacks.append((b, vals.reshape(dim, n)))
     prog = pb.build()
-    lp = lower_program(prog).program
+    assert prog.n_vars == n + n_aux and prog.var_blocks == {"x": slice(0, n)}
+    assert not prog.c.any()
+    assert [c.kind for c in prog.cones] == ["soc"] * (1 + len(dims))
+    assert [c.dim for c in prog.cones] == [5, *dims]
     x = rng.standard_normal(n)
-    aux = rng.standard_normal(lp.n_vars - n)
-    got = lp.b - lp.A.toarray() @ np.concatenate([x, aux])
-    s = prog.b - prog.A.toarray() @ x
-    # the soc cone keeps its slack; the pow3 cone becomes its tower
-    want = np.concatenate([s[:5], pow3_tower_slack(s[5:], aux, alpha)])
+    aux = rng.standard_normal(n_aux)
+    got = prog.b - prog.A.toarray() @ np.concatenate([x, aux])
+    (b_soc, a_soc), (b_pow, a_pow) = slacks
+    want = np.concatenate([b_soc - a_soc @ x, pow3_tower_slack(b_pow - a_pow @ x, aux, p, q)])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -212,7 +212,7 @@ def _interleaved_program(order):
 
     soc: ||x - p|| <= t; zero0: x0 + x1 + x2 = 1; nonneg: x2 <= 0.2;
     quad: u >= x0^2, the soc (u + 1/2, u - 1/2, sqrt(2) x0);
-    pow3: v >= |x1|^1.1; zero1: x3 = 0.5.
+    power: v >= |x1|^1.1, the tower of v^(10/11) >= |x1|; zero1: x3 = 0.5.
     """
     pb = ProgramBuilder("interleaved")
     x = pb.var_block("x", 4)
@@ -220,38 +220,41 @@ def _interleaved_program(order):
     pb.cost([t, u, v, x[0]], [1.0, 1.0, 1.0, 0.1])
     cones = {
         "soc": ("soc", [0.0, 0.3, -0.2, 0.1, 0.4],
-                [(0, t, -1.0)] + [(1 + j, x[j], -1.0) for j in range(4)], None),
-        "zero0": ("zero", [1.0], [(0, x[j], 1.0) for j in range(3)], None),
-        "nonneg": ("nonneg", [0.2], [(0, x[2], 1.0)], None),
+                [(0, t, -1.0)] + [(1 + j, x[j], -1.0) for j in range(4)]),
+        "zero0": ("zero", [1.0], [(0, x[j], 1.0) for j in range(3)]),
+        "nonneg": ("nonneg", [0.2], [(0, x[2], 1.0)]),
         "quad": ("soc", [0.5, -0.5, 0.0],
-                 [(0, u, -1.0), (1, u, -1.0), (2, x[0], -np.sqrt(2.0))], None),
-        "pow3": ("pow3", [0.0, 1.0, 0.0], [(0, v, -1.0), (2, x[1], -1.0)], 10.0 / 11.0),
-        "zero1": ("zero", [0.5], [(0, x[3], 1.0)], None),
+                 [(0, u, -1.0), (1, u, -1.0), (2, x[0], -np.sqrt(2.0))]),
+        "power": ("power", [0.0, 1.0, 0.0], [(0, v, -1.0), (2, x[1], -1.0)]),
+        "zero1": ("zero", [0.5], [(0, x[3], 1.0)]),
     }
     for name in order:
-        kind, b, entries, alpha = cones[name]
-        _var_cone(pb, kind, entries, b, alpha=alpha)
+        kind, b, entries = cones[name]
+        if kind == "power":
+            _power_cone(pb, entries, b, 10, 11)
+        else:
+            _var_cone(pb, kind, entries, b)
     return pb.build()
 
 
 def test_builder_call_order_does_not_change_the_program():
     # the builder puts the cones in class order and keeps the call order
     # within a class, so every call order that keeps it builds one program
-    order = ["soc", "zero0", "nonneg", "quad", "pow3", "zero1"]
+    order = ["soc", "zero0", "nonneg", "quad", "power", "zero1"]
     prog = _interleaved_program(order)
-    assert [c.kind for c in prog.cones] == ["zero", "zero", "nonneg", "soc", "soc", "pow3"]
-    assert [c.dim for c in prog.cones[3:5]] == [5, 3]
+    assert [c.kind for c in prog.cones] == ["zero", "zero", "nonneg"] + ["soc"] * 7
+    assert [c.dim for c in prog.cones[3:]] == [5, 3, 2, 3, 3, 3, 3]
     digest = program_digest(prog)
     n_orders = 0
     for perm in itertools.permutations(order):
         if perm.index("zero0") < perm.index("zero1") and (
-            perm.index("soc") < perm.index("quad") < perm.index("pow3")
+            perm.index("soc") < perm.index("quad") < perm.index("power")
         ):
             assert program_digest(_interleaved_program(perm)) == digest, perm
             n_orders += 1
     assert n_orders == 60
     # within a class the call order stands
-    swapped = _interleaved_program(["zero0", "zero1", "nonneg", "quad", "soc", "pow3"])
+    swapped = _interleaved_program(["zero0", "zero1", "nonneg", "quad", "soc", "power"])
     assert [c.dim for c in swapped.cones[3:5]] == [3, 5]
     res = solve(prog)
     assert res.status == "optimal"
@@ -275,28 +278,12 @@ def test_program_rejects_cones_out_of_class_order():
 
 def test_workspace_rejects_a_non_canonical_program():
     _Workspace(_empty_program(Cone("zero", 1), Cone("nonneg", 2), Cone("soc", 3)))
-    with pytest.raises(ValueError, match="lower the program"):
-        _Workspace(_empty_program(Cone("nonneg", 1), Cone("pow3", 3, 0.5)))
-
-
-def test_lower_program_changes_only_the_pow3_cones():
-    prog = _interleaved_program(["soc", "zero0", "nonneg", "pow3", "quad", "zero1"])
-    lp = lower_program(prog).program
-    n, m = prog.n_vars, prog.n_rows
-    # the rows before the pow3 cone, and the soc cone after it, are the
-    # program's own rows, with zero coefficients on the tower auxiliaries
-    before = m - 6  # the pow3 cone then the 3-row quad cone close the program
-    assert lp.cones[:4] == prog.cones[:4]
-    assert lp.cones[-1] == prog.cones[-1]
-    kept = np.r_[0:before, lp.n_rows - 3:lp.n_rows]
-    orig = np.r_[0:before, m - 3:m]
-    assert (lp.A[kept, :n] != prog.A[orig]).nnz == 0
-    assert lp.A[kept, n:].nnz == 0
-    assert lp.b[kept].tobytes() == prog.b[orig].tobytes()
-    assert lp.c[:n].tobytes() == prog.c.tobytes() and not lp.c[n:].any()
-    # the pow3 cone became soc cones in its place
-    tower = lp.cones[4:-1]
-    assert len(tower) > 1 and all(c.kind == "soc" for c in tower)
+    # the two declared kinds the builder never writes: one error for both
+    for declared in (Cone("pow3", 3, 0.5), Cone("rsoc", 3)):
+        prog = _empty_program(Cone("nonneg", 1), declared)
+        for reject in (_Workspace, solve):
+            with pytest.raises(ValueError, match="^the solver takes zero, then nonneg, then soc cones$"):
+                reject(prog)
 
 
 def test_builder_stores_no_explicit_zeros():
@@ -354,7 +341,7 @@ def test_dump_load_round_trip():
         [(0, t, -1.0), (1, x[0], -1.0), (2, x[1], -1.0)],
         [0.0, 0.125, -0.3],
     )
-    _var_cone(pb, "pow3", [(0, t, -1.0)], [0.0, 1.0, 0.5], alpha=10.0 / 11.0)
+    _power_cone(pb, [(0, t, -1.0)], [0.0, 1.0, 0.5], 10, 11)
     prog = pb.build()
     text = prog.dump()
     prog2 = ConicProgram.load(text)
@@ -362,6 +349,9 @@ def test_dump_load_round_trip():
     r1, r2 = solve(prog), solve(prog2)
     assert r1.status == r2.status
     np.testing.assert_array_equal(r1.x, r2.x)
+    # a declared pow3 cone keeps its exponent's bits
+    pow3 = _empty_program(Cone("nonneg", 1), Cone("pow3", 3, 10.0 / 11.0))
+    assert ConicProgram.load(pow3.dump()).cones == pow3.cones
 
 
 def test_load_rejects_unknown_kinds_and_cones_out_of_class_order():
@@ -415,7 +405,7 @@ def test_capped_solve_reports_the_residuals_of_the_iterate_it_returns():
     # residuals: two results share x exactly when they share residuals. The
     # interleaved program runs enough iterations (11) that three capped
     # solves already return an iterate within 1e2 * tol
-    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "power", "zero1"])
     full = solve(prog)
     assert full.status == "optimal"
     results = [solve(prog, max_iters=j) for j in range(1, full.iterations)] + [full]
@@ -473,7 +463,7 @@ def test_factor_retry_scales_the_diagonal(monkeypatch):
     # after the start's) fails; the retry factors the same matrix with its
     # diagonal scaled by 1 + 1e4 * STATIC_REG
     prog = _small_socp()
-    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(4,))
+    seen = _spy_cho_factor(monkeypatch, prog.n_vars, fail=(4,))
     res = solve(prog)
     assert res.status == "optimal"
     np.testing.assert_array_equal(seen[4], seen[3] * (1.0 + 1e4 * solver.STATIC_REG))
@@ -481,7 +471,7 @@ def test_factor_retry_scales_the_diagonal(monkeypatch):
 
 def test_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
     prog = _small_socp()
-    seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(4, 5, 6))
+    seen = _spy_cho_factor(monkeypatch, prog.n_vars, fail=(4, 5, 6))
     res = solve(prog)
     assert res.status == "numerical_error"
     assert len(seen) == 6 and res.iterations == 3
@@ -489,7 +479,7 @@ def test_factor_that_fails_every_retry_ends_numerical_error(monkeypatch):
 
 def test_failing_equality_factor_ends_numerical_error(monkeypatch):
     prog = _small_socp()
-    n_eq = sum(c.dim for c in lower_program(prog).program.cones if c.kind == "zero")
+    n_eq = sum(c.dim for c in prog.cones if c.kind == "zero")
     # the start factors E first, then each iteration once: call 3 is iteration 2's
     _spy_cho_factor(monkeypatch, n_eq, fail=(3,))
     res = solve(prog)
@@ -540,7 +530,7 @@ def test_normal_matrix_is_factored_where_it_lies(monkeypatch):
     # LAPACK reads the lower triangle in Fortran order: no transposing copy
     # of the normal matrix, and no finiteness scan of the factor in a solve
     prog = _small_socp()
-    n = lower_program(prog).program.n_vars
+    n = prog.n_vars
     cho_factor, cho_solve = solver.sla.cho_factor, solver.sla.cho_solve
     layouts, solve_checks = [], []
 
@@ -607,6 +597,13 @@ def test_program_validation():
         _var_cone(pb, "soc", [(0, 0, 1.0)], [0.0])  # soc dim >= 2
     with pytest.raises(ValueError):
         _var_cone(pb, "pow3", [(0, 0, 1.0)], [0.0, 0.0, 0.0], alpha=1.5)
+    for p, q in ((0, 2), (2, 2), (3, 2)):
+        with pytest.raises(ValueError, match="not inside"):
+            _power_cone(pb, [(0, 0, 1.0)], [0.0, 0.0, 0.0], p, q)
+    with pytest.raises(ValueError, match="exactly 3 rows"):
+        _power_cone(pb, [(0, 0, 1.0)], [0.0, 0.0], 1, 2)
+    with pytest.raises(ValueError, match="out of cone range"):
+        _power_cone(pb, [(3, 0, 1.0)], [0.0, 0.0, 0.0], 1, 2)
     with pytest.raises(ValueError):
         _var_cone(pb, "mystery", [(0, 0, 1.0)], [0.0])
 
@@ -1293,7 +1290,7 @@ def test_the_rule_sends_each_program_to_one_factorization(monkeypatch):
 
     small = _small_socp()
     assert solve(small).status == "optimal"
-    n = lower_program(small).program.n_vars
+    n = small.n_vars
     assert not splu_calls and (n, n) in factored
 
     factored.clear()
@@ -1302,46 +1299,6 @@ def test_the_rule_sends_each_program_to_one_factorization(monkeypatch):
     assert res.status == "optimal"
     assert res.obj == pytest.approx(best, abs=1e-6)
     assert splu_calls and factored and set(factored) == {(1, 1)}
-
-
-@pytest.mark.parametrize("path", ["dense", "sparse"])
-def test_no_lowered_program_outlives_the_workspace(monkeypatch, path):
-    # the workspace holds the solve's only scaled copy of the rows: a
-    # program that lowering built is gone before the solve's first
-    # factorization, for two fresh solves and for two through one held
-    # structure, whose second lowers through the map it kept
-    _force_path(monkeypatch, path)
-    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
-    lowered, dead_at_first_factor, maps = [], [], []
-    apply = Lowering.apply
-
-    def lowering(self, p):
-        out = apply(self, p)
-        assert out is not p
-        lowered.append(weakref.ref(out))
-        return out
-
-    def spy(factor):
-        def first(*args, **kwargs):
-            if len(dead_at_first_factor) < len(lowered):
-                dead_at_first_factor.append(lowered[-1]() is None)
-            return factor(*args, **kwargs)
-        return first
-
-    monkeypatch.setattr(Lowering, "apply", lowering)
-    lower = solver.lower_program
-    monkeypatch.setattr(solver, "lower_program", lambda p: maps.append(p) or lower(p))
-    if path == "dense":
-        monkeypatch.setattr(solver, "_cholesky", spy(solver._cholesky))
-    else:
-        kkt = solver._QuasiDefiniteKkt
-        monkeypatch.setattr(kkt, "factor", spy(kkt.factor))
-    for structure in (None, None, solver.SolveStructure()):
-        assert solve(prog, structure=structure).status == "optimal"
-    assert solve(prog, structure=structure).status == "optimal"
-    assert len(lowered) == 4 and dead_at_first_factor == [True] * 4
-    # the held structure built its lowering map once
-    assert len(maps) == 3
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
@@ -1376,14 +1333,16 @@ def _same_answer(a, b):
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_structure_answers_as_a_fresh_solve_when_the_pattern_changes(monkeypatch, path, lowered):
     # one structure solves a program, the same pattern with other values,
-    # the pattern with one entry dropped, and the first program again: each
-    # answer is a fresh solve's, bit for bit. The analysis is reused only
-    # while the pattern holds, the lowering map while the cones do, and
-    # neither keeps a program alive
+    # the pattern with one entry dropped, the first program again, and A's
+    # pattern under other cones: each answer is a fresh solve's, bit for
+    # bit. The analysis is reused only while A's pattern and the cones
+    # hold, and it keeps no program alive. The first program is the
+    # builder's, its power cone lowered to a soc tower, or that program
+    # read back from its text dump, canonical from the start
     _force_path(monkeypatch, path)
-    first = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    first = _interleaved_program(["zero0", "nonneg", "soc", "quad", "power", "zero1"])
     if not lowered:
-        first = lower_program(first).program
+        first = ConicProgram.load(first.dump())
     rescaled = ConicProgram(
         c=first.c, A=first.A * 1.25, b=first.b, cones=first.cones, var_blocks=first.var_blocks
     )
@@ -1393,15 +1352,23 @@ def test_structure_answers_as_a_fresh_solve_when_the_pattern_changes(monkeypatch
     dropped = ConicProgram(c=first.c, A=A, b=first.b, cones=first.cones, var_blocks=first.var_blocks)
     assert dropped.A.nnz == first.A.nnz - 1
 
+    # the 5-row soc cone split into a nonneg row and a 4-row soc cone
+    assert first.cones[3] == Cone("soc", 5)
+    recut = ConicProgram(
+        c=first.c, A=first.A, b=first.b, var_blocks=first.var_blocks,
+        cones=(*first.cones[:3], Cone("nonneg", 1), Cone("soc", 4), *first.cones[4:]),
+    )
+
     structure = solver.SolveStructure()
     analyses = []
-    for prog in (first, rescaled, dropped, first):
+    for prog in (first, rescaled, dropped, first, recut):
         held = solve(prog, structure=structure)
         assert _same_answer(held, solve(prog))
-        analyses.append(structure.canonical(prog)[1])
-    assert held.status == "optimal"
+        if prog is first:
+            assert held.status == "optimal"
+        analyses.append(structure.pattern(prog))
     assert analyses[1] is analyses[0]
-    assert analyses[2] is not analyses[1] and analyses[3] is not analyses[2]
+    assert all(analyses[k] is not analyses[k - 1] for k in (2, 3, 4))
 
     gone = ConicProgram(c=first.c, A=first.A.copy(), b=first.b, cones=first.cones)
     ref = weakref.ref(gone)
@@ -1415,7 +1382,7 @@ def test_held_sparse_structure_orders_k_once_per_solve(monkeypatch):
     # minimum-degree order once, since no other order gives that
     # factorization bit for bit, and then only in the order it found
     _force_path(monkeypatch, "sparse")
-    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"])
+    prog = _interleaved_program(["zero0", "nonneg", "soc", "quad", "power", "zero1"])
     specs, splu = [], spla.splu
 
     def spy(K, *args, **kwargs):
@@ -1506,7 +1473,7 @@ def _margins(ws, u):
 
 START_PROGRAMS = {
     "small_socp": _small_socp,
-    "interleaved": lambda: _interleaved_program(["zero0", "nonneg", "soc", "quad", "pow3", "zero1"]),
+    "interleaved": lambda: _interleaved_program(["zero0", "nonneg", "soc", "quad", "power", "zero1"]),
     "box_lp": lambda: _box_lp(30, 7)[0],
 }
 
@@ -1557,7 +1524,7 @@ def test_start_whose_factorization_fails_ends_numerical_error(monkeypatch, path)
     _force_path(monkeypatch, path)
     prog = _small_socp()
     if path == "dense":
-        seen = _spy_cho_factor(monkeypatch, lower_program(prog).program.n_vars, fail=(1, 2, 3))
+        seen = _spy_cho_factor(monkeypatch, prog.n_vars, fail=(1, 2, 3))
     else:
         seen = _spy_splu(monkeypatch, fail=(1, 2, 3))
     res = solve(prog)

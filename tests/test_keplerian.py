@@ -11,6 +11,7 @@ import pytest
 from covtraj.dynamics import TimeGrid
 from covtraj.montecarlo import McConfig, compare_bound, run_campaign
 from covtraj.scp import (
+    BoundFloor,
     ScpProblem,
     TrajectoryGuess,
     UncertaintyModel,
@@ -120,3 +121,17 @@ def test_finite_feedback_memory_stays_near_full_history(designed):
     assert depth2.point.max_violation <= 1e-6
     # a subset of the full-history gains: no cheaper, and within 0.5%
     assert full.point.j_ub <= depth2.point.j_ub <= 1.005 * full.point.j_ub
+
+
+def test_unreachable_terminal_bound_ends_the_run_before_a_solve(designed, monkeypatch):
+    # at P_f = 1e-6 I the navigation alone leaves tr(P_f^-1 P_tilde_N) =
+    # 1.23 > 1 at the mean-only design, so no gain meets the terminal bound:
+    # the run names the bound and its floor, and builds and solves nothing
+    prob, det, _ = designed
+    unc = dataclasses.replace(prob.uncertainty, p_f=1e-6 * np.eye(6))
+    monkeypatch.setattr("covtraj.scp.build_subproblem", None)
+    res = run(dataclasses.replace(prob, uncertainty=unc), det.point)
+    assert res.status == "infeasible" and res.records == ()
+    assert res.unmet == BoundFloor("terminal_dispersion", res.unmet.floor)
+    assert res.unmet.floor == pytest.approx(1.2319, abs=1e-3)
+    assert res.point.j_ub == det.point.j_ub

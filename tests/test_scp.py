@@ -558,16 +558,15 @@ def test_sparse_kkt_keeps_the_stochastic_design_subproblems_optimal(monkeypatch,
 
 
 def test_an_scp_phase_analyses_its_pattern_once(monkeypatch, stochastic_runs):
-    # the subproblems of one phase share a pattern: the run lowers it and
-    # analyses it once, and its records equal, bit for bit, those of a run
-    # whose every subproblem is a fresh solve
+    # the subproblems of one phase share a pattern: the run analyses it
+    # once, and its records equal, bit for bit, those of a run whose every
+    # subproblem is a fresh solve
     prob, params, _, _, det, _ = stochastic_runs
-    lower, pattern, solve = solver.lower_program, solver._Pattern, subproblem_mod.solve
-    lowered, analysed = [], []
-    monkeypatch.setattr(solver, "lower_program", lambda p: lowered.append(1) or lower(p))
+    pattern, solve = solver._Pattern, subproblem_mod.solve
+    analysed = []
     monkeypatch.setattr(solver, "_Pattern", lambda p: analysed.append(1) or pattern(p))
     held = run(prob, det.point, params)
-    assert held.iterations >= 3 and len(lowered) == len(analysed) == 1
+    assert held.iterations >= 3 and len(analysed) == 1
     monkeypatch.setattr(
         subproblem_mod, "solve", lambda prog, structure=None, **kwargs: solve(prog, **kwargs)
     )

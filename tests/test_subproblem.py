@@ -9,6 +9,7 @@ import pytest
 from scipy.special import gammaincc
 
 from covtraj.conic import SolveResult
+from covtraj.conic.program import is_canonical
 from covtraj.scp import UncertaintyModel, evaluate_point
 from covtraj.covsteer import build_block_system, kalman_precompute
 from covtraj.dynamics import TimeGrid, linearize_segment, psd_sqrt
@@ -810,15 +811,21 @@ def _variant_programs():
 
 
 def test_every_variant_is_built_in_class_order():
-    # zero, then nonneg, then soc and pow3; one pow3 per relaxed row, whose
-    # quadratic penalty epigraph is a soc
+    # zero, then nonneg, then soc: the solver's form as built. Each relaxed
+    # row's |w z|^1.1 epigraph is a power cone's tower of 5 soc cones on 4
+    # columns after every block, next to its quadratic epigraph's soc
     for name, (prog, n_assist) in _variant_programs().items():
         kinds = [c.kind for c in prog.cones]
         classes = [{"zero": 0, "nonneg": 1}.get(k, 2) for k in kinds]
         assert classes == sorted(classes), name
-        assert set(kinds) <= {"zero", "nonneg", "soc", "pow3"}, name
-        assert kinds.count("pow3") == 6 + n_assist, name
+        assert is_canonical(prog.cones), name
         assert classes.count(0) and classes.count(2), name
+        n_relaxed = 6 + n_assist
+        assert prog.var_blocks["penalty"].stop == prog.n_vars - 4 * n_relaxed, name
+        # per relaxed row: (t, s2), three cells, the closing cell, then pq's soc
+        dims = [c.dim for c in prog.cones]
+        penalty = dims[len(dims) - 1 - 6 * n_relaxed : -1]
+        assert penalty == [2, 3, 3, 3, 3, 3] * n_relaxed, name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
