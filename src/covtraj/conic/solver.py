@@ -21,9 +21,12 @@ one linear-solve path per iteration:
    that raised the residual is reverted.
 
 Both factorizations sit behind one solve (f_x, f_z, g) -> (dx, dy, dz), and
-the program's structure picks one per solve: the sparse path when a dense
-Cholesky, n^3/3 flops, would cost more than ``SPARSE_KKT_RATIO`` times the
-nonzeros of the sparse KKT, the dense path otherwise.
+a cost model that reads only the pattern picks one per pattern: the sparse
+path when a dense Cholesky, n^3/3 flops, would cost more than
+``SPARSE_KKT_RATIO`` times the sparse factor's estimated work, sum_j c_j^2 +
+``KKT_COLUMN_WORK`` size(K) over K's column counts c_j, the dense path
+otherwise. It sends covbench's full-history sweep N >= 10 to the sparse path
+and keeps design_n6 and depth 2 up to N = 60 dense, each its faster path.
 
 - Dense: the in-place Cholesky factor of the normal matrix M = A_in' W^-2
   A_in + reg I, reg = STATIC_REG ``reg_scale``, assembled as one triangle
@@ -122,13 +125,17 @@ EQUILIBRATION_PASSES = 3
 POLISH_STOP_RATIO = 5.0
 #: Cap on the polish passes of the combined direction.
 POLISH_PASSES = 10
-#: The factorization rule's one constant: the sparse path takes programs
-#: with n^3/3 > SPARSE_KKT_RATIO nnz(K). Measured crossover (one BLAS
-#: thread): n^3/(3 nnz K) is 511-670 on design_n6, where one SuperLU factor
-#: takes 1.45 ms against 0.9 ms for LAPACK's with the assembly of M; the paths
-#: are at parity at 2,675 (sweep N=12), the dense one as fast at 4,591 and
-#: 5,793 (N=60 depth 2, N=40 depth 3); at 18,831 (N=24) the sparse one wins 3x.
-SPARSE_KKT_RATIO = 1e4
+#: The factorization rule: the sparse path takes programs whose dense
+#: Cholesky, n^3/3 flops, exceeds SPARSE_KKT_RATIO times the sparse factor's
+#: estimated work, sum_j c_j^2 + KKT_COLUMN_WORK size(K) over K's column
+#: counts c_j; inf and 0 force either path. Timed on one BLAS thread, n^3/3
+#: over that work is 0.8-12.5 on the sweep and design_n6 subproblems whose
+#: sparse solve is 1.2-1.8x slower, and 16.5-59 on those where it takes
+#: 0.2-0.67x the dense time (depth 3 at N=40, 18.6, is at parity); n^3 over
+#: nnz(K) alone does not separate the two.
+SPARSE_KKT_RATIO = 14.0
+#: The sparse factor's work per column of K beyond its c_j^2, in flops.
+KKT_COLUMN_WORK = 500.0
 #: Static regularization of the sparse KKT (see the module docstring).
 KKT_REG = 1e-8
 
@@ -138,8 +145,9 @@ class SolveResult:
 
     status is one of ``optimal``, ``optimal_inaccurate``,
     ``primal_infeasible``, ``dual_infeasible``, ``max_iterations``,
-    ``numerical_error``. x holds the original-variable primal solution (None
-    unless solved or inaccurate).
+    ``numerical_error``. x holds every column of the solved program, the
+    builder's auxiliary columns included (None unless solved or
+    inaccurate).
     """
 
     status: str
@@ -439,13 +447,13 @@ class _Pattern:
     - the equality rows' flat positions ``eq_flat`` in a dense n_eq x n
       array and the inequality rows' pattern (``in_indptr``,
       ``in_indices``);
-    - the path: ``sparse`` is the factorization rule's choice. The dense
-      path's Gram stack takes its lifted column index and sign per A_in
-      entry (``g_lifted``, ``g_sign``, see :func:`_gram_stack`), and F its
-      scatter: A_in's entry ``f_src[t]``, times the weight of curved row
-      ``f_row[t]``, adds into slot ``f_dest[t]`` of F in Fortran order, the
-      terms in row order, as the sparse product A_in' C with a cone map C
-      adds them.
+    - the path: ``sparse`` is the factorization rule's choice, from K's
+      column counts (``SPARSE_KKT_RATIO``). The dense path's Gram stack
+      takes its lifted column index and sign per A_in entry (``g_lifted``,
+      ``g_sign``, see :func:`_gram_stack`), and F its scatter: A_in's entry
+      ``f_src[t]``, times the weight of curved row ``f_row[t]``, adds into
+      slot ``f_dest[t]`` of F in Fortran order, the terms in row order, as
+      the sparse product A_in' C with a cone map C adds them.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -490,9 +498,15 @@ class _Pattern:
         self.in_indptr = self.indptr[self.n_eq:] - k
         self.in_indices = self.indices[k:]
 
-        # K's nonzeros: its diagonal, A_in and two columns per soc cone, twice
-        kkt_nnz = n + self.m_in + 2 * self.in_indices.size + int((4 * self.sizes[curved] + 2).sum())
-        self.sparse = n**3 / 3.0 > SPARSE_KKT_RATIO * kkt_nnz
+        # K's column counts c_j: an x column holds its diagonal and A_in's
+        # column, a z column its diagonal, A_in's row and on a soc row its v
+        # and u entries, an expansion column its diagonal and its cone's rows
+        c = np.concatenate([
+            1 + np.bincount(self.in_indices, minlength=n),
+            1 + width[self.n_eq:] + 2 * curved[self.cone_id],
+            np.repeat(self.sizes[curved] + 1, 2),
+        ]).astype(float)
+        self.sparse = bool(n**3 / 3.0 > SPARSE_KKT_RATIO * (c @ c + KKT_COLUMN_WORK * c.size))
         if self.sparse:
             return
         in_curved = curved[self.cone_id]
@@ -744,10 +758,10 @@ def solve(
     Newton system: at most ``POLISH_PASSES`` residual-correction passes,
     stopping at the first that cuts the residual by less than
     ``POLISH_STOP_RATIO`` and reverting one that raised it. The factorization
-    is the dense Cholesky factor of the normal matrix, or, when n^3/3 >
-    ``SPARSE_KKT_RATIO`` nnz(K), SuperLU's factor of the expanded, regularized
-    quasi-definite KKT K (module docstring). One line per iteration is logged
-    at DEBUG level.
+    is the dense Cholesky factor of the normal matrix, or, when the module
+    docstring's cost model finds it cheaper, SuperLU's factor of the
+    expanded, regularized quasi-definite KKT K. One line per iteration is
+    logged at DEBUG level.
 
     Args:
         prog: program with zero, nonneg and soc cones, in class order; a

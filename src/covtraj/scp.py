@@ -104,7 +104,9 @@ DEGENERATE_PREDICTED_REDUCTION = 1e-12
 #: Give up after this many back-to-back subproblem failures: the safeguard
 #: assumes failures come from an oversized penalty weight, so if repeated
 #: weight cuts do not restore solvability the instance itself is the problem
-#: and further halving would loop to the iteration cap doing nothing.
+#: and further halving would loop to the iteration cap doing nothing. A
+#: ``primal_infeasible`` subproblem is not retried: the weight enters no hard
+#: row, so no cut can make it feasible.
 MAX_CONSECUTIVE_FAILURES = 8
 
 
@@ -599,8 +601,11 @@ def run(
     both eps_feas and gamma times the violation marker is stationary
     infeasible and ends the run. So does, before a subproblem is built, a
     stochastic reference whose terminal estimation error alone breaks the
-    terminal bound: tr(P_f^-1 P_tilde_N) > 1. Unless converged, the run
-    returns the best accepted iterate (feasibility first, then cost).
+    terminal bound: tr(P_f^-1 P_tilde_N) > 1, and a subproblem the solver
+    reports ``primal_infeasible``, since the penalty weight enters no hard
+    row. Any other failed solve halves the weight and retries from the same
+    reference. Unless converged, the run returns the best accepted iterate
+    (feasibility first, then cost).
 
     Args:
         problem: the instance (deterministic when ``uncertainty`` is None).
@@ -611,11 +616,13 @@ def run(
 
     Returns:
         ScpResult with status "converged", "iteration_cap", "infeasible"
-        (stationary and infeasible at the weight cap, or the floor named in
-        ``unmet``), or "solver_failure"
-        (the subproblem failed :data:`MAX_CONSECUTIVE_FAILURES` times in a
-        row despite the weight-reduction safeguard); the last three carry
-        the best accepted iterate.
+        (stationary and infeasible at the weight cap, a ``primal_infeasible``
+        subproblem with the weight it was built with, or the floor named in
+        ``unmet``), or "solver_failure" (the subproblem ended
+        ``dual_infeasible``, ``max_iterations`` or ``numerical_error``
+        :data:`MAX_CONSECUTIVE_FAILURES` times in a row despite the
+        weight-reduction safeguard); the last three carry the best accepted
+        iterate.
     """
     params = params or ScpParams()
     if isinstance(guess, ReferencePoint):
@@ -687,12 +694,16 @@ def run(
 
         degenerate = False
         if not sol.ok:
-            # safeguard: large weights breed ill-conditioning; back the
-            # weight off and retry from the same reference
-            weights = replace(weights, weight=weights.weight / params.beta)
-            failures_in_a_row += 1
-            if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
-                status = "solver_failure"
+            if sol.status == "primal_infeasible":
+                # the hard rows alone are infeasible, and the weight enters none
+                status = "infeasible"
+            else:
+                # safeguard: large weights breed ill-conditioning; back the
+                # weight off and retry from the same reference
+                weights = replace(weights, weight=weights.weight / params.beta)
+                failures_in_a_row += 1
+                if failures_in_a_row >= MAX_CONSECUTIVE_FAILURES:
+                    status = "solver_failure"
             rho = d_j = d_l = math.nan
             accepted = False
             reported = ref

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from covtraj.conic import solver
 from covtraj.dynamics import TimeGrid
 from covtraj.montecarlo import McConfig, compare_bound, run_campaign
 from covtraj.scp import (
@@ -16,7 +17,14 @@ from covtraj.scp import (
     TrajectoryGuess,
     UncertaintyModel,
     deterministic_problem,
+    evaluate_point,
     run,
+)
+from covtraj.subproblem import (
+    PenaltyWeights,
+    StochasticSpec,
+    TerminalSpec,
+    build_subproblem,
 )
 from covtraj.uncertainty import GatesParams, ObservationModel, process_noise_sqrt
 
@@ -135,3 +143,47 @@ def test_unreachable_terminal_bound_ends_the_run_before_a_solve(designed, monkey
     assert res.unmet == BoundFloor("terminal_dispersion", res.unmet.floor)
     assert res.unmet.floor == pytest.approx(1.2319, abs=1e-3)
     assert res.point.j_ub == det.point.j_ub
+
+
+def _first_subproblem(n, depth=None):
+    """The stochastic subproblem of _orbit_raise(n) at its zero-control
+    guess, weight 100 and trust radius 0.1, with feedback ``depth``."""
+    prob, guess = _orbit_raise(n)
+    unc = prob.uncertainty
+    ref = evaluate_point(prob, guess.x0, guess.controls)
+    return build_subproblem(
+        prob.grid, list(ref.segments), ref.states, ref.controls, prob.u_max,
+        TerminalSpec(x_target=prob.x_target),
+        PenaltyWeights(weight=100.0, lam_terminal=np.zeros(6)), 0.1,
+        x0_fixed=prob.x0_fixed,
+        stochastic=StochasticSpec(
+            blocks=ref.blocks, schedule=ref.schedule, eps_u=unc.eps_u, p_f=unc.p_f,
+            feedback_depth=depth,
+        ),
+    ).program
+
+
+@pytest.mark.parametrize(
+    "n, depth, sparse",
+    [(6, None, False), (12, None, True), (24, 2, False)],
+    ids=["full_n6", "full_n12", "depth2_n24"],
+)
+def test_factorization_rule_routes_each_subproblem_to_its_faster_path(n, depth, sparse):
+    # pattern analysis only, no solve. Timed on one BLAS thread, the sparse
+    # KKT solves the full-history N=12 subproblem in 0.5-0.7 of the dense
+    # path's time, and takes 1.3x as long at N=6 and 1.3-1.8x at depth 2,
+    # N=24
+    assert solver._Pattern(_first_subproblem(n, depth)).sparse is sparse
+
+
+def test_both_paths_solve_the_full_history_n12_subproblem_alike(monkeypatch):
+    # the subproblem whose path the cost model moved: forced onto each path
+    prog = _first_subproblem(12)
+    results = {}
+    for path, ratio in (("dense", np.inf), ("sparse", 0.0)):
+        monkeypatch.setattr(solver, "SPARSE_KKT_RATIO", ratio)
+        results[path] = solver.solve(prog)
+    dense, sparse = results["dense"], results["sparse"]
+    assert dense.status == sparse.status == "optimal"
+    assert abs(dense.iterations - sparse.iterations) <= 2
+    assert abs(dense.obj - sparse.obj) <= 1e-7

@@ -747,21 +747,31 @@ def test_stationary_infeasible_run_stops(monkeypatch):
     assert rank(res.point.max_violation, res.point.j_ub) == best
 
 
-def test_persistent_solver_failure_returns_best_iterate(monkeypatch):
+@pytest.mark.parametrize(
+    "solve_status, iterations, status",
+    [
+        # the safeguard halves the weight after each failure, then gives up
+        ("numerical_error", MAX_CONSECUTIVE_FAILURES, "solver_failure"),
+        # the weight enters no hard row: the first infeasible subproblem ends
+        # the run, with the weight it was built with
+        ("primal_infeasible", 1, "infeasible"),
+    ],
+    ids=["numerical_error", "primal_infeasible"],
+)
+def test_persistent_solver_failure_returns_best_iterate(monkeypatch, solve_status, iterations, status):
     monkeypatch.setattr(
         scp_mod,
         "solve_subproblem",
-        lambda layout, **kwargs: SimpleNamespace(ok=False, status="numerical_error"),
+        lambda layout, **kwargs: SimpleNamespace(ok=False, status=solve_status),
     )
     prob, guess = _reach_problem()
     params = ScpParams()
     res = run(prob, guess, params)
-    assert res.status == "solver_failure"
+    assert res.status == status and res.unmet is None
     assert not res.converged
-    assert res.iterations == MAX_CONSECUTIVE_FAILURES
-    assert res.weights.weight == pytest.approx(
-        params.w_init / params.beta ** MAX_CONSECUTIVE_FAILURES
-    )
+    assert res.iterations == iterations
+    halvings = iterations if status == "solver_failure" else 0
+    assert res.weights.weight == pytest.approx(params.w_init / params.beta**halvings)
     # no step was ever accepted: the returned point is the initial guess
     np.testing.assert_allclose(res.point.controls, 0.0)
 
